@@ -1,5 +1,5 @@
 // Ablation A: the Index Buffer's internal structure — B+-tree vs hash
-// table vs CSB+-tree.
+// table.
 //
 // The paper claims the concrete structure "is not essential for the
 // general idea" (§III). This bench replays Experiment 1 with both
@@ -36,7 +36,8 @@ Result<AblationResult> RunOne(const bench::BenchArgs& args,
     const Value lo = static_cast<Value>(rng.UniformInt(5001, 49900));
     const Query query = range_queries ? Query::Range(0, lo, lo + 99)
                                       : Query::Point(0, lo);
-    AIB_ASSIGN_OR_RETURN(QueryResult r, db->Execute(query));
+    AIB_ASSIGN_OR_RETURN(
+        StatementResult r, db->ExecuteStatement(Statement::Select(query)));
     result.costs.push_back(r.stats.cost);
     result.total_wall_ns += r.stats.wall_ns;
   }
@@ -53,10 +54,8 @@ int Run(const bench::BenchArgs& args) {
   const std::vector<Row> rows = {
       {"btree/point", IndexStructureKind::kBTree, false},
       {"hash/point", IndexStructureKind::kHash, false},
-      {"csb/point", IndexStructureKind::kCsbTree, false},
       {"btree/range100", IndexStructureKind::kBTree, true},
       {"hash/range100", IndexStructureKind::kHash, true},
-      {"csb/range100", IndexStructureKind::kCsbTree, true},
   };
 
   ConsoleTable table({"series", "q0 cost", "q10 cost", "q59 cost",
@@ -85,8 +84,8 @@ int Run(const bench::BenchArgs& args) {
                   std::to_string(r->final_entries)});
   }
 
-  std::cout << "Ablation A — Index Buffer structure: B+-tree vs hash table vs "
-               "CSB+-tree (Experiment 1 replay)\n\n";
+  std::cout << "Ablation A — Index Buffer structure: B+-tree vs hash table "
+               "(Experiment 1 replay)\n\n";
   table.Print(std::cout);
   std::cout << "\nShape check: both structures converge to the same cost "
                "floor with the same entry count — the mechanism is "

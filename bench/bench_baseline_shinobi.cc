@@ -70,8 +70,9 @@ Result<SystemResult> RunAib(const bench::BenchArgs& args,
                        BuildPaperDatabase(setup));
   SystemResult result;
   for (const WorkloadItem& item : workload) {
-    AIB_ASSIGN_OR_RETURN(QueryResult r,
-                         db->Execute(Query::Point(item.column, item.value)));
+    AIB_ASSIGN_OR_RETURN(StatementResult r,
+                         db->ExecuteStatement(Statement::Select(
+                             Query::Point(item.column, item.value))));
     result.query_cost += r.stats.cost;
     result.adapt_cost += static_cast<double>(r.stats.entries_added) *
                          db->options().cost.buffer_insert_cost;

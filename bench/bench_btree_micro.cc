@@ -2,7 +2,7 @@
 //
 // The paper's Index Buffer is structure-agnostic (§III); this bench
 // quantifies the raw point/range operation costs of the two structures the
-// library ships (kind 0 = B+-tree, 1 = hash, 2 = CSB+-tree), informing
+// library ships (kind 0 = B+-tree, 1 = hash), informing
 // the structure ablation (bench_ablation_structure).
 
 #include <benchmark/benchmark.h>
@@ -15,14 +15,8 @@ namespace aib {
 namespace {
 
 std::unique_ptr<IndexStructure> Make(int kind) {
-  switch (kind) {
-    case 0:
-      return CreateIndexStructure(IndexStructureKind::kBTree);
-    case 1:
-      return CreateIndexStructure(IndexStructureKind::kHash);
-    default:
-      return CreateIndexStructure(IndexStructureKind::kCsbTree);
-  }
+  return CreateIndexStructure(kind == 0 ? IndexStructureKind::kBTree
+                                        : IndexStructureKind::kHash);
 }
 
 void FillRandom(IndexStructure* index, size_t n, uint64_t seed) {
@@ -48,7 +42,7 @@ void BM_Insert(benchmark::State& state) {
 }
 BENCHMARK(BM_Insert)
     ->ArgNames({"kind", "n"})
-    ->ArgsProduct({{0, 1, 2}, {10000, 100000}});
+    ->ArgsProduct({{0, 1}, {10000, 100000}});
 
 void BM_PointLookup(benchmark::State& state) {
   auto index = Make(static_cast<int>(state.range(0)));
@@ -62,7 +56,7 @@ void BM_PointLookup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PointLookup)->ArgNames({"kind"})->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_PointLookup)->ArgNames({"kind"})->Arg(0)->Arg(1);
 
 void BM_RangeScan100(benchmark::State& state) {
   auto index = Make(static_cast<int>(state.range(0)));
@@ -76,7 +70,7 @@ void BM_RangeScan100(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RangeScan100)->ArgNames({"kind"})->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_RangeScan100)->ArgNames({"kind"})->Arg(0)->Arg(1);
 
 void BM_RemoveInsertChurn(benchmark::State& state) {
   auto index = Make(static_cast<int>(state.range(0)));
@@ -90,7 +84,7 @@ void BM_RemoveInsertChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RemoveInsertChurn)->ArgNames({"kind"})->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_RemoveInsertChurn)->ArgNames({"kind"})->Arg(0)->Arg(1);
 
 void BM_BTreeFanoutSweep(benchmark::State& state) {
   const int fanout = static_cast<int>(state.range(0));

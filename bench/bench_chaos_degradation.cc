@@ -72,8 +72,8 @@ RateResult RunRate(const PaperSetupOptions& setup, double rate,
                       rng.UniformInt(setup.covered_lo, setup.covered_hi))
                 : static_cast<Value>(
                       rng.UniformInt(setup.covered_hi + 1, setup.value_max));
-    Result<QueryResult> result =
-        db->Execute(Query::Point(0, value));
+    Result<StatementResult> result =
+        db->ExecuteStatement(Statement::Select(Query::Point(0, value)));
     // Whole-query retry on transient/corruption, same policy as the query
     // service; a query that still fails after that counts as failed.
     for (int attempt = 0;
@@ -81,7 +81,7 @@ RateResult RunRate(const PaperSetupOptions& setup, double rate,
          (result.status().IsTransient() || result.status().IsCorruption()) &&
          attempt < 5;
          ++attempt) {
-      result = db->Execute(Query::Point(0, value));
+      result = db->ExecuteStatement(Statement::Select(Query::Point(0, value)));
     }
     if (!result.ok()) {
       ++out.failed;

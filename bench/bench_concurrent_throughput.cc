@@ -52,15 +52,15 @@ RunResult RunBatch(Database* db, const std::vector<Query>& queries,
   options.num_workers = workers;
   options.queue_capacity = queries.size();
   options.shared_scans = shared;
-  QueryService service(db->executor(), &db->table(), options, &db->metrics());
+  QueryService service(db->executor(), options, &db->metrics());
 
   const int64_t start = NowNs();
-  std::vector<std::future<Result<QueryResult>>> futures;
+  std::vector<std::future<Result<StatementResult>>> futures;
   futures.reserve(queries.size());
   for (const Query& query : queries) {
     for (;;) {
-      Result<std::future<Result<QueryResult>>> submitted =
-          service.Submit(query);
+      Result<std::future<Result<StatementResult>>> submitted =
+          service.Submit(Statement::Select(query));
       if (submitted.ok()) {
         futures.push_back(std::move(submitted).value());
         break;
@@ -69,7 +69,7 @@ RunResult RunBatch(Database* db, const std::vector<Query>& queries,
     }
   }
   for (auto& future : futures) {
-    Result<QueryResult> result = future.get();
+    Result<StatementResult> result = future.get();
     if (!result.ok()) {
       std::cerr << "query failed: " << result.status().ToString() << "\n";
       std::exit(1);

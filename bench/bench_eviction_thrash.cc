@@ -177,18 +177,20 @@ ModeResult RunMode(const bench::BenchArgs& args, EvictionMode mode,
     if (i == kWarmupProbes) {
       cold_hits0 = db->metrics().Get(kMetricColdHits);
     }
-    if (ops[i].insert && !db->Insert(ops[i].tuple).ok()) {
+    if (ops[i].insert &&
+        !db->ExecuteStatement(Statement::Insert(ops[i].tuple)).ok()) {
       std::fprintf(stderr, "insert %zu failed\n", i);
       std::exit(1);
     }
     for (const Rid& rid : ops[i].deletes) {
-      if (!db->Delete(rid).ok()) {
+      if (!db->ExecuteStatement(Statement::Delete(rid)).ok()) {
         std::fprintf(stderr, "delete %zu failed\n", i);
         std::exit(1);
       }
     }
     const auto start = std::chrono::steady_clock::now();
-    Result<QueryResult> r = db->Execute(ops[i].query);
+    Result<StatementResult> r =
+        db->ExecuteStatement(Statement::Select(ops[i].query));
     const double us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - start)
                           .count();

@@ -85,7 +85,8 @@ int Run(const bench::BenchArgs& args) {
         static_cast<int64_t>(center) + rng.UniformInt(-2, 2), 1, 30));
 
     const bool hit = db->GetIndex(0)->Covers(value);
-    Result<QueryResult> result = db->Execute(Query::Point(0, value));
+    Result<StatementResult> result =
+        db->ExecuteStatement(Statement::Select(Query::Point(0, value)));
     if (!result.ok()) {
       std::cerr << "query failed: " << result.status().ToString() << "\n";
       return 1;

@@ -97,8 +97,7 @@ LegResult RunLeg(const bench::BenchArgs& args, double write_fraction) {
   QueryServiceOptions service_options;
   service_options.num_workers = 1;  // FIFO: results independent of timing
   service_options.queue_capacity = 64;
-  QueryService service((*db)->executor(), &(*db)->table(), service_options,
-                       &(*db)->metrics());
+  QueryService service((*db)->executor(), service_options, &(*db)->metrics());
 
   MixedWorkloadOptions mixed;
   mixed.num_statements = kStatements;
@@ -117,7 +116,8 @@ LegResult RunLeg(const bench::BenchArgs& args, double write_fraction) {
   while (auto op = generator.Next()) {
     const auto start = std::chrono::steady_clock::now();
     if (op->kind == StatementKind::kSelect) {
-      Result<QueryResult> result = service.Execute(op->query);
+      Result<StatementResult> result =
+          service.ExecuteStatement(Statement::Select(op->query));
       if (!result.ok()) std::abort();
       const auto end = std::chrono::steady_clock::now();
       read_ms +=
@@ -258,15 +258,16 @@ ContentionCell RunContentionCell(const bench::BenchArgs& args, int writers,
             band_lo + static_cast<Value>(i % kContentionBandWidth);
         if (i % 8 == 5 && !mine.empty()) {
           const size_t slot = i % mine.size();
-          Result<Rid> updated =
-              d.Update(mine[slot], Tuple({v, v, v}, {payload}));
-          if (updated.ok()) mine[slot] = updated.value();
+          Result<StatementResult> updated = d.ExecuteStatement(
+              Statement::Update(mine[slot], Tuple({v, v, v}, {payload})));
+          if (updated.ok()) mine[slot] = updated->rids.front();
         } else if (i % 16 == 12 && !mine.empty()) {
-          (void)d.Delete(mine.back());
+          (void)d.ExecuteStatement(Statement::Delete(mine.back()));
           mine.pop_back();
         } else {
-          Result<Rid> inserted = d.Insert(Tuple({v, v, v}, {payload}));
-          if (inserted.ok()) mine.push_back(inserted.value());
+          Result<StatementResult> inserted = d.ExecuteStatement(
+              Statement::Insert(Tuple({v, v, v}, {payload})));
+          if (inserted.ok()) mine.push_back(inserted->rids.front());
         }
         writes.fetch_add(1, std::memory_order_relaxed);
       }
@@ -281,7 +282,8 @@ ContentionCell RunContentionCell(const bench::BenchArgs& args, int writers,
         const size_t pick =
             (i * kContentionReaders + static_cast<size_t>(r)) %
             values.size();
-        Result<QueryResult> result = d.Execute(Query::Point(0, values[pick]));
+        Result<StatementResult> result = d.ExecuteStatement(
+            Statement::Select(Query::Point(0, values[pick])));
         if (!result.ok()) {
           correct.store(false, std::memory_order_relaxed);
           continue;

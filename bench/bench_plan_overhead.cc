@@ -53,7 +53,7 @@ class DirectExecutor {
         cost_model_(db->options().cost),
         buffer_options_(db->options().buffer) {}
 
-  Result<QueryResult> Execute(const Query& query) {
+  Result<StatementResult> Execute(const Query& query) {
     PartialIndex* index = db_->GetIndex(query.column);
     if (index == nullptr) return Status::Internal("bench expects an index");
 
@@ -64,7 +64,7 @@ class DirectExecutor {
       space_->OnQuery(index, hit);
     }
 
-    QueryResult result;
+    StatementResult result;
     if (hit) {
       result.stats.used_partial_index = true;
       if (query.IsPoint()) {
@@ -167,8 +167,9 @@ int Run(const bench::BenchArgs& args) {
       double total_cost = 0;
       const int64_t start = NowNs();
       for (const Query& query : queries) {
-        Result<QueryResult> result =
-            plan_side ? db->Execute(query) : direct.Execute(query);
+        Result<StatementResult> result =
+            plan_side ? db->ExecuteStatement(Statement::Select(query))
+                      : direct.Execute(query);
         if (!result.ok()) {
           std::cerr << "query failed: " << result.status().ToString() << "\n";
           return 1;

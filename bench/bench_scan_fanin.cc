@@ -123,21 +123,20 @@ FanInResult RunFanIn(const bench::BenchArgs& args, const Config& config,
   service_options.num_workers = fanin;
   service_options.queue_capacity = fanin * 4;
   service_options.shared_scans = config.shared_scans;
-  QueryService service(db->executor(), &db->table(), service_options,
-                       &db->metrics());
+  QueryService service(db->executor(), service_options, &db->metrics());
   // The whole uncovered range: a non-point predicate on a column with no
   // partial index, so it takes the full-scan path (shared when enabled).
   const Query query = Query::Range(0, 5001, kValueMax);
 
   FanInResult result;
   auto run_batch = [&] {
-    std::vector<std::future<Result<QueryResult>>> futures;
+    std::vector<std::future<Result<StatementResult>>> futures;
     futures.reserve(fanin);
     for (size_t i = 0; i < fanin; ++i) {
-      futures.push_back(service.Submit(query).value());
+      futures.push_back(service.Submit(Statement::Select(query)).value());
     }
     for (size_t i = 0; i < fanin; ++i) {
-      Result<QueryResult> r = futures[i].get();
+      Result<StatementResult> r = futures[i].get();
       if (!r.ok()) {
         std::fprintf(stderr, "scan failed: %s\n", r.status().ToString().c_str());
         std::abort();

@@ -74,7 +74,8 @@ int main() {
                               : draw < weight_a + weight_b ? 1
                                                            : 2;
       const Value v = static_cast<Value>(rng.UniformInt(1001, 10000));
-      if (!db.Execute(Query::Point(column, v)).ok()) std::exit(1);
+      const Statement select = Statement::Select(Query::Point(column, v));
+      if (!db.ExecuteStatement(select).ok()) std::exit(1);
     }
   };
 

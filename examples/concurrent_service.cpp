@@ -50,8 +50,7 @@ int main() {
   QueryServiceOptions service_options;
   service_options.num_workers = 4;
   service_options.queue_capacity = 32;
-  QueryService service(db.executor(), &db.table(), service_options,
-                       &db.metrics());
+  QueryService service(db.executor(), service_options, &db.metrics());
   std::cout << "service up: " << service.num_workers()
             << " workers, queue capacity "
             << service.options().queue_capacity << "\n\n";
@@ -59,16 +58,19 @@ int main() {
   // 3. Covered queries on A run latch-free through the partial index;
   //    misses adapt the Index Buffer under the space latch — both fully
   //    concurrent-safe.
-  std::vector<std::future<Result<QueryResult>>> futures;
+  std::vector<std::future<Result<StatementResult>>> futures;
   for (int i = 0; i < 8; ++i) {
-    auto submitted = service.Submit(Query::Point(0, 100 + i));   // covered
-    auto miss = service.Submit(Query::Point(0, 5000 + i * 10));  // miss
-    if (submitted.ok()) futures.push_back(std::move(submitted).value());
+    const Statement covered = Statement::Select(Query::Point(0, 100 + i));
+    const Statement uncovered =
+        Statement::Select(Query::Point(0, 5000 + i * 10));
+    auto hit = service.Submit(covered);
+    auto miss = service.Submit(uncovered);
+    if (hit.ok()) futures.push_back(std::move(hit).value());
     if (miss.ok()) futures.push_back(std::move(miss).value());
   }
   size_t rows = 0;
   for (auto& future : futures) {
-    Result<QueryResult> result = future.get();
+    Result<StatementResult> result = future.get();
     if (result.ok()) rows += result->rids.size();
   }
   std::cout << "column A: " << futures.size()
@@ -82,7 +84,7 @@ int main() {
   const int64_t reads_before = db.metrics().Get(kMetricPagesRead);
   futures.clear();
   for (int i = 0; i < 16; ++i) {
-    auto submitted = service.Submit(Query::Point(1, 4242));
+    auto submitted = service.Submit(Statement::Select(Query::Point(1, 4242)));
     if (!submitted.ok()) {
       std::cerr << "rejected: " << submitted.status().ToString() << "\n";
       continue;

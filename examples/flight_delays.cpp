@@ -66,7 +66,8 @@ int main() {
             << db.table().PageCount() << " pages\n\n";
 
   // Business as usual: reports for Chicago O'Hare hit the index.
-  Result<QueryResult> ord = db.Execute(Query::Point(0, kAirports.at("ORD")));
+  Result<StatementResult> ord = db.ExecuteStatement(
+      Statement::Select(Query::Point(0, kAirports.at("ORD"))));
   if (!ord.ok()) return 1;
   std::cout << "report ORD: " << ord->rids.size() << " flights, cost "
             << ord->stats.cost << " — partial index hit\n\n";
@@ -76,7 +77,8 @@ int main() {
   const std::vector<std::string> report_run = {"FRA", "MUC", "TXL", "FRA",
                                                "MUC", "TXL", "FRA", "MUC"};
   for (const std::string& airport : report_run) {
-    Result<QueryResult> r = db.Execute(Query::Point(0, kAirports.at(airport)));
+    Result<StatementResult> r = db.ExecuteStatement(
+        Statement::Select(Query::Point(0, kAirports.at(airport))));
     if (!r.ok()) return 1;
     std::cout << "  report " << airport << ": " << r->rids.size()
               << " flights, cost " << r->stats.cost << " ("
@@ -96,8 +98,10 @@ int main() {
   if (!db.CreatePartialIndex(1, ValueCoverage::Range(120, 180)).ok()) {
     return 1;
   }
-  Result<QueryResult> edge1 = db.Execute(Query::Range(1, 115, 125));
-  Result<QueryResult> edge2 = db.Execute(Query::Range(1, 115, 125));
+  Result<StatementResult> edge1 =
+      db.ExecuteStatement(Statement::Select(Query::Range(1, 115, 125)));
+  Result<StatementResult> edge2 =
+      db.ExecuteStatement(Statement::Select(Query::Range(1, 115, 125)));
   if (!edge1.ok() || !edge2.ok()) return 1;
   std::cout << "\nrange report crossing the delay index boundary "
                "(115..125): " << edge1->rids.size()

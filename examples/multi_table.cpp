@@ -84,7 +84,8 @@ int main() {
     for (int i = 0; i < total; ++i) {
       Table* table = rng.Bernoulli(orders_share) ? orders : sensors;
       const Value v = static_cast<Value>(rng.UniformInt(801, 8000));
-      if (!catalog.Execute(table, Query::Point(0, v)).ok()) std::exit(1);
+      const Statement select = Statement::Select(Query::Point(0, v));
+      if (!catalog.ExecuteStatement(table, select).ok()) std::exit(1);
     }
   };
 

@@ -48,14 +48,16 @@ int main() {
             << db.GetIndex(0)->EntryCount() << " entries)\n\n";
 
   // 4. A covered query uses the partial index: no pages scanned.
-  Result<QueryResult> hit = db.Execute(Query::Point(0, 500));
+  Result<StatementResult> hit =
+      db.ExecuteStatement(Statement::Select(Query::Point(0, 500)));
   if (!hit.ok()) return 1;
   std::cout << "covered query (A=500):    " << hit->rids.size()
             << " rows, cost " << hit->stats.cost << " (partial index hit)\n";
 
   // 5. Uncovered queries miss the index. The first one pays a table scan
   //    — but the Index Buffer indexes pages along the way...
-  Result<QueryResult> miss1 = db.Execute(Query::Point(0, 5000));
+  Result<StatementResult> miss1 =
+      db.ExecuteStatement(Statement::Select(Query::Point(0, 5000)));
   if (!miss1.ok()) return 1;
   std::cout << "uncovered query #1 (A=5000): " << miss1->rids.size()
             << " rows, cost " << miss1->stats.cost << " ("
@@ -64,7 +66,8 @@ int main() {
 
   // 6. ...so subsequent misses skip the fully indexed pages.
   for (Value v : {5001, 5002, 5003}) {
-    Result<QueryResult> miss = db.Execute(Query::Point(0, v));
+    Result<StatementResult> miss =
+        db.ExecuteStatement(Statement::Select(Query::Point(0, v)));
     if (!miss.ok()) return 1;
     std::cout << "uncovered query (A=" << v << "):  " << miss->rids.size()
               << " rows, cost " << miss->stats.cost << " ("
@@ -75,17 +78,19 @@ int main() {
   // 7. EXPLAIN shows the physical plan the planner chose, with
   //    per-operator statistics after execution.
   std::unique_ptr<PhysicalPlan> plan =
-      db.executor()->PlanQuery(Query::Point(0, 5004));
-  if (Result<QueryResult> r = db.executor()->ExecutePlan(plan.get());
+      db.executor()->PlanStatement(Statement::Select(Query::Point(0, 5004)));
+  if (Result<StatementResult> r = db.executor()->ExecutePlan(plan.get());
       !r.ok()) {
     return 1;
   }
   std::cout << "\nexplain (A=5004):\n" << ExplainPlan(*plan);
 
   // 8. The engine keeps everything consistent under DML, too.
-  Result<Rid> inserted = db.Insert(Tuple({5001}, {"fresh tuple"}));
+  Result<StatementResult> inserted =
+      db.ExecuteStatement(Statement::Insert(Tuple({5001}, {"fresh tuple"})));
   if (!inserted.ok()) return 1;
-  Result<QueryResult> after = db.Execute(Query::Point(0, 5001));
+  Result<StatementResult> after =
+      db.ExecuteStatement(Statement::Select(Query::Point(0, 5001)));
   if (!after.ok()) return 1;
   std::cout << "\nafter INSERT of A=5001: query now returns "
             << after->rids.size() << " rows\n";

@@ -47,8 +47,9 @@ int main() {
     double first_cost = 0;
     double warm_cost = 0;
     for (int i = 0; i < 8; ++i) {
-      auto result = catalog.Execute(
-          table, Query::Point(0, static_cast<Value>(5000 + i)));
+      const Statement select =
+          Statement::Select(Query::Point(0, static_cast<Value>(5000 + i)));
+      auto result = catalog.ExecuteStatement(table, select);
       if (!result.ok()) return 1;
       if (i == 0) first_cost = result->stats.cost;
       warm_cost = result->stats.cost;
@@ -82,8 +83,10 @@ int main() {
 
     // The first post-restart miss pays a scan (and re-warms the buffer);
     // the second is cheap again.
-    auto first = catalog->Execute(table, Query::Point(0, 5000));
-    auto second = catalog->Execute(table, Query::Point(0, 5001));
+    auto first = catalog->ExecuteStatement(
+        table, Statement::Select(Query::Point(0, 5000)));
+    auto second = catalog->ExecuteStatement(
+        table, Statement::Select(Query::Point(0, 5001)));
     if (!first.ok() || !second.ok()) return 1;
     std::cout << "session 2: post-restart miss costs " << first->stats.cost
               << " then " << second->stats.cost << " ("

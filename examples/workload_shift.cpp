@@ -61,7 +61,8 @@ int main() {
       const bool shifted = q >= 150;
       const Value v = static_cast<Value>(
           shifted ? rng.UniformInt(41, 60) : rng.UniformInt(1, 20));
-      Result<QueryResult> r = db.Execute(Query::Point(0, v));
+      Result<StatementResult> r =
+          db.ExecuteStatement(Statement::Select(Query::Point(0, v)));
       if (!r.ok()) std::exit(1);
       PhaseStats& phase = shifted ? during : before;
       phase.total_cost += r->stats.cost;

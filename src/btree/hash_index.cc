@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "btree/btree.h"
-#include "btree/csb_tree.h"
 
 namespace aib {
 
@@ -76,8 +75,6 @@ std::unique_ptr<IndexStructure> CreateIndexStructure(IndexStructureKind kind) {
       return std::make_unique<BTree>();
     case IndexStructureKind::kHash:
       return std::make_unique<HashIndex>();
-    case IndexStructureKind::kCsbTree:
-      return std::make_unique<CsbTree>();
   }
   return nullptr;
 }

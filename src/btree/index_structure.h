@@ -11,9 +11,9 @@ namespace aib {
 
 /// Abstract key → Rid-postings index. The paper notes that "which particular
 /// index structure is used is not essential for the general idea of the
-/// Index Buffer" (§III) — a B*-tree, CSB+-tree, or hash table all work.
-/// PartialIndex and IndexBuffer are written against this interface, and the
-/// structure ablation bench swaps implementations.
+/// Index Buffer" (§III). PartialIndex and IndexBuffer are written against
+/// this interface; the B+-tree and the hash table implement it, and the
+/// structure ablation bench swaps them.
 class IndexStructure {
  public:
   virtual ~IndexStructure() = default;
@@ -61,8 +61,6 @@ class IndexStructure {
 enum class IndexStructureKind {
   kBTree,
   kHash,
-  /// Cache-sensitive B+-tree (§III's main-memory-optimized option).
-  kCsbTree,
 };
 
 /// Creates an empty structure of the given kind with default parameters.

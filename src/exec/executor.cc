@@ -5,7 +5,7 @@
 
 namespace aib {
 
-Executor::Executor(const Table* table, IndexBufferSpace* space,
+Executor::Executor(Table* table, IndexBufferSpace* space,
                    CostModelOptions cost_options, Metrics* metrics)
     : table_(table),
       space_(space),
@@ -26,12 +26,8 @@ void Executor::SetBufferOptions(IndexBufferOptions options) {
   planner_ = Planner(table_, space_, options);
 }
 
-std::unique_ptr<PhysicalPlan> Executor::PlanQuery(const Query& query) const {
-  return planner_.Plan(query, indexes_);
-}
-
-Result<QueryResult> Executor::ExecutePlan(PhysicalPlan* plan,
-                                          const QueryControl* control) {
+Result<StatementResult> Executor::ExecutePlan(PhysicalPlan* plan,
+                                              const QueryControl* control) {
   // Statement membrane, shared for reads and DML alike: it only excludes
   // quiesce points (tuner adaptation, snapshots, audits). All mutual
   // exclusion between statements happens in the partition-granular latches
@@ -42,8 +38,9 @@ Result<QueryResult> Executor::ExecutePlan(PhysicalPlan* plan,
     // locks); no space latch needed.
     space_->OnQuery(plan->driver_index(), plan->driver_hit());
   }
-  Result<QueryResult> result = plan->Run(cost_model_, control, dispatcher_,
-                                         parallel_options_, io_scheduler_);
+  Result<StatementResult> result =
+      plan->Run(cost_model_, control, dispatcher_, parallel_options_,
+                io_scheduler_);
   if (metrics_ != nullptr) {
     if (!result.ok() && result.status().IsTimeout()) {
       metrics_->Increment(kMetricQueriesTimedOut);
@@ -51,6 +48,9 @@ Result<QueryResult> Executor::ExecutePlan(PhysicalPlan* plan,
       metrics_->Increment(kMetricQueriesCancelled);
     } else if (result.ok() && result.value().stats.degraded) {
       metrics_->Increment(kMetricDegradedQueries);
+    }
+    if (result.ok() && plan->IsDml()) {
+      metrics_->Increment(kMetricDmlStatements);
     }
     if (result.ok() && result.value().stats.pages_scanned > 0) {
       // Numerator of the page-reuse ratio: every page a scan consumed,
@@ -63,54 +63,14 @@ Result<QueryResult> Executor::ExecutePlan(PhysicalPlan* plan,
   return result;
 }
 
-Result<QueryResult> Executor::Execute(const Query& query,
-                                      const QueryControl* control) {
-  std::unique_ptr<PhysicalPlan> plan = PlanQuery(query);
-  return ExecutePlan(plan.get(), control);
-}
-
-Result<QueryResult> Executor::FullScan(const Query& query) {
-  std::shared_lock<std::shared_mutex> latch(stmt_latch_);
-  return planner_.PlanFullScan(query)->Run(cost_model_, nullptr, dispatcher_,
-                                           parallel_options_, io_scheduler_);
-}
-
-Result<QueryResult> Executor::IndexScan(const Query& query) {
-  std::unique_ptr<PhysicalPlan> plan =
-      planner_.PlanIndexScan(query, indexes_);
-  if (plan == nullptr) {
-    return Status::InvalidArgument(
-        "predicate not fully covered by a partial index");
-  }
-  std::shared_lock<std::shared_mutex> latch(stmt_latch_);
-  return plan->Run(cost_model_);
-}
-
 std::unique_ptr<PhysicalPlan> Executor::PlanStatement(
     const Statement& statement) const {
-  return planner_.PlanStatement(statement, indexes_, write_table_);
+  return planner_.PlanStatement(statement, indexes_);
 }
 
 Result<StatementResult> Executor::ExecuteStatement(
     const Statement& statement, const QueryControl* control) {
-  if (statement.IsDml() && write_table_ == nullptr) {
-    return Status::InvalidArgument(
-        "executor has no write table (SetWriteTable)");
-  }
-  std::unique_ptr<PhysicalPlan> plan = PlanStatement(statement);
-  if (plan == nullptr) {
-    return Status::InvalidArgument("statement cannot be planned");
-  }
-  AIB_ASSIGN_OR_RETURN(QueryResult result,
-                       ExecutePlan(plan.get(), control));
-  if (statement.IsDml() && metrics_ != nullptr) {
-    metrics_->Increment(kMetricDmlStatements);
-  }
-  StatementResult out;
-  out.rids = std::move(result.rids);
-  out.rows_affected = statement.IsDml() ? out.rids.size() : 0;
-  out.stats = result.stats;
-  return out;
+  return ExecutePlan(PlanStatement(statement).get(), control);
 }
 
 }  // namespace aib

@@ -11,15 +11,15 @@
 #include "exec/cost_model.h"
 #include "exec/plan.h"
 #include "exec/planner.h"
-#include "exec/query.h"
 #include "exec/statement.h"
 #include "index/partial_index.h"
 #include "storage/table.h"
 
 namespace aib {
 
-/// The query front door of one table: a thin facade over the Planner and
-/// physical-plan execution (§II/§III access-path selection):
+/// The statement front door of one table: a thin facade over the Planner
+/// and physical-plan execution. A Statement is the one unit of work; for a
+/// select the planner picks the access path (§II/§III):
 ///
 ///   - predicate fully covered by a column's partial index -> index probe
 ///     (+ residual Filter for conjunctions);
@@ -30,27 +30,23 @@ namespace aib {
 ///     the uncovered population plus partial-index fetch restricted to
 ///     skipped pages (scanned pages already yielded their covered matches).
 ///
-/// Also dispatches the Table II history updates on every query. Callers
-/// needing the plan itself (EXPLAIN, custom execution) use PlanQuery /
-/// ExecutePlan; Execute is Plan + ExecutePlan in one call.
+/// Insert/Update/Delete plan into write operators (exec/dml_operators.h).
+/// ExecuteStatement is PlanStatement + ExecutePlan in one call; callers
+/// needing the plan itself (EXPLAIN, tracing) call the two halves.
+/// ExecutePlan dispatches the Table II history update of every plan.
 ///
-/// Since the statement-pipeline refactor the executor is also the write
-/// front door: ExecuteStatement plans Insert/Update/Delete into write
-/// operators (exec/dml_operators.h) and runs them through the same
-/// ExecutePlan path as queries.
-///
-/// Thread-safety: Execute and ExecuteStatement may be called from
+/// Thread-safety: ExecuteStatement and ExecutePlan may be called from
 /// concurrent QueryService workers once setup (RegisterIndex /
-/// SetBufferOptions / SetWriteTable) is complete. Since the
-/// partition-granular refactor the executor's statement latch is a
-/// *shared-only membrane*: every statement — reads AND DML — holds it
-/// shared for its duration, so statements never exclude each other here.
-/// Mutual exclusion moved down into partition-granular latches the
-/// operators take themselves, in this global order:
+/// SetBufferOptions) is complete. Since the partition-granular refactor the
+/// executor's statement latch is a *shared-only membrane*: every
+/// statement — reads AND DML — holds it shared for its duration, so
+/// statements never exclude each other here. Mutual exclusion moved down
+/// into partition-granular latches the operators take themselves, in this
+/// global order:
 ///
 ///   1. statement membrane (shared; exclusive only for quiesce points:
-///      tuner adaptation via Catalog::Execute, snapshots, consistency
-///      audits, test/bench samplers);
+///      tuner adaptation via Catalog::ExecuteStatement, snapshots,
+///      consistency audits, test/bench samplers);
 ///   2. IndexBufferSpace structural latch — exclusive during an indexing
 ///      scan's Open only (buffer creation, Algorithm 2, quarantine);
 ///   3. heap page stripe latches (Table::page_latches()) — all-shared for
@@ -68,26 +64,23 @@ namespace aib {
 /// optimistic covered-probe protocol.
 class Executor {
  public:
-  /// `space` may be null (no Index Buffer configured). Does not own
-  /// anything.
-  Executor(const Table* table, IndexBufferSpace* space,
+  /// `table` is the table statements read and write. `space` may be null
+  /// (no Index Buffer configured). Does not own anything.
+  Executor(Table* table, IndexBufferSpace* space,
            CostModelOptions cost_options = {}, Metrics* metrics = nullptr);
+
+  /// The table the executor was built over.
+  const Table* table() const { return table_; }
 
   /// Registers the partial index for its column. One index per column.
   void RegisterIndex(PartialIndex* index);
 
-  /// The mutable handle DML statements execute against; must be the same
-  /// table the executor was built over. Unset (the default) makes every
-  /// DML statement fail with InvalidArgument — a read-only executor.
-  void SetWriteTable(Table* table) { write_table_ = table; }
-  Table* write_table() const { return write_table_; }
-
   /// The statement membrane (see class comment). Every statement holds it
   /// shared; exclusive acquisition is reserved for quiesce points — tuner
-  /// adaptation (Catalog::Execute), snapshots, consistency audits, and
-  /// test/bench samplers that need the engine statement-free. Exposed for
-  /// execution paths that run plans without going through ExecutePlan (the
-  /// service's shared-scan path) — they must hold it shared for the
+  /// adaptation (Catalog::ExecuteStatement), snapshots, consistency audits,
+  /// and test/bench samplers that need the engine statement-free. Exposed
+  /// for execution paths that run plans without going through ExecutePlan
+  /// (the service's shared-scan path) — they must hold it shared for the
   /// duration of the run. First in the latch order, before the space
   /// structural latch and all partition-granular latches.
   std::shared_mutex& statement_latch() const { return stmt_latch_; }
@@ -123,46 +116,29 @@ class Executor {
   void SetIoScheduler(IoScheduler* scheduler) { io_scheduler_ = scheduler; }
   IoScheduler* io_scheduler() const { return io_scheduler_; }
 
-  /// Executes `query` through access-path selection. `control`, when
-  /// non-null, imposes the caller's deadline/cancellation on the execution
-  /// (timed-out and cancelled executions are counted in the metrics).
-  Result<QueryResult> Execute(const Query& query,
-                              const QueryControl* control = nullptr);
-
-  /// Plans `query` without executing it. The plan is single-use: run it
-  /// through ExecutePlan, then render with ExplainPlan(*plan).
-  std::unique_ptr<PhysicalPlan> PlanQuery(const Query& query) const;
-
-  /// Executes a plan obtained from PlanQuery (dispatching the Table II
-  /// history update for the plan's driving index, exactly as Execute).
-  /// Holds the statement membrane shared for the run — reads and DML
-  /// alike; the operators take their own partition-granular latches.
-  Result<QueryResult> ExecutePlan(PhysicalPlan* plan,
-                                  const QueryControl* control = nullptr);
-
   /// Plans `statement` (selects via access-path selection, DML into write
-  /// operators). Null for DML when no write table is set.
+  /// operators). The plan is single-use: run it through ExecutePlan, then
+  /// render with ExplainPlan(*plan).
   std::unique_ptr<PhysicalPlan> PlanStatement(const Statement& statement)
       const;
 
-  /// Executes `statement` through the pipeline: plan, latch, run, convert
-  /// the row results. The single maintenance code path — Database/Catalog
-  /// DML delegates here.
+  /// Executes a plan obtained from PlanStatement, dispatching the Table II
+  /// history update for the plan's driving index. Holds the statement
+  /// membrane shared for the run — reads and DML alike; the operators take
+  /// their own partition-granular latches. `control`, when non-null,
+  /// imposes the caller's deadline/cancellation on the execution
+  /// (timed-out and cancelled executions are counted in the metrics).
+  Result<StatementResult> ExecutePlan(PhysicalPlan* plan,
+                                      const QueryControl* control = nullptr);
+
+  /// PlanStatement + ExecutePlan: the one way to run a statement, and the
+  /// single maintenance code path every front end delegates to.
   Result<StatementResult> ExecuteStatement(const Statement& statement,
                                            const QueryControl* control =
                                                nullptr);
 
-  /// Baseline: always a full table scan, no index or buffer interaction.
-  Result<QueryResult> FullScan(const Query& query);
-
-  /// Baseline: pure index scan; InvalidArgument if the primary predicate
-  /// is not fully covered by the column's partial index. Residual
-  /// conjuncts are applied as a Filter.
-  Result<QueryResult> IndexScan(const Query& query);
-
  private:
-  const Table* table_;
-  Table* write_table_ = nullptr;
+  Table* table_;
   IndexBufferSpace* space_;
   CostModel cost_model_;
   Metrics* metrics_;

@@ -108,11 +108,11 @@ PhysicalPlan::PhysicalPlan(std::unique_ptr<PhysicalOperator> root,
                            const Table* table)
     : root_(std::move(root)), table_(table) {}
 
-Result<QueryResult> PhysicalPlan::Run(const CostModel& cost_model,
-                                      const QueryControl* control,
-                                      MorselDispatcher* dispatcher,
-                                      const ParallelScanOptions& parallel,
-                                      IoScheduler* io_scheduler) {
+Result<StatementResult> PhysicalPlan::Run(const CostModel& cost_model,
+                                          const QueryControl* control,
+                                          MorselDispatcher* dispatcher,
+                                          const ParallelScanOptions& parallel,
+                                          IoScheduler* io_scheduler) {
   const int64_t start = NowNs();
   executed_ = true;
   ExecContext ctx;
@@ -122,7 +122,7 @@ Result<QueryResult> PhysicalPlan::Run(const CostModel& cost_model,
   ctx.io_scheduler = io_scheduler;
   ctx.parallel = parallel;
 
-  QueryResult result;
+  StatementResult result;
   Status status = control != nullptr ? control->Check() : Status::Ok();
   if (status.ok()) status = root_->Open(&ctx);
   if (status.ok()) {
@@ -152,6 +152,7 @@ Result<QueryResult> PhysicalPlan::Run(const CostModel& cost_model,
   result.stats.used_index_buffer = used_index_buffer_;
   Aggregate(*root_, &result.stats);
   result.stats.result_count = result.rids.size();
+  result.rows_affected = IsDml() ? result.rids.size() : 0;
   result.stats.cost = cost_model.QueryCost(result.stats);
   result.stats.wall_ns = NowNs() - start;
   return result;

@@ -12,12 +12,6 @@
 
 namespace aib {
 
-/// Result of one query: matching rids plus execution statistics.
-struct QueryResult {
-  std::vector<Rid> rids;
-  QueryStats stats;
-};
-
 /// An executable physical plan: an operator tree plus the metadata the
 /// executor facade needs (which index drives the plan and whether it was a
 /// partial-index hit — the Table II history dispatch). Single-use: Run()
@@ -34,9 +28,8 @@ class PhysicalPlan {
   void SetUsedPartialIndex(bool used) { used_partial_index_ = used; }
   void SetUsedIndexBuffer(bool used) { used_index_buffer_ = used; }
 
-  /// What kind of statement this plan executes. Selects (the default) run
-  /// under the executor's shared statement latch; DML plans run under the
-  /// exclusive acquisition (see Executor::ExecutePlan).
+  /// What kind of statement this plan executes (selects by default). Run
+  /// reports the rows a DML plan affected in `rows_affected`.
   void SetStatementKind(StatementKind kind) { statement_kind_ = kind; }
   StatementKind statement_kind() const { return statement_kind_; }
   bool IsDml() const { return statement_kind_ != StatementKind::kSelect; }
@@ -52,20 +45,21 @@ class PhysicalPlan {
   bool driver_hit() const { return driver_hit_; }
 
   /// Opens, drains, and closes the operator tree; aggregates per-operator
-  /// stats into QueryStats and prices them through `cost_model`. Close is
-  /// guaranteed on error paths (latch scopes release). `control`, when
-  /// non-null, is checked before Open and before every root NextBatch, so
-  /// an over-budget or cancelled query stops at the next batch boundary
-  /// with Timeout/Cancelled instead of draining the plan. `dispatcher`,
+  /// stats into QueryStats and prices them through `cost_model`; sets
+  /// `rows_affected` from the statement kind. Close is guaranteed on error
+  /// paths (latch scopes release). `control`, when non-null, is checked
+  /// before Open and before every root NextBatch, so an over-budget or
+  /// cancelled query stops at the next batch boundary with
+  /// Timeout/Cancelled instead of draining the plan. `dispatcher`,
   /// when non-null, enables morsel-parallel scans with the given options;
   /// results and cost-model stats are identical to the serial run.
   /// `io_scheduler`, when non-null, gives scan operators the async
   /// prefetch pipeline to register with and route readahead through.
-  Result<QueryResult> Run(const CostModel& cost_model,
-                          const QueryControl* control = nullptr,
-                          MorselDispatcher* dispatcher = nullptr,
-                          const ParallelScanOptions& parallel = {},
-                          IoScheduler* io_scheduler = nullptr);
+  Result<StatementResult> Run(const CostModel& cost_model,
+                              const QueryControl* control = nullptr,
+                              MorselDispatcher* dispatcher = nullptr,
+                              const ParallelScanOptions& parallel = {},
+                              IoScheduler* io_scheduler = nullptr);
 
   bool executed() const { return executed_; }
 

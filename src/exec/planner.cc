@@ -95,21 +95,8 @@ std::unique_ptr<PhysicalPlan> Planner::PlanIndexingScan(
 
 std::unique_ptr<PhysicalPlan> Planner::PlanFullScan(
     const Query& query) const {
-  auto plan = std::make_unique<PhysicalPlan>(
+  return std::make_unique<PhysicalPlan>(
       std::make_unique<FullTableScan>(table_, query.AllPredicates()), table_);
-  return plan;
-}
-
-std::unique_ptr<PhysicalPlan> Planner::PlanIndexScan(
-    const Query& query,
-    const std::map<ColumnId, PartialIndex*>& indexes) const {
-  PartialIndex* index = FindIndex(indexes, query.column);
-  if (index == nullptr ||
-      !index->coverage().CoversRange(query.lo, query.hi)) {
-    return nullptr;
-  }
-  return PlanCoveredProbe(index, {query.column, query.lo, query.hi},
-                          query.residuals);
 }
 
 std::unique_ptr<PhysicalPlan> Planner::Plan(
@@ -151,26 +138,24 @@ std::unique_ptr<PhysicalPlan> Planner::Plan(
 
 std::unique_ptr<PhysicalPlan> Planner::PlanStatement(
     const Statement& statement,
-    const std::map<ColumnId, PartialIndex*>& indexes,
-    Table* write_table) const {
+    const std::map<ColumnId, PartialIndex*>& indexes) const {
   if (statement.kind == StatementKind::kSelect) {
     return Plan(statement.query, indexes);
   }
-  if (write_table == nullptr) return nullptr;
   // `indexes` is the executor's registry; its address stays valid for the
   // single-use plan's lifetime (plans execute immediately).
   std::unique_ptr<PhysicalOperator> root;
   switch (statement.kind) {
     case StatementKind::kInsert:
-      root = std::make_unique<InsertOp>(write_table, space_, &indexes,
+      root = std::make_unique<InsertOp>(table_, space_, &indexes,
                                         statement.tuple);
       break;
     case StatementKind::kUpdate:
-      root = std::make_unique<UpdateOp>(write_table, space_, &indexes,
+      root = std::make_unique<UpdateOp>(table_, space_, &indexes,
                                         statement.target, statement.tuple);
       break;
     case StatementKind::kDelete:
-      root = std::make_unique<DeleteOp>(write_table, space_, &indexes,
+      root = std::make_unique<DeleteOp>(table_, space_, &indexes,
                                         statement.target);
       break;
     case StatementKind::kSelect:

@@ -12,8 +12,8 @@
 
 namespace aib {
 
-/// Maps a Query to a physical operator tree — the access-path choice that
-/// used to live inside the executor monolith (§II/§III):
+/// Maps a Statement to a physical operator tree. DML becomes a write
+/// operator; a select's Query goes through access-path selection (§II/§III):
 ///
 ///   - a conjunct fully covered by its column's partial index drives a
 ///     PartialIndexProbe; remaining conjuncts become a residual Filter;
@@ -30,37 +30,28 @@ class Planner {
  public:
   /// `space` may be null (no Index Buffer configured). Does not own
   /// anything; `indexes` is the executor's registry, borrowed per call.
-  Planner(const Table* table, IndexBufferSpace* space,
+  Planner(Table* table, IndexBufferSpace* space,
           IndexBufferOptions buffer_options)
       : table_(table), space_(space), buffer_options_(buffer_options) {}
 
-  /// Access-path selection for Execute().
+  /// Statement planning: selects go through access-path selection (Plan);
+  /// Insert/Update/Delete become single-operator write plans
+  /// (InsertOp/UpdateOp/DeleteOp) rooted directly — the operator owns the
+  /// whole mutation including its Table I maintenance.
+  std::unique_ptr<PhysicalPlan> PlanStatement(
+      const Statement& statement,
+      const std::map<ColumnId, PartialIndex*>& indexes) const;
+
+ private:
+  /// Access-path selection for a select's query.
   std::unique_ptr<PhysicalPlan> Plan(
       const Query& query,
       const std::map<ColumnId, PartialIndex*>& indexes) const;
 
-  /// Statement planning: selects go through Plan() above; Insert/Update/
-  /// Delete become single-operator write plans (InsertOp/UpdateOp/DeleteOp)
-  /// rooted directly — the operator owns the whole mutation including its
-  /// Table I maintenance. `write_table` is the mutable table handle DML
-  /// plans execute against; null yields a null plan for DML (the executor
-  /// reports the configuration error).
-  std::unique_ptr<PhysicalPlan> PlanStatement(
-      const Statement& statement,
-      const std::map<ColumnId, PartialIndex*>& indexes,
-      Table* write_table) const;
-
-  /// Baseline plan: always a full table scan of the whole conjunction.
+  /// Full table scan of the whole conjunction: no usable index, or a miss
+  /// without an Index Buffer Space.
   std::unique_ptr<PhysicalPlan> PlanFullScan(const Query& query) const;
 
-  /// Baseline plan: pure index probe (+ residual filter for conjunctions);
-  /// null when the driving predicate is not fully covered — the caller
-  /// reports InvalidArgument.
-  std::unique_ptr<PhysicalPlan> PlanIndexScan(
-      const Query& query,
-      const std::map<ColumnId, PartialIndex*>& indexes) const;
-
- private:
   /// Covered plan: Materialize <- [Filter <-] PartialIndexProbe.
   std::unique_ptr<PhysicalPlan> PlanCoveredProbe(
       PartialIndex* index, const ColumnPredicate& driver,
@@ -72,7 +63,7 @@ class Planner {
       PartialIndex* index, const ColumnPredicate& driver,
       std::vector<ColumnPredicate> residuals) const;
 
-  const Table* table_;
+  Table* table_;
   IndexBufferSpace* space_;
   IndexBufferOptions buffer_options_;
 };

@@ -74,16 +74,21 @@ struct Statement {
   bool IsDml() const { return kind != StatementKind::kSelect; }
 };
 
-/// Result of one statement. For selects, `rids` are the matches and
-/// `rows_affected` is zero; for DML, `rids` holds the affected rid (the new
-/// rid for inserts and updates — an update that relocated the tuple reports
-/// its post-move rid — the removed rid for deletes) and `rows_affected` the
-/// row count flowing up through the batch interface.
+/// Result of one statement, the one result type of every layer. For
+/// selects, `rids` are the matches and `rows_affected` is zero; for DML,
+/// `rids` holds the affected rid (the new rid for inserts and updates — an
+/// update that relocated the tuple reports its post-move rid — the removed
+/// rid for deletes) and `rows_affected` the row count flowing up through the
+/// batch interface. PhysicalPlan::Run fills both from the plan's statement
+/// kind, so no layer converts results.
 struct StatementResult {
   std::vector<Rid> rids;
   size_t rows_affected = 0;
   QueryStats stats;
 };
+
+/// The same type under its read-path name.
+using QueryResult = StatementResult;
 
 }  // namespace aib
 

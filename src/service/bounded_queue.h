@@ -10,12 +10,15 @@
 
 namespace aib {
 
+/// Outcome of BoundedQueue::TryPush.
+enum class PushResult { kOk, kFull, kClosed };
+
 /// Bounded multi-producer/multi-consumer queue with reject-on-full
 /// admission control: producers never block and never grow the queue past
 /// its capacity — a full queue refuses the item so the caller can push back
-/// (QueryService turns that into a retriable Busy status). Consumers block
-/// in Pop until an item arrives or the queue is closed *and* drained, so
-/// closing still lets already-admitted work finish.
+/// (QueryService turns kFull into a retriable Busy status and kClosed into
+/// Cancelled). Consumers block in Pop until an item arrives or the queue is
+/// closed *and* drained, so closing still lets already-admitted work finish.
 template <typename T>
 class BoundedQueue {
  public:
@@ -24,15 +27,17 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Enqueues `item` unless the queue is full or closed. Never blocks.
-  bool TryPush(T item) {
+  /// Enqueues `item` unless the queue is closed or full (closed wins when
+  /// both hold). Never blocks.
+  PushResult TryPush(T item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
+      if (closed_) return PushResult::kClosed;
+      if (items_.size() >= capacity_) return PushResult::kFull;
       items_.push_back(std::move(item));
     }
     ready_.notify_one();
-    return true;
+    return PushResult::kOk;
   }
 
   /// Dequeues the oldest item, blocking while the queue is open but empty.

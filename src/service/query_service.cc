@@ -6,7 +6,7 @@ namespace aib {
 
 namespace {
 
-/// Deadline/cancel wiring shared by both Submit flavors.
+/// Deadline/cancel wiring of one submission.
 QueryControl MakeControl(const SubmitOptions& submit,
                          const QueryServiceOptions& options) {
   QueryControl control;
@@ -21,10 +21,9 @@ QueryControl MakeControl(const SubmitOptions& submit,
 
 }  // namespace
 
-QueryService::QueryService(Executor* executor, const Table* table,
-                           QueryServiceOptions options, Metrics* metrics)
+QueryService::QueryService(Executor* executor, QueryServiceOptions options,
+                           Metrics* metrics)
     : executor_(executor),
-      table_(table),
       options_(options),
       metrics_(metrics),
       scans_(metrics, executor == nullptr ? nullptr
@@ -49,7 +48,6 @@ QueryService::QueryService(Executor* executor, const Table* table,
 QueryService::~QueryService() { Shutdown(); }
 
 void QueryService::Shutdown() {
-  shutdown_.store(true, std::memory_order_relaxed);
   queue_.Close();
   std::lock_guard<std::mutex> lock(join_mu_);
   for (std::thread& worker : workers_) {
@@ -63,62 +61,33 @@ void QueryService::Shutdown() {
   }
 }
 
-Result<std::future<Result<QueryResult>>> QueryService::Submit(
-    const Query& query) {
-  return Submit(query, SubmitOptions{});
-}
-
-Result<std::future<Result<QueryResult>>> QueryService::Submit(
-    const Query& query, const SubmitOptions& submit) {
-  if (shutdown_.load(std::memory_order_relaxed)) {
-    return Status::Cancelled("query service is shut down");
-  }
-  Request request;
-  request.statement = Statement::Select(query);
-  request.control = MakeControl(submit, options_);
-  std::future<Result<QueryResult>> future = request.promise.get_future();
-  AIB_RETURN_IF_ERROR(Enqueue(std::move(request)));
-  return future;
-}
-
 Result<std::future<Result<StatementResult>>> QueryService::Submit(
     const Statement& statement, const SubmitOptions& submit) {
-  if (shutdown_.load(std::memory_order_relaxed)) {
-    // Same contract for DML and reads: a statement arriving after shutdown
-    // began is Cancelled, never silently dropped or half-admitted.
-    return Status::Cancelled("query service is shut down");
-  }
   Request request;
   request.statement = statement;
-  request.is_statement = true;
   request.control = MakeControl(submit, options_);
-  std::future<Result<StatementResult>> future =
-      request.statement_promise.get_future();
-  AIB_RETURN_IF_ERROR(Enqueue(std::move(request)));
-  return future;
-}
-
-Status QueryService::Enqueue(Request request) {
-  if (!queue_.TryPush(std::move(request))) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_ != nullptr) metrics_->Increment(kMetricServiceRejected);
-    return Status::Busy("admission queue full");
+  std::future<Result<StatementResult>> future = request.promise.get_future();
+  switch (queue_.TryPush(std::move(request))) {
+    case PushResult::kClosed:
+      // A statement arriving after shutdown began is Cancelled, never
+      // silently dropped or half-admitted.
+      return Status::Cancelled("query service is shut down");
+    case PushResult::kFull:
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      if (metrics_ != nullptr) metrics_->Increment(kMetricServiceRejected);
+      return Status::Busy("admission queue full");
+    case PushResult::kOk:
+      break;
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->Increment(kMetricServiceSubmitted);
-  return Status::Ok();
-}
-
-Result<QueryResult> QueryService::Execute(const Query& query) {
-  AIB_ASSIGN_OR_RETURN(std::future<Result<QueryResult>> future,
-                       Submit(query));
-  return future.get();
+  return future;
 }
 
 Result<StatementResult> QueryService::ExecuteStatement(
     const Statement& statement) {
   AIB_ASSIGN_OR_RETURN(std::future<Result<StatementResult>> future,
-                       Submit(statement, SubmitOptions{}));
+                       Submit(statement));
   return future.get();
 }
 
@@ -134,34 +103,20 @@ void QueryService::WorkerLoop() {
       metrics_->Increment(admitted.IsTimeout() ? kMetricQueriesTimedOut
                                                : kMetricQueriesCancelled);
     }
-    if (request->is_statement) {
-      Result<StatementResult> result =
-          admitted.ok() ? RunStatement(request->statement, &request->control)
-                        : Result<StatementResult>(admitted);
-      RecordOutcome(result.ok() ? Status::Ok() : result.status(),
-                    result.ok() && result.value().stats.degraded);
-      if (result.ok() && request->statement.IsDml()) {
-        dml_executed_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_ != nullptr) {
-          metrics_->Increment(kMetricServiceDmlExecuted);
-        }
-      }
-      // Count before publishing: a caller woken by the future must
-      // already see this request in stats().executed.
-      executed_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) metrics_->Increment(kMetricServiceExecuted);
-      request->statement_promise.set_value(std::move(result));
-    } else {
-      Result<QueryResult> result =
-          admitted.ok()
-              ? RunQuery(request->statement.query, &request->control)
-              : Result<QueryResult>(admitted);
-      RecordOutcome(result.ok() ? Status::Ok() : result.status(),
-                    result.ok() && result.value().stats.degraded);
-      executed_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) metrics_->Increment(kMetricServiceExecuted);
-      request->promise.set_value(std::move(result));
+    Result<StatementResult> result =
+        admitted.ok() ? Run(request->statement, &request->control)
+                      : Result<StatementResult>(admitted);
+    RecordOutcome(result.ok() ? Status::Ok() : result.status(),
+                  result.ok() && result.value().stats.degraded);
+    if (result.ok() && request->statement.IsDml()) {
+      dml_executed_.fetch_add(1, std::memory_order_relaxed);
+      if (metrics_ != nullptr) metrics_->Increment(kMetricServiceDmlExecuted);
     }
+    // Count before publishing: a caller woken by the future must already
+    // see this request in stats().executed.
+    executed_.fetch_add(1, std::memory_order_relaxed);
+    if (metrics_ != nullptr) metrics_->Increment(kMetricServiceExecuted);
+    request->promise.set_value(std::move(result));
   }
 }
 
@@ -175,82 +130,49 @@ void QueryService::RecordOutcome(const Status& status, bool degraded) {
   }
 }
 
-Result<StatementResult> QueryService::RunStatement(
-    const Statement& statement, const QueryControl* control) {
-  if (statement.kind == StatementKind::kSelect) {
-    AIB_ASSIGN_OR_RETURN(QueryResult query_result,
-                         RunQuery(statement.query, control));
-    StatementResult result;
-    result.rids = std::move(query_result.rids);
-    result.stats = query_result.stats;
-    return result;
+Result<StatementResult> QueryService::Run(const Statement& statement,
+                                          const QueryControl* control) {
+  // A fully unindexed select is a guaranteed full table scan, the case
+  // where concurrent statements would otherwise each pay a whole pass. It
+  // runs the cooperative scan operator in place of FullTableScan; the
+  // result matches the executor's (same stats shape, same cost), rid order
+  // differing only when the scan attached mid-pass.
+  bool shared_scan =
+      options_.shared_scans && statement.kind == StatementKind::kSelect;
+  if (shared_scan) {
+    for (const ColumnPredicate& pred : statement.query.AllPredicates()) {
+      if (executor_->GetIndex(pred.column) != nullptr) shared_scan = false;
+    }
   }
-  // DML: same whole-statement retry policy as queries. Safe because the
-  // operators expose only their pre-mutation read phase to faults — a
-  // failed statement has mutated nothing (exec/dml_operators.h).
-  Result<StatementResult> result =
-      executor_->ExecuteStatement(statement, control);
+  auto attempt = [&]() -> Result<StatementResult> {
+    if (!shared_scan) return executor_->ExecuteStatement(statement, control);
+    const Table* table = executor_->table();
+    PhysicalPlan plan(std::make_unique<SharedScanOperator>(
+                          &scans_, table, statement.query.AllPredicates()),
+                      table);
+    // This path bypasses Executor::ExecutePlan, so it must hold the
+    // statement membrane itself (shared, like every statement) to stay
+    // excluded from quiesce points; mutual exclusion against DML comes
+    // from the heap stripes the shared-scan operator latches.
+    std::shared_lock<std::shared_mutex> stmt_latch(
+        executor_->statement_latch());
+    return plan.Run(executor_->cost_model(), control);
+  };
+  Result<StatementResult> result = attempt();
   for (size_t retry = 0; retry < options_.max_query_retries; ++retry) {
     if (result.ok()) break;
     const Status& status = result.status();
-    if (!status.IsTransient() && !status.IsCorruption()) break;
-    if (control != nullptr && !control->Check().ok()) break;
-    retried_.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::yield();
-    result = executor_->ExecuteStatement(statement, control);
-  }
-  return result;
-}
-
-Result<QueryResult> QueryService::RunQuery(const Query& query,
-                                           const QueryControl* control) {
-  Result<QueryResult> result = RunQueryOnce(query, control);
-  for (size_t retry = 0; retry < options_.max_query_retries; ++retry) {
-    if (result.ok()) break;
-    const Status& status = result.status();
-    // Transient shortages and corruption are retried whole-query: the
+    // Transient shortages and corruption are retried whole-statement: the
     // recovery-free property makes a re-plan from current coverage always
-    // valid, and fault redraws are independent. Timeout/Cancelled are
-    // final.
+    // valid, fault redraws are independent, and a failed DML statement has
+    // mutated nothing (exec/dml_operators.h). Timeout/Cancelled are final.
     if (!status.IsTransient() && !status.IsCorruption()) break;
     if (control != nullptr && !control->Check().ok()) break;
     retried_.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::yield();
-    result = RunQueryOnce(query, control);
+    result = attempt();
   }
   return result;
-}
-
-Result<QueryResult> QueryService::RunQueryOnce(const Query& query,
-                                               const QueryControl* control) {
-  if (options_.shared_scans) {
-    bool any_indexed = false;
-    for (const ColumnPredicate& pred : query.AllPredicates()) {
-      if (executor_->GetIndex(pred.column) != nullptr) {
-        any_indexed = true;
-        break;
-      }
-    }
-    if (!any_indexed) {
-      // Fully unindexed conjunction: a guaranteed full table scan, the
-      // case where concurrent queries would otherwise each pay a whole
-      // pass. Plan it with the cooperative scan operator in place of
-      // FullTableScan; the result matches Executor::FullScan (same stats
-      // shape, same cost), rid order differing only when the scan
-      // attached mid-pass.
-      PhysicalPlan plan(std::make_unique<SharedScanOperator>(
-                            &scans_, table_, query.AllPredicates()),
-                        table_);
-      // This path bypasses Executor::ExecutePlan, so it must hold the
-      // statement membrane itself (shared, like every statement) to stay
-      // excluded from quiesce points; mutual exclusion against DML comes
-      // from the heap stripes the shared-scan operator latches.
-      std::shared_lock<std::shared_mutex> stmt_latch(
-          executor_->statement_latch());
-      return plan.Run(executor_->cost_model(), control);
-    }
-  }
-  return executor_->Execute(query, control);
 }
 
 QueryServiceStats QueryService::stats() const {

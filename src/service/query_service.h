@@ -23,7 +23,7 @@ namespace aib {
 struct QueryServiceOptions {
   /// Worker threads. 0 = std::thread::hardware_concurrency(). 1 gives the
   /// deterministic mode: FIFO execution, results identical to calling
-  /// Executor::Execute in submission order.
+  /// Executor::ExecuteStatement in submission order.
   size_t num_workers = 4;
   /// Admission bound: Submit rejects with Busy once this many requests are
   /// queued (backpressure instead of unbounded growth).
@@ -33,7 +33,7 @@ struct QueryServiceOptions {
   /// indexing scans always run solo per buffer, serialized by the
   /// buffer's scan sentinel.
   bool shared_scans = true;
-  /// Deadline applied to every query submitted without an explicit one.
+  /// Deadline applied to every statement submitted without an explicit one.
   /// Zero = unbounded. The clock starts at submission, so queue time counts
   /// against the budget.
   std::chrono::milliseconds default_deadline{0};
@@ -77,56 +77,45 @@ struct QueryServiceStats {
 };
 
 /// The concurrent statement front-end: a worker thread pool over a bounded
-/// admission queue. Callers Submit Query objects (reads) or Statement
-/// objects (Select | Insert | Update | Delete) and collect results through
-/// futures; workers execute through the (latched) Executor, full scans of
-/// unindexed columns are merged by a SharedScanManager so overlapping
-/// scans cost about one pass of page reads, and DML statements run under
-/// the executor's exclusive statement latch — mixed read/write traffic is
-/// fully supported with the same admission, deadline, cancel, and retry
-/// machinery on both paths.
+/// admission queue. Callers Submit Statements (Select | Insert | Update |
+/// Delete) and collect results through futures; workers run them through
+/// Executor::ExecuteStatement, except that full scans of unindexed columns
+/// are merged by a SharedScanManager so overlapping scans cost about one
+/// pass of page reads. Every statement holds the executor's statement
+/// membrane shared, reads and DML alike; statements exclude each other only
+/// in the partition-granular latches the operators take (see Executor), so
+/// mixed read/write traffic shares one admission, deadline, cancel, and
+/// retry path.
 ///
 /// Tuner-driven coverage adaptation remains outside the service (facade
 /// only; see Executor's thread-safety contract). Shutdown (or destruction)
-/// stops admission — late Submits of queries and DML alike are rejected
-/// with Cancelled — drains already-accepted requests, and joins the
-/// workers, so every future obtained from Submit becomes ready.
+/// stops admission — late Submits are rejected with Cancelled — drains
+/// already-accepted requests, and joins the workers, so every future
+/// obtained from Submit becomes ready.
 class QueryService {
  public:
-  /// Does not own `executor`, `table`, or `metrics`. The table must be the
-  /// one the executor was built over.
-  QueryService(Executor* executor, const Table* table,
-               QueryServiceOptions options = {}, Metrics* metrics = nullptr);
+  /// Does not own `executor` or `metrics`. Scans run over the executor's
+  /// own table.
+  explicit QueryService(Executor* executor, QueryServiceOptions options = {},
+                        Metrics* metrics = nullptr);
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
   ~QueryService();
 
-  /// Enqueues `query`. Returns Busy when the admission queue is full (the
-  /// caller may retry after a backoff) or Cancelled after Shutdown.
-  Result<std::future<Result<QueryResult>>> Submit(const Query& query);
-
-  /// Submit with an explicit deadline and/or cancellation token. A query
-  /// whose deadline expires (queueing included) or whose token is set
-  /// resolves its future with Timeout/Cancelled — the worker moves on, it
-  /// never hangs on the query.
-  Result<std::future<Result<QueryResult>>> Submit(const Query& query,
-                                                  const SubmitOptions& submit);
-
-  /// Enqueues a statement (read or DML) with the same admission contract
-  /// as queries: Busy on a full queue, Cancelled after Shutdown, deadlines
-  /// and cancel tokens honored, transient failures retried whole-statement
-  /// (safe for DML: a failed statement has mutated nothing — see
-  /// exec/dml_operators.h).
+  /// Enqueues a statement (read or DML). Returns Busy when the admission
+  /// queue is full (the caller may retry after a backoff) or Cancelled
+  /// after Shutdown. A statement whose deadline expires (queueing
+  /// included) or whose cancel token is set resolves its future with
+  /// Timeout/Cancelled — the worker moves on, it never hangs on it.
+  /// Transient failures are retried whole-statement (safe for DML: a
+  /// failed statement has mutated nothing — see exec/dml_operators.h).
   Result<std::future<Result<StatementResult>>> Submit(
       const Statement& statement, const SubmitOptions& submit = {});
 
   /// Convenience: Submit and wait. Still goes through admission; callers
   /// sharing the service with Submit traffic see FIFO ordering.
-  Result<QueryResult> Execute(const Query& query);
-
-  /// Convenience: Submit a statement and wait.
   Result<StatementResult> ExecuteStatement(const Statement& statement);
 
   /// Stops admission, drains the queue, joins all workers. Idempotent;
@@ -139,44 +128,25 @@ class QueryService {
   SharedScanManager& shared_scans() { return scans_; }
 
  private:
-  /// One queued request. Either the legacy query API (resolves `promise`)
-  /// or the statement API (resolves `statement_promise`), tagged by
-  /// `is_statement`; `statement` carries the work in both cases (queries
-  /// are wrapped as Select statements at submission).
   struct Request {
     Statement statement;
     QueryControl control;
-    bool is_statement = false;
-    std::promise<Result<QueryResult>> promise;
-    std::promise<Result<StatementResult>> statement_promise;
+    std::promise<Result<StatementResult>> promise;
   };
 
   void WorkerLoop();
 
-  /// Admission: deadline/cancel setup + TryPush with the Busy/metrics
-  /// bookkeeping shared by both Submit flavors.
-  Status Enqueue(Request request);
-
-  /// Executes one query on the calling worker: shared full scan for
-  /// unindexed columns (when enabled), latched Executor::Execute otherwise.
-  /// Retries transient/corruption failures up to max_query_retries times.
-  Result<QueryResult> RunQuery(const Query& query,
-                               const QueryControl* control);
-
-  Result<QueryResult> RunQueryOnce(const Query& query,
-                                   const QueryControl* control);
-
-  /// Executes one statement: selects route through RunQuery (shared scans
-  /// included); DML goes to Executor::ExecuteStatement with the same
-  /// whole-statement retry policy.
-  Result<StatementResult> RunStatement(const Statement& statement,
-                                       const QueryControl* control);
+  /// Executes one statement on the calling worker: a shared full scan for
+  /// a fully unindexed select (when enabled), Executor::ExecuteStatement
+  /// otherwise. Retries transient/corruption failures up to
+  /// max_query_retries times.
+  Result<StatementResult> Run(const Statement& statement,
+                              const QueryControl* control);
 
   /// Tallies timed_out/cancelled/degraded for one finished request.
   void RecordOutcome(const Status& status, bool degraded);
 
   Executor* executor_;
-  const Table* table_;
   QueryServiceOptions options_;
   Metrics* metrics_;  // not owned; may be null
   /// Owned helper pool for morsel-parallel scans (scan_workers > 1); wired
@@ -195,7 +165,6 @@ class QueryService {
   std::atomic<int64_t> retried_{0};
   std::atomic<int64_t> degraded_{0};
   std::atomic<int64_t> dml_executed_{0};
-  std::atomic<bool> shutdown_{false};
 };
 
 }  // namespace aib

@@ -47,9 +47,8 @@ class Shard {
         options_(options),
         db_(std::make_unique<Database>(std::move(schema), options.db,
                                        "shard" + std::to_string(id))),
-        service_(std::make_unique<QueryService>(db_->executor(), &db_->table(),
-                                                options.service,
-                                                &db_->metrics())) {}
+        service_(std::make_unique<QueryService>(
+            db_->executor(), options.service, &db_->metrics())) {}
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -78,7 +77,7 @@ class Shard {
       // the old database is untouched, so stand a fresh service back over
       // it and surface the error with the shard still serving.
       service_ = std::make_unique<QueryService>(
-          db_->executor(), &db_->table(), options_.service, &db_->metrics());
+          db_->executor(), options_.service, &db_->metrics());
       return status;
     };
     std::stringstream snapshot(std::ios::in | std::ios::out |
@@ -91,9 +90,8 @@ class Shard {
     service_.reset();
     db_ = std::make_unique<Database>(std::move(catalog).value(), options_.db,
                                      "shard" + std::to_string(id_));
-    service_ = std::make_unique<QueryService>(db_->executor(), &db_->table(),
-                                              options_.service,
-                                              &db_->metrics());
+    service_ = std::make_unique<QueryService>(
+        db_->executor(), options_.service, &db_->metrics());
     return Status::Ok();
   }
 

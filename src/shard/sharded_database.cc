@@ -461,8 +461,9 @@ Result<std::string> ShardedDatabase::Explain(const Query& query) {
   for (const size_t shard : targets) {
     std::shared_lock<std::shared_mutex> gate(shards_[shard]->restart_latch());
     Executor* executor = shards_[shard]->db().executor();
-    std::unique_ptr<PhysicalPlan> plan = executor->PlanQuery(query);
-    Result<QueryResult> result = executor->ExecutePlan(plan.get());
+    std::unique_ptr<PhysicalPlan> plan =
+        executor->PlanStatement(Statement::Select(query));
+    Result<StatementResult> result = executor->ExecutePlan(plan.get());
     out << "`- Leg[shard " << shard << "]  ";
     if (!result.ok()) {
       out << result.status().ToString() << "\n";
@@ -535,7 +536,8 @@ std::map<std::string, int64_t> SingleNodeTarget::FleetCounters() const {
 
 Result<std::string> SingleNodeTarget::Explain(const Query& query) {
   Executor* executor = node_->db().executor();
-  std::unique_ptr<PhysicalPlan> plan = executor->PlanQuery(query);
+  std::unique_ptr<PhysicalPlan> plan =
+      executor->PlanStatement(Statement::Select(query));
   AIB_RETURN_IF_ERROR(executor->ExecutePlan(plan.get()).status());
   return ExplainPlan(*plan);
 }

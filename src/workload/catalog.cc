@@ -39,7 +39,6 @@ Result<Table*> Catalog::CreateTable(const std::string& name, Schema schema) {
   state->executor = std::make_unique<Executor>(
       state->table.get(), space_.get(), options_.cost, &metrics_);
   state->executor->SetBufferOptions(options_.buffer);
-  state->executor->SetWriteTable(state->table.get());
   state->executor->SetIoScheduler(io_sched_.get());
   Table* raw = state->table.get();
   tables_.emplace_back(name, std::move(state));
@@ -70,36 +69,6 @@ Catalog::TableState* Catalog::StateOf(const Table* table) const {
 Executor* Catalog::executor(const Table* table) const {
   TableState* state = StateOf(table);
   return state == nullptr ? nullptr : state->executor.get();
-}
-
-// The DML facade methods are thin wrappers over the statement pipeline:
-// planning, latching, heap mutation, and the Table I maintenance matrix all
-// live in the write operators (exec/dml_operators.h), so the facade and the
-// QueryService share exactly one maintenance code path.
-
-Result<Rid> Catalog::Insert(Table* table, const Tuple& tuple) {
-  TableState* state = StateOf(table);
-  if (state == nullptr) return Status::InvalidArgument("unknown table");
-  AIB_ASSIGN_OR_RETURN(
-      StatementResult result,
-      state->executor->ExecuteStatement(Statement::Insert(tuple)));
-  return result.rids.front();
-}
-
-Status Catalog::Delete(Table* table, const Rid& rid) {
-  TableState* state = StateOf(table);
-  if (state == nullptr) return Status::InvalidArgument("unknown table");
-  return state->executor->ExecuteStatement(Statement::Delete(rid)).status();
-}
-
-Result<Rid> Catalog::Update(Table* table, const Rid& rid,
-                            const Tuple& tuple) {
-  TableState* state = StateOf(table);
-  if (state == nullptr) return Status::InvalidArgument("unknown table");
-  AIB_ASSIGN_OR_RETURN(
-      StatementResult result,
-      state->executor->ExecuteStatement(Statement::Update(rid, tuple)));
-  return result.rids.front();
 }
 
 Status Catalog::CreatePartialIndex(Table* table, ColumnId column,
@@ -162,11 +131,11 @@ Status Catalog::AttachTuner(Table* table, ColumnId column,
         Result<size_t> page = table->PageNumberOf(rid);
         pages.push_back(page.ok() ? page.value() : 0);
       }
-      // No latch here: adaptation fires from Catalog::Execute, which holds
-      // the executor's statement membrane *exclusively* — the one quiesce
-      // point in the partition-granular scheme — so no statement (scan,
-      // probe, or DML) is in flight while the partial index's coverage and
-      // the buffer/C[p] adjustments change together.
+      // No latch here: adaptation fires from Catalog::ExecuteStatement,
+      // which holds the executor's statement membrane *exclusively* — the
+      // one quiesce point in the partition-granular scheme — so no
+      // statement (scan, probe, or DML) is in flight while the partial
+      // index's coverage and the buffer/C[p] adjustments change together.
       (void)space;
       // Only fails on a size mismatch, impossible by construction here.
       (void)ApplyAdaptation(buffer, value, rids, pages, added);
@@ -183,37 +152,26 @@ IndexTuner* Catalog::GetTuner(const Table* table, ColumnId column) const {
   return it == state->tuners.end() ? nullptr : it->second.get();
 }
 
-Result<QueryResult> Catalog::Execute(Table* table, const Query& query,
-                                     const QueryControl* control) {
+Result<StatementResult> Catalog::ExecuteStatement(
+    Table* table, const Statement& statement, const QueryControl* control) {
   TableState* state = StateOf(table);
   if (state == nullptr) return Status::InvalidArgument("unknown table");
-  AIB_ASSIGN_OR_RETURN(QueryResult result,
-                       state->executor->Execute(query, control));
-  if (query.IsPoint()) {
+  AIB_ASSIGN_OR_RETURN(StatementResult result,
+                       state->executor->ExecuteStatement(statement, control));
+  const Query& query = statement.query;
+  if (statement.kind == StatementKind::kSelect && query.IsPoint()) {
     if (IndexTuner* tuner = GetTuner(table, query.column); tuner != nullptr) {
       // Quiesce point: tuner adaptation mutates partial-index *coverage*,
       // which optimistic probes read latch-free, so it runs with the
       // statement membrane held exclusively — the only exclusive
-      // acquisition in the production latch scheme. The executor's own
-      // Execute above released its shared hold before returning.
+      // acquisition in the production latch scheme. The executor released
+      // its shared hold before returning.
       std::unique_lock<std::shared_mutex> quiesce(
           state->executor->statement_latch());
       tuner->OnQuery(query.lo);
     }
   }
   return result;
-}
-
-Result<QueryResult> Catalog::FullScan(Table* table, const Query& query) {
-  TableState* state = StateOf(table);
-  if (state == nullptr) return Status::InvalidArgument("unknown table");
-  return state->executor->FullScan(query);
-}
-
-Result<QueryResult> Catalog::IndexScan(Table* table, const Query& query) {
-  TableState* state = StateOf(table);
-  if (state == nullptr) return Status::InvalidArgument("unknown table");
-  return state->executor->IndexScan(query);
 }
 
 std::vector<Rid> Catalog::FindRids(const Table* table, ColumnId column,

@@ -75,18 +75,6 @@ class Catalog {
   /// Names of all tables, in creation order.
   std::vector<std::string> TableNames() const;
 
-  // --- DML (thin wrappers over the statement pipeline) ----------------------
-  //
-  // Each call delegates to the table executor's ExecuteStatement, so the
-  // facade and a QueryService standing over the same table share exactly
-  // one maintenance code path (the write operators of
-  // exec/dml_operators.h, which apply the full Table I matrix under the
-  // statement and space latches).
-
-  Result<Rid> Insert(Table* table, const Tuple& tuple);
-  Status Delete(Table* table, const Rid& rid);
-  Result<Rid> Update(Table* table, const Rid& rid, const Tuple& tuple);
-
   /// Insert without maintenance — initial loading before index creation.
   Result<Rid> LoadTuple(Table* table, const Tuple& tuple) {
     return table->Insert(tuple);
@@ -110,17 +98,17 @@ class Catalog {
   /// Executor's thread-safety contract for what concurrent use permits.
   Executor* executor(const Table* table) const;
 
-  // --- Queries --------------------------------------------------------------
+  // --- Statements -----------------------------------------------------------
 
-  /// Executes with access-path selection on `table`; steps the column's
-  /// tuner if one is attached (point queries only). `control` (optional)
-  /// carries a deadline/cancellation token checked cooperatively during
-  /// execution.
-  Result<QueryResult> Execute(Table* table, const Query& query,
-                              const QueryControl* control = nullptr);
-
-  Result<QueryResult> FullScan(Table* table, const Query& query);
-  Result<QueryResult> IndexScan(Table* table, const Query& query);
+  /// Runs `statement` on `table` through its executor's ExecuteStatement —
+  /// the same path a QueryService takes, so reads and Table I maintenance
+  /// have exactly one implementation. After a point select, steps the
+  /// column's tuner if one is attached; range selects and DML never step
+  /// it. `control` (optional) carries a deadline/cancellation token
+  /// checked cooperatively during execution.
+  Result<StatementResult> ExecuteStatement(
+      Table* table, const Statement& statement,
+      const QueryControl* control = nullptr);
 
   /// Rids of all tuples with `value` in `column` of `table` (full scan).
   std::vector<Rid> FindRids(const Table* table, ColumnId column,

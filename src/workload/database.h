@@ -62,20 +62,6 @@ class Database {
   Catalog& catalog() { return *catalog_; }
   const DatabaseOptions& options() const { return options_; }
 
-  // --- DML (thin wrappers over the statement pipeline) ----------------------
-  //
-  // These delegate through Catalog to Executor::ExecuteStatement — the
-  // same path a QueryService statement takes — so Table I maintenance has
-  // exactly one implementation regardless of entry point.
-
-  Result<Rid> Insert(const Tuple& tuple) {
-    return catalog_->Insert(table_, tuple);
-  }
-  Status Delete(const Rid& rid) { return catalog_->Delete(table_, rid); }
-  Result<Rid> Update(const Rid& rid, const Tuple& tuple) {
-    return catalog_->Update(table_, rid, tuple);
-  }
-
   /// Inserts without maintenance — for initial loading *before* indexes
   /// are created (indexes Build() from scratch anyway).
   Result<Rid> LoadTuple(const Tuple& tuple) {
@@ -114,19 +100,13 @@ class Database {
   /// database (service/query_service.h).
   Executor* executor() const { return catalog_->executor(table_); }
 
-  // --- Queries --------------------------------------------------------------
+  // --- Statements -----------------------------------------------------------
 
-  /// Executes with access-path selection; also steps the column's tuner if
-  /// one is attached (point queries only).
-  Result<QueryResult> Execute(const Query& query) {
-    return catalog_->Execute(table_, query);
-  }
-
-  Result<QueryResult> FullScan(const Query& query) {
-    return catalog_->FullScan(table_, query);
-  }
-  Result<QueryResult> IndexScan(const Query& query) {
-    return catalog_->IndexScan(table_, query);
+  /// Runs `statement` through Catalog::ExecuteStatement: the executor's
+  /// single path for reads and DML (full Table I maintenance), plus a
+  /// tuner step after point selects on a tuned column.
+  Result<StatementResult> ExecuteStatement(const Statement& statement) {
+    return catalog_->ExecuteStatement(table_, statement);
   }
 
   /// Rids of all tuples with `value` in `column` (full scan).

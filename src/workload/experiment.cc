@@ -47,7 +47,8 @@ Result<std::vector<SeriesPoint>> RunWorkload(Database* db,
   while (true) {
     std::optional<Query> query = generator->Next();
     if (!query.has_value()) break;
-    AIB_ASSIGN_OR_RETURN(QueryResult result, db->Execute(*query));
+    AIB_ASSIGN_OR_RETURN(StatementResult result,
+                         db->ExecuteStatement(Statement::Select(*query)));
     SeriesPoint point;
     point.query_index = query_index++;
     point.column = query->column;

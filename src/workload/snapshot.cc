@@ -273,6 +273,7 @@ Result<std::unique_ptr<Catalog>> Catalog::LoadSnapshotFrom(
       uint8_t kind;
       uint32_t interval_count;
       if (!ReadPod(in, &column) || !ReadPod(in, &kind) ||
+          kind > static_cast<uint8_t>(IndexStructureKind::kHash) ||
           !ReadPod(in, &interval_count) || interval_count > (1u << 24)) {
         return Status::Corruption("bad index metadata");
       }

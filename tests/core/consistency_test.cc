@@ -7,6 +7,7 @@
 namespace aib {
 namespace {
 
+using ::aib::testing::AffectedRid;
 using ::aib::testing::MakeSmallPaperDb;
 using ::aib::testing::MakeTuple;
 
@@ -29,25 +30,30 @@ TEST_F(ConsistencyTest, FreshDatabaseIsConsistent) {
 
 TEST_F(ConsistencyTest, ConsistentAfterWarmup) {
   for (Value v = 100; v < 120; ++v) {
-    ASSERT_TRUE(db_->Execute(Query::Point(0, v)).ok());
+    ASSERT_TRUE(
+        db_->ExecuteStatement(Statement::Select(Query::Point(0, v))).ok());
   }
   EXPECT_TRUE(CheckSpaceConsistency(db_->table(), *db_->space()).ok());
 }
 
 TEST_F(ConsistencyTest, ConsistentAfterDml) {
   for (Value v = 100; v < 110; ++v) {
-    ASSERT_TRUE(db_->Execute(Query::Point(0, v)).ok());
+    ASSERT_TRUE(
+        db_->ExecuteStatement(Statement::Select(Query::Point(0, v))).ok());
   }
-  Result<Rid> rid = db_->Insert(MakeTuple(105, 20, 300));
+  Result<Rid> rid = AffectedRid(
+      db_->ExecuteStatement(Statement::Insert(MakeTuple(105, 20, 300))));
   ASSERT_TRUE(rid.ok());
-  Result<Rid> moved = db_->Update(rid.value(), MakeTuple(30, 200, 31));
+  Result<Rid> moved = AffectedRid(db_->ExecuteStatement(
+      Statement::Update(rid.value(), MakeTuple(30, 200, 31))));
   ASSERT_TRUE(moved.ok());
-  ASSERT_TRUE(db_->Delete(moved.value()).ok());
+  ASSERT_TRUE(db_->ExecuteStatement(Statement::Delete(moved.value())).ok());
   EXPECT_TRUE(CheckSpaceConsistency(db_->table(), *db_->space()).ok());
 }
 
 TEST_F(ConsistencyTest, DetectsCounterDrift) {
-  ASSERT_TRUE(db_->Execute(Query::Point(0, 100)).ok());
+  ASSERT_TRUE(
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 100))).ok());
   IndexBuffer* buffer = db_->GetBuffer(0);
   ASSERT_NE(buffer, nullptr);
   // Sabotage a counter of an unbuffered... all pages are buffered after an
@@ -67,7 +73,8 @@ TEST_F(ConsistencyTest, DetectsCounterDrift) {
 }
 
 TEST_F(ConsistencyTest, DetectsStrayBufferEntry) {
-  ASSERT_TRUE(db_->Execute(Query::Point(0, 100)).ok());
+  ASSERT_TRUE(
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 100))).ok());
   IndexBuffer* buffer = db_->GetBuffer(0);
   // An entry for a covered value is illegal in the buffer.
   buffer->AddTuple(0, /*value=*/5, Rid{0, 0});
@@ -93,7 +100,8 @@ TEST_F(ConsistencyTest, DetectsPartialIndexDrift) {
 
 TEST_F(ConsistencyTest, DetectsSpaceAccountingViaBuffers) {
   // CheckSpaceConsistency validates each member buffer too.
-  ASSERT_TRUE(db_->Execute(Query::Point(0, 100)).ok());
+  ASSERT_TRUE(
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 100))).ok());
   IndexBuffer* buffer = db_->GetBuffer(0);
   buffer->AddTuple(0, 5, Rid{0, 0});  // stray entry
   EXPECT_TRUE(
@@ -112,7 +120,8 @@ TEST_F(ConsistencyTest, ConsistentUnderTightBudgetChurn) {
   for (int i = 0; i < 80; ++i) {
     const ColumnId column = static_cast<ColumnId>(rng.UniformInt(0, 2));
     const Value v = static_cast<Value>(rng.UniformInt(51, 500));
-    ASSERT_TRUE(db->Execute(Query::Point(column, v)).ok());
+    ASSERT_TRUE(
+        db->ExecuteStatement(Statement::Select(Query::Point(column, v))).ok());
     if (i % 20 == 19) {
       ASSERT_TRUE(CheckSpaceConsistency(db->table(), *db->space()).ok())
           << "after query " << i;

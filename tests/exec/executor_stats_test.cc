@@ -26,7 +26,8 @@ class ExecutorStatsTest : public ::testing::Test {
 };
 
 TEST_F(ExecutorStatsTest, IndexHitCountsFetchedPagesDistinctly) {
-  Result<QueryResult> result = db_->Execute(Query::Point(0, 15));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 15)));
   ASSERT_TRUE(result.ok());
   std::unordered_set<PageId> distinct_pages;
   for (const Rid& rid : result->rids) distinct_pages.insert(rid.page_id);
@@ -38,12 +39,14 @@ TEST_F(ExecutorStatsTest, IndexHitCountsFetchedPagesDistinctly) {
 
 TEST_F(ExecutorStatsTest, MissPartitionsPagesBetweenScannedAndSkipped) {
   // First miss: scanned + skipped must cover the whole table.
-  Result<QueryResult> result = db_->Execute(Query::Point(0, 200));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 200)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.pages_scanned + result->stats.pages_skipped,
             db_->table().PageCount());
   // Second miss: same invariant, different split.
-  Result<QueryResult> second = db_->Execute(Query::Point(0, 201));
+  Result<StatementResult> second =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 201)));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->stats.pages_scanned + second->stats.pages_skipped,
             db_->table().PageCount());
@@ -53,7 +56,8 @@ TEST_F(ExecutorStatsTest, MissPartitionsPagesBetweenScannedAndSkipped) {
 TEST_F(ExecutorStatsTest, EntriesAddedMatchesBufferGrowth) {
   IndexBuffer* buffer = db_->GetBuffer(0);
   const size_t before = buffer == nullptr ? 0 : buffer->TotalEntries();
-  Result<QueryResult> result = db_->Execute(Query::Point(0, 150));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 150)));
   ASSERT_TRUE(result.ok());
   buffer = db_->GetBuffer(0);
   ASSERT_NE(buffer, nullptr);
@@ -62,22 +66,27 @@ TEST_F(ExecutorStatsTest, EntriesAddedMatchesBufferGrowth) {
 
 TEST_F(ExecutorStatsTest, ResultCountEqualsRids) {
   for (Value v : {10, 100, 250}) {
-    Result<QueryResult> result = db_->Execute(Query::Point(0, v));
+    Result<StatementResult> result =
+        db_->ExecuteStatement(Statement::Select(Query::Point(0, v)));
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->stats.result_count, result->rids.size());
   }
 }
 
 TEST_F(ExecutorStatsTest, BufferMatchesReportedOnWarmQueries) {
-  ASSERT_TRUE(db_->Execute(Query::Point(0, 123)).ok());  // warm
-  Result<QueryResult> warm = db_->Execute(Query::Point(0, 123));
+  // Warm.
+  ASSERT_TRUE(
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 123))).ok());
+  Result<StatementResult> warm =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 123)));
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm->stats.buffer_matches, warm->rids.size());
   EXPECT_GT(warm->stats.buffer_probes, 0u);
 }
 
 TEST_F(ExecutorStatsTest, CostConsistentWithCostModel) {
-  Result<QueryResult> result = db_->Execute(Query::Point(0, 170));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 170)));
   ASSERT_TRUE(result.ok());
   CostModel model(db_->options().cost);
   EXPECT_DOUBLE_EQ(result->stats.cost, model.QueryCost(result->stats));
@@ -86,7 +95,8 @@ TEST_F(ExecutorStatsTest, CostConsistentWithCostModel) {
 TEST_F(ExecutorStatsTest, MetricsRegistryTracksScans) {
   const int64_t reads_before = db_->metrics().Get(kMetricBufferMisses) +
                                db_->metrics().Get(kMetricBufferHits);
-  ASSERT_TRUE(db_->Execute(Query::Point(0, 222)).ok());
+  ASSERT_TRUE(
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 222))).ok());
   const int64_t reads_after = db_->metrics().Get(kMetricBufferMisses) +
                               db_->metrics().Get(kMetricBufferHits);
   EXPECT_GT(reads_after, reads_before);  // the scan touched page frames
@@ -94,8 +104,11 @@ TEST_F(ExecutorStatsTest, MetricsRegistryTracksScans) {
 }
 
 TEST_F(ExecutorStatsTest, SkippedPagesChargeNoCost) {
-  ASSERT_TRUE(db_->Execute(Query::Point(0, 60)).ok());  // warm everything
-  Result<QueryResult> warm = db_->Execute(Query::Point(0, 61));
+  // Warm everything.
+  ASSERT_TRUE(
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 60))).ok());
+  Result<StatementResult> warm =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 61)));
   ASSERT_TRUE(warm.ok());
   ASSERT_EQ(warm->stats.pages_scanned, 0u);
   // Cost is only probes + result fetches — orders below one page scan per
@@ -116,9 +129,11 @@ TEST_F(ExecutorStatsTest, DemotedPartitionsReportedUnderPressure) {
   // Default mode demotes victims cold instead of dropping them.
   bool saw_demote = false;
   for (Value v = 100; v < 130 && !saw_demote; ++v) {
-    Result<QueryResult> a = db->Execute(Query::Point(0, v));
+    Result<StatementResult> a =
+        db->ExecuteStatement(Statement::Select(Query::Point(0, v)));
     ASSERT_TRUE(a.ok());
-    Result<QueryResult> b = db->Execute(Query::Point(1, v));
+    Result<StatementResult> b =
+        db->ExecuteStatement(Statement::Select(Query::Point(1, v)));
     ASSERT_TRUE(b.ok());
     saw_demote = b->stats.partitions_demoted > 0 ||
                  a->stats.partitions_demoted > 0;
@@ -143,9 +158,11 @@ TEST_F(ExecutorStatsTest, DroppedPartitionsReportedUnderPressureInDropMode) {
   ASSERT_NE(db, nullptr);
   bool saw_drop = false;
   for (Value v = 100; v < 130 && !saw_drop; ++v) {
-    Result<QueryResult> a = db->Execute(Query::Point(0, v));
+    Result<StatementResult> a =
+        db->ExecuteStatement(Statement::Select(Query::Point(0, v)));
     ASSERT_TRUE(a.ok());
-    Result<QueryResult> b = db->Execute(Query::Point(1, v));
+    Result<StatementResult> b =
+        db->ExecuteStatement(Statement::Select(Query::Point(1, v)));
     ASSERT_TRUE(b.ok());
     saw_drop = b->stats.partitions_dropped > 0 ||
                a->stats.partitions_dropped > 0;

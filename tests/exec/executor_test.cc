@@ -24,7 +24,8 @@ class ExecutorTest : public ::testing::Test {
 };
 
 TEST_F(ExecutorTest, CoveredPointQueryUsesPartialIndex) {
-  Result<QueryResult> result = db_->Execute(Query::Point(0, 50));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 50)));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->stats.used_partial_index);
   EXPECT_FALSE(result->stats.used_index_buffer);
@@ -33,7 +34,8 @@ TEST_F(ExecutorTest, CoveredPointQueryUsesPartialIndex) {
 }
 
 TEST_F(ExecutorTest, UncoveredPointQueryUsesIndexingScan) {
-  Result<QueryResult> result = db_->Execute(Query::Point(0, 500));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 500)));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->stats.used_partial_index);
   EXPECT_TRUE(result->stats.used_index_buffer);
@@ -41,9 +43,11 @@ TEST_F(ExecutorTest, UncoveredPointQueryUsesIndexingScan) {
 }
 
 TEST_F(ExecutorTest, RepeatedMissesGetCheaper) {
-  Result<QueryResult> first = db_->Execute(Query::Point(0, 500));
+  Result<StatementResult> first =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 500)));
   ASSERT_TRUE(first.ok());
-  Result<QueryResult> second = db_->Execute(Query::Point(0, 501));
+  Result<StatementResult> second =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 501)));
   ASSERT_TRUE(second.ok());
   EXPECT_LT(second->stats.cost, first->stats.cost);
   EXPECT_GT(second->stats.pages_skipped, first->stats.pages_skipped);
@@ -51,7 +55,8 @@ TEST_F(ExecutorTest, RepeatedMissesGetCheaper) {
 
 TEST_F(ExecutorTest, ResultsStayCorrectAcrossWarmup) {
   for (Value v = 500; v < 520; ++v) {
-    Result<QueryResult> result = db_->Execute(Query::Point(0, v));
+    Result<StatementResult> result =
+        db_->ExecuteStatement(Statement::Select(Query::Point(0, v)));
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db_, 0, v, v)))
         << "value " << v;
@@ -59,27 +64,35 @@ TEST_F(ExecutorTest, ResultsStayCorrectAcrossWarmup) {
 }
 
 TEST_F(ExecutorTest, FullScanBaselineMatchesGroundTruth) {
-  Result<QueryResult> result = db_->FullScan(Query::Point(1, 700));
+  // The fixture's data without partial indexes: a select on an unindexed
+  // column is a plain full table scan.
+  PaperSetupOptions setup;
+  setup.num_tuples = 2000;
+  setup.value_max = 1000;
+  setup.payload_max = 64;
+  setup.seed = 99;
+  setup.create_indexes = false;
+  auto db = std::move(BuildPaperDatabase(setup)).value();
+  Result<StatementResult> result =
+      db->ExecuteStatement(Statement::Select(Query::Point(1, 700)));
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db_, 1, 700, 700)));
-  EXPECT_EQ(result->stats.pages_scanned, db_->table().PageCount());
+  EXPECT_FALSE(result->stats.used_partial_index);
+  EXPECT_FALSE(result->stats.used_index_buffer);
+  EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, 1, 700, 700)));
+  EXPECT_EQ(result->stats.pages_scanned, db->table().PageCount());
   EXPECT_GT(result->stats.cost, 0);
 }
 
-TEST_F(ExecutorTest, IndexScanBaselineRequiresCoverage) {
-  EXPECT_TRUE(db_->IndexScan(Query::Point(0, 50)).ok());
-  EXPECT_TRUE(
-      db_->IndexScan(Query::Point(0, 500)).status().IsInvalidArgument());
-}
-
 TEST_F(ExecutorTest, UncoveredRangeQueryCorrect) {
-  Result<QueryResult> result = db_->Execute(Query::Range(0, 400, 450));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Range(0, 400, 450)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db_, 0, 400, 450)));
 }
 
 TEST_F(ExecutorTest, CoveredRangeQueryUsesIndex) {
-  Result<QueryResult> result = db_->Execute(Query::Range(0, 10, 60));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Range(0, 10, 60)));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->stats.used_partial_index);
   EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db_, 0, 10, 60)));
@@ -89,7 +102,8 @@ TEST_F(ExecutorTest, HybridRangeSpanningCoverageBoundaryCorrect) {
   // [50, 150] crosses the coverage boundary at 100: partial-index hits and
   // scan results must union exactly, repeatedly, as the buffer builds up.
   for (int round = 0; round < 3; ++round) {
-    Result<QueryResult> result = db_->Execute(Query::Range(0, 50, 150));
+    Result<StatementResult> result =
+        db_->ExecuteStatement(Statement::Select(Query::Range(0, 50, 150)));
     ASSERT_TRUE(result.ok());
     EXPECT_FALSE(result->stats.used_partial_index);
     std::vector<Rid> got = Sorted(result->rids);
@@ -101,8 +115,10 @@ TEST_F(ExecutorTest, HybridRangeSpanningCoverageBoundaryCorrect) {
 }
 
 TEST_F(ExecutorTest, QueriesOnDifferentColumnsIndependent) {
-  Result<QueryResult> a = db_->Execute(Query::Point(0, 600));
-  Result<QueryResult> b = db_->Execute(Query::Point(1, 600));
+  Result<StatementResult> a =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 600)));
+  Result<StatementResult> b =
+      db_->ExecuteStatement(Statement::Select(Query::Point(1, 600)));
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(Sorted(b->rids), Sorted(GroundTruth(*db_, 1, 600, 600)));
   ASSERT_NE(db_->GetBuffer(0), nullptr);
@@ -114,7 +130,8 @@ TEST_F(ExecutorTest, QueriesOnDifferentColumnsIndependent) {
 }
 
 TEST_F(ExecutorTest, StatsCostAndTimePopulated) {
-  Result<QueryResult> result = db_->Execute(Query::Point(0, 800));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 800)));
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.cost, 0.0);
   EXPECT_GT(result->stats.wall_ns, 0);
@@ -126,7 +143,8 @@ TEST(ExecutorNoSpaceTest, MissWithoutBufferFallsBackToFullScan) {
   options.enable_index_buffer = false;
   auto db = MakeSmallPaperDb(1000, 1000, 100, options);
   ASSERT_NE(db, nullptr);
-  Result<QueryResult> result = db->Execute(Query::Point(0, 500));
+  Result<StatementResult> result =
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 500)));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->stats.used_index_buffer);
   EXPECT_EQ(result->stats.pages_scanned, db->table().PageCount());
@@ -140,7 +158,8 @@ TEST(ExecutorNoIndexTest, QueryWithoutIndexFullScans) {
   for (Value v = 0; v < 100; ++v) {
     ASSERT_TRUE(db->LoadTuple(Tuple({v}, {"p"})).ok());
   }
-  Result<QueryResult> result = db->Execute(Query::Point(0, 42));
+  Result<StatementResult> result =
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 42)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rids.size(), 1u);
   EXPECT_FALSE(result->stats.used_partial_index);
@@ -165,7 +184,8 @@ TEST_P(ExecutorPropertyTest, RandomWorkloadAlwaysExact) {
                          ? std::min<Value>(800, lo + static_cast<Value>(
                                                         rng.UniformInt(0, 60)))
                          : lo;
-    Result<QueryResult> result = db->Execute(Query::Range(column, lo, hi));
+    Result<StatementResult> result =
+        db->ExecuteStatement(Statement::Select(Query::Range(column, lo, hi)));
     ASSERT_TRUE(result.ok());
     std::vector<Rid> got = Sorted(result->rids);
     ASSERT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())

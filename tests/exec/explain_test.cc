@@ -30,8 +30,9 @@ class ExplainTest : public ::testing::Test {
   /// Plans, executes, and renders `query`.
   std::string Explain(const Query& query) {
     Executor* executor = db_->executor();
-    std::unique_ptr<PhysicalPlan> plan = executor->PlanQuery(query);
-    Result<QueryResult> result = executor->ExecutePlan(plan.get());
+    std::unique_ptr<PhysicalPlan> plan =
+        executor->PlanStatement(Statement::Select(query));
+    Result<StatementResult> result = executor->ExecutePlan(plan.get());
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return ExplainPlan(*plan);
   }
@@ -42,7 +43,7 @@ class ExplainTest : public ::testing::Test {
     std::unique_ptr<PhysicalPlan> plan = executor->PlanStatement(statement);
     EXPECT_NE(plan, nullptr);
     if (plan == nullptr) return "";
-    Result<QueryResult> result = executor->ExecutePlan(plan.get());
+    Result<StatementResult> result = executor->ExecutePlan(plan.get());
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return ExplainPlan(*plan);
   }
@@ -89,7 +90,8 @@ TEST_F(ExplainTest, FirstMissIndexingScan) {
 TEST_F(ExplainTest, WarmBufferAnswersFromProbe) {
   // After the first miss everything uncovered is indexed: the second miss
   // skips all 6 pages and answers from the buffer's single partition.
-  ASSERT_TRUE(db_->Execute(Query::Point(0, 20)).ok());
+  ASSERT_TRUE(
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 20))).ok());
   EXPECT_EQ(Explain(Query::Point(0, 21)),
             "Materialize  [rows=1 fetched=1]\n"
             "`- IndexingTableScan(col0 = 21)  [rows=1 skipped=6]\n"
@@ -164,7 +166,7 @@ TEST_F(ExplainTest, DmlStructureRenderableBeforeExecution) {
 TEST_F(ExplainTest, StructureRenderableBeforeExecution) {
   // ExplainPlan before Run(): structure with zeroed counters.
   std::unique_ptr<PhysicalPlan> plan =
-      db_->executor()->PlanQuery(Query::Point(0, 5));
+      db_->executor()->PlanStatement(Statement::Select(Query::Point(0, 5)));
   EXPECT_FALSE(plan->executed());
   EXPECT_EQ(ExplainPlan(*plan),
             "Materialize  [rows=0]\n"

@@ -24,7 +24,8 @@ class HybridRangeTest : public ::testing::Test {
 
   /// Executes and checks rids against ground truth, without duplicates.
   void ExpectCorrect(const Query& query) {
-    Result<QueryResult> result = db_->Execute(query);
+    Result<StatementResult> result =
+        db_->ExecuteStatement(Statement::Select(query));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     std::vector<Rid> got = Sorted(result->rids);
     EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
@@ -48,7 +49,8 @@ TEST_F(HybridRangeTest, RangeAbuttingUpperCoverageBoundary) {
 TEST_F(HybridRangeTest, RangeEndingExactlyAtCoverageBoundary) {
   // [50,100] ends exactly at the boundary: fully covered, a pure hit —
   // never the hybrid path.
-  Result<QueryResult> result = db_->Execute(Query::Range(0, 50, 100));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Range(0, 50, 100)));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->stats.used_partial_index);
   EXPECT_FALSE(result->stats.used_index_buffer);
@@ -59,7 +61,8 @@ TEST_F(HybridRangeTest, RangeStartingJustAboveCoverage) {
   // [101,150] abuts the boundary from above: empty coverage intersection,
   // so the plan must be a plain indexing scan with no hybrid tail.
   std::unique_ptr<PhysicalPlan> plan =
-      db_->executor()->PlanQuery(Query::Range(0, 101, 150));
+      db_->executor()->PlanStatement(
+          Statement::Select(Query::Range(0, 101, 150)));
   const PhysicalOperator* scan = plan->root().Children()[0];
   EXPECT_EQ(scan->Name(), "IndexingTableScan");
   EXPECT_EQ(scan->Children().size(), 1u)
@@ -77,10 +80,12 @@ TEST_F(HybridRangeTest, RangeContainingWholeCoverage) {
 TEST_F(HybridRangeTest, BoundaryPointQueries) {
   ExpectCorrect(Query::Point(0, 100));  // last covered value: a hit
   ExpectCorrect(Query::Point(0, 101));  // first uncovered value: a miss
-  Result<QueryResult> hit = db_->Execute(Query::Point(0, 100));
+  Result<StatementResult> hit =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 100)));
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit->stats.used_partial_index);
-  Result<QueryResult> miss = db_->Execute(Query::Point(0, 101));
+  Result<StatementResult> miss =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 101)));
   ASSERT_TRUE(miss.ok());
   EXPECT_TRUE(miss->stats.used_index_buffer);
 }
@@ -90,9 +95,11 @@ TEST_F(HybridRangeTest, HybridAfterFullWarmup) {
   // the scan leg degenerates to all-skipped and the whole result comes
   // from buffer + covered tail.
   for (Value v = 101; v < 131; ++v) {
-    ASSERT_TRUE(db_->Execute(Query::Point(0, v)).ok());
+    ASSERT_TRUE(
+        db_->ExecuteStatement(Statement::Select(Query::Point(0, v))).ok());
   }
-  Result<QueryResult> probe = db_->Execute(Query::Point(0, 500));
+  Result<StatementResult> probe =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 500)));
   ASSERT_TRUE(probe.ok());
   ASSERT_EQ(probe->stats.pages_scanned, 0u) << "warmup incomplete";
   for (int round = 0; round < 3; ++round) {
@@ -114,8 +121,8 @@ TEST_F(HybridRangeTest, ConjunctiveHybridCorrect) {
         if (a >= 50 && a <= 150 && b >= 1 && b <= 500) truth.push_back(rid);
       });
   for (int round = 0; round < 3; ++round) {
-    Result<QueryResult> result =
-        db_->Execute(Query::Range(0, 50, 150).And(1, 1, 500));
+    Result<StatementResult> result = db_->ExecuteStatement(
+        Statement::Select(Query::Range(0, 50, 150).And(1, 1, 500)));
     ASSERT_TRUE(result.ok());
     std::vector<Rid> got = Sorted(result->rids);
     EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());

@@ -276,9 +276,11 @@ TEST(ParallelQueryEquivalenceTest, WholeQueriesMatchSerialDatabase) {
       const Value lo = static_cast<Value>(rng.UniformInt(1, 280));
       query = Query::Range(0, lo, lo + 20);
     }
-    Result<QueryResult> serial = serial_db->Execute(query);
+    Result<StatementResult> serial =
+        serial_db->ExecuteStatement(Statement::Select(query));
     // Replay the same draws for the parallel database.
-    Result<QueryResult> parallel = parallel_db->Execute(query);
+    Result<StatementResult> parallel =
+        parallel_db->ExecuteStatement(Statement::Select(query));
     ASSERT_TRUE(serial.ok()) << "query " << q;
     ASSERT_TRUE(parallel.ok()) << "query " << q;
     EXPECT_EQ(serial.value().rids, parallel.value().rids) << "query " << q;

@@ -33,8 +33,8 @@ class LegacyExecutor {
         buffer_options_(db->options().buffer),
         db_(db) {}
 
-  Result<QueryResult> FullScan(const Query& query) {
-    QueryResult result;
+  Result<StatementResult> FullScan(const Query& query) {
+    StatementResult result;
     const Schema& schema = table_->schema();
     for (size_t page = 0; page < table_->PageCount(); ++page) {
       AIB_RETURN_IF_ERROR(table_->heap().ForEachTupleOnPage(
@@ -49,14 +49,14 @@ class LegacyExecutor {
     return result;
   }
 
-  Result<QueryResult> IndexScan(const Query& query) {
+  Result<StatementResult> IndexScan(const Query& query) {
     PartialIndex* index = db_->GetIndex(query.column);
     if (index == nullptr ||
         !index->coverage().CoversRange(query.lo, query.hi)) {
       return Status::InvalidArgument(
           "predicate not fully covered by a partial index");
     }
-    QueryResult result;
+    StatementResult result;
     result.stats.used_partial_index = true;
     if (query.IsPoint()) {
       index->Lookup(query.lo, &result.rids);
@@ -71,7 +71,7 @@ class LegacyExecutor {
     return result;
   }
 
-  Result<QueryResult> Execute(const Query& query) {
+  Result<StatementResult> Execute(const Query& query) {
     PartialIndex* index = db_->GetIndex(query.column);
     if (index == nullptr) return FullScan(query);
 
@@ -82,7 +82,7 @@ class LegacyExecutor {
     }
 
     if (hit) {
-      QueryResult result;
+      StatementResult result;
       result.stats.used_partial_index = true;
       if (query.IsPoint()) {
         index->Lookup(query.lo, &result.rids);
@@ -98,7 +98,7 @@ class LegacyExecutor {
       return result;
     }
 
-    AIB_ASSIGN_OR_RETURN(QueryResult result, ExecuteMiss(query, index));
+    AIB_ASSIGN_OR_RETURN(StatementResult result, ExecuteMiss(query, index));
     result.stats.cost = cost_model_.QueryCost(result.stats);
     return result;
   }
@@ -114,7 +114,7 @@ class LegacyExecutor {
     return Status::Ok();
   }
 
-  Result<QueryResult> ExecuteMiss(const Query& query, PartialIndex* index) {
+  Result<StatementResult> ExecuteMiss(const Query& query, PartialIndex* index) {
     if (space_ == nullptr) return FullScan(query);
 
     std::unique_lock<std::shared_mutex> latch(space_->latch());
@@ -125,7 +125,7 @@ class LegacyExecutor {
                            space_->CreateBuffer(index, buffer_options_));
     }
 
-    QueryResult result;
+    StatementResult result;
     result.stats.used_index_buffer = true;
     result.stats.buffer_probes = buffer->PartitionCount();
 
@@ -193,7 +193,8 @@ class LegacyExecutor {
 /// emission order; every stats field must match except pages_fetched (the
 /// plan path may count fewer after query-wide dedup — never more) and cost
 /// (equal whenever pages_fetched is, never higher otherwise).
-void ExpectEquivalent(const QueryResult& legacy, const QueryResult& plan,
+void ExpectEquivalent(
+    const StatementResult& legacy, const StatementResult& plan,
                       const std::string& label) {
   SCOPED_TRACE(label);
   EXPECT_EQ(legacy.rids, plan.rids);
@@ -261,8 +262,9 @@ TEST(PlanEquivalenceTest, PaperWorkloadIdenticalRidsAndStats) {
                            lo + static_cast<Value>(rng.UniformInt(0, 49)));
     }
 
-    Result<QueryResult> legacy_result = legacy.Execute(query);
-    Result<QueryResult> plan_result = plan_db->Execute(query);
+    Result<StatementResult> legacy_result = legacy.Execute(query);
+    Result<StatementResult> plan_result =
+        plan_db->ExecuteStatement(Statement::Select(query));
     ASSERT_TRUE(legacy_result.ok()) << legacy_result.status().ToString();
     ASSERT_TRUE(plan_result.ok()) << plan_result.status().ToString();
     ExpectEquivalent(*legacy_result, *plan_result,
@@ -283,14 +285,19 @@ TEST(PlanEquivalenceTest, PaperWorkloadIdenticalRidsAndStats) {
 }
 
 TEST(PlanEquivalenceTest, FullScanEntryPointEquivalent) {
-  std::unique_ptr<Database> db = MakeSmallPaperDb();
+  // Without an Index Buffer Space every uncovered or partially covered
+  // select plans as a plain full table scan.
+  DatabaseOptions options;
+  options.enable_index_buffer = false;
+  std::unique_ptr<Database> db = MakeSmallPaperDb(2000, 1000, 100, options);
   ASSERT_NE(db, nullptr);
   LegacyExecutor legacy(db.get());
   for (const Query& query :
        {Query::Point(1, 700), Query::Range(0, 50, 150),
         Query::Range(2, 1, 1000)}) {
-    Result<QueryResult> legacy_result = legacy.FullScan(query);
-    Result<QueryResult> plan_result = db->FullScan(query);
+    Result<StatementResult> legacy_result = legacy.FullScan(query);
+    Result<StatementResult> plan_result =
+        db->ExecuteStatement(Statement::Select(query));
     ASSERT_TRUE(legacy_result.ok() && plan_result.ok());
     ExpectEquivalent(*legacy_result, *plan_result,
                      "full scan [" + std::to_string(query.lo) + "," +
@@ -299,23 +306,19 @@ TEST(PlanEquivalenceTest, FullScanEntryPointEquivalent) {
 }
 
 TEST(PlanEquivalenceTest, IndexScanEntryPointEquivalent) {
+  // A fully covered select plans as a pure partial-index probe.
   std::unique_ptr<Database> db = MakeSmallPaperDb();
   ASSERT_NE(db, nullptr);
   LegacyExecutor legacy(db.get());
   for (const Query& query : {Query::Point(0, 50), Query::Range(1, 10, 60)}) {
-    Result<QueryResult> legacy_result = legacy.IndexScan(query);
-    Result<QueryResult> plan_result = db->IndexScan(query);
+    Result<StatementResult> legacy_result = legacy.IndexScan(query);
+    Result<StatementResult> plan_result =
+        db->ExecuteStatement(Statement::Select(query));
     ASSERT_TRUE(legacy_result.ok() && plan_result.ok());
     ExpectEquivalent(*legacy_result, *plan_result,
                      "index scan [" + std::to_string(query.lo) + "," +
                          std::to_string(query.hi) + "]");
   }
-  // Both reject uncovered predicates the same way.
-  EXPECT_TRUE(legacy.IndexScan(Query::Point(0, 500))
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(
-      db->IndexScan(Query::Point(0, 500)).status().IsInvalidArgument());
 }
 
 }  // namespace

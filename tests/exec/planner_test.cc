@@ -23,7 +23,7 @@ class PlannerTest : public ::testing::Test {
   }
 
   std::unique_ptr<PhysicalPlan> Plan(const Query& query) {
-    return db_->executor()->PlanQuery(query);
+    return db_->executor()->PlanStatement(Statement::Select(query));
   }
 
   std::unique_ptr<Database> db_;
@@ -112,13 +112,14 @@ TEST_F(PlannerTest, NoSpacePlansFullScanButKeepsDriver) {
       MakeSmallPaperDb(2000, 1000, 100, options);
   ASSERT_NE(db, nullptr);
   std::unique_ptr<PhysicalPlan> plan =
-      db->executor()->PlanQuery(Query::Point(0, 500));
+      db->executor()->PlanStatement(Statement::Select(Query::Point(0, 500)));
   EXPECT_EQ(SpineName(*plan, 0), "FullTableScan");
   // The miss still belongs to col0's index for Table II accounting.
   EXPECT_EQ(plan->driver_index(), db->GetIndex(0));
   EXPECT_FALSE(plan->driver_hit());
 
-  Result<QueryResult> result = db->Execute(Query::Point(0, 500));
+  Result<StatementResult> result =
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 500)));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->stats.used_index_buffer);
   EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, 0, 500, 500)));
@@ -144,7 +145,8 @@ TEST_F(PlannerTest, ConjunctiveQueryCorrectOnEveryPath) {
         Query::Range(0, 200, 300).And(1, 50, 50),  // covered residual drives
         Query::Point(0, 500).And(2, 1, 600),       // miss + residual
         Query::Range(0, 50, 150).And(1, 1, 900)}) {  // hybrid + residual
-    Result<QueryResult> result = db_->Execute(query);
+    Result<StatementResult> result =
+        db_->ExecuteStatement(Statement::Select(query));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(Sorted(result->rids), Sorted(truth(query)))
         << PredicatesToString(query.AllPredicates());

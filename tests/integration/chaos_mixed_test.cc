@@ -101,8 +101,7 @@ TEST(ChaosMixedTest, SoakWithWritersMatchesFaultFreeOracle) {
   service_options.num_workers = 4;
   service_options.queue_capacity = 128;
   service_options.max_query_retries = 6;
-  QueryService service(db->executor(), &db->table(), service_options,
-                       &db->metrics());
+  QueryService service(db->executor(), service_options, &db->metrics());
 
   // The serialized writer stream: inserts, updates, and deletes confined
   // to the band, applied one at a time so the applied-ops model below is
@@ -155,13 +154,13 @@ TEST(ChaosMixedTest, SoakWithWritersMatchesFaultFreeOracle) {
     }
   });
 
-  std::vector<std::pair<size_t, std::future<Result<QueryResult>>>> futures;
+  std::vector<std::pair<size_t, std::future<Result<StatementResult>>>> futures;
   futures.reserve(kQueries);
   const std::vector<Query> workload = MakeReadWorkload(kQueries);
   for (size_t i = 0; i < workload.size(); ++i) {
     for (;;) {
-      Result<std::future<Result<QueryResult>>> submitted =
-          service.Submit(workload[i]);
+      Result<std::future<Result<StatementResult>>> submitted =
+          service.Submit(Statement::Select(workload[i]));
       if (submitted.ok()) {
         futures.emplace_back(i, std::move(submitted).value());
         break;
@@ -172,7 +171,7 @@ TEST(ChaosMixedTest, SoakWithWritersMatchesFaultFreeOracle) {
   }
 
   for (auto& [index, future] : futures) {
-    Result<QueryResult> result = future.get();
+    Result<StatementResult> result = future.get();
     ASSERT_TRUE(result.ok())
         << "query " << index << ": " << result.status().ToString();
     EXPECT_EQ(Sorted(result->rids), expected_for(workload[index]))

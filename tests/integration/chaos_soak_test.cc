@@ -133,15 +133,14 @@ TEST_F(ChaosSoakTest, SoakMatchesFaultFreeOracle) {
   service_options.num_workers = 4;
   service_options.queue_capacity = 128;
   service_options.max_query_retries = 6;
-  QueryService service(db_->executor(), &db_->table(), service_options,
-                       &db_->metrics());
+  QueryService service(db_->executor(), service_options, &db_->metrics());
 
-  std::vector<std::pair<size_t, std::future<Result<QueryResult>>>> futures;
+  std::vector<std::pair<size_t, std::future<Result<StatementResult>>>> futures;
   futures.reserve(kQueries);
   for (size_t i = 0; i < workload.size(); ++i) {
     for (;;) {
-      Result<std::future<Result<QueryResult>>> submitted =
-          service.Submit(workload[i]);
+      Result<std::future<Result<StatementResult>>> submitted =
+          service.Submit(Statement::Select(workload[i]));
       if (submitted.ok()) {
         futures.emplace_back(i, std::move(submitted).value());
         break;
@@ -152,7 +151,7 @@ TEST_F(ChaosSoakTest, SoakMatchesFaultFreeOracle) {
   }
 
   for (auto& [index, future] : futures) {
-    Result<QueryResult> result = future.get();
+    Result<StatementResult> result = future.get();
     ASSERT_TRUE(result.ok())
         << "query " << index << ": " << result.status().ToString();
     EXPECT_EQ(Sorted(result->rids), ExpectedFor(workload[index]))
@@ -189,12 +188,14 @@ TEST_F(ChaosSoakTest, EveryQuarantineLeavesConsistentState) {
   for (size_t i = 0; i < workload.size(); ++i) {
     // Mimic the service's whole-query retry: re-running after transient or
     // corruption failures is always legal on recovery-free state.
-    Result<QueryResult> result = db_->executor()->Execute(workload[i]);
+    Result<StatementResult> result =
+        db_->executor()->ExecuteStatement(Statement::Select(workload[i]));
     for (int attempt = 0; !result.ok() && attempt < 20; ++attempt) {
       ASSERT_TRUE(result.status().IsTransient() ||
                   result.status().IsCorruption())
           << result.status().ToString();
-      result = db_->executor()->Execute(workload[i]);
+      result =
+          db_->executor()->ExecuteStatement(Statement::Select(workload[i]));
     }
     ASSERT_TRUE(result.ok()) << "query " << i;
     EXPECT_EQ(Sorted(result->rids), ExpectedFor(workload[i]))
@@ -219,28 +220,27 @@ TEST_F(ChaosSoakTest, ExpiredDeadlineTimesOutWithoutDisturbingOthers) {
   QueryServiceOptions service_options;
   service_options.num_workers = 1;  // FIFO: the deadlined query waits
   service_options.queue_capacity = 512;
-  QueryService service(db_->executor(), &db_->table(), service_options,
-                       &db_->metrics());
+  QueryService service(db_->executor(), service_options, &db_->metrics());
 
   // 200 cold uncovered queries in front: the single worker needs well over
   // a millisecond to drain them.
-  std::vector<std::future<Result<QueryResult>>> normal;
+  std::vector<std::future<Result<StatementResult>>> normal;
   for (int i = 0; i < 200; ++i) {
-    Result<std::future<Result<QueryResult>>> submitted =
-        service.Submit(Query::Point(i % 2, 31 + i));
+    Result<std::future<Result<StatementResult>>> submitted =
+        service.Submit(Statement::Select(Query::Point(i % 2, 31 + i)));
     ASSERT_TRUE(submitted.ok());
     normal.push_back(std::move(submitted).value());
   }
   SubmitOptions deadline_options;
   deadline_options.deadline = std::chrono::milliseconds(1);
-  Result<std::future<Result<QueryResult>>> deadlined =
-      service.Submit(Query::Point(0, 40), deadline_options);
+  Result<std::future<Result<StatementResult>>> deadlined =
+      service.Submit(Statement::Select(Query::Point(0, 40)), deadline_options);
   ASSERT_TRUE(deadlined.ok());
 
   for (auto& future : normal) {
     EXPECT_TRUE(future.get().ok());
   }
-  const Result<QueryResult> result = deadlined->get();
+  const Result<StatementResult> result = deadlined->get();
   EXPECT_TRUE(result.status().IsTimeout()) << result.status().ToString();
   EXPECT_GE(service.stats().timed_out, 1);
   EXPECT_GE(db_->metrics().Get(kMetricQueriesTimedOut), 1);
@@ -249,24 +249,23 @@ TEST_F(ChaosSoakTest, ExpiredDeadlineTimesOutWithoutDisturbingOthers) {
 TEST_F(ChaosSoakTest, CancelTokenResolvesFutureAsCancelled) {
   QueryServiceOptions service_options;
   service_options.num_workers = 2;
-  QueryService service(db_->executor(), &db_->table(), service_options,
-                       &db_->metrics());
+  QueryService service(db_->executor(), service_options, &db_->metrics());
 
   SubmitOptions cancel_options;
   cancel_options.cancel = MakeCancelToken();
   cancel_options.cancel->store(true);  // cancelled before a worker sees it
-  Result<std::future<Result<QueryResult>>> cancelled =
-      service.Submit(Query::Point(0, 40), cancel_options);
+  Result<std::future<Result<StatementResult>>> cancelled =
+      service.Submit(Statement::Select(Query::Point(0, 40)), cancel_options);
   ASSERT_TRUE(cancelled.ok());
   EXPECT_TRUE(cancelled->get().status().IsCancelled());
 
   // An untouched token does not perturb the query.
   SubmitOptions live_options;
   live_options.cancel = MakeCancelToken();
-  Result<std::future<Result<QueryResult>>> live =
-      service.Submit(Query::Point(0, 10), live_options);
+  Result<std::future<Result<StatementResult>>> live =
+      service.Submit(Statement::Select(Query::Point(0, 10)), live_options);
   ASSERT_TRUE(live.ok());
-  Result<QueryResult> result = live->get();
+  Result<StatementResult> result = live->get();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Sorted(result->rids), ExpectedFor(Query::Point(0, 10)));
   EXPECT_GE(service.stats().cancelled, 1);
@@ -278,15 +277,16 @@ TEST_F(ChaosSoakTest, PreExpiredControlTimesOutDeterministically) {
   QueryControl control;
   control.deadline =
       std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  Result<QueryResult> result =
-      db_->executor()->Execute(Query::Point(0, 40), &control);
+  Result<StatementResult> result = db_->executor()->ExecuteStatement(
+      Statement::Select(Query::Point(0, 40)), &control);
   EXPECT_TRUE(result.status().IsTimeout());
   EXPECT_EQ(db_->metrics().Get(kMetricQueriesTimedOut), 1);
 
   QueryControl cancel_control;
   cancel_control.cancel = MakeCancelToken();
   cancel_control.cancel->store(true);
-  result = db_->executor()->Execute(Query::Point(0, 40), &cancel_control);
+  result = db_->executor()->ExecuteStatement(
+      Statement::Select(Query::Point(0, 40)), &cancel_control);
   EXPECT_TRUE(result.status().IsCancelled());
   EXPECT_EQ(db_->metrics().Get(kMetricQueriesCancelled), 1);
 

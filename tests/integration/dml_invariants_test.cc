@@ -18,6 +18,7 @@
 namespace aib {
 namespace {
 
+using ::aib::testing::AffectedRid;
 using ::aib::testing::GroundTruth;
 using ::aib::testing::MakeSmallPaperDb;
 using ::aib::testing::MakeTuple;
@@ -74,7 +75,8 @@ TEST_P(DmlInvariantsTest, InvariantsHoldUnderRandomOps) {
     if (kind < 5) {  // query (uncovered values mostly)
       const ColumnId column = static_cast<ColumnId>(rng.UniformInt(0, 2));
       const Value v = static_cast<Value>(rng.UniformInt(1, 600));
-      Result<QueryResult> result = db->Execute(Query::Point(column, v));
+      Result<StatementResult> result =
+          db->ExecuteStatement(Statement::Select(Query::Point(column, v)));
       ASSERT_TRUE(result.ok());
       ASSERT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, column, v, v)))
           << "op " << op;
@@ -82,7 +84,8 @@ TEST_P(DmlInvariantsTest, InvariantsHoldUnderRandomOps) {
       const Value a = static_cast<Value>(rng.UniformInt(1, 600));
       const Value b = static_cast<Value>(rng.UniformInt(1, 600));
       const Value c = static_cast<Value>(rng.UniformInt(1, 600));
-      Result<Rid> rid = db->Insert(MakeTuple(a, b, c));
+      Result<Rid> rid = AffectedRid(
+          db->ExecuteStatement(Statement::Insert(MakeTuple(a, b, c))));
       ASSERT_TRUE(rid.ok());
       live.push_back(rid.value());
       ++dml_ops;
@@ -91,8 +94,8 @@ TEST_P(DmlInvariantsTest, InvariantsHoldUnderRandomOps) {
       const size_t pick =
           static_cast<size_t>(rng.UniformInt(0, live.size() - 1));
       const Value a = static_cast<Value>(rng.UniformInt(1, 600));
-      Result<Rid> new_rid =
-          db->Update(live[pick], MakeTuple(a, a / 2 + 1, 600 - a + 1));
+      Result<Rid> new_rid = AffectedRid(db->ExecuteStatement(
+          Statement::Update(live[pick], MakeTuple(a, a / 2 + 1, 600 - a + 1))));
       ASSERT_TRUE(new_rid.ok()) << new_rid.status().ToString();
       live[pick] = new_rid.value();
       ++dml_ops;
@@ -100,7 +103,7 @@ TEST_P(DmlInvariantsTest, InvariantsHoldUnderRandomOps) {
       if (live.empty()) continue;
       const size_t pick =
           static_cast<size_t>(rng.UniformInt(0, live.size() - 1));
-      ASSERT_TRUE(db->Delete(live[pick]).ok());
+      ASSERT_TRUE(db->ExecuteStatement(Statement::Delete(live[pick])).ok());
       live[pick] = live.back();
       live.pop_back();
     }
@@ -130,7 +133,8 @@ TEST(DmlInvariantsSingleTest, UpdatesAcrossPageBoundaries) {
   ASSERT_NE(db, nullptr);
   // Warm buffer for column A.
   for (Value v = 200; v < 212; ++v) {
-    ASSERT_TRUE(db->Execute(Query::Point(0, v)).ok());
+    ASSERT_TRUE(
+        db->ExecuteStatement(Statement::Select(Query::Point(0, v))).ok());
   }
   // Grow a payload so the tuple relocates.
   std::vector<Rid> victims;
@@ -140,13 +144,15 @@ TEST(DmlInvariantsSingleTest, UpdatesAcrossPageBoundaries) {
   Result<Tuple> old_tuple = db->table().Get(victims[0]);
   ASSERT_TRUE(old_tuple.ok());
   Tuple fat(old_tuple->ints(), {std::string(2000, 'q')});
-  Result<Rid> new_rid = db->Update(victims[0], fat);
+  Result<Rid> new_rid =
+      AffectedRid(db->ExecuteStatement(Statement::Update(victims[0], fat)));
   ASSERT_TRUE(new_rid.ok());
   EXPECT_NE(new_rid.value(), victims[0]);
   CheckCounterInvariants(*db);
   // Queries remain exact.
   const Value moved_value = old_tuple->IntValue(db->table().schema(), 0);
-  Result<QueryResult> result = db->Execute(Query::Point(0, moved_value));
+  Result<StatementResult> result =
+      db->ExecuteStatement(Statement::Select(Query::Point(0, moved_value)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Sorted(result->rids),
             Sorted(GroundTruth(*db, 0, moved_value, moved_value)));

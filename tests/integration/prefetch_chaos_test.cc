@@ -63,13 +63,13 @@ std::vector<std::vector<Rid>> RunLeg(Database* db,
   options.num_workers = num_workers;
   options.queue_capacity = 64;
   options.max_query_retries = 6;  // absorbs the injected corruption
-  QueryService service(db->executor(), &db->table(), options, &db->metrics());
-  std::vector<std::pair<size_t, std::future<Result<QueryResult>>>> futures;
+  QueryService service(db->executor(), options, &db->metrics());
+  std::vector<std::pair<size_t, std::future<Result<StatementResult>>>> futures;
   futures.reserve(workload.size());
   for (size_t i = 0; i < workload.size(); ++i) {
     for (;;) {
-      Result<std::future<Result<QueryResult>>> submitted =
-          service.Submit(workload[i]);
+      Result<std::future<Result<StatementResult>>> submitted =
+          service.Submit(Statement::Select(workload[i]));
       if (submitted.ok()) {
         futures.emplace_back(i, std::move(submitted).value());
         break;
@@ -80,7 +80,7 @@ std::vector<std::vector<Rid>> RunLeg(Database* db,
   }
   std::vector<std::vector<Rid>> rids(workload.size());
   for (auto& [index, future] : futures) {
-    Result<QueryResult> result = future.get();
+    Result<StatementResult> result = future.get();
     EXPECT_TRUE(result.ok())
         << "query " << index << ": " << result.status().ToString();
     if (result.ok()) rids[index] = Sorted(result->rids);

@@ -49,7 +49,8 @@ TEST_P(StructureE2eTest, ExactResultsWithEveryStructure) {
     const Value hi = rng.Bernoulli(0.3)
                          ? std::min<Value>(400, lo + 30)
                          : lo;
-    Result<QueryResult> result = db->Execute(Query::Range(column, lo, hi));
+    Result<StatementResult> result =
+        db->ExecuteStatement(Statement::Select(Query::Range(column, lo, hi)));
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, column, lo, hi)))
         << "structure " << static_cast<int>(kind) << " query " << i;
@@ -58,16 +59,13 @@ TEST_P(StructureE2eTest, ExactResultsWithEveryStructure) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, StructureE2eTest,
-    ::testing::Values(IndexStructureKind::kBTree, IndexStructureKind::kHash,
-                      IndexStructureKind::kCsbTree),
+    ::testing::Values(IndexStructureKind::kBTree, IndexStructureKind::kHash),
     [](const ::testing::TestParamInfo<IndexStructureKind>& info) {
       switch (info.param) {
         case IndexStructureKind::kBTree:
           return "BTree";
         case IndexStructureKind::kHash:
           return "Hash";
-        case IndexStructureKind::kCsbTree:
-          return "CsbTree";
       }
       return "Unknown";
     });
@@ -92,7 +90,8 @@ TEST(ZipfE2eTest, SkewedWorkloadStaysExactAndConverges) {
   double first_cost = -1;
   double last_cost = -1;
   while (auto q = gen.Next()) {
-    Result<QueryResult> result = db->Execute(*q);
+    Result<StatementResult> result =
+        db->ExecuteStatement(Statement::Select(*q));
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(Sorted(result->rids),
               Sorted(GroundTruth(*db, q->column, q->lo, q->hi)));
@@ -122,11 +121,12 @@ TEST(MixedStructureTest, DifferentStructuresPerColumnCoexist) {
                                      IndexStructureKind::kHash)
                   .ok());
   ASSERT_TRUE(db->CreatePartialIndex(2, ValueCoverage::Range(1, 30),
-                                     IndexStructureKind::kCsbTree)
+                                     IndexStructureKind::kHash)
                   .ok());
   for (ColumnId column = 0; column < 3; ++column) {
     for (Value v : {15, 100, 250}) {
-      Result<QueryResult> result = db->Execute(Query::Point(column, v));
+      Result<StatementResult> result =
+          db->ExecuteStatement(Statement::Select(Query::Point(column, v)));
       ASSERT_TRUE(result.ok());
       EXPECT_EQ(Sorted(result->rids),
                 Sorted(GroundTruth(*db, column, v, v)))

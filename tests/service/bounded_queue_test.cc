@@ -11,9 +11,9 @@ namespace {
 
 TEST(BoundedQueueTest, FifoOrder) {
   BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_TRUE(queue.TryPush(3));
+  EXPECT_EQ(queue.TryPush(1), PushResult::kOk);
+  EXPECT_EQ(queue.TryPush(2), PushResult::kOk);
+  EXPECT_EQ(queue.TryPush(3), PushResult::kOk);
   EXPECT_EQ(queue.Pop(), 1);
   EXPECT_EQ(queue.Pop(), 2);
   EXPECT_EQ(queue.Pop(), 3);
@@ -21,23 +21,38 @@ TEST(BoundedQueueTest, FifoOrder) {
 
 TEST(BoundedQueueTest, RejectsWhenFull) {
   BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));  // admission control, no blocking
+  EXPECT_EQ(queue.TryPush(1), PushResult::kOk);
+  EXPECT_EQ(queue.TryPush(2), PushResult::kOk);
+  // Admission control, no blocking.
+  EXPECT_EQ(queue.TryPush(3), PushResult::kFull);
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.Pop(), 1);
-  EXPECT_TRUE(queue.TryPush(3));  // freed one slot
+  EXPECT_EQ(queue.TryPush(3), PushResult::kOk);  // freed one slot
 }
 
 TEST(BoundedQueueTest, CloseDrainsBacklogThenSignalsEnd) {
   BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.TryPush(7));
-  EXPECT_TRUE(queue.TryPush(8));
+  EXPECT_EQ(queue.TryPush(7), PushResult::kOk);
+  EXPECT_EQ(queue.TryPush(8), PushResult::kOk);
   queue.Close();
-  EXPECT_FALSE(queue.TryPush(9));  // no admission after close
+  // No admission after close.
+  EXPECT_EQ(queue.TryPush(9), PushResult::kClosed);
   EXPECT_EQ(queue.Pop(), 7);       // backlog still served
   EXPECT_EQ(queue.Pop(), 8);
   EXPECT_EQ(queue.Pop(), std::nullopt);  // drained + closed
+}
+
+TEST(BoundedQueueTest, PushReportsClosedApartFromFull) {
+  BoundedQueue<int> queue(1);
+  EXPECT_EQ(queue.TryPush(1), PushResult::kOk);
+  // Full but open: the caller may retry after a backoff.
+  EXPECT_EQ(queue.TryPush(2), PushResult::kFull);
+  queue.Close();
+  // Closed wins over full: retrying can never succeed.
+  EXPECT_EQ(queue.TryPush(3), PushResult::kClosed);
+  EXPECT_EQ(queue.Pop(), 1);
+  // Closed and empty is still closed, not full.
+  EXPECT_EQ(queue.TryPush(4), PushResult::kClosed);
 }
 
 TEST(BoundedQueueTest, CloseWakesBlockedConsumers) {
@@ -68,7 +83,9 @@ TEST(BoundedQueueTest, ConcurrentProducersConsumersDeliverExactlyOnce) {
     threads.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         const int item = p * kPerProducer + i;
-        while (!queue.TryPush(item)) std::this_thread::yield();
+        while (queue.TryPush(item) != PushResult::kOk) {
+          std::this_thread::yield();
+        }
       }
     });
   }

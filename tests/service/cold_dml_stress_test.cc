@@ -20,6 +20,7 @@
 namespace aib {
 namespace {
 
+using ::aib::testing::AffectedRid;
 using ::aib::testing::GroundTruth;
 using ::aib::testing::MakeSmallPaperDb;
 using ::aib::testing::MakeTuple;
@@ -49,8 +50,10 @@ TEST(ColdDmlTest, DmlOnDemotedPagesMatchesHotTwin) {
   // Warm both identically (the first miss indexes values 11..24), then
   // demote the subject's partition 1 — pages 2 and 3, buffered values
   // 11..16. The twin keeps everything hot: it is the serial oracle.
-  ASSERT_TRUE(subject->Execute(Query::Point(0, 20)).ok());
-  ASSERT_TRUE(twin->Execute(Query::Point(0, 20)).ok());
+  ASSERT_TRUE(
+      subject->ExecuteStatement(Statement::Select(Query::Point(0, 20))).ok());
+  ASSERT_TRUE(
+      twin->ExecuteStatement(Statement::Select(Query::Point(0, 20))).ok());
   IndexBuffer* buffer = subject->GetBuffer(0);
   ASSERT_NE(buffer, nullptr);
   ASSERT_GT(buffer->DemotePartition(1), 0u);
@@ -58,20 +61,24 @@ TEST(ColdDmlTest, DmlOnDemotedPagesMatchesHotTwin) {
 
   // Delete from a demoted page (col0 = 11 at (2,2)): the cold run loses
   // the entry, the page stays covered.
-  ASSERT_TRUE(subject->Delete(Rid{2, 2}).ok());
-  ASSERT_TRUE(twin->Delete(Rid{2, 2}).ok());
+  ASSERT_TRUE(subject->ExecuteStatement(Statement::Delete(Rid{2, 2})).ok());
+  ASSERT_TRUE(twin->ExecuteStatement(Statement::Delete(Rid{2, 2})).ok());
 
   // In-place update on a demoted page (col0 = 13 -> 17 at (3,0)): a
   // remove+add patch pair against the run.
-  ASSERT_TRUE(subject->Update(Rid{3, 0}, Tuple({17, 113}, {"p"})).ok());
-  ASSERT_TRUE(twin->Update(Rid{3, 0}, Tuple({17, 113}, {"p"})).ok());
+  const Statement update =
+      Statement::Update(Rid{3, 0}, Tuple({17, 113}, {"p"}));
+  ASSERT_TRUE(subject->ExecuteStatement(update).ok());
+  ASSERT_TRUE(twin->ExecuteStatement(update).ok());
 
   // Relocating update off a demoted page (col0 = 14 at (3,1), fat
   // payload): the vacated page must stay fully indexed while the landing
   // page gains an unindexed tuple.
   const Tuple fat({14, 114}, {std::string(200, 'q')});
-  Result<Rid> moved_subject = subject->Update(Rid{3, 1}, fat);
-  Result<Rid> moved_twin = twin->Update(Rid{3, 1}, fat);
+  Result<Rid> moved_subject =
+      AffectedRid(subject->ExecuteStatement(Statement::Update(Rid{3, 1}, fat)));
+  Result<Rid> moved_twin =
+      AffectedRid(twin->ExecuteStatement(Statement::Update(Rid{3, 1}, fat)));
   ASSERT_TRUE(moved_subject.ok());
   ASSERT_TRUE(moved_twin.ok());
   EXPECT_EQ(moved_subject.value(), moved_twin.value());
@@ -88,8 +95,10 @@ TEST(ColdDmlTest, DmlOnDemotedPagesMatchesHotTwin) {
   // Every probe answers bit-identically to the hot twin and matches the
   // full-scan ground truth.
   for (Value v = 1; v <= 24; ++v) {
-    Result<QueryResult> a = subject->Execute(Query::Point(0, v));
-    Result<QueryResult> b = twin->Execute(Query::Point(0, v));
+    Result<StatementResult> a =
+        subject->ExecuteStatement(Statement::Select(Query::Point(0, v)));
+    Result<StatementResult> b =
+        twin->ExecuteStatement(Statement::Select(Query::Point(0, v)));
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a->rids, b->rids) << "value " << v;
     EXPECT_EQ(Sorted(a->rids), Sorted(GroundTruth(*subject, 0, v, v)))
@@ -114,8 +123,7 @@ TEST(ColdDmlTest, MixedReadWriteStressWithTierChurn) {
   QueryServiceOptions service_options;
   service_options.num_workers = 4;
   service_options.queue_capacity = 64;
-  QueryService service(db->executor(), &db->table(), service_options,
-                       &db->metrics());
+  QueryService service(db->executor(), service_options, &db->metrics());
 
   auto execute_statement = [&](const Statement& statement) {
     while (true) {
@@ -174,7 +182,8 @@ TEST(ColdDmlTest, MixedReadWriteStressWithTierChurn) {
         const Query query = op % 4 == 0 ? Query::Range(column, lo, lo + 10)
                                         : Query::Point(column, lo);
         while (true) {
-          Result<QueryResult> result = service.Execute(query);
+          Result<StatementResult> result =
+              service.ExecuteStatement(Statement::Select(query));
           if (result.ok()) break;
           ASSERT_TRUE(result.status().IsBusy()) << result.status().ToString();
           std::this_thread::yield();
@@ -193,7 +202,8 @@ TEST(ColdDmlTest, MixedReadWriteStressWithTierChurn) {
   for (int probe = 0; probe < 30; ++probe) {
     const ColumnId column = static_cast<ColumnId>(rng.UniformInt(0, 2));
     const Value v = static_cast<Value>(rng.UniformInt(1, 300));
-    Result<QueryResult> result = service.Execute(Query::Point(column, v));
+    Result<StatementResult> result =
+        service.ExecuteStatement(Statement::Select(Query::Point(column, v)));
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, column, v, v)));
   }

@@ -23,6 +23,7 @@
 namespace aib {
 namespace {
 
+using ::aib::testing::AffectedRid;
 using ::aib::testing::GroundTruth;
 using ::aib::testing::MakeSmallPaperDb;
 using ::aib::testing::MakeTuple;
@@ -77,17 +78,44 @@ std::unique_ptr<Database> MakeLadderDb() {
   return db;
 }
 
+TEST(DmlStatementTest, DirectExecutorCallReportsRowsAffected) {
+  auto db = MakeLadderDb();
+  Executor* executor = db->executor();
+  // Covered and uncovered selects affect no rows, whatever they return.
+  for (Value v : {5, 20}) {
+    Result<StatementResult> select =
+        executor->ExecuteStatement(Statement::Select(Query::Point(0, v)));
+    ASSERT_TRUE(select.ok());
+    EXPECT_EQ(select->rids.size(), 1u);
+    EXPECT_EQ(select->rows_affected, 0u);
+  }
+  Result<StatementResult> insert =
+      executor->ExecuteStatement(Statement::Insert(Tuple({30, 130}, {"p"})));
+  ASSERT_TRUE(insert.ok());
+  EXPECT_EQ(insert->rows_affected, 1u);
+  Result<StatementResult> update = executor->ExecuteStatement(
+      Statement::Update(insert->rids.front(), Tuple({31, 131}, {"p"})));
+  ASSERT_TRUE(update.ok());
+  EXPECT_EQ(update->rows_affected, 1u);
+  Result<StatementResult> remove =
+      executor->ExecuteStatement(Statement::Delete(update->rids.front()));
+  ASSERT_TRUE(remove.ok());
+  EXPECT_EQ(remove->rows_affected, 1u);
+}
+
 TEST(DmlStatementTest, UpdateRelocatingAcrossPagesMatchesSerialOracle) {
   auto db = MakeLadderDb();
   auto oracle = MakeLadderDb();
   QueryServiceOptions service_options;
   service_options.num_workers = 2;
-  QueryService service(db->executor(), &db->table(), service_options);
+  QueryService service(db->executor(), service_options);
 
   // Warm both buffers identically: the first miss indexes every uncovered
   // tuple (values 11..24), so value 12's page 2 carries C[2] = 0.
-  ASSERT_TRUE(service.Execute(Query::Point(0, 20)).ok());
-  ASSERT_TRUE(oracle->Execute(Query::Point(0, 20)).ok());
+  ASSERT_TRUE(
+      service.ExecuteStatement(Statement::Select(Query::Point(0, 20))).ok());
+  ASSERT_TRUE(
+      oracle->ExecuteStatement(Statement::Select(Query::Point(0, 20))).ok());
 
   // col0 = 12 sits at (2,3), buffered. The fat payload no longer fits the
   // slot, so the update relocates the tuple to a fresh page — the
@@ -95,7 +123,8 @@ TEST(DmlStatementTest, UpdateRelocatingAcrossPagesMatchesSerialOracle) {
   const Tuple fat({12, 112}, {std::string(200, 'q')});
   Result<StatementResult> via_service =
       service.ExecuteStatement(Statement::Update(Rid{2, 3}, fat));
-  Result<Rid> via_oracle = oracle->Update(Rid{2, 3}, fat);
+  Result<Rid> via_oracle =
+      AffectedRid(oracle->ExecuteStatement(Statement::Update(Rid{2, 3}, fat)));
   ASSERT_TRUE(via_service.ok()) << via_service.status().ToString();
   ASSERT_TRUE(via_oracle.ok());
   ASSERT_EQ(via_service->rids.size(), 1u);
@@ -116,10 +145,12 @@ TEST(DmlStatementTest, UpdateRelocatingAcrossPagesMatchesSerialOracle) {
 
   // Re-reading the moved value is itself an indexing scan (the landing
   // page has C > 0), so mirror it on the oracle before fingerprinting.
-  Result<QueryResult> reread = service.Execute(Query::Point(0, 12));
+  Result<StatementResult> reread =
+      service.ExecuteStatement(Statement::Select(Query::Point(0, 12)));
   ASSERT_TRUE(reread.ok());
   EXPECT_EQ(Sorted(reread->rids), Sorted(GroundTruth(*db, 0, 12, 12)));
-  ASSERT_TRUE(oracle->Execute(Query::Point(0, 12)).ok());
+  ASSERT_TRUE(
+      oracle->ExecuteStatement(Statement::Select(Query::Point(0, 12))).ok());
 
   ASSERT_TRUE(CheckSpaceConsistency(db->table(), *db->space()).ok());
   ASSERT_TRUE(CheckSpaceConsistency(oracle->table(), *oracle->space()).ok());
@@ -131,7 +162,7 @@ TEST(DmlStatementTest, UpdateAcrossCoverageBoundaryMatchesSerialOracle) {
   auto oracle = MakeLadderDb();
   QueryServiceOptions service_options;
   service_options.num_workers = 2;
-  QueryService service(db->executor(), &db->table(), service_options);
+  QueryService service(db->executor(), service_options);
 
   const IndexBuffer* buffer = db->GetBuffer(0);
   ASSERT_NE(buffer, nullptr);
@@ -143,14 +174,17 @@ TEST(DmlStatementTest, UpdateAcrossCoverageBoundaryMatchesSerialOracle) {
   Result<StatementResult> in =
       service.ExecuteStatement(Statement::Update(Rid{4, 3}, covered));
   ASSERT_TRUE(in.ok()) << in.status().ToString();
-  ASSERT_TRUE(oracle->Update(Rid{4, 3}, covered).ok());
+  ASSERT_TRUE(
+      oracle->ExecuteStatement(Statement::Update(Rid{4, 3}, covered)).ok());
   EXPECT_EQ(in->rids.front(), (Rid{4, 3}));  // same footprint: in place
   EXPECT_EQ(buffer->counters().Get(4), 3u);
-  Result<QueryResult> probe = service.Execute(Query::Point(0, 5));
+  Result<StatementResult> probe =
+      service.ExecuteStatement(Statement::Select(Query::Point(0, 5)));
   ASSERT_TRUE(probe.ok());
   EXPECT_EQ(probe->rids.size(), 2u);
   EXPECT_EQ(Sorted(probe->rids), Sorted(GroundTruth(*db, 0, 5, 5)));
-  ASSERT_TRUE(oracle->Execute(Query::Point(0, 5)).ok());
+  ASSERT_TRUE(
+      oracle->ExecuteStatement(Statement::Select(Query::Point(0, 5))).ok());
 
   // Covered -> uncovered: the entry leaves the partial index and counts
   // against C[p] again.
@@ -158,18 +192,23 @@ TEST(DmlStatementTest, UpdateAcrossCoverageBoundaryMatchesSerialOracle) {
   Result<StatementResult> out =
       service.ExecuteStatement(Statement::Update(Rid{4, 3}, uncovered));
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  ASSERT_TRUE(oracle->Update(Rid{4, 3}, uncovered).ok());
+  ASSERT_TRUE(
+      oracle->ExecuteStatement(Statement::Update(Rid{4, 3}, uncovered)).ok());
   EXPECT_EQ(buffer->counters().Get(4), 4u);
-  Result<QueryResult> moved = service.Execute(Query::Point(0, 30));
+  Result<StatementResult> moved =
+      service.ExecuteStatement(Statement::Select(Query::Point(0, 30)));
   ASSERT_TRUE(moved.ok());
   EXPECT_EQ(Sorted(moved->rids), Sorted(GroundTruth(*db, 0, 30, 30)));
-  Result<QueryResult> back = service.Execute(Query::Point(0, 5));
+  Result<StatementResult> back =
+      service.ExecuteStatement(Statement::Select(Query::Point(0, 5)));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->rids.size(), 1u);
 
   // Mirror the two reads on the oracle so OnQuery history advances alike.
-  ASSERT_TRUE(oracle->Execute(Query::Point(0, 30)).ok());
-  ASSERT_TRUE(oracle->Execute(Query::Point(0, 5)).ok());
+  ASSERT_TRUE(
+      oracle->ExecuteStatement(Statement::Select(Query::Point(0, 30))).ok());
+  ASSERT_TRUE(
+      oracle->ExecuteStatement(Statement::Select(Query::Point(0, 5))).ok());
   ASSERT_TRUE(CheckSpaceConsistency(db->table(), *db->space()).ok());
   EXPECT_EQ(SpaceFingerprint(*db), SpaceFingerprint(*oracle));
 }
@@ -178,7 +217,7 @@ TEST(DmlStatementTest, DeleteLastUnindexedTupleFlipsPageFullyIndexed) {
   auto db = MakeLadderDb();
   QueryServiceOptions service_options;
   service_options.num_workers = 2;
-  QueryService service(db->executor(), &db->table(), service_options);
+  QueryService service(db->executor(), service_options);
 
   // Page 2 holds 9,10 (covered) and 11,12 (uncovered): C[2] = 2. Deleting
   // both uncovered tuples flips the page fully indexed with no scan ever
@@ -199,7 +238,8 @@ TEST(DmlStatementTest, DeleteLastUnindexedTupleFlipsPageFullyIndexed) {
 
   // The next indexing scan must skip the flipped page along with the two
   // born-covered pages — Algorithm 1 trusts C[p] maintained by deletes.
-  Result<QueryResult> miss = service.Execute(Query::Point(0, 20));
+  Result<StatementResult> miss =
+      service.ExecuteStatement(Statement::Select(Query::Point(0, 20)));
   ASSERT_TRUE(miss.ok());
   EXPECT_EQ(miss->stats.pages_skipped, 3u);
   EXPECT_EQ(miss->stats.pages_scanned, 3u);
@@ -222,8 +262,7 @@ TEST(DmlStatementTest, FacadeAndServiceShareOneMaintenancePath) {
   ASSERT_NE(service_db, nullptr);
   QueryServiceOptions service_options;
   service_options.num_workers = 1;  // deterministic FIFO mode
-  QueryService service(service_db->executor(), &service_db->table(),
-                       service_options);
+  QueryService service(service_db->executor(), service_options);
 
   std::vector<Rid> facade_live;
   std::vector<Rid> service_live;
@@ -233,8 +272,10 @@ TEST(DmlStatementTest, FacadeAndServiceShareOneMaintenancePath) {
     if (kind < 5) {
       const ColumnId column = static_cast<ColumnId>(rng.UniformInt(0, 2));
       const Value v = static_cast<Value>(rng.UniformInt(1, 300));
-      Result<QueryResult> a = facade_db->Execute(Query::Point(column, v));
-      Result<QueryResult> b = service.Execute(Query::Point(column, v));
+      Result<StatementResult> a = facade_db->ExecuteStatement(
+          Statement::Select(Query::Point(column, v)));
+      Result<StatementResult> b =
+          service.ExecuteStatement(Statement::Select(Query::Point(column, v)));
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
       EXPECT_EQ(a->rids, b->rids) << "op " << op;
@@ -243,13 +284,14 @@ TEST(DmlStatementTest, FacadeAndServiceShareOneMaintenancePath) {
           MakeTuple(static_cast<Value>(rng.UniformInt(1, 300)),
                     static_cast<Value>(rng.UniformInt(1, 300)),
                     static_cast<Value>(rng.UniformInt(1, 300)));
-      Result<Rid> a = facade_db->Insert(tuple);
+      Result<StatementResult> a =
+          facade_db->ExecuteStatement(Statement::Insert(tuple));
       Result<StatementResult> b =
           service.ExecuteStatement(Statement::Insert(tuple));
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok()) << b.status().ToString();
-      EXPECT_EQ(a.value(), b->rids.front()) << "op " << op;
-      facade_live.push_back(a.value());
+      EXPECT_EQ(a->rids.front(), b->rids.front()) << "op " << op;
+      facade_live.push_back(a->rids.front());
       service_live.push_back(b->rids.front());
     } else if (kind < 9) {
       if (facade_live.empty()) continue;
@@ -258,19 +300,22 @@ TEST(DmlStatementTest, FacadeAndServiceShareOneMaintenancePath) {
       const Value v = static_cast<Value>(rng.UniformInt(1, 300));
       const Tuple tuple = MakeTuple(v, 301 - v, v / 2 + 1,
                                     std::string(1 + v % 40, 'u'));
-      Result<Rid> a = facade_db->Update(facade_live[pick], tuple);
+      Result<StatementResult> a = facade_db->ExecuteStatement(
+          Statement::Update(facade_live[pick], tuple));
       Result<StatementResult> b = service.ExecuteStatement(
           Statement::Update(service_live[pick], tuple));
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok()) << b.status().ToString();
-      EXPECT_EQ(a.value(), b->rids.front()) << "op " << op;
-      facade_live[pick] = a.value();
+      EXPECT_EQ(a->rids.front(), b->rids.front()) << "op " << op;
+      facade_live[pick] = a->rids.front();
       service_live[pick] = b->rids.front();
     } else {
       if (facade_live.empty()) continue;
       const size_t pick =
           static_cast<size_t>(rng.UniformInt(0, facade_live.size() - 1));
-      ASSERT_TRUE(facade_db->Delete(facade_live[pick]).ok());
+      ASSERT_TRUE(
+          facade_db->ExecuteStatement(Statement::Delete(facade_live[pick]))
+              .ok());
       Result<StatementResult> b = service.ExecuteStatement(
           Statement::Delete(service_live[pick]));
       ASSERT_TRUE(b.ok()) << b.status().ToString();
@@ -321,14 +366,15 @@ TEST(DmlStatementTest, SerialVsParallelScansIdenticalWithDml) {
     QueryServiceOptions service_options;
     service_options.num_workers = 1;
     service_options.scan_workers = scan_workers;
-    QueryService service(db->executor(), &db->table(), service_options);
+    QueryService service(db->executor(), service_options);
 
     std::ostringstream trace;
     std::vector<Rid> live;
     MixedWorkloadGenerator gen(mixed, 7);
     while (std::optional<MixedOp> op = gen.Next()) {
       if (op->kind == StatementKind::kSelect) {
-        Result<QueryResult> result = service.Execute(op->query);
+        Result<StatementResult> result =
+            service.ExecuteStatement(Statement::Select(op->query));
         EXPECT_TRUE(result.ok()) << result.status().ToString();
         if (!result.ok()) continue;
         trace << "q";
@@ -386,8 +432,7 @@ TEST(DmlStatementTest, MixedReadWriteStress) {
   QueryServiceOptions service_options;
   service_options.num_workers = 4;
   service_options.queue_capacity = 64;
-  QueryService service(db->executor(), &db->table(), service_options,
-                       &db->metrics());
+  QueryService service(db->executor(), service_options, &db->metrics());
 
   auto execute_statement = [&](const Statement& statement) {
     // Busy means admission backpressure — retry like a real client.
@@ -445,8 +490,8 @@ TEST(DmlStatementTest, MixedReadWriteStress) {
         const ColumnId column = static_cast<ColumnId>(rng.UniformInt(0, 2));
         const Value v = static_cast<Value>(rng.UniformInt(1, 300));
         while (true) {
-          Result<QueryResult> result =
-              service.Execute(Query::Point(column, v));
+          Result<StatementResult> result = service.ExecuteStatement(
+              Statement::Select(Query::Point(column, v)));
           if (result.ok()) break;
           EXPECT_TRUE(result.status().IsBusy())
               << result.status().ToString();
@@ -463,7 +508,8 @@ TEST(DmlStatementTest, MixedReadWriteStress) {
   for (int probe = 0; probe < 30; ++probe) {
     const ColumnId column = static_cast<ColumnId>(rng.UniformInt(0, 2));
     const Value v = static_cast<Value>(rng.UniformInt(1, 300));
-    Result<QueryResult> result = service.Execute(Query::Point(column, v));
+    Result<StatementResult> result =
+        service.ExecuteStatement(Statement::Select(Query::Point(column, v)));
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, column, v, v)));
   }

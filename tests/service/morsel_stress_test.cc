@@ -91,15 +91,16 @@ class MorselStressTest : public ::testing::Test {
   /// checks every resolved result against the fault-free oracle.
   void RunWorkload(QueryService* service, const std::vector<Query>& workload) {
     constexpr size_t kProducers = 2;
-    std::vector<std::vector<std::pair<size_t, std::future<Result<QueryResult>>>>>
+    std::vector<
+        std::vector<std::pair<size_t, std::future<Result<StatementResult>>>>>
         futures(kProducers);
     std::vector<std::thread> producers;
     for (size_t p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
         for (size_t i = p; i < workload.size(); i += kProducers) {
           for (;;) {
-            Result<std::future<Result<QueryResult>>> submitted =
-                service->Submit(workload[i]);
+            Result<std::future<Result<StatementResult>>> submitted =
+                service->Submit(Statement::Select(workload[i]));
             if (submitted.ok()) {
               futures[p].emplace_back(i, std::move(submitted).value());
               break;
@@ -115,7 +116,7 @@ class MorselStressTest : public ::testing::Test {
     const size_t pages = db_->table().PageCount();
     for (auto& per_producer : futures) {
       for (auto& [index, future] : per_producer) {
-        Result<QueryResult> result = future.get();
+        Result<StatementResult> result = future.get();
         ASSERT_TRUE(result.ok())
             << "query " << index << ": " << result.status().ToString();
         EXPECT_EQ(Sorted(result->rids), ExpectedFor(workload[index]))
@@ -145,7 +146,7 @@ class MorselStressTest : public ::testing::Test {
 
 TEST_F(MorselStressTest, ConcurrentQueriesWithParallelScansMatchOracle) {
   const std::vector<Query> workload = MakeWorkload(400);
-  QueryService service(db_->executor(), &db_->table(), MorselServiceOptions(),
+  QueryService service(db_->executor(), MorselServiceOptions(),
                        &db_->metrics());
   RunWorkload(&service, workload);
   service.Shutdown();
@@ -168,8 +169,7 @@ TEST_F(MorselStressTest, ParallelScansSurviveRateBasedChaos) {
   const std::vector<Query> workload = MakeWorkload(400);
   QueryServiceOptions options = MorselServiceOptions();
   options.max_query_retries = 6;
-  QueryService service(db_->executor(), &db_->table(), options,
-                       &db_->metrics());
+  QueryService service(db_->executor(), options, &db_->metrics());
   RunWorkload(&service, workload);
   service.Shutdown();
 

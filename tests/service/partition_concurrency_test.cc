@@ -37,6 +37,7 @@
 namespace aib {
 namespace {
 
+using ::aib::testing::AffectedRid;
 using ::aib::testing::GroundTruth;
 using ::aib::testing::MakeSmallPaperDb;
 using ::aib::testing::MakeTuple;
@@ -85,11 +86,13 @@ TEST_F(PartitionConcurrencyTest, DisjointBufferScansOverlapSameBufferWaits) {
 
   const int64_t waits_before = Waits();
   const Query miss_other = Query::Point(1, 200);  // uncovered -> buffer 1
-  std::future<Result<QueryResult>> other = std::async(
-      std::launch::async, [&] { return db_->Execute(miss_other); });
+  std::future<Result<StatementResult>> other =
+      std::async(std::launch::async, [&] {
+        return db_->ExecuteStatement(Statement::Select(miss_other));
+      });
   ASSERT_EQ(other.wait_for(kLiveness), std::future_status::ready)
       << "indexing scan of buffer 1 blocked behind buffer 0's drain";
-  Result<QueryResult> other_result = other.get();
+  Result<StatementResult> other_result = other.get();
   ASSERT_TRUE(other_result.ok()) << other_result.status().ToString();
   EXPECT_TRUE(other_result->stats.used_index_buffer);
   EXPECT_EQ(Sorted(other_result->rids), Sorted(GroundTruth(*db_, 1, 200, 200)));
@@ -99,15 +102,17 @@ TEST_F(PartitionConcurrencyTest, DisjointBufferScansOverlapSameBufferWaits) {
 
   // Same buffer: the scan parks on sentinel 0 until the drain finishes.
   const Query miss_same = Query::Point(0, 200);
-  std::future<Result<QueryResult>> same = std::async(
-      std::launch::async, [&] { return db_->Execute(miss_same); });
+  std::future<Result<StatementResult>> same =
+      std::async(std::launch::async, [&] {
+        return db_->ExecuteStatement(Statement::Select(miss_same));
+      });
   EXPECT_NE(same.wait_for(kSettle), std::future_status::ready)
       << "scan of a draining buffer finished without waiting for its "
          "sentinel";
   sentinel0.unlock();
   stripes.Release();
   ASSERT_EQ(same.wait_for(kLiveness), std::future_status::ready);
-  Result<QueryResult> same_result = same.get();
+  Result<StatementResult> same_result = same.get();
   ASSERT_TRUE(same_result.ok()) << same_result.status().ToString();
   EXPECT_TRUE(same_result->stats.used_index_buffer);
   EXPECT_EQ(Sorted(same_result->rids), Sorted(GroundTruth(*db_, 0, 200, 200)));
@@ -144,11 +149,13 @@ TEST_F(PartitionConcurrencyTest, WriterStripesOnlyBlockProbesOfSamePages) {
     PartitionLatchTable::LatchSet writer =
         latches.AcquireExclusive({disjoint_page});
     const int64_t waits_before = Waits();
-    std::future<Result<QueryResult>> future =
-        std::async(std::launch::async, [&] { return db_->Execute(probe); });
+    std::future<Result<StatementResult>> future =
+        std::async(std::launch::async, [&] {
+          return db_->ExecuteStatement(Statement::Select(probe));
+        });
     ASSERT_EQ(future.wait_for(kLiveness), std::future_status::ready)
         << "covered probe blocked behind a writer of unrelated pages";
-    Result<QueryResult> result = future.get();
+    Result<StatementResult> result = future.get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(Sorted(result->rids), expected);
     EXPECT_EQ(Waits(), waits_before);
@@ -158,13 +165,15 @@ TEST_F(PartitionConcurrencyTest, WriterStripesOnlyBlockProbesOfSamePages) {
     PartitionLatchTable::LatchSet writer =
         latches.AcquireExclusive({probe_pages.front()});
     const int64_t waits_before = Waits();
-    std::future<Result<QueryResult>> future =
-        std::async(std::launch::async, [&] { return db_->Execute(probe); });
+    std::future<Result<StatementResult>> future =
+        std::async(std::launch::async, [&] {
+          return db_->ExecuteStatement(Statement::Select(probe));
+        });
     EXPECT_NE(future.wait_for(kSettle), std::future_status::ready)
         << "probe of a written page did not wait for the writer's stripe";
     writer.Release();
     ASSERT_EQ(future.wait_for(kLiveness), std::future_status::ready);
-    Result<QueryResult> result = future.get();
+    Result<StatementResult> result = future.get();
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(Sorted(result->rids), expected);
     EXPECT_GE(Waits(), waits_before + 1);
@@ -196,7 +205,8 @@ TEST_F(PartitionConcurrencyTest, OptimisticProbeRetriesOnSeededConflict) {
       db_->metrics().Get(kMetricLatchOptimisticRetries);
   const int64_t fallbacks_before =
       db_->metrics().Get(kMetricLatchOptimisticFallbacks);
-  Result<QueryResult> result = db_->Execute(Query::Point(0, 10));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 10)));
   PartialIndexProbe::SetConflictHookForTest({});
 
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -228,7 +238,8 @@ TEST_F(PartitionConcurrencyTest, OptimisticProbeFallsBackUnderConstantConflict) 
       db_->metrics().Get(kMetricLatchOptimisticRetries);
   const int64_t fallbacks_before =
       db_->metrics().Get(kMetricLatchOptimisticFallbacks);
-  Result<QueryResult> result = db_->Execute(Query::Point(0, 10));
+  Result<StatementResult> result =
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 10)));
   PartialIndexProbe::SetConflictHookForTest({});
 
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -280,7 +291,8 @@ TEST_F(PartitionConcurrencyTest, MixedDmlAndQueryStressStaysConsistent) {
           // Relocating update within the band.
           auto& [rid, old] = mine[i % mine.size()];
           const Value next = band_lo + (old - band_lo + 7) % kBandWidth;
-          Result<Rid> updated = db_->Update(rid, MakeTuple(next, next, next));
+          Result<Rid> updated = AffectedRid(db_->ExecuteStatement(
+              Statement::Update(rid, MakeTuple(next, next, next))));
           if (!updated.ok()) {
             failures.fetch_add(1);
             continue;
@@ -291,13 +303,14 @@ TEST_F(PartitionConcurrencyTest, MixedDmlAndQueryStressStaysConsistent) {
         } else if (i % 16 == 14 && !mine.empty()) {
           auto [rid, old] = mine.back();
           mine.pop_back();
-          if (!db_->Delete(rid).ok()) {
+          if (!db_->ExecuteStatement(Statement::Delete(rid)).ok()) {
             failures.fetch_add(1);
             continue;
           }
           --deltas[w][old];
         } else {
-          Result<Rid> inserted = db_->Insert(MakeTuple(v, v, v));
+          Result<Rid> inserted = AffectedRid(
+              db_->ExecuteStatement(Statement::Insert(MakeTuple(v, v, v))));
           if (!inserted.ok()) {
             failures.fetch_add(1);
             continue;
@@ -313,7 +326,8 @@ TEST_F(PartitionConcurrencyTest, MixedDmlAndQueryStressStaysConsistent) {
       for (int i = 0; i < kReaderOps; ++i) {
         if (i % 2 == 0) {
           const Value v = 1 + (i + r * 13) % 30;  // covered probe
-          Result<QueryResult> result = db_->Execute(Query::Point(0, v));
+          Result<StatementResult> result =
+              db_->ExecuteStatement(Statement::Select(Query::Point(0, v)));
           if (!result.ok() || Sorted(result->rids) != covered_truth[v]) {
             failures.fetch_add(1);
           }
@@ -321,7 +335,8 @@ TEST_F(PartitionConcurrencyTest, MixedDmlAndQueryStressStaysConsistent) {
           // Indexing-scan miss on another column; results race with the
           // writers, so only success is asserted.
           const Value v = 31 + (i * 7 + r) % 270;
-          if (!db_->Execute(Query::Point(1, v)).ok()) failures.fetch_add(1);
+          if (!db_->ExecuteStatement(Statement::Select(
+              Query::Point(1, v))).ok()) failures.fetch_add(1);
         }
       }
     });
@@ -378,15 +393,17 @@ TEST_F(PartitionConcurrencyTest, DisjointBandDmlMatchesSerialApplication) {
       if (i % 12 == 7 && !mine.empty()) {
         auto& [rid, old] = mine[i % mine.size()];
         const Value next = band_lo + (old - band_lo + 13) % kBandWidth;
-        Result<Rid> updated = db->Update(rid, MakeTuple(next, next, next));
+        Result<Rid> updated = AffectedRid(db->ExecuteStatement(
+            Statement::Update(rid, MakeTuple(next, next, next))));
         ASSERT_TRUE(updated.ok());
         mine[i % mine.size()] = {updated.value(), next};
       } else if (i % 12 == 11 && !mine.empty()) {
         auto [rid, old] = mine.back();
         mine.pop_back();
-        ASSERT_TRUE(db->Delete(rid).ok());
+        ASSERT_TRUE(db->ExecuteStatement(Statement::Delete(rid)).ok());
       } else {
-        Result<Rid> inserted = db->Insert(MakeTuple(v, v, v));
+        Result<Rid> inserted = AffectedRid(
+            db->ExecuteStatement(Statement::Insert(MakeTuple(v, v, v))));
         ASSERT_TRUE(inserted.ok());
         mine.emplace_back(inserted.value(), v);
       }

@@ -67,15 +67,16 @@ std::vector<Rid> ExpectedFor(const Database& db, const Query& query) {
 void RunWorkload(Database* db, QueryService* service,
                  const std::vector<Query>& workload) {
   constexpr size_t kProducers = 2;
-  std::vector<std::vector<std::pair<size_t, std::future<Result<QueryResult>>>>>
+  std::vector<
+      std::vector<std::pair<size_t, std::future<Result<StatementResult>>>>>
       futures(kProducers);
   std::vector<std::thread> producers;
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (size_t i = p; i < workload.size(); i += kProducers) {
         for (;;) {
-          Result<std::future<Result<QueryResult>>> submitted =
-              service->Submit(workload[i]);
+          Result<std::future<Result<StatementResult>>> submitted =
+              service->Submit(Statement::Select(workload[i]));
           if (submitted.ok()) {
             futures[p].emplace_back(i, std::move(submitted).value());
             break;
@@ -89,7 +90,7 @@ void RunWorkload(Database* db, QueryService* service,
   for (std::thread& producer : producers) producer.join();
   for (auto& per_producer : futures) {
     for (auto& [index, future] : per_producer) {
-      Result<QueryResult> result = future.get();
+      Result<StatementResult> result = future.get();
       ASSERT_TRUE(result.ok())
           << "query " << index << ": " << result.status().ToString();
       EXPECT_EQ(Sorted(result->rids), ExpectedFor(*db, workload[index]))
@@ -107,7 +108,7 @@ TEST(PrefetchStressTest, SharedScanFanInOverAsyncStagingMatchesOracle) {
   QueryServiceOptions options;
   options.num_workers = 4;
   options.queue_capacity = 64;
-  QueryService service(db->executor(), &db->table(), options, &db->metrics());
+  QueryService service(db->executor(), options, &db->metrics());
   RunWorkload(db.get(), &service, workload);
   service.Shutdown();
 
@@ -132,7 +133,7 @@ TEST(PrefetchStressTest, MorselParallelScansOverAsyncStagingMatchOracle) {
   options.parallel_scan.min_pages_for_parallel = 1;
   options.parallel_scan.morsel_pages = 4;
   options.parallel_scan.prefetch = true;
-  QueryService service(db->executor(), &db->table(), options, &db->metrics());
+  QueryService service(db->executor(), options, &db->metrics());
   RunWorkload(db.get(), &service, workload);
   service.Shutdown();
 

@@ -70,19 +70,19 @@ TEST_F(QueryServiceTest, SingleWorkerMatchesSequentialExecutor) {
   QueryServiceOptions service_options;
   service_options.num_workers = 1;
   service_options.queue_capacity = workload.size();
-  QueryService service(db_->executor(), &db_->table(), service_options,
-                       &db_->metrics());
+  QueryService service(db_->executor(), service_options, &db_->metrics());
 
-  std::vector<std::future<Result<QueryResult>>> futures;
+  std::vector<std::future<Result<StatementResult>>> futures;
   for (const Query& query : workload) {
-    Result<std::future<Result<QueryResult>>> submitted =
-        service.Submit(query);
+    Result<std::future<Result<StatementResult>>> submitted =
+        service.Submit(Statement::Select(query));
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(submitted).value());
   }
   for (size_t i = 0; i < workload.size(); ++i) {
-    Result<QueryResult> concurrent = futures[i].get();
-    Result<QueryResult> sequential = oracle->executor()->Execute(workload[i]);
+    Result<StatementResult> concurrent = futures[i].get();
+    Result<StatementResult> sequential =
+        oracle->executor()->ExecuteStatement(Statement::Select(workload[i]));
     ASSERT_TRUE(concurrent.ok());
     ASSERT_TRUE(sequential.ok());
     EXPECT_EQ(concurrent->rids, sequential->rids) << "query " << i;
@@ -132,22 +132,22 @@ TEST_F(QueryServiceTest, MultiWorkerStressKeepsResultsAndCountersSane) {
   QueryServiceOptions service_options;
   service_options.num_workers = kWorkers;
   service_options.queue_capacity = 64;  // small enough to see backpressure
-  QueryService service(db_->executor(), &db_->table(), service_options,
-                       &db_->metrics());
+  QueryService service(db_->executor(), service_options, &db_->metrics());
   ASSERT_EQ(service.num_workers(), kWorkers);
 
   // Submit from several producer threads, retrying on Busy, so admission
   // control is exercised without losing queries.
   constexpr size_t kProducers = 2;
-  std::vector<std::vector<std::pair<size_t, std::future<Result<QueryResult>>>>>
+  std::vector<
+      std::vector<std::pair<size_t, std::future<Result<StatementResult>>>>>
       futures(kProducers);
   std::vector<std::thread> producers;
   for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (size_t i = p; i < workload.size(); i += kProducers) {
         for (;;) {
-          Result<std::future<Result<QueryResult>>> submitted =
-              service.Submit(workload[i]);
+          Result<std::future<Result<StatementResult>>> submitted =
+              service.Submit(Statement::Select(workload[i]));
           if (submitted.ok()) {
             futures[p].emplace_back(i, std::move(submitted).value());
             break;
@@ -164,7 +164,7 @@ TEST_F(QueryServiceTest, MultiWorkerStressKeepsResultsAndCountersSane) {
   size_t buffer_queries = 0;
   for (auto& per_producer : futures) {
     for (auto& [index, future] : per_producer) {
-      Result<QueryResult> result = future.get();
+      Result<StatementResult> result = future.get();
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(Sorted(result->rids), expected_for(workload[index]))
           << "query " << index;
@@ -214,20 +214,19 @@ TEST_F(QueryServiceTest, SharedScanServiceAnswersUnindexedColumnQueries) {
 
   QueryServiceOptions service_options;
   service_options.num_workers = 4;
-  QueryService service((*db)->executor(), &(*db)->table(), service_options,
-                       &(*db)->metrics());
+  QueryService service((*db)->executor(), service_options, &(*db)->metrics());
 
-  std::vector<std::future<Result<QueryResult>>> futures;
+  std::vector<std::future<Result<StatementResult>>> futures;
   for (int i = 0; i < 16; ++i) {
-    Result<std::future<Result<QueryResult>>> submitted =
-        service.Submit(Query::Point(0, 42));
+    Result<std::future<Result<StatementResult>>> submitted =
+        service.Submit(Statement::Select(Query::Point(0, 42)));
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(submitted).value());
   }
   const std::vector<Rid> expected =
       Sorted(GroundTruth(**db, 0, 42, 42));
   for (auto& future : futures) {
-    Result<QueryResult> result = future.get();
+    Result<StatementResult> result = future.get();
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(Sorted(result->rids), expected);
     EXPECT_EQ(result->stats.pages_scanned, (*db)->table().PageCount());
@@ -240,12 +239,13 @@ TEST_F(QueryServiceTest, SubmitAfterShutdownIsCancelled) {
   // when its cancel token fires), not InvalidArgument.
   QueryServiceOptions service_options;
   service_options.num_workers = 2;
-  QueryService service(db_->executor(), &db_->table(), service_options);
-  Result<QueryResult> before = service.Execute(Query::Point(0, 10));
+  QueryService service(db_->executor(), service_options);
+  Result<StatementResult> before =
+      service.ExecuteStatement(Statement::Select(Query::Point(0, 10)));
   ASSERT_TRUE(before.ok());
   service.Shutdown();
-  Result<std::future<Result<QueryResult>>> after =
-      service.Submit(Query::Point(0, 10));
+  Result<std::future<Result<StatementResult>>> after =
+      service.Submit(Statement::Select(Query::Point(0, 10)));
   EXPECT_TRUE(after.status().IsCancelled());
   Result<std::future<Result<StatementResult>>> statement_after =
       service.Submit(Statement::Insert(Tuple({40, 40, 40}, {"x"})));
@@ -253,18 +253,20 @@ TEST_F(QueryServiceTest, SubmitAfterShutdownIsCancelled) {
   Result<StatementResult> execute_after =
       service.ExecuteStatement(Statement::Delete(Rid{0, 0}));
   EXPECT_TRUE(execute_after.status().IsCancelled());
+  // A closed queue is not a full one: nothing counts as a Busy rejection.
+  EXPECT_EQ(service.stats().rejected, 0);
 }
 
 TEST_F(QueryServiceTest, DestructorDrainsAcceptedRequests) {
-  std::vector<std::future<Result<QueryResult>>> futures;
+  std::vector<std::future<Result<StatementResult>>> futures;
   {
     QueryServiceOptions service_options;
     service_options.num_workers = 2;
     service_options.queue_capacity = 64;
-    QueryService service(db_->executor(), &db_->table(), service_options);
+    QueryService service(db_->executor(), service_options);
     for (int i = 0; i < 32; ++i) {
-      Result<std::future<Result<QueryResult>>> submitted =
-          service.Submit(Query::Point(0, 31 + i));
+      Result<std::future<Result<StatementResult>>> submitted =
+          service.Submit(Statement::Select(Query::Point(0, 31 + i)));
       ASSERT_TRUE(submitted.ok());
       futures.push_back(std::move(submitted).value());
     }

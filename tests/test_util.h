@@ -58,6 +58,13 @@ inline std::vector<Rid> GroundTruth(const Database& db, ColumnId column,
   return rids;
 }
 
+/// The rid an Insert/Update/Delete statement reports (the new rid for
+/// inserts and updates, the removed one for deletes), or its error.
+inline Result<Rid> AffectedRid(const Result<StatementResult>& result) {
+  if (!result.ok()) return result.status();
+  return result->rids.front();
+}
+
 /// Sorted copy, for order-insensitive rid set comparison.
 inline std::vector<Rid> Sorted(std::vector<Rid> rids) {
   std::sort(rids.begin(), rids.end());

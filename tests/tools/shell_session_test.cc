@@ -40,6 +40,20 @@ TEST_F(ShellTest, CreateLoadIndexQueryFlow) {
   EXPECT_NE(Output().find("[buffer]"), std::string::npos);
 }
 
+TEST_F(ShellTest, CreateIndexRejectsUnknownStructure) {
+  EXPECT_TRUE(Exec("create_table t 1"));
+  for (const char* name : {"csb", "bogus"}) {
+    EXPECT_FALSE(Exec(std::string("create_index t 0 1 10 ") + name)) << name;
+  }
+  EXPECT_NE(Output().find("create_index NAME COLUMN LO HI [btree|hash]"),
+            std::string::npos);
+  Table* table = session_.catalog()->GetTable("t");
+  EXPECT_EQ(session_.catalog()->GetIndex(table, 0), nullptr);
+  EXPECT_TRUE(Exec("create_index t 0 1 10 hash"));
+  EXPECT_EQ(session_.catalog()->GetIndex(table, 0)->structure_kind(),
+            IndexStructureKind::kHash);
+}
+
 TEST_F(ShellTest, ConfigRecreatesCatalog) {
   EXPECT_TRUE(Exec("create_table t 1"));
   EXPECT_TRUE(Exec("config space_entries=123 imax=7"));

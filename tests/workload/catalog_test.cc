@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.h"
 #include "common/rng.h"
 
 namespace aib {
 namespace {
+
+using ::aib::testing::AffectedRid;
 
 Catalog MakeCatalog(CatalogOptions options = {}) {
   return Catalog(options);
@@ -50,8 +53,10 @@ TEST(CatalogTest, OperationsOnForeignTableRejected) {
   Table* foreign =
       other.CreateTable("t", Schema::PaperSchema(1, 16)).value();
   EXPECT_TRUE(
-      catalog.Insert(foreign, Tuple({1}, {"p"})).status().IsInvalidArgument());
-  EXPECT_TRUE(catalog.Execute(foreign, Query::Point(0, 1))
+      catalog.ExecuteStatement(foreign, Statement::Insert(
+          Tuple({1}, {"p"}))).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      catalog.ExecuteStatement(foreign, Statement::Select(Query::Point(0, 1)))
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(catalog
@@ -70,7 +75,8 @@ TEST(CatalogTest, TablesShareTheDiskButKeepPageNumbersDense) {
   // Queries stay separated per table.
   ASSERT_TRUE(catalog.CreatePartialIndex(a, 0, ValueCoverage::Range(1, 10))
                   .ok());
-  Result<QueryResult> hit = catalog.Execute(a, Query::Point(0, 5));
+  Result<StatementResult> hit =
+      catalog.ExecuteStatement(a, Statement::Select(Query::Point(0, 5)));
   ASSERT_TRUE(hit.ok());
   for (const Rid& rid : hit->rids) {
     EXPECT_TRUE(a->PageNumberOf(rid).ok());
@@ -98,20 +104,18 @@ TEST(CatalogTest, BuffersOfDifferentTablesShareOneSpace) {
   Rng rng(5);
   // Warm the cold table's buffer first, then hammer the hot table.
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(catalog
-                    .Execute(cold, Query::Point(
-                                       0, static_cast<Value>(
-                                              rng.UniformInt(101, 1000))))
-                    .ok());
+    const Value v = static_cast<Value>(rng.UniformInt(101, 1000));
+    ASSERT_TRUE(
+        catalog.ExecuteStatement(cold, Statement::Select(Query::Point(0, v)))
+            .ok());
   }
   const size_t cold_entries_before =
       catalog.GetBuffer(cold, 0)->TotalEntries();
   for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(catalog
-                    .Execute(hot, Query::Point(
-                                      0, static_cast<Value>(
-                                             rng.UniformInt(101, 1000))))
-                    .ok());
+    const Value v = static_cast<Value>(rng.UniformInt(101, 1000));
+    ASSERT_TRUE(
+        catalog.ExecuteStatement(hot, Statement::Select(Query::Point(0, v)))
+            .ok());
   }
 
   // The shared budget was never exceeded, and the hot table's buffer
@@ -151,7 +155,8 @@ TEST(CatalogTest, CrossTableQueriesStayExact) {
   for (int i = 0; i < 60; ++i) {
     Table* table = rng.Bernoulli(0.5) ? a : b;
     const Value v = static_cast<Value>(rng.UniformInt(1, 500));
-    Result<QueryResult> result = catalog.Execute(table, Query::Point(0, v));
+    Result<StatementResult> result =
+        catalog.ExecuteStatement(table, Statement::Select(Query::Point(0, v)));
     ASSERT_TRUE(result.ok());
     std::vector<Rid> got = result->rids;
     std::sort(got.begin(), got.end());
@@ -176,7 +181,10 @@ TEST(CatalogTest, TableIIAppliesAcrossTables) {
 
   IndexBuffer* buffer_b = catalog.GetBuffer(b, 0);
   const double interval_before = buffer_b->history().history()[0];
-  ASSERT_TRUE(catalog.Execute(a, Query::Point(0, 50)).ok());  // miss on a
+  // Miss on a.
+  ASSERT_TRUE(
+      catalog.ExecuteStatement(a, Statement::Select(Query::Point(0, 50)))
+          .ok());
   EXPECT_GT(buffer_b->history().history()[0], interval_before);
 }
 
@@ -190,9 +198,51 @@ TEST(CatalogTest, TunerPerTable) {
   IndexTunerOptions tuner_options;
   tuner_options.index_threshold = 2;
   ASSERT_TRUE(catalog.AttachTuner(a, 0, tuner_options).ok());
-  ASSERT_TRUE(catalog.Execute(a, Query::Point(0, 50)).ok());
-  ASSERT_TRUE(catalog.Execute(a, Query::Point(0, 50)).ok());
+  ASSERT_TRUE(
+      catalog.ExecuteStatement(a, Statement::Select(Query::Point(0, 50))).ok());
+  ASSERT_TRUE(
+      catalog.ExecuteStatement(a, Statement::Select(Query::Point(0, 50))).ok());
   EXPECT_TRUE(catalog.GetIndex(a, 0)->Covers(50));
+}
+
+TEST(CatalogTest, ExecuteStatementStepsTunerForPointSelectsOnly) {
+  CatalogOptions options;
+  Catalog catalog(options);
+  Table* a = catalog.CreateTable("a", Schema::PaperSchema(1, 16)).value();
+  Load(catalog, a, 300, 100, 11);
+  ASSERT_TRUE(
+      catalog.CreatePartialIndex(a, 0, ValueCoverage::Range(1, 10)).ok());
+  IndexTunerOptions tuner_options;
+  tuner_options.index_threshold = 1;  // one step indexes the value
+  ASSERT_TRUE(catalog.AttachTuner(a, 0, tuner_options).ok());
+  const PartialIndex* index = catalog.GetIndex(a, 0);
+  const size_t indexed_before = catalog.GetTuner(a, 0)->IndexedValueCount();
+
+  // Range selects never step the tuner.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        catalog.ExecuteStatement(a, Statement::Select(Query::Range(0, 50, 60)))
+            .ok());
+  }
+  // Neither does DML, whose unused query field reads as the point 0.
+  Result<Rid> rid = AffectedRid(
+      catalog.ExecuteStatement(a, Statement::Insert(Tuple({50}, {"x"}))));
+  ASSERT_TRUE(rid.ok());
+  rid = AffectedRid(catalog.ExecuteStatement(
+      a, Statement::Update(rid.value(), Tuple({55}, {"y"}))));
+  ASSERT_TRUE(rid.ok());
+  ASSERT_TRUE(
+      catalog.ExecuteStatement(a, Statement::Delete(rid.value())).ok());
+  EXPECT_FALSE(index->Covers(0));
+  EXPECT_FALSE(index->Covers(50));
+  EXPECT_FALSE(index->Covers(55));
+  EXPECT_EQ(catalog.GetTuner(a, 0)->IndexedValueCount(), indexed_before);
+
+  // A point select steps it.
+  ASSERT_TRUE(
+      catalog.ExecuteStatement(a, Statement::Select(Query::Point(0, 50))).ok());
+  EXPECT_TRUE(index->Covers(50));
+  EXPECT_EQ(catalog.GetTuner(a, 0)->IndexedValueCount(), indexed_before + 1);
 }
 
 TEST(CatalogTest, DmlWithMaintenanceAcrossTables) {
@@ -204,18 +254,21 @@ TEST(CatalogTest, DmlWithMaintenanceAcrossTables) {
   ASSERT_TRUE(
       catalog.CreatePartialIndex(a, 0, ValueCoverage::Range(1, 10)).ok());
   // Warm the buffer.
-  ASSERT_TRUE(catalog.Execute(a, Query::Point(0, 50)).ok());
+  ASSERT_TRUE(
+      catalog.ExecuteStatement(a, Statement::Select(Query::Point(0, 50))).ok());
 
-  Result<Rid> rid = catalog.Insert(a, Tuple({50}, {"x"}));
+  Result<Rid> rid = AffectedRid(
+      catalog.ExecuteStatement(a, Statement::Insert(Tuple({50}, {"x"}))));
   ASSERT_TRUE(rid.ok());
-  Result<QueryResult> result = catalog.Execute(a, Query::Point(0, 50));
+  Result<StatementResult> result =
+      catalog.ExecuteStatement(a, Statement::Select(Query::Point(0, 50)));
   ASSERT_TRUE(result.ok());
   bool found = false;
   for (const Rid& r : result->rids) found = found || r == rid.value();
   EXPECT_TRUE(found);
 
-  ASSERT_TRUE(catalog.Delete(a, rid.value()).ok());
-  result = catalog.Execute(a, Query::Point(0, 50));
+  ASSERT_TRUE(catalog.ExecuteStatement(a, Statement::Delete(rid.value())).ok());
+  result = catalog.ExecuteStatement(a, Statement::Select(Query::Point(0, 50)));
   ASSERT_TRUE(result.ok());
   for (const Rid& r : result->rids) EXPECT_NE(r, rid.value());
 }

@@ -8,6 +8,7 @@
 namespace aib {
 namespace {
 
+using ::aib::testing::AffectedRid;
 using ::aib::testing::GroundTruth;
 using ::aib::testing::MakeSmallPaperDb;
 using ::aib::testing::MakeTuple;
@@ -36,12 +37,15 @@ TEST(DatabaseTest, InsertMaintainsIndexes) {
   auto db = MakeSmallPaperDb(200, 1000, 100);
   ASSERT_NE(db, nullptr);
   // Covered on A (50), uncovered on B (500), uncovered on C (700).
-  Result<Rid> rid = db->Insert(MakeTuple(50, 500, 700));
+  Result<Rid> rid = AffectedRid(
+      db->ExecuteStatement(Statement::Insert(MakeTuple(50, 500, 700))));
   ASSERT_TRUE(rid.ok());
-  Result<QueryResult> by_a = db->Execute(Query::Point(0, 50));
+  Result<StatementResult> by_a =
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 50)));
   ASSERT_TRUE(by_a.ok());
   EXPECT_EQ(Sorted(by_a->rids), Sorted(GroundTruth(*db, 0, 50, 50)));
-  Result<QueryResult> by_b = db->Execute(Query::Point(1, 500));
+  Result<StatementResult> by_b =
+      db->ExecuteStatement(Statement::Select(Query::Point(1, 500)));
   ASSERT_TRUE(by_b.ok());
   EXPECT_EQ(Sorted(by_b->rids), Sorted(GroundTruth(*db, 1, 500, 500)));
 }
@@ -49,10 +53,12 @@ TEST(DatabaseTest, InsertMaintainsIndexes) {
 TEST(DatabaseTest, DeleteMaintainsIndexes) {
   auto db = MakeSmallPaperDb(200, 1000, 100);
   ASSERT_NE(db, nullptr);
-  Result<Rid> rid = db->Insert(MakeTuple(50, 500, 700));
+  Result<Rid> rid = AffectedRid(
+      db->ExecuteStatement(Statement::Insert(MakeTuple(50, 500, 700))));
   ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(db->Delete(rid.value()).ok());
-  Result<QueryResult> by_a = db->Execute(Query::Point(0, 50));
+  ASSERT_TRUE(db->ExecuteStatement(Statement::Delete(rid.value())).ok());
+  Result<StatementResult> by_a =
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 50)));
   ASSERT_TRUE(by_a.ok());
   for (const Rid& r : by_a->rids) EXPECT_NE(r, rid.value());
 }
@@ -60,14 +66,18 @@ TEST(DatabaseTest, DeleteMaintainsIndexes) {
 TEST(DatabaseTest, UpdateMaintainsIndexes) {
   auto db = MakeSmallPaperDb(200, 1000, 100);
   ASSERT_NE(db, nullptr);
-  Result<Rid> rid = db->Insert(MakeTuple(50, 500, 700));
+  Result<Rid> rid = AffectedRid(
+      db->ExecuteStatement(Statement::Insert(MakeTuple(50, 500, 700))));
   ASSERT_TRUE(rid.ok());
-  Result<Rid> new_rid = db->Update(rid.value(), MakeTuple(60, 510, 710));
+  Result<Rid> new_rid = AffectedRid(db->ExecuteStatement(
+      Statement::Update(rid.value(), MakeTuple(60, 510, 710))));
   ASSERT_TRUE(new_rid.ok());
-  Result<QueryResult> by_a = db->Execute(Query::Point(0, 60));
+  Result<StatementResult> by_a =
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 60)));
   ASSERT_TRUE(by_a.ok());
   EXPECT_EQ(Sorted(by_a->rids), Sorted(GroundTruth(*db, 0, 60, 60)));
-  Result<QueryResult> old_a = db->Execute(Query::Point(0, 50));
+  Result<StatementResult> old_a =
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 50)));
   ASSERT_TRUE(old_a.ok());
   for (const Rid& r : old_a->rids) EXPECT_NE(r, new_rid.value());
 }
@@ -77,17 +87,20 @@ TEST(DatabaseTest, DmlAfterBufferWarmupStaysConsistent) {
   ASSERT_NE(db, nullptr);
   // Warm the buffer on column A.
   for (Value v = 200; v < 210; ++v) {
-    ASSERT_TRUE(db->Execute(Query::Point(0, v)).ok());
+    ASSERT_TRUE(
+        db->ExecuteStatement(Statement::Select(Query::Point(0, v))).ok());
   }
   // DML against warm pages.
-  Result<Rid> rid = db->Insert(MakeTuple(205, 205, 205));
+  Result<Rid> rid = AffectedRid(
+      db->ExecuteStatement(Statement::Insert(MakeTuple(205, 205, 205))));
   ASSERT_TRUE(rid.ok());
-  Result<QueryResult> result = db->Execute(Query::Point(0, 205));
+  Result<StatementResult> result =
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 205)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, 0, 205, 205)));
 
-  ASSERT_TRUE(db->Delete(rid.value()).ok());
-  result = db->Execute(Query::Point(0, 205));
+  ASSERT_TRUE(db->ExecuteStatement(Statement::Delete(rid.value())).ok());
+  result = db->ExecuteStatement(Statement::Select(Query::Point(0, 205)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, 0, 205, 205)));
 }
@@ -111,11 +124,13 @@ TEST(DatabaseTest, TunerAdaptsThroughExecute) {
   ASSERT_TRUE(db->AttachTuner(0, options).ok());
   ASSERT_FALSE(db->GetIndex(0)->Covers(200));
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(db->Execute(Query::Point(0, 200)).ok());
+    ASSERT_TRUE(
+        db->ExecuteStatement(Statement::Select(Query::Point(0, 200))).ok());
   }
   EXPECT_TRUE(db->GetIndex(0)->Covers(200));
   // Results stay exact after adaptation.
-  Result<QueryResult> result = db->Execute(Query::Point(0, 200));
+  Result<StatementResult> result =
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 200)));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->stats.used_partial_index);
   EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, 0, 200, 200)));
@@ -129,10 +144,14 @@ TEST(DatabaseTest, TunerAdaptationKeepsBufferCountersConsistent) {
   ASSERT_TRUE(db->AttachTuner(0, options).ok());
   // Warm buffer, then force adaptation of a value.
   for (Value v = 100; v < 105; ++v) {
-    ASSERT_TRUE(db->Execute(Query::Point(0, v)).ok());
+    ASSERT_TRUE(
+        db->ExecuteStatement(Statement::Select(Query::Point(0, v))).ok());
   }
-  ASSERT_TRUE(db->Execute(Query::Point(0, 150)).ok());
-  ASSERT_TRUE(db->Execute(Query::Point(0, 150)).ok());  // adapts 150
+  ASSERT_TRUE(
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 150))).ok());
+  // Adapts 150.
+  ASSERT_TRUE(
+      db->ExecuteStatement(Statement::Select(Query::Point(0, 150))).ok());
   ASSERT_TRUE(db->GetIndex(0)->Covers(150));
 
   // Counter invariant across all pages.

@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <filesystem>
+#include <sstream>
 
+#include "../test_util.h"
 #include "common/rng.h"
 #include "core/consistency.h"
 #include "workload/catalog.h"
 
 namespace aib {
 namespace {
+
+using ::aib::testing::AffectedRid;
 
 std::string TempPath(const std::string& tag) {
   return (std::filesystem::temp_directory_path() /
@@ -50,7 +55,8 @@ class SnapshotTest : public ::testing::Test {
             .ok());
     // Warm the Index Buffer.
     for (Value v = 100; v < 110; ++v) {
-      EXPECT_TRUE(catalog->Execute(table, Query::Point(0, v)).ok());
+      EXPECT_TRUE(catalog->ExecuteStatement(
+          table, Statement::Select(Query::Point(0, v))).ok());
     }
     return catalog;
   }
@@ -88,8 +94,10 @@ TEST_F(SnapshotTest, RoundTripPreservesDataAndIndexes) {
 
   // Query results identical to the original.
   for (Value v : {25, 100, 105, 400}) {
-    Result<QueryResult> a = original->Execute(table, Query::Point(0, v));
-    Result<QueryResult> b = loaded->Execute(restored, Query::Point(0, v));
+    Result<StatementResult> a = original->ExecuteStatement(
+        table, Statement::Select(Query::Point(0, v)));
+    Result<StatementResult> b = loaded->ExecuteStatement(
+        restored, Statement::Select(Query::Point(0, v)));
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a->rids.size(), b->rids.size()) << "value " << v;
   }
@@ -118,7 +126,8 @@ TEST_F(SnapshotTest, IndexBufferComesBackWarmInColdTier) {
 
   // A first miss on the restored catalog already skips the pages the
   // pre-restart workload had covered — no re-indexing scan of them.
-  Result<QueryResult> first = loaded->Execute(restored, Query::Point(0, 200));
+  Result<StatementResult> first = loaded->ExecuteStatement(
+      restored, Statement::Select(Query::Point(0, 200)));
   ASSERT_TRUE(first.ok());
   EXPECT_GT(first->stats.pages_skipped, 0u);
 }
@@ -144,7 +153,8 @@ TEST_F(SnapshotTest, WarmRestartAnswersBitIdenticalToNeverEvictedTwin) {
   ASSERT_TRUE(
       original->CreatePartialIndex(table, 0, ValueCoverage::Range(1, 50))
           .ok());
-  ASSERT_TRUE(original->Execute(table, Query::Point(0, 200)).ok());
+  ASSERT_TRUE(original->ExecuteStatement(
+      table, Statement::Select(Query::Point(0, 200))).ok());
   IndexBuffer* buffer = original->GetBuffer(table, 0);
   ASSERT_NE(buffer, nullptr);
 
@@ -193,16 +203,18 @@ TEST_F(SnapshotTest, WarmRestartAnswersBitIdenticalToNeverEvictedTwin) {
   // the restored catalog promotes cold runs as it answers, and neither
   // the promotion nor the cold probes may perturb emission order.
   for (Value v = 1; v <= 500; v += 7) {
-    Result<QueryResult> a = original->Execute(table, Query::Point(0, v));
-    Result<QueryResult> b = loaded->Execute(restored, Query::Point(0, v));
+    Result<StatementResult> a = original->ExecuteStatement(
+        table, Statement::Select(Query::Point(0, v)));
+    Result<StatementResult> b = loaded->ExecuteStatement(
+        restored, Statement::Select(Query::Point(0, v)));
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a->rids, b->rids) << "value " << v;
   }
   for (Value lo : {1, 40, 95, 300}) {
-    Result<QueryResult> a =
-        original->Execute(table, Query::Range(0, lo, lo + 60));
-    Result<QueryResult> b =
-        loaded->Execute(restored, Query::Range(0, lo, lo + 60));
+    Result<StatementResult> a = original->ExecuteStatement(
+        table, Statement::Select(Query::Range(0, lo, lo + 60)));
+    Result<StatementResult> b = loaded->ExecuteStatement(
+        restored, Statement::Select(Query::Range(0, lo, lo + 60)));
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a->rids, b->rids) << "range [" << lo << "," << lo + 60 << "]";
   }
@@ -245,10 +257,13 @@ TEST_F(SnapshotTest, DmlAfterLoadStaysConsistent) {
   auto loaded = std::move(Catalog::LoadSnapshot(path_, Options())).value();
   Table* table = loaded->GetTable("t");
 
-  Result<Rid> rid = loaded->Insert(table, Tuple({77}, {"new"}));
+  Result<Rid> rid = AffectedRid(
+      loaded->ExecuteStatement(table, Statement::Insert(Tuple({77}, {"new"}))));
   ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(loaded->Execute(table, Query::Point(0, 77)).ok());
-  ASSERT_TRUE(loaded->Delete(table, rid.value()).ok());
+  ASSERT_TRUE(loaded->ExecuteStatement(
+      table, Statement::Select(Query::Point(0, 77))).ok());
+  ASSERT_TRUE(
+      loaded->ExecuteStatement(table, Statement::Delete(rid.value())).ok());
   ASSERT_TRUE(CheckSpaceConsistency(*table, *loaded->space()).ok());
 }
 
@@ -274,6 +289,30 @@ TEST_F(SnapshotTest, LoadTruncatedSnapshotFails) {
   std::filesystem::resize_file(path_, full_size / 2);
   EXPECT_TRUE(
       Catalog::LoadSnapshot(path_, Options()).status().IsCorruption());
+}
+
+TEST_F(SnapshotTest, LoadUnknownIndexStructureFails) {
+  auto original = MakeWarmCatalog();
+  std::stringstream snapshot(std::ios::in | std::ios::out |
+                             std::ios::binary);
+  ASSERT_TRUE(original->SaveSnapshotTo(snapshot).ok());
+  std::string bytes = snapshot.str();
+  // The index record follows the raw pages (magic, u32 page size, u64 page
+  // count, pages): u16 column 0, u8 structure kind, u32 one interval, i32
+  // lo = 1, i32 hi = 50.
+  uint32_t page_size = 0;
+  uint64_t page_count = 0;
+  std::memcpy(&page_size, bytes.data() + 8, sizeof(page_size));
+  std::memcpy(&page_count, bytes.data() + 12, sizeof(page_count));
+  const char record[] = {0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 50, 0, 0, 0};
+  const size_t at = bytes.find(std::string(record, sizeof(record)),
+                               20 + page_count * page_size);
+  ASSERT_NE(at, std::string::npos);
+  bytes[at + 2] = 2;  // no structure has kind 2
+  std::stringstream patched(bytes, std::ios::in | std::ios::binary);
+  EXPECT_TRUE(Catalog::LoadSnapshotFrom(patched, Options())
+                  .status()
+                  .IsCorruption());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "tools/shell_session.h"
 
+#include <optional>
 #include <sstream>
 
 #include "common/rng.h"
@@ -30,10 +31,11 @@ bool ParseKv(const std::string& token, const std::string& key,
   return true;
 }
 
-IndexStructureKind ParseKind(const std::string& name) {
+/// Null for an unknown structure name.
+std::optional<IndexStructureKind> ParseKind(const std::string& name) {
+  if (name == "btree") return IndexStructureKind::kBTree;
   if (name == "hash") return IndexStructureKind::kHash;
-  if (name == "csb") return IndexStructureKind::kCsbTree;
-  return IndexStructureKind::kBTree;
+  return std::nullopt;
 }
 
 /// Appends residual conjuncts parsed from COLUMN LO HI triplets starting at
@@ -74,17 +76,17 @@ Result<ShardResult> ShellSession::ExecuteSharded(
   return std::move(future).value().get();
 }
 
-Result<QueryResult> ShellSession::ExecuteQuery(Table* table,
-                                               const Query& query) {
+Result<StatementResult> ShellSession::ExecuteQuery(Table* table,
+                                                   const Query& query) {
   // Same whole-query retry policy as the QueryService: transients and
   // corruption get a fresh plan (quarantine/fallback inside the scan
   // operators heals the buffer between attempts); Timeout/Cancelled do not.
-  Result<QueryResult> result =
-      Result<QueryResult>(Status::Internal("query not attempted"));
+  Result<StatementResult> result =
+      Result<StatementResult>(Status::Internal("query not attempted"));
   for (int attempt = 0; attempt < 4; ++attempt) {
     const QueryControl control = MakeControl();
-    result = catalog_->Execute(table, query,
-                               deadline_.count() > 0 ? &control : nullptr);
+    result = catalog_->ExecuteStatement(table, Statement::Select(query),
+        deadline_.count() > 0 ? &control : nullptr);
     if (result.ok() || (!result.status().IsTransient() &&
                         !result.status().IsCorruption())) {
       break;
@@ -223,8 +225,10 @@ bool ShellSession::ExecuteLine(const std::string& line) {
     }
 
     if (command == "create_index") {
-      if (tokens.size() < 5) {
-        return Fail("create_index NAME COLUMN LO HI [btree|hash|csb]");
+      const std::optional<IndexStructureKind> kind =
+          ParseKind(tokens.size() > 5 ? tokens[5] : "btree");
+      if (tokens.size() < 5 || !kind.has_value()) {
+        return Fail("create_index NAME COLUMN LO HI [btree|hash]");
       }
       Table* table = catalog_->GetTable(tokens[1]);
       if (table == nullptr) return Fail("no table " + tokens[1]);
@@ -232,7 +236,7 @@ bool ShellSession::ExecuteLine(const std::string& line) {
       const Status status = catalog_->CreatePartialIndex(
           table, column,
           ValueCoverage::Range(std::stoi(tokens[3]), std::stoi(tokens[4])),
-          ParseKind(tokens.size() > 5 ? tokens[5] : "btree"));
+          *kind);
       if (!status.ok()) return Fail(status.ToString());
       out_ << "ok: partial index on " << tokens[1] << "." << column
            << " covering [" << tokens[3] << "," << tokens[4] << "]\n";
@@ -274,7 +278,7 @@ bool ShellSession::ExecuteLine(const std::string& line) {
       if (!ParseResiduals(tokens, base, &query)) {
         return Fail("residual predicates must be COLUMN LO HI triplets");
       }
-      Result<QueryResult> result = ExecuteQuery(table, query);
+      Result<StatementResult> result = ExecuteQuery(table, query);
       if (!result.ok()) return Fail(result.status().ToString());
       out_ << "rows=" << result->rids.size()
            << " cost=" << result->stats.cost
@@ -299,8 +303,9 @@ bool ShellSession::ExecuteLine(const std::string& line) {
         return Fail("residual predicates must be COLUMN LO HI triplets");
       }
       Executor* executor = catalog_->executor(table);
-      std::unique_ptr<PhysicalPlan> plan = executor->PlanQuery(query);
-      Result<QueryResult> result = executor->ExecutePlan(plan.get());
+      std::unique_ptr<PhysicalPlan> plan =
+          executor->PlanStatement(Statement::Select(query));
+      Result<StatementResult> result = executor->ExecutePlan(plan.get());
       if (!result.ok()) return Fail(result.status().ToString());
       out_ << ExplainPlan(*plan);
       out_ << "rows=" << result->rids.size()
@@ -321,7 +326,7 @@ bool ShellSession::ExecuteLine(const std::string& line) {
       for (size_t i = 0; i < count; ++i) {
         // Each query (and each retry attempt) gets a fresh budget; a session
         // deadline bounds the individual queries, not the whole batch.
-        Result<QueryResult> result = ExecuteQuery(
+        Result<StatementResult> result = ExecuteQuery(
             table, Query::Point(column,
                                 static_cast<Value>(rng.UniformInt(lo, hi))));
         if (!result.ok()) return Fail(result.status().ToString());
@@ -343,10 +348,10 @@ bool ShellSession::ExecuteLine(const std::string& line) {
       if (values.size() != table->schema().IntColumnIds().size()) {
         return Fail("value count does not match schema");
       }
-      Result<Rid> rid =
-          catalog_->Insert(table, Tuple(std::move(values), {"row"}));
-      if (!rid.ok()) return Fail(rid.status().ToString());
-      out_ << "ok: inserted at " << RidToString(rid.value()) << "\n";
+      Result<StatementResult> result = catalog_->ExecuteStatement(
+          table, Statement::Insert(Tuple(std::move(values), {"row"})));
+      if (!result.ok()) return Fail(result.status().ToString());
+      out_ << "ok: inserted at " << RidToString(result->rids.front()) << "\n";
       return true;
     }
 
@@ -363,11 +368,11 @@ bool ShellSession::ExecuteLine(const std::string& line) {
       if (values.size() != table->schema().IntColumnIds().size()) {
         return Fail("value count does not match schema");
       }
-      Result<Rid> new_rid =
-          catalog_->Update(table, rid, Tuple(std::move(values), {"row"}));
-      if (!new_rid.ok()) return Fail(new_rid.status().ToString());
+      Result<StatementResult> result = catalog_->ExecuteStatement(
+          table, Statement::Update(rid, Tuple(std::move(values), {"row"})));
+      if (!result.ok()) return Fail(result.status().ToString());
       out_ << "ok: updated " << RidToString(rid) << " -> "
-           << RidToString(new_rid.value()) << "\n";
+           << RidToString(result->rids.front()) << "\n";
       return true;
     }
 
@@ -377,7 +382,8 @@ bool ShellSession::ExecuteLine(const std::string& line) {
       if (table == nullptr) return Fail("no table " + tokens[1]);
       const Rid rid{static_cast<PageId>(std::stoull(tokens[2])),
                     static_cast<SlotId>(std::stoul(tokens[3]))};
-      const Status status = catalog_->Delete(table, rid);
+      const Status status =
+          catalog_->ExecuteStatement(table, Statement::Delete(rid)).status();
       if (!status.ok()) return Fail(status.ToString());
       out_ << "ok: deleted " << RidToString(rid) << "\n";
       return true;
@@ -625,15 +631,17 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
   }
 
   if (command == "create_index") {
-    if (tokens.size() < 5) {
-      return Fail("create_index NAME COLUMN LO HI [btree|hash|csb]");
+    const std::optional<IndexStructureKind> kind =
+        ParseKind(tokens.size() > 5 ? tokens[5] : "btree");
+    if (tokens.size() < 5 || !kind.has_value()) {
+      return Fail("create_index NAME COLUMN LO HI [btree|hash]");
     }
     if (table == nullptr) return Fail("no sharded table " + tokens[1]);
     const ColumnId column = static_cast<ColumnId>(std::stoi(tokens[2]));
     const Status status = table->db->CreatePartialIndex(
         column,
         ValueCoverage::Range(std::stoi(tokens[3]), std::stoi(tokens[4])),
-        ParseKind(tokens.size() > 5 ? tokens[5] : "btree"));
+        *kind);
     if (!status.ok()) return Fail(status.ToString());
     out_ << "ok: partial index on " << tokens[1] << "." << column
          << " covering [" << tokens[3] << "," << tokens[4] << "] on every shard\n";

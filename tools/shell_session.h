@@ -26,7 +26,7 @@ namespace aib::tools {
 ///                           hitting the disk path, where faults inject)
 ///   create_table NAME INTCOLS
 ///   load_random NAME COUNT LO HI [SEED]
-///   create_index NAME COLUMN LO HI [btree|hash|csb]
+///   create_index NAME COLUMN LO HI [btree|hash]
 ///   attach_tuner NAME COLUMN [WINDOW THRESHOLD CAPACITY]
 ///   query NAME COLUMN VALUE [COLUMN LO HI ...]
 ///   range NAME COLUMN LO HI [COLUMN LO HI ...]
@@ -109,7 +109,7 @@ class ShellSession {
   /// Executes one query with the session deadline and the same whole-query
   /// retry policy as the QueryService (retries transients and corruption,
   /// never Timeout/Cancelled).
-  Result<QueryResult> ExecuteQuery(Table* table, const Query& query);
+  Result<StatementResult> ExecuteQuery(Table* table, const Query& query);
 
   /// Dispatches a statement through `table`'s tenant scheduler as the
   /// session tenant, with the session deadline.
