@@ -1,21 +1,24 @@
-// Perf + correctness gate for predictive buffer management: the async
-// I/O scheduler (storage/io_scheduler.h), relevance-ordered page staging,
-// and the segmented scan-resistant eviction policy.
+// Perf + correctness gate for shared scans over the segmented
+// (scan-resistant) buffer pool.
 //
 // Leg A — scan fan-in. N identical full scans of an unindexed column run
-// concurrently through a QueryService over a buffer pool much smaller
-// than the table, in two configurations:
+// through a QueryService over a buffer pool a quarter the size of the
+// table, in three configurations:
 //
-//   baseline    — pure LRU eviction, no I/O scheduler, shared scans off:
-//                 every scan pays its own pass and the passes thrash each
-//                 other out of the pool;
-//   predictive  — segmented eviction + I/O scheduler + shared scans: the
-//                 scan set is registered with the scheduler, pages are
-//                 staged ahead of the cursor, and one pass serves all N.
+//   baseline  — pure LRU eviction, shared scans off, one service worker:
+//               the N scans run one after another and each pays its own
+//               pass. The pool is smaller than the table, so a sequential
+//               pass under LRU never finds a page it left behind and the
+//               reuse ratio is exactly 1 by construction;
+//   control   — pure LRU eviction, shared scans on, fan-in 1 only: the
+//               wall-gate reference that differs from `shared` only in
+//               the eviction policy;
+//   shared    — segmented eviction + shared scans, N service workers: the
+//               concurrent scans join one cooperative pass.
 //
 // The page-reuse ratio (exec.scan_pages_served / storage.pages_read,
 // measured as deltas around the timed region) is the paper-facing number:
-// pages delivered to scan consumers per distinct page fetched from disk.
+// pages delivered to scan consumers per page fetched from disk.
 //
 // Leg B — eviction thrash. A deterministic single-threaded BufferPool
 // workload: a small hot set is re-referenced while a long sequential
@@ -24,13 +27,11 @@
 // untouchable by single-touch sweep pages.
 //
 // Gates with --check:
-//   1. correctness (always): sorted rids identical between baseline and
-//      predictive at every fan-in.
-//   2. reuse ratio at fan-in 8: predictive >= 1.5x baseline.
-//   3. wall clock at fan-in 1: predictive <= control * 1.30 + 5 ms, where
-//      control is the seed configuration (shared scans on, LRU, no
-//      scheduler) — the pipeline must not tax solo scans relative to the
-//      system it replaced.
+//   1. correctness (always): sorted rids identical between baseline,
+//      control and shared at every fan-in.
+//   2. reuse ratio at fan-in 8: shared >= 1.5x baseline.
+//   3. wall clock at fan-in 1: shared <= control * 1.30 + 5 ms — segmented
+//      eviction must not tax a solo scan.
 //   4. thrash: segmented hot-set hit rate >= 0.75 and >= LRU + 0.25.
 //
 // --json=PATH emits the numbers for CI artifacts (BENCH_scan_fanin.json).
@@ -61,31 +62,30 @@ constexpr Value kValueMax = 50000;
 struct Config {
   const char* name;
   EvictionPolicy policy;
-  bool io_scheduler;
   bool shared_scans;
+  /// Runs the N scans of a batch through a single service worker, one
+  /// after another, instead of N concurrent workers.
+  bool one_worker;
 };
 
 /// The classic solo-pass LRU buffer manager the paper compares against:
-/// every scan pays its own pass.
+/// every scan pays its own pass, one scan at a time.
 constexpr Config kBaseline = {"baseline", EvictionPolicy::kLru,
-                              /*io_scheduler=*/false, /*shared_scans=*/false};
-/// The seed configuration of this repo (QueryService defaults): scans
-/// already cooperate, but the pool is pure LRU and staging is synchronous.
-/// This is the control for the wall gate — it isolates the cost of the
-/// scheduler + segmented eviction from the cost of the (pre-existing)
+                              /*shared_scans=*/false, /*one_worker=*/true};
+/// Shared scans over a pure LRU pool. The control for the wall gate: it
+/// isolates the cost of segmented eviction from the cost of the
 /// shared-scan machinery, whose per-page attach window taxes solo scans
 /// by design (see SharedScanManager).
 constexpr Config kControl = {"control", EvictionPolicy::kLru,
-                             /*io_scheduler=*/false, /*shared_scans=*/true};
-constexpr Config kPredictive = {"predictive", EvictionPolicy::kSegmented,
-                                /*io_scheduler=*/true, /*shared_scans=*/true};
+                             /*shared_scans=*/true, /*one_worker=*/false};
+constexpr Config kShared = {"shared", EvictionPolicy::kSegmented,
+                            /*shared_scans=*/true, /*one_worker=*/false};
 
 struct FanInResult {
   double wall_ms = 0;
   double reuse_ratio = 0;
   int64_t pages_read = 0;
   int64_t pages_served = 0;
-  double queue_depth_p95 = 0;
   std::vector<Rid> sorted_rids;  // of one scan (all scans return the same)
 };
 
@@ -97,8 +97,6 @@ std::unique_ptr<Database> MakeWorld(const bench::BenchArgs& args,
   DatabaseOptions options;
   options.enable_index_buffer = false;
   options.eviction_policy = config.policy;
-  options.enable_io_scheduler = config.io_scheduler;
-  options.io.workers = 2;
   // Sized after the table below: ~20 tuples/page.
   options.buffer_pool_pages = std::max<size_t>(64, args.num_tuples / 20 / 4);
   options.max_tuples_per_page = 20;
@@ -113,14 +111,14 @@ std::unique_ptr<Database> MakeWorld(const bench::BenchArgs& args,
   return db;
 }
 
-/// Runs `fanin` identical full scans concurrently and reports the median
-/// wall time over args.reps batches plus reuse-ratio deltas accumulated
-/// across the timed batches.
+/// Runs `fanin` identical full scans (concurrently, unless the config has
+/// one worker) and reports the median wall time over args.reps batches
+/// plus reuse-ratio deltas accumulated across the timed batches.
 FanInResult RunFanIn(const bench::BenchArgs& args, const Config& config,
                      size_t fanin) {
   std::unique_ptr<Database> db = MakeWorld(args, config);
   QueryServiceOptions service_options;
-  service_options.num_workers = fanin;
+  service_options.num_workers = config.one_worker ? 1 : fanin;
   service_options.queue_capacity = fanin * 4;
   service_options.shared_scans = config.shared_scans;
   QueryService service(db->executor(), service_options, &db->metrics());
@@ -160,8 +158,6 @@ FanInResult RunFanIn(const bench::BenchArgs& args, const Config& config,
       result.pages_read == 0
           ? 0
           : static_cast<double>(result.pages_served) / result.pages_read;
-  result.queue_depth_p95 =
-      db->metrics().HistogramCopy(kMetricIoQueueDepth).Percentile(0.95);
   return result;
 }
 
@@ -227,36 +223,34 @@ int Run(const bench::BenchArgs& args) {
 
   const std::vector<size_t> fanins = {1, 8};
   std::vector<FanInResult> baseline_runs;
-  std::vector<FanInResult> predictive_runs;
+  std::vector<FanInResult> shared_runs;
   const FanInResult control_run = RunFanIn(args, kControl, 1);
   bool correctness_ok = true;
   for (size_t fanin : fanins) {
     baseline_runs.push_back(RunFanIn(args, kBaseline, fanin));
-    predictive_runs.push_back(RunFanIn(args, kPredictive, fanin));
+    shared_runs.push_back(RunFanIn(args, kShared, fanin));
     const FanInResult& base = baseline_runs.back();
-    const FanInResult& pred = predictive_runs.back();
-    if (base.sorted_rids != pred.sorted_rids) {
+    const FanInResult& shared = shared_runs.back();
+    if (base.sorted_rids != shared.sorted_rids) {
       std::cout << "rids differ between configs at fan-in " << fanin << "\n";
       correctness_ok = false;
     }
     std::printf("fan-in %zu:\n", fanin);
-    std::printf("  baseline:   %8.3f ms  reuse %5.2f  (%lld served / %lld read)\n",
+    std::printf("  baseline: %8.3f ms  reuse %5.2f  (%lld served / %lld read)\n",
                 base.wall_ms, base.reuse_ratio,
                 static_cast<long long>(base.pages_served),
                 static_cast<long long>(base.pages_read));
     if (fanin == 1) {
-      std::printf("  control:    %8.3f ms  reuse %5.2f\n", control_run.wall_ms,
+      std::printf("  control:  %8.3f ms  reuse %5.2f\n", control_run.wall_ms,
                   control_run.reuse_ratio);
     }
-    std::printf("  predictive: %8.3f ms  reuse %5.2f  (%lld served / %lld read)"
-                "  io queue p95 %.0f\n",
-                pred.wall_ms, pred.reuse_ratio,
-                static_cast<long long>(pred.pages_served),
-                static_cast<long long>(pred.pages_read),
-                pred.queue_depth_p95);
+    std::printf("  shared:   %8.3f ms  reuse %5.2f  (%lld served / %lld read)\n",
+                shared.wall_ms, shared.reuse_ratio,
+                static_cast<long long>(shared.pages_served),
+                static_cast<long long>(shared.pages_read));
   }
-  if (control_run.sorted_rids != predictive_runs[0].sorted_rids) {
-    std::cout << "rids differ between control and predictive\n";
+  if (control_run.sorted_rids != shared_runs[0].sorted_rids) {
+    std::cout << "rids differ between control and shared\n";
     correctness_ok = false;
   }
 
@@ -267,22 +261,22 @@ int Run(const bench::BenchArgs& args) {
 
   // --- Gates ----------------------------------------------------------------
   int failures = 0;
-  std::cout << "correctness (baseline rids == predictive rids): "
+  std::cout << "correctness (baseline rids == shared rids): "
             << (correctness_ok ? "OK" : "FAIL") << "\n";
   if (!correctness_ok) ++failures;
 
   const double reuse_base = baseline_runs[1].reuse_ratio;
-  const double reuse_pred = predictive_runs[1].reuse_ratio;
-  const bool reuse_gate = reuse_pred >= 1.5 * reuse_base;
-  std::cout << "reuse gate:  predictive " << FormatDouble(reuse_pred, 2)
+  const double reuse_shared = shared_runs[1].reuse_ratio;
+  const bool reuse_gate = reuse_shared >= 1.5 * reuse_base;
+  std::cout << "reuse gate:  shared " << FormatDouble(reuse_shared, 2)
             << " >= 1.5 x baseline " << FormatDouble(reuse_base, 2)
             << " at fan-in 8: " << (reuse_gate ? "OK" : "FAIL") << "\n";
   if (!reuse_gate) ++failures;
 
   const double wall_control = control_run.wall_ms;
-  const double wall_pred = predictive_runs[0].wall_ms;
-  const bool wall_gate = wall_pred <= wall_control * 1.30 + 5.0;
-  std::cout << "wall gate:   predictive " << FormatDouble(wall_pred, 3)
+  const double wall_shared = shared_runs[0].wall_ms;
+  const bool wall_gate = wall_shared <= wall_control * 1.30 + 5.0;
+  std::cout << "wall gate:   shared " << FormatDouble(wall_shared, 3)
             << " ms <= control " << FormatDouble(wall_control, 3)
             << " x 1.30 + 5 ms at fan-in 1: " << (wall_gate ? "OK" : "FAIL")
             << "\n";
@@ -307,22 +301,19 @@ int Run(const bench::BenchArgs& args) {
          << "    \"baseline_ms\": "
          << FormatDouble(baseline_runs[0].wall_ms, 3) << ",\n"
          << "    \"control_ms\": " << FormatDouble(wall_control, 3) << ",\n"
-         << "    \"predictive_ms\": " << FormatDouble(wall_pred, 3) << ",\n"
+         << "    \"shared_ms\": " << FormatDouble(wall_shared, 3) << ",\n"
          << "    \"baseline_reuse\": "
          << FormatDouble(baseline_runs[0].reuse_ratio, 3) << ",\n"
-         << "    \"predictive_reuse\": "
-         << FormatDouble(predictive_runs[0].reuse_ratio, 3) << "\n"
+         << "    \"shared_reuse\": "
+         << FormatDouble(shared_runs[0].reuse_ratio, 3) << "\n"
          << "  },\n"
          << "  \"fanin_8\": {\n"
          << "    \"baseline_ms\": "
          << FormatDouble(baseline_runs[1].wall_ms, 3) << ",\n"
-         << "    \"predictive_ms\": "
-         << FormatDouble(predictive_runs[1].wall_ms, 3) << ",\n"
+         << "    \"shared_ms\": "
+         << FormatDouble(shared_runs[1].wall_ms, 3) << ",\n"
          << "    \"baseline_reuse\": " << FormatDouble(reuse_base, 3) << ",\n"
-         << "    \"predictive_reuse\": " << FormatDouble(reuse_pred, 3)
-         << ",\n"
-         << "    \"io_queue_depth_p95\": "
-         << FormatDouble(predictive_runs[1].queue_depth_p95, 1) << "\n"
+         << "    \"shared_reuse\": " << FormatDouble(reuse_shared, 3) << "\n"
          << "  },\n"
          << "  \"thrash\": {\n"
          << "    \"lru_hot_hit_rate\": "

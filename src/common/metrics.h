@@ -146,9 +146,6 @@ inline constexpr char kMetricQueriesCancelled[] = "service.queries_cancelled";
 inline constexpr char kMetricPartitionsQuarantined[] =
     "index_buffer.partitions_quarantined";
 inline constexpr char kMetricDegradedQueries[] = "exec.degraded_queries";
-inline constexpr char kMetricPrefetchHints[] = "storage.prefetch_hints";
-inline constexpr char kMetricPrefetchedPages[] =
-    "bufferpool.prefetched_pages";
 inline constexpr char kMetricDmlStatements[] = "exec.dml_statements";
 inline constexpr char kMetricServiceDmlExecuted[] = "service.dml_executed";
 // Sharding layer (routing + scatter-gather; live in the router's own
@@ -198,24 +195,12 @@ inline constexpr char kMetricShardLegsSkipped[] = "shard.legs_skipped";
 inline constexpr char kMetricShardPartialGathers[] = "shard.partial_gathers";
 inline constexpr char kMetricShardRestarts[] = "shard.restarts";
 inline constexpr char kMetricTenantShed[] = "tenant.shed";
-// Predictive buffer management (io_scheduler + segmented eviction).
-// `storage.prefetch_dropped` counts hints the pool had no frame for — the
-// gap the async scheduler closes by retrying high-relevance pages.
-inline constexpr char kMetricPrefetchDropped[] = "storage.prefetch_dropped";
+// Scan-resistant eviction (segmented buffer pool) and shared scans.
 inline constexpr char kMetricBufferPromotions[] = "bufferpool.promotions";
 inline constexpr char kMetricBufferDemotions[] = "bufferpool.demotions";
-inline constexpr char kMetricIoSchedRequests[] = "io_sched.requests";
-inline constexpr char kMetricIoSchedStaged[] = "io_sched.pages_staged";
-inline constexpr char kMetricIoSchedDropped[] = "io_sched.requests_dropped";
-inline constexpr char kMetricIoSchedRequeued[] = "io_sched.requests_requeued";
-inline constexpr char kMetricIoSchedExpired[] = "io_sched.requests_expired";
-inline constexpr char kMetricIoSchedCoalesced[] =
-    "io_sched.requests_coalesced";
 /// Pages delivered to scan consumers (the numerator of the page-reuse
 /// ratio; the denominator is storage.pages_read).
 inline constexpr char kMetricScanPagesServed[] = "exec.scan_pages_served";
-// Histogram name: queue depth sampled at every scheduler enqueue.
-inline constexpr char kMetricIoQueueDepth[] = "io_sched.queue_depth";
 // Two-tier Index Buffer Space (hot B+-tree / cold compacted runs).
 // Demotion compacts a victim partition into a read-only cold run instead
 // of dropping it; promotion restores it into the hot tier at memcpy cost.

@@ -39,8 +39,7 @@ Result<StatementResult> Executor::ExecutePlan(PhysicalPlan* plan,
     space_->OnQuery(plan->driver_index(), plan->driver_hit());
   }
   Result<StatementResult> result =
-      plan->Run(cost_model_, control, dispatcher_, parallel_options_,
-                io_scheduler_);
+      plan->Run(cost_model_, control, dispatcher_, parallel_options_);
   if (metrics_ != nullptr) {
     if (!result.ok() && result.status().IsTimeout()) {
       metrics_->Increment(kMetricQueriesTimedOut);

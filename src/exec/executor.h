@@ -108,14 +108,6 @@ class Executor {
     return parallel_options_;
   }
 
-  /// Enables the async prefetch pipeline for every execution through this
-  /// facade: scan operators register their remaining page ranges with
-  /// `scheduler` and route readahead requests through it. Borrowed, must
-  /// outlive the Executor; null (the default) keeps the legacy synchronous
-  /// free-frame-only readahead.
-  void SetIoScheduler(IoScheduler* scheduler) { io_scheduler_ = scheduler; }
-  IoScheduler* io_scheduler() const { return io_scheduler_; }
-
   /// Plans `statement` (selects via access-path selection, DML into write
   /// operators). The plan is single-use: run it through ExecutePlan, then
   /// render with ExplainPlan(*plan).
@@ -145,7 +137,6 @@ class Executor {
   Planner planner_;
   std::map<ColumnId, PartialIndex*> indexes_;
   MorselDispatcher* dispatcher_ = nullptr;
-  IoScheduler* io_scheduler_ = nullptr;
   ParallelScanOptions parallel_options_;
   /// Shared-only statement membrane (exclusive = quiesce; see class
   /// comment). Mutable: latching is not a logical mutation.

@@ -1,11 +1,9 @@
 #include "exec/morsel.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "exec/batch.h"
-#include "storage/io_scheduler.h"
 
 namespace aib {
 
@@ -129,26 +127,6 @@ Status LoadPageBatch(const Table& table, size_t page,
   return Status::Ok();
 }
 
-void PrefetchAhead(const Table& table, const ExecContext& ctx,
-                   size_t next_page) {
-  if (next_page >= table.PageCount()) return;
-  if (ctx.io_scheduler == nullptr) {
-    table.heap().PrefetchPage(next_page);
-    return;
-  }
-  const PageId page_id = table.heap().PageIdAt(next_page);
-  if (page_id == kInvalidPageId) return;
-  IoScheduler::PageRequest request;
-  request.page = page_id;
-  // Base relevance of a single scan's own readahead; concurrent scans that
-  // registered the page's range add their demand on top.
-  request.boost = 1.0;
-  if (ctx.control != nullptr && ctx.control->has_deadline()) {
-    request.deadline = ctx.control->deadline;
-  }
-  ctx.io_scheduler->Request(request);
-}
-
 namespace {
 
 /// Per-page output staged by a worker. Faults strike whole pages (the
@@ -188,9 +166,6 @@ void ProcessPlainMorsel(const Table& table,
         slot->status = s;
         return;
       }
-    }
-    if (ctx.parallel.prefetch && i + 1 < morsel.page_count) {
-      PrefetchAhead(table, ctx, page + 1);
     }
     if (Status s = LoadPageBatch(table, page, columns, &batch); !s.ok()) {
       slot->status = s;
@@ -243,9 +218,6 @@ void ProcessIndexingMorsel(const Table& table, const IndexBuffer& buffer,
         slot->status = s;
         return;
       }
-    }
-    if (ctx.parallel.prefetch && i + 1 < morsel.page_count) {
-      PrefetchAhead(table, ctx, page + 1);
     }
     if (Status s = LoadPageBatch(table, page, columns, &batch); !s.ok()) {
       // MarkPageIndexed has not run (it happens at apply time), so the

@@ -102,15 +102,6 @@ std::vector<ColumnId> PredicateColumns(
 Status LoadPageBatch(const Table& table, size_t page,
                      const std::vector<ColumnId>& columns, TupleBatch* batch);
 
-/// Readahead for `next_page` issued while the previous page is processed.
-/// With an I/O scheduler in `ctx` the request is enqueued there — carrying
-/// the statement's deadline, so the scheduler can order it against every
-/// other active scan's needs and retry it if no frame is free. Without one
-/// it falls back to the legacy synchronous free-frame-only
-/// HeapFile::PrefetchPage hint. Out-of-range pages are ignored.
-void PrefetchAhead(const Table& table, const ExecContext& ctx,
-                   size_t next_page);
-
 /// Plain table scan of the whole conjunction over every page, batch-kernel
 /// per page (branch-free selection refinement). Appends matching rids to
 /// `out` in physical order and adds the pages read to `*pages_scanned`.

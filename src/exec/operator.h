@@ -13,7 +13,6 @@
 
 namespace aib {
 
-class IoScheduler;
 class MorselDispatcher;
 
 /// Knobs of the morsel-parallel scan path (see exec/morsel.h). Threaded
@@ -26,11 +25,6 @@ struct ParallelScanOptions {
   /// Tables smaller than this many pages scan serially even with a
   /// dispatcher: the fan-out overhead outweighs a few pages of work.
   size_t min_pages_for_parallel = 64;
-  /// Issue a buffer-pool prefetch for the next page of a morsel while the
-  /// current one is processed. Off by default: prefetch reads bypass the
-  /// fault injector (suspended, so no draws are consumed), but benches are
-  /// the only place the readahead win matters.
-  bool prefetch = false;
 };
 
 /// Per-operator execution statistics, aggregated into QueryStats by the
@@ -79,11 +73,6 @@ struct ExecContext {
   const QueryControl* control = nullptr;
   /// Morsel dispatcher for intra-query parallel scans; null = serial.
   MorselDispatcher* dispatcher = nullptr;
-  /// Async prefetch pipeline (storage/io_scheduler.h); null = the legacy
-  /// synchronous free-frame-only readahead. Scan operators register their
-  /// remaining page ranges with it and route readahead requests through
-  /// it so loads are ordered by relevance across all active scans.
-  IoScheduler* io_scheduler = nullptr;
   ParallelScanOptions parallel;
   std::unordered_set<PageId> fetched_pages;
 

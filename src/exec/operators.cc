@@ -1,43 +1,14 @@
 #include "exec/operators.h"
 
-#include <chrono>
 #include <limits>
-#include <optional>
 #include <sstream>
 
 #include "core/consistency.h"
 #include "exec/batch.h"
 #include "exec/morsel.h"
 #include "storage/fault_injector.h"
-#include "storage/io_scheduler.h"
 
 namespace aib {
-
-namespace {
-
-/// The statement's deadline in the scheduler's optional form.
-std::optional<std::chrono::steady_clock::time_point> ControlDeadline(
-    const ExecContext& ctx) {
-  if (ctx.control != nullptr && ctx.control->has_deadline()) {
-    return ctx.control->deadline;
-  }
-  return std::nullopt;
-}
-
-/// Registers a whole-table scan's page range [first, last] with the
-/// context's I/O scheduler so staged loads are ordered by how many scans
-/// still need each page. Returns 0 (no registration) without a scheduler
-/// or for empty tables; the caller must UnregisterScan on Close.
-uint64_t RegisterTableScan(const Table& table, const ExecContext& ctx) {
-  if (ctx.io_scheduler == nullptr) return 0;
-  const size_t pages = table.PageCount();
-  if (pages == 0) return 0;
-  return ctx.io_scheduler->RegisterScan(
-      table.heap().PageIdAt(0), table.heap().PageIdAt(pages - 1) + 1,
-      ControlDeadline(ctx));
-}
-
-}  // namespace
 
 std::string PredicateToString(ColumnId column, Value lo, Value hi) {
   std::ostringstream out;
@@ -84,8 +55,6 @@ Status FullTableScan::Open(ExecContext* ctx) {
   // scan takes no structural latch and no sentinels). Concurrent scans and
   // probes share freely; DML of any page of this table waits.
   heap_latch_ = table_->page_latches().AcquireAllShared();
-  io_ = ctx->io_scheduler;
-  io_ticket_ = RegisterTableScan(*table_, *ctx);
   next_page_ = 0;
   cursor_ = 0;
   rids_.clear();
@@ -115,20 +84,12 @@ Result<bool> FullTableScan::NextBatch(TupleBatch* out) {
   AIB_RETURN_IF_ERROR(LoadPageBatch(*table_, next_page_, columns_, out));
   RefineSelection(predicates_, out);
   ++next_page_;
-  if (io_ticket_ != 0 && next_page_ < table_->PageCount()) {
-    // Consumed pages no longer raise scheduler demand for this scan.
-    io_->AdvanceScan(io_ticket_, table_->heap().PageIdAt(next_page_));
-  }
   ++stats_.pages_scanned;
   stats_.rows_out += out->ActiveCount();
   return true;
 }
 
 Status FullTableScan::Close() {
-  if (io_ticket_ != 0) {
-    io_->UnregisterScan(io_ticket_);
-    io_ticket_ = 0;
-  }
   heap_latch_.Release();
   return Status::Ok();
 }
@@ -374,9 +335,6 @@ Status IndexingTableScan::Open(ExecContext* ctx) {
   // 2's victim-drop wait cycle-free (see SelectPagesForBuffer). The morsel
   // workers of the scan leg never touch any of these latches (they are
   // read-only), so fanning out while holding them is deadlock-free.
-  io_ = ctx->io_scheduler;
-  io_ticket_ = RegisterTableScan(*table_, *ctx);
-
   structural_ = std::unique_lock<std::shared_mutex>(space_->latch());
 
   IndexBuffer* buffer = space_->GetBuffer(index_);
@@ -585,10 +543,6 @@ Result<bool> IndexingTableScan::NextBatch(TupleBatch* out) {
 }
 
 Status IndexingTableScan::Close() {
-  if (io_ticket_ != 0) {
-    io_->UnregisterScan(io_ticket_);
-    io_ticket_ = 0;
-  }
   Status status = probe_pipeline_->Close();
   if (tail_pipeline_ != nullptr) {
     const Status tail = tail_pipeline_->Close();

@@ -48,10 +48,6 @@ class FullTableScan : public PhysicalOperator {
   std::vector<Rid> rids_;
   size_t cursor_ = 0;
   PartitionLatchTable::LatchSet heap_latch_;
-  /// I/O-scheduler registration of this scan's remaining page range
-  /// (Open → Close); 0 = not registered.
-  IoScheduler* io_ = nullptr;
-  uint64_t io_ticket_ = 0;
 };
 
 /// Leaf: probes the partial index for value ∈ [lo, hi] (fully covered by
@@ -253,10 +249,6 @@ class IndexingTableScan : public PhysicalOperator {
   size_t probe_cursor_ = 0;
   size_t scan_cursor_ = 0;
   Stage stage_ = Stage::kProbe;
-  /// I/O-scheduler registration of this scan's remaining page range
-  /// (Open → Close); 0 = not registered.
-  IoScheduler* io_ = nullptr;
-  uint64_t io_ticket_ = 0;
 };
 
 /// Applies residual conjuncts to rid batches whose tuples are not read

@@ -111,15 +111,13 @@ PhysicalPlan::PhysicalPlan(std::unique_ptr<PhysicalOperator> root,
 Result<StatementResult> PhysicalPlan::Run(const CostModel& cost_model,
                                           const QueryControl* control,
                                           MorselDispatcher* dispatcher,
-                                          const ParallelScanOptions& parallel,
-                                          IoScheduler* io_scheduler) {
+                                          const ParallelScanOptions& parallel) {
   const int64_t start = NowNs();
   executed_ = true;
   ExecContext ctx;
   ctx.table = table_;
   ctx.control = control;
   ctx.dispatcher = dispatcher;
-  ctx.io_scheduler = io_scheduler;
   ctx.parallel = parallel;
 
   StatementResult result;

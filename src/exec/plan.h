@@ -53,13 +53,10 @@ class PhysicalPlan {
   /// Timeout/Cancelled instead of draining the plan. `dispatcher`,
   /// when non-null, enables morsel-parallel scans with the given options;
   /// results and cost-model stats are identical to the serial run.
-  /// `io_scheduler`, when non-null, gives scan operators the async
-  /// prefetch pipeline to register with and route readahead through.
   Result<StatementResult> Run(const CostModel& cost_model,
                               const QueryControl* control = nullptr,
                               MorselDispatcher* dispatcher = nullptr,
-                              const ParallelScanOptions& parallel = {},
-                              IoScheduler* io_scheduler = nullptr);
+                              const ParallelScanOptions& parallel = {});
 
   bool executed() const { return executed_; }
 

@@ -26,8 +26,7 @@ QueryService::QueryService(Executor* executor, QueryServiceOptions options,
     : executor_(executor),
       options_(options),
       metrics_(metrics),
-      scans_(metrics, executor == nullptr ? nullptr
-                                          : executor->io_scheduler()),
+      scans_(metrics),
       queue_(options.queue_capacity) {
   if (options_.scan_workers > 1) {
     dispatcher_ =

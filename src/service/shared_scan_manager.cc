@@ -1,16 +1,12 @@
 #include "service/shared_scan_manager.h"
 
-#include <algorithm>
 #include <condition_variable>
 #include <thread>
 #include <vector>
 
-#include "storage/io_scheduler.h"
-
 namespace aib {
 
-SharedScanManager::SharedScanManager(Metrics* metrics, IoScheduler* io)
-    : metrics_(metrics), io_(io) {
+SharedScanManager::SharedScanManager(Metrics* metrics) : metrics_(metrics) {
   if (metrics_ != nullptr) {
     served_counter_ = metrics_->Counter(kMetricScanPagesServed);
   }
@@ -57,17 +53,6 @@ Status SharedScanManager::Scan(
   Member me;
   me.fn = &fn;
 
-  // Register this member's full pass with the I/O scheduler: while the
-  // group works through the circular cursor, every page of the table is
-  // still ahead of some member, so the whole range stays relevant until
-  // this member detaches.
-  uint64_t io_ticket = 0;
-  if (io_ != nullptr) {
-    io_ticket = io_->RegisterScan(
-        table.heap().PageIdAt(0),
-        table.heap().PageIdAt(page_count - 1) + 1);
-  }
-
   // Attach: find or create the table's group; lock order is manager mutex,
   // then group mutex (erase below takes them in the same order).
   std::shared_ptr<ScanGroup> group;
@@ -113,20 +98,6 @@ Status SharedScanManager::Scan(
         // (simulated reads are memcpy-fast, so without it one scan can
         // monopolize a core for its whole pass).
         lock.unlock();
-        if (io_ != nullptr && page % kLookaheadPages == 0) {
-          // Top up the lookahead window once per window, not per page:
-          // batched RequestRange keeps the driver's amortized scheduler
-          // cost at one lock + wakeup per kLookaheadPages pages. The wrap
-          // is not chased past the end — those pages are re-requested when
-          // the cursor wraps. The member registrations above supply the
-          // demand weight.
-          const size_t last =
-              std::min(group->page_count - 1, page + kLookaheadPages);
-          if (last > page) {
-            io_->RequestRange(table.heap().PageIdAt(page + 1),
-                              table.heap().PageIdAt(last) + 1);
-          }
-        }
         std::this_thread::yield();
         std::vector<std::pair<Rid, Tuple>> tuples;
         const Status read = table.heap().ForEachTupleOnPage(
@@ -175,8 +146,6 @@ Status SharedScanManager::Scan(
       group->cv.notify_all();
     }
   }
-
-  if (io_ticket != 0) io_->UnregisterScan(io_ticket);
 
   // Detach; the last member out removes the group from the map.
   {

@@ -13,8 +13,6 @@
 
 namespace aib {
 
-class IoScheduler;
-
 /// Per-caller statistics of one shared scan.
 struct SharedScanStats {
   /// Pages delivered to this caller — always the table's page count on
@@ -45,13 +43,7 @@ struct SharedScanStats {
 /// coordinates the calling threads, typically QueryService workers.
 class SharedScanManager {
  public:
-  /// `io`, when non-null, is the async prefetch pipeline: every member
-  /// registers its remaining page range there (so the scheduler's
-  /// relevance ordering sees the whole active scan set), and the driver
-  /// issues a lookahead window of staging requests ahead of the cursor so
-  /// the next pages are resident by the time they are read.
-  explicit SharedScanManager(Metrics* metrics = nullptr,
-                             IoScheduler* io = nullptr);
+  explicit SharedScanManager(Metrics* metrics = nullptr);
 
   SharedScanManager(const SharedScanManager&) = delete;
   SharedScanManager& operator=(const SharedScanManager&) = delete;
@@ -73,13 +65,7 @@ class SharedScanManager {
   struct Member;
   struct ScanGroup;
 
-  /// Lookahead requests the driver keeps queued ahead of the cursor. Also
-  /// the batching granularity of the driver's RequestRange calls, so the
-  /// per-page scheduler cost is one lock + wakeup per kLookaheadPages.
-  static constexpr size_t kLookaheadPages = 8;
-
   Metrics* metrics_;  // not owned; may be null
-  IoScheduler* io_;   // not owned; may be null
   /// Cached handle of exec.scan_pages_served (null without metrics).
   std::atomic<int64_t>* served_counter_ = nullptr;
   mutable std::mutex mu_;

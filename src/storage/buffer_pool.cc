@@ -4,8 +4,6 @@
 #include <cassert>
 #include <thread>
 
-#include "storage/fault_injector.h"
-
 namespace aib {
 
 BufferPool::BufferPool(DiskManager* disk, size_t capacity, Metrics* metrics,
@@ -17,8 +15,6 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity, Metrics* metrics,
     misses_counter_ = metrics_->Counter(kMetricBufferMisses);
     pin_waits_counter_ = metrics_->Counter(kMetricBufferPinWaits);
     retries_counter_ = metrics_->Counter(kMetricTransientRetries);
-    prefetched_counter_ = metrics_->Counter(kMetricPrefetchedPages);
-    prefetch_dropped_counter_ = metrics_->Counter(kMetricPrefetchDropped);
     promotions_counter_ = metrics_->Counter(kMetricBufferPromotions);
     demotions_counter_ = metrics_->Counter(kMetricBufferDemotions);
   }
@@ -61,13 +57,9 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
         frame.in_lru = false;
       }
       // Re-reference of a probationary frame is the promotion signal: the
-      // page has proven it is not a one-touch sweep page. The first fetch
-      // of a staged frame is not a re-reference — the stage and this fetch
-      // are one logical touch (see Frame::staged).
-      if (frame.staged) {
-        frame.staged = false;
-      } else if (options_.policy == EvictionPolicy::kSegmented &&
-                 !frame.protected_seg) {
+      // page has proven it is not a one-touch sweep page.
+      if (options_.policy == EvictionPolicy::kSegmented &&
+          !frame.protected_seg) {
         Promote(shard, frame);
       }
       ++frame.pin_count;
@@ -115,7 +107,6 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
     frame.pin_count = 1;
     frame.dirty = false;
     frame.protected_seg = false;  // misses enter on probation
-    frame.staged = false;
     frame.in_lru = false;
     shard.table[page_id] = frame_index;
     ++shard.misses;
@@ -267,77 +258,6 @@ Status BufferPool::FlushAll() {
     }
   }
   return Status::Ok();
-}
-
-void BufferPool::Prefetch(PageId page_id) {
-  // A caller-issued hint never evicts: it has no relevance information, so
-  // displacing working-set pages for it would be a regression. The async
-  // scheduler, which does know relevance, stages with allow_evict instead.
-  StagePage(page_id, /*allow_evict=*/false);
-}
-
-BufferPool::StageStatus BufferPool::StagePage(PageId page_id,
-                                              bool allow_evict) {
-  Shard& shard = ShardFor(page_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.table.contains(page_id)) return StageStatus::kAlreadyResident;
-  size_t frame_index;
-  if (!shard.free_frames.empty()) {
-    frame_index = shard.free_frames.back();
-    shard.free_frames.pop_back();
-  } else if (allow_evict && options_.policy == EvictionPolicy::kSegmented &&
-             !shard.lru.empty()) {
-    // Claim the coldest probationary frame; the protected hot set is never
-    // displaced by a staged load.
-    frame_index = shard.lru.front();
-    Frame& victim = shard.frames[frame_index];
-    assert(victim.pin_count == 0);
-    if (victim.dirty) {
-      // A stage must not lose a dirty page. On write-back failure put the
-      // victim back at the cold end and report no frame; the hint is
-      // best-effort.
-      FaultInjector::ScopedSuspend suspend;
-      if (!WriteWithRetry(victim.page_id, *victim.page).ok()) {
-        if (prefetch_dropped_counter_ != nullptr) {
-          prefetch_dropped_counter_->fetch_add(1, std::memory_order_relaxed);
-        }
-        return StageStatus::kNoFrame;
-      }
-      victim.dirty = false;
-    }
-    shard.lru.pop_front();
-    victim.in_lru = false;
-    shard.table.erase(victim.page_id);
-  } else {
-    if (prefetch_dropped_counter_ != nullptr) {
-      prefetch_dropped_counter_->fetch_add(1, std::memory_order_relaxed);
-    }
-    return StageStatus::kNoFrame;
-  }
-  disk_->PrefetchHint(page_id);
-  Frame& frame = shard.frames[frame_index];
-  if (frame.page == nullptr) {
-    frame.page = std::make_unique<Page>(disk_->page_size());
-  }
-  // Single attempt, injection suspended: a hint must neither surface
-  // errors (the real FetchPage will) nor consume fault-stream draws.
-  FaultInjector::ScopedSuspend suspend;
-  if (!disk_->ReadPage(page_id, frame.page.get()).ok()) {
-    shard.free_frames.push_back(frame_index);
-    return StageStatus::kReadFailed;
-  }
-  frame.page_id = page_id;
-  frame.pin_count = 0;
-  frame.dirty = false;
-  frame.protected_seg = false;  // staged pages start on probation
-  frame.staged = true;
-  frame.lru_pos = shard.lru.insert(shard.lru.end(), frame_index);
-  frame.in_lru = true;
-  shard.table[page_id] = frame_index;
-  if (prefetched_counter_ != nullptr) {
-    prefetched_counter_->fetch_add(1, std::memory_order_relaxed);
-  }
-  return StageStatus::kStaged;
 }
 
 size_t BufferPool::CachedPages() const {

@@ -106,38 +106,6 @@ class BufferPool {
   /// Flushes every dirty frame.
   Status FlushAll();
 
-  /// Best-effort readahead: stages `page_id` into a *free* frame of its
-  /// shard, unpinned, so the next FetchPage hits. Never evicts (a hint must
-  /// not displace working-set pages), never fails (errors are swallowed —
-  /// the later FetchPage surfaces them), and never consumes fault-injector
-  /// draws (the read runs under FaultInjector::ScopedSuspend, so prefetch
-  /// cannot perturb a deterministic fault stream).
-  void Prefetch(PageId page_id);
-
-  /// Outcome of StagePage, the primitive under Prefetch and the async
-  /// I/O scheduler.
-  enum class StageStatus {
-    /// The page was read into a frame, unpinned, probationary.
-    kStaged,
-    /// The page was already buffered; nothing to do.
-    kAlreadyResident,
-    /// No frame available (free list empty and, unless eviction was
-    /// allowed, nothing evictable). Counted in storage.prefetch_dropped.
-    kNoFrame,
-    /// The read failed even with injection suspended; the frame was
-    /// returned to the free list. The later FetchPage surfaces the error.
-    kReadFailed,
-  };
-
-  /// Loads `page_id` into a frame without pinning it, with fault injection
-  /// suspended (a staged read must neither surface errors nor consume
-  /// fault-stream draws). `allow_evict` lets the stage claim the coldest
-  /// *probationary* frame when the free list is empty — only meaningful
-  /// under kSegmented, where the protected hot set is never displaced;
-  /// under kLru staging stays free-frame-only, because evicting for a hint
-  /// would displace working-set pages.
-  StageStatus StagePage(PageId page_id, bool allow_evict);
-
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
   size_t CachedPages() const;
@@ -152,11 +120,6 @@ class BufferPool {
     bool dirty = false;
     /// True when the frame belongs to the protected segment (kSegmented).
     bool protected_seg = false;
-    /// True between a StagePage load and the first FetchPage of it. The
-    /// stage and that fetch are one logical touch, so the fetch must not
-    /// count as the re-reference that promotes a frame — otherwise a
-    /// prefetched sweep would flood the protected segment.
-    bool staged = false;
     std::unique_ptr<Page> page;
     /// Position in the shard's lru/hot list when pin_count == 0.
     std::list<size_t>::iterator lru_pos;
@@ -224,8 +187,6 @@ class BufferPool {
   std::atomic<int64_t>* misses_counter_ = nullptr;
   std::atomic<int64_t>* pin_waits_counter_ = nullptr;
   std::atomic<int64_t>* retries_counter_ = nullptr;
-  std::atomic<int64_t>* prefetched_counter_ = nullptr;
-  std::atomic<int64_t>* prefetch_dropped_counter_ = nullptr;
   std::atomic<int64_t>* promotions_counter_ = nullptr;
   std::atomic<int64_t>* demotions_counter_ = nullptr;
 

@@ -27,9 +27,9 @@ struct SpillToken {
 /// through the DiskManager and the memory is released; a re-access reads
 /// the pages back and rebuilds the run.
 ///
-/// Spill I/O is *staging*, not query work: like the PR-9 IoScheduler it
-/// runs under FaultInjector::ScopedSuspend, so chaos soaks measure fault
-/// handling of the query path rather than of background tiering, and the
+/// Spill I/O is *staging*, not query work: it runs under
+/// FaultInjector::ScopedSuspend, so chaos soaks measure fault handling of
+/// the query path rather than of background tiering, and the
 /// pages_read/pages_written counters still account the transfers for the
 /// benches.
 ///

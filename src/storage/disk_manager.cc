@@ -9,7 +9,6 @@ DiskManager::DiskManager(uint32_t page_size, Metrics* metrics)
   if (metrics_ != nullptr) {
     pages_read_ = metrics_->Counter(kMetricPagesRead);
     pages_written_ = metrics_->Counter(kMetricPagesWritten);
-    prefetch_hints_ = metrics_->Counter(kMetricPrefetchHints);
   }
 }
 
@@ -79,13 +78,6 @@ Status DiskManager::RestorePage(PageId page_id,
   std::memcpy(pages_[page_id]->mutable_raw().data(), bytes.data(),
               page_size_);
   return Status::Ok();
-}
-
-void DiskManager::PrefetchHint(PageId page_id) {
-  (void)page_id;
-  if (prefetch_hints_ != nullptr) {
-    prefetch_hints_->fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace aib

@@ -23,7 +23,9 @@ namespace aib {
 /// The paper's testbed performed real I/O against a 220 MB table on an SSD;
 /// here the "disk" is a heap-allocated page array and I/O cost is charged
 /// per page transfer. The figures' shapes depend on how many pages a scan
-/// touches, which this accounting preserves exactly.
+/// touches, which this accounting preserves exactly. A read costs no
+/// latency, so there is no wait for readahead to hide and the engine has
+/// none: every page is read on demand by BufferPool::FetchPage.
 ///
 /// Thread-safe: a reader-writer latch lets concurrent ReadPage calls — the
 /// hot path of morsel-parallel scans — copy pages in parallel (the page
@@ -57,11 +59,6 @@ class DiskManager {
   /// Restores raw page bytes without I/O accounting (snapshot load only).
   Status RestorePage(PageId page_id, std::span<const uint8_t> bytes);
 
-  /// Readahead hint: the caller expects to read `page_id` soon. The
-  /// simulated disk has no request queue to reorder, so this only accounts
-  /// the hint; the buffer pool's Prefetch does the actual staging.
-  void PrefetchHint(PageId page_id);
-
   /// Direct const view of the authoritative page, charging nothing. Used by
   /// tests and integrity checks only — the engine goes through the buffer
   /// pool.
@@ -93,7 +90,6 @@ class DiskManager {
   /// atomic add per transfer instead of a name lookup.
   std::atomic<int64_t>* pages_read_ = nullptr;
   std::atomic<int64_t>* pages_written_ = nullptr;
-  std::atomic<int64_t>* prefetch_hints_ = nullptr;
   FaultInjector injector_;
   mutable std::shared_mutex mu_;
   std::vector<std::unique_ptr<Page>> pages_;

@@ -214,11 +214,6 @@ Status HeapFile::ForEachTuple(
   return Status::Ok();
 }
 
-void HeapFile::PrefetchPage(size_t page_index) const {
-  const PageId page_id = PageIdAt(page_index);
-  if (page_id != kInvalidPageId) pool_->Prefetch(page_id);
-}
-
 void HeapFile::RestoreState(std::vector<PageId> page_ids,
                             size_t tuple_count) {
   std::unique_lock lock(dir_mu_);

@@ -106,15 +106,9 @@ class HeapFile {
   Status ForEachTuple(
       const std::function<void(const Rid&, const Tuple&)>& fn) const;
 
-  /// Best-effort readahead hint for the idx-th page (see
-  /// BufferPool::Prefetch): never fails, never evicts, never consumes
-  /// fault-injector draws. Out-of-range indices are ignored.
-  void PrefetchPage(size_t page_index) const;
-
   /// PageId of the idx-th page, or kInvalidPageId when out of range. Pure
   /// directory lookup (no page fetch); ids are ascending in physical
-  /// order, so [PageIdAt(0), PageIdAt(n-1)] is a contiguous range the
-  /// I/O scheduler can register scans against.
+  /// order.
   PageId PageIdAt(size_t page_index) const;
 
   /// Restores the file's bookkeeping after a snapshot load: the page ids

@@ -14,10 +14,6 @@ Catalog::Catalog(CatalogOptions options) : options_(options) {
   pool_ = std::make_unique<BufferPool>(disk_.get(),
                                        options_.buffer_pool_pages, &metrics_,
                                        pool_options);
-  if (options_.enable_io_scheduler) {
-    io_sched_ = std::make_unique<IoScheduler>(pool_.get(), &metrics_,
-                                              options_.io);
-  }
   if (options_.enable_index_buffer) {
     space_ = std::make_unique<IndexBufferSpace>(options_.space, &metrics_);
     // Cold runs that overflow the resident budget spill through the shared
@@ -39,7 +35,6 @@ Result<Table*> Catalog::CreateTable(const std::string& name, Schema schema) {
   state->executor = std::make_unique<Executor>(
       state->table.get(), space_.get(), options_.cost, &metrics_);
   state->executor->SetBufferOptions(options_.buffer);
-  state->executor->SetIoScheduler(io_sched_.get());
   Table* raw = state->table.get();
   tables_.emplace_back(name, std::move(state));
   return raw;

@@ -15,7 +15,6 @@
 #include "index/partial_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
-#include "storage/io_scheduler.h"
 #include "storage/table.h"
 
 namespace aib {
@@ -37,12 +36,6 @@ struct CatalogOptions {
   /// Replacement policy of the shared buffer pool (segmented = scan-
   /// resistant; see storage/buffer_pool.h).
   EvictionPolicy eviction_policy = EvictionPolicy::kSegmented;
-  /// Stand up the async prefetch pipeline (storage/io_scheduler.h) and
-  /// wire it into every table's executor. Off by default — it spawns
-  /// `io.workers` background staging threads per catalog, which services
-  /// and benches opt into explicitly.
-  bool enable_io_scheduler = false;
-  IoSchedulerOptions io;
 };
 
 /// A multi-table catalog: all tables share one disk, one page buffer pool,
@@ -60,8 +53,6 @@ class Catalog {
   Metrics& metrics() { return metrics_; }
   IndexBufferSpace* space() { return space_.get(); }
   BufferPool& buffer_pool() { return *pool_; }
-  /// The async prefetch pipeline; null unless enable_io_scheduler.
-  IoScheduler* io_scheduler() { return io_sched_.get(); }
   /// The shared disk manager — exposed so tools/tests can arm its
   /// FaultInjector (chaos mode).
   DiskManager& disk() { return *disk_; }
@@ -164,8 +155,6 @@ class Catalog {
   /// disk_ so it outlives the space that holds a raw pointer to it.
   std::unique_ptr<ColdSpillStore> cold_spill_;
   std::unique_ptr<BufferPool> pool_;
-  /// Declared after pool_ so its workers stop before the pool dies.
-  std::unique_ptr<IoScheduler> io_sched_;
   std::unique_ptr<IndexBufferSpace> space_;
   /// Keyed by table name; pointers handed out remain stable.
   std::vector<std::pair<std::string, std::unique_ptr<TableState>>> tables_;

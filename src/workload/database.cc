@@ -14,8 +14,6 @@ CatalogOptions Database::ToCatalogOptions(const DatabaseOptions& options) {
   catalog_options.enable_index_buffer = options.enable_index_buffer;
   catalog_options.cost = options.cost;
   catalog_options.eviction_policy = options.eviction_policy;
-  catalog_options.enable_io_scheduler = options.enable_io_scheduler;
-  catalog_options.io = options.io;
   return catalog_options;
 }
 

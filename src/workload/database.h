@@ -25,10 +25,6 @@ struct DatabaseOptions {
   CostModelOptions cost;
   /// Replacement policy of the page buffer pool (see storage/buffer_pool.h).
   EvictionPolicy eviction_policy = EvictionPolicy::kSegmented;
-  /// Stand up the async prefetch pipeline (storage/io_scheduler.h); see
-  /// CatalogOptions::enable_io_scheduler.
-  bool enable_io_scheduler = false;
-  IoSchedulerOptions io;
 };
 
 /// The single-table convenience facade: one table, its partial secondary

@@ -218,78 +218,5 @@ TEST_F(BufferPoolTest, SegmentedEvictionKeepsHotSetThroughSweep) {
   EXPECT_EQ(pool_.misses(), misses_before);  // hot set survived the sweep
 }
 
-TEST_F(BufferPoolTest, StagedFetchIsOneTouchAndDoesNotPromote) {
-  // Stage + first fetch are one logical touch: the fetch clears the staged
-  // flag but must not promote, or a prefetched sweep would flood the
-  // protected segment.
-  pool_.Prefetch(0);
-  ASSERT_TRUE(pool_.FetchPage(0).ok());
-  ASSERT_TRUE(pool_.UnpinPage(0, false).ok());
-  EXPECT_EQ(metrics_.Get(kMetricBufferPromotions), 0);
-  // The second fetch is a genuine re-reference and promotes.
-  ASSERT_TRUE(pool_.FetchPage(0).ok());
-  ASSERT_TRUE(pool_.UnpinPage(0, false).ok());
-  EXPECT_EQ(metrics_.Get(kMetricBufferPromotions), 1);
-}
-
-TEST_F(BufferPoolTest, PrefetchIntoFullPoolIsDroppedAndCounted) {
-  for (PageId id = 0; id < 3; ++id) {
-    ASSERT_TRUE(pool_.FetchPage(id).ok());
-    ASSERT_TRUE(pool_.UnpinPage(id, false).ok());
-  }
-  // The hint must not displace resident pages: it is dropped, counted, and
-  // the working set keeps hitting.
-  pool_.Prefetch(5);
-  EXPECT_EQ(metrics_.Get(kMetricPrefetchDropped), 1);
-  EXPECT_EQ(pool_.CachedPages(), 3u);
-  const int64_t misses_before = pool_.misses();
-  for (PageId id = 0; id < 3; ++id) {
-    ASSERT_TRUE(pool_.FetchPage(id).ok());
-    ASSERT_TRUE(pool_.UnpinPage(id, false).ok());
-  }
-  EXPECT_EQ(pool_.misses(), misses_before);
-}
-
-TEST_F(BufferPoolTest, StagePageEvictsProbationOnlyNeverProtected) {
-  // Protect pages 0 and 1; page 2 stays probationary.
-  for (int touch = 0; touch < 2; ++touch) {
-    for (PageId id = 0; id < 2; ++id) {
-      ASSERT_TRUE(pool_.FetchPage(id).ok());
-      ASSERT_TRUE(pool_.UnpinPage(id, false).ok());
-    }
-  }
-  ASSERT_TRUE(pool_.FetchPage(2).ok());
-  ASSERT_TRUE(pool_.UnpinPage(2, false).ok());
-  // An evicting stage claims the coldest probationary frame (page 2), not
-  // the protected hot set.
-  EXPECT_EQ(pool_.StagePage(3, /*allow_evict=*/true),
-            BufferPool::StageStatus::kStaged);
-  const int64_t misses_before = pool_.misses();
-  ASSERT_TRUE(pool_.FetchPage(0).ok());
-  ASSERT_TRUE(pool_.UnpinPage(0, false).ok());
-  ASSERT_TRUE(pool_.FetchPage(1).ok());
-  ASSERT_TRUE(pool_.UnpinPage(1, false).ok());
-  ASSERT_TRUE(pool_.FetchPage(3).ok());  // staged -> hit
-  ASSERT_TRUE(pool_.UnpinPage(3, false).ok());
-  EXPECT_EQ(pool_.misses(), misses_before);
-  ASSERT_TRUE(pool_.FetchPage(2).ok());  // the probationary victim
-  ASSERT_TRUE(pool_.UnpinPage(2, false).ok());
-  EXPECT_EQ(pool_.misses(), misses_before + 1);
-}
-
-TEST_F(BufferPoolTest, StagePageReportsResidentAndStagesFresh) {
-  ASSERT_TRUE(pool_.FetchPage(0).ok());
-  ASSERT_TRUE(pool_.UnpinPage(0, false).ok());
-  EXPECT_EQ(pool_.StagePage(0, /*allow_evict=*/false),
-            BufferPool::StageStatus::kAlreadyResident);
-  EXPECT_EQ(pool_.StagePage(1, /*allow_evict=*/false),
-            BufferPool::StageStatus::kStaged);
-  EXPECT_EQ(metrics_.Get(kMetricPrefetchedPages), 1);
-  const int64_t misses_before = pool_.misses();
-  ASSERT_TRUE(pool_.FetchPage(1).ok());
-  ASSERT_TRUE(pool_.UnpinPage(1, false).ok());
-  EXPECT_EQ(pool_.misses(), misses_before);
-}
-
 }  // namespace
 }  // namespace aib

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace aib::tools {
 namespace {
@@ -154,10 +155,20 @@ TEST_F(ShellTest, StatsIncludesBufferPoolSummary) {
   EXPECT_TRUE(Exec("create_table t 1"));
   EXPECT_TRUE(Exec("load_random t 400 1 100 3"));
   EXPECT_TRUE(Exec("stats"));
-  EXPECT_NE(Output().find("buffer: hit_rate="), std::string::npos);
-  EXPECT_NE(Output().find("prefetch_issued="), std::string::npos);
-  EXPECT_NE(Output().find("page_reuse="), std::string::npos);
-  EXPECT_NE(Output().find("io_queue_p95="), std::string::npos);
+  const std::string output = Output();
+  const size_t line = output.find("buffer: hit_rate=");
+  ASSERT_NE(line, std::string::npos);
+  // The line is exactly "buffer: hit_rate=<ratio> page_reuse=<ratio>".
+  std::istringstream fields(
+      output.substr(line, output.find('\n', line) - line));
+  std::string label, hit_rate, page_reuse, extra;
+  fields >> label >> hit_rate >> page_reuse;
+  EXPECT_FALSE(fields >> extra) << "unexpected field " << extra;
+  ASSERT_EQ(hit_rate.rfind("hit_rate=", 0), 0u);
+  const double rate = std::stod(hit_rate.substr(9));
+  EXPECT_GE(rate, 0.0);
+  EXPECT_LE(rate, 1.0);
+  EXPECT_EQ(page_reuse.rfind("page_reuse=", 0), 0u);
 }
 
 TEST_F(ShellTest, FaultArmAndDisarm) {

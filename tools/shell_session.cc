@@ -479,15 +479,10 @@ bool ShellSession::ExecuteLine(const std::string& line) {
                    ? 0.0
                    : static_cast<double>(hits) /
                          static_cast<double>(hits + misses))
-           << " prefetch_issued=" << metrics.Get(kMetricIoSchedRequests)
-           << " prefetch_staged=" << metrics.Get(kMetricIoSchedStaged)
-           << " prefetch_dropped=" << metrics.Get(kMetricPrefetchDropped)
            << " page_reuse="
            << (pages_read == 0 ? 0.0
                                : static_cast<double>(pages_served) /
                                      static_cast<double>(pages_read))
-           << " io_queue_p95="
-           << metrics.HistogramCopy(kMetricIoQueueDepth).Percentile(0.95)
            << "\n";
       out_ << "tiering: demoted=" << metrics.Get(kMetricColdPartitionsDemoted)
            << " promoted=" << metrics.Get(kMetricColdPartitionsPromoted)
