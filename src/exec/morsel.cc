@@ -211,8 +211,8 @@ void ProcessIndexingMorsel(const Table& table, const IndexBuffer& buffer,
       slot->pages.push_back(std::move(work));
       continue;
     }
-    // Control check before the page is touched, exactly like the serial
-    // scan: an abort never leaves a partially processed page.
+    // Control check before the page is touched: an abort never leaves a
+    // partially processed page.
     if (ctx.control != nullptr) {
       if (Status s = ctx.control->Check(); !s.ok()) {
         slot->status = s;
@@ -249,22 +249,22 @@ void ProcessIndexingMorsel(const Table& table, const IndexBuffer& buffer,
 }
 
 Status ApplyIndexingSlot(const MorselSlot& slot, IndexBuffer* buffer,
-                         std::vector<Rid>* out, IndexingScanStats* stats,
+                         std::vector<Rid>* out, AccessPathCounters* stats,
                          IndexingScanFailure* failure) {
   for (const PageWork& work : slot.pages) {
     if (work.skipped) {
-      if (stats != nullptr) ++stats->pages_skipped;
+      ++stats->pages_skipped;
       continue;
     }
     out->insert(out->end(), work.matches.begin(), work.matches.end());
     for (const auto& [value, rid] : work.inserts) {
       buffer->AddTuple(work.page, value, rid);
-      if (stats != nullptr) ++stats->entries_added;
     }
+    stats->entries_added += work.inserts.size();
     if (work.selected) buffer->MarkPageIndexed(work.page);
-    if (stats != nullptr) ++stats->pages_scanned;
+    ++stats->pages_scanned;
   }
-  if (!slot.status.ok() && slot.failed && failure != nullptr) {
+  if (!slot.status.ok() && slot.failed) {
     failure->failed = true;
     failure->page = slot.failed_page;
     failure->counter_before = slot.counter_before;
@@ -272,9 +272,32 @@ Status ApplyIndexingSlot(const MorselSlot& slot, IndexBuffer* buffer,
   return slot.status;
 }
 
-bool UseParallel(const ExecContext& ctx, size_t page_count) {
-  return ctx.dispatcher != nullptr && ctx.dispatcher->worker_count() > 1 &&
-         page_count >= ctx.parallel.min_pages_for_parallel;
+/// The one morsel loop: process(morsel, slot) stages each morsel — fanned
+/// out to the dispatcher when the table is large enough, inline otherwise
+/// — and apply(slot) consumes the slots on the calling thread in morsel
+/// order, stopping at the first slot that carries an error. Inline runs
+/// apply each morsel right after staging it; either way the applied
+/// prefix, and so every result and counter, is the serial one.
+template <typename Process, typename Apply>
+Status RunMorsels(const ExecContext& ctx, size_t page_count,
+                  const std::vector<Morsel>& morsels, const Process& process,
+                  const Apply& apply) {
+  const bool parallel = ctx.dispatcher != nullptr &&
+                        ctx.dispatcher->worker_count() > 1 &&
+                        page_count >= ctx.parallel.min_pages_for_parallel;
+  if (!parallel) {
+    for (const Morsel& morsel : morsels) {
+      MorselSlot slot;
+      process(morsel, &slot);
+      AIB_RETURN_IF_ERROR(apply(slot));
+    }
+    return Status::Ok();
+  }
+  std::vector<MorselSlot> slots(morsels.size());
+  ctx.dispatcher->RunJob(morsels.size(),
+                         [&](size_t i) { process(morsels[i], &slots[i]); });
+  for (const MorselSlot& slot : slots) AIB_RETURN_IF_ERROR(apply(slot));
+  return Status::Ok();
 }
 
 }  // namespace
@@ -285,64 +308,39 @@ Status MorselPlainScan(const Table& table,
                        size_t* pages_scanned) {
   const std::vector<ColumnId> columns = PredicateColumns(predicates);
   const size_t page_count = table.PageCount();
-  const std::vector<Morsel> morsels =
-      MakeMorsels(page_count, ctx.parallel.morsel_pages);
-  if (UseParallel(ctx, page_count)) {
-    std::vector<MorselSlot> slots(morsels.size());
-    ctx.dispatcher->RunJob(morsels.size(), [&](size_t i) {
-      ProcessPlainMorsel(table, predicates, columns, ctx, morsels[i],
-                         &slots[i]);
-    });
-    // Merge in morsel order = serial page order; stop at the first failed
-    // slot so the caller sees exactly the serial prefix.
-    for (const MorselSlot& slot : slots) {
-      AIB_RETURN_IF_ERROR(ApplyPlainSlot(slot, out, pages_scanned));
-    }
-    return Status::Ok();
-  }
-  for (const Morsel& morsel : morsels) {
-    MorselSlot slot;
-    ProcessPlainMorsel(table, predicates, columns, ctx, morsel, &slot);
-    AIB_RETURN_IF_ERROR(ApplyPlainSlot(slot, out, pages_scanned));
-  }
-  return Status::Ok();
+  return RunMorsels(
+      ctx, page_count, MakeMorsels(page_count, ctx.parallel.morsel_pages),
+      [&](const Morsel& morsel, MorselSlot* slot) {
+        ProcessPlainMorsel(table, predicates, columns, ctx, morsel, slot);
+      },
+      [&](const MorselSlot& slot) {
+        return ApplyPlainSlot(slot, out, pages_scanned);
+      });
 }
 
 Status MorselIndexingScan(const Table& table, IndexBuffer* buffer,
                           const std::unordered_set<size_t>& selected,
                           const std::vector<ColumnPredicate>& predicates,
                           const ExecContext& ctx, std::vector<Rid>* out,
-                          IndexingScanStats* stats,
+                          AccessPathCounters* stats,
                           IndexingScanFailure* failure) {
   buffer->counters().EnsureSize(table.PageCount());
   const std::vector<ColumnId> columns = PredicateColumns(predicates);
   const size_t page_count = table.PageCount();
   // Partition-aligned morsels: a morsel's staged inserts land in exactly
-  // one Index Buffer partition.
-  const std::vector<Morsel> morsels =
+  // one Index Buffer partition. Workers only read; every buffer mutation
+  // happens in apply, under the latches the caller holds.
+  return RunMorsels(
+      ctx, page_count,
       MakeMorsels(page_count, ctx.parallel.morsel_pages,
-                  buffer->options().partition_pages);
-  if (UseParallel(ctx, page_count)) {
-    std::vector<MorselSlot> slots(morsels.size());
-    ctx.dispatcher->RunJob(morsels.size(), [&](size_t i) {
-      ProcessIndexingMorsel(table, *buffer, selected, predicates, columns,
-                            ctx, morsels[i], &slots[i]);
-    });
-    // Apply under the space latch the caller already holds, in morsel
-    // order up to the first failure — bit-identical to the serial scan.
-    for (const MorselSlot& slot : slots) {
-      AIB_RETURN_IF_ERROR(
-          ApplyIndexingSlot(slot, buffer, out, stats, failure));
-    }
-    return Status::Ok();
-  }
-  for (const Morsel& morsel : morsels) {
-    MorselSlot slot;
-    ProcessIndexingMorsel(table, *buffer, selected, predicates, columns,
-                          ctx, morsel, &slot);
-    AIB_RETURN_IF_ERROR(ApplyIndexingSlot(slot, buffer, out, stats, failure));
-  }
-  return Status::Ok();
+                  buffer->options().partition_pages),
+      [&](const Morsel& morsel, MorselSlot* slot) {
+        ProcessIndexingMorsel(table, *buffer, selected, predicates, columns,
+                              ctx, morsel, slot);
+      },
+      [&](const MorselSlot& slot) {
+        return ApplyIndexingSlot(slot, buffer, out, stats, failure);
+      });
 }
 
 }  // namespace aib

@@ -14,7 +14,6 @@
 #include "common/query_control.h"
 #include "common/status.h"
 #include "core/index_buffer.h"
-#include "core/indexing_scan.h"
 #include "exec/operator.h"
 #include "exec/query.h"
 #include "storage/table.h"
@@ -117,17 +116,31 @@ Status MorselPlainScan(const Table& table,
                        const ExecContext& ctx, std::vector<Rid>* out,
                        size_t* pages_scanned);
 
+/// Where an indexing scan failed, reported so the caller can repair the
+/// Index Buffer (quarantine the page's partition and restore C[page] to
+/// `counter_before`, the pre-scan value captured at failure time — the page
+/// may have been partially indexed when the fault struck, which would
+/// otherwise leave both the partition coverage and the counter wrong).
+struct IndexingScanFailure {
+  bool failed = false;
+  size_t page = 0;
+  uint32_t counter_before = 0;
+};
+
 /// The scan leg of Algorithm 1 (lines 11–17) over the morsel machinery:
 /// skips C[p] == 0 pages, collects matches for predicates[0] ∈ [lo, hi]
 /// AND the residual conjuncts, and indexes every uncovered tuple of pages
-/// in `selected`.
+/// in `selected`. Adds pages_scanned, pages_skipped and entries_added to
+/// `*stats`; fills `*failure` on a repairable page fault (not on a
+/// deadline/cancel abort, which fires before a page is touched).
 ///
-/// Parallel protocol: the caller already holds the Index Buffer Space
-/// latch exclusively (IndexingTableScan's Open/Close scope). Workers are
+/// Parallel protocol: the caller already holds the buffer's scan sentinel
+/// exclusively and every heap stripe shared (IndexingTableScan's
+/// Open/Close scope). Workers are
 /// strictly read-only — they read frozen C[p] counters, the immutable
 /// partial-index coverage, and heap pages; every buffer mutation is staged
 /// thread-locally per *complete* page. The calling thread then applies the
-/// staged pages under the latch it already holds, in morsel order, up to
+/// staged pages under the latches it already holds, in morsel order, up to
 /// the first failed page — so AddTuple/MarkPageIndexed ordering, C[p]
 /// accounting, `stats`, and the failure report are bit-identical to the
 /// serial scan for any worker count. Injected page faults are whole-page
@@ -137,7 +150,7 @@ Status MorselIndexingScan(const Table& table, IndexBuffer* buffer,
                           const std::unordered_set<size_t>& selected,
                           const std::vector<ColumnPredicate>& predicates,
                           const ExecContext& ctx, std::vector<Rid>* out,
-                          IndexingScanStats* stats,
+                          AccessPathCounters* stats,
                           IndexingScanFailure* failure);
 
 }  // namespace aib

@@ -9,6 +9,7 @@
 #include "common/result.h"
 #include "common/types.h"
 #include "exec/batch.h"
+#include "exec/query.h"
 #include "storage/table.h"
 
 namespace aib {
@@ -16,8 +17,9 @@ namespace aib {
 class MorselDispatcher;
 
 /// Knobs of the morsel-parallel scan path (see exec/morsel.h). Threaded
-/// through ExecContext; scans fall back to the serial batch loop when no
-/// dispatcher is configured or the table is below the parallel floor.
+/// through ExecContext; scans run their morsels inline on the calling
+/// thread when no dispatcher is configured or the table is below the
+/// parallel floor.
 struct ParallelScanOptions {
   /// Pages per morsel. Morsels are aligned so none spans an Index Buffer
   /// partition boundary.
@@ -27,39 +29,13 @@ struct ParallelScanOptions {
   size_t min_pages_for_parallel = 64;
 };
 
-/// Per-operator execution statistics, aggregated into QueryStats by the
-/// plan and rendered per node by ExplainPlan().
-struct OperatorStats {
+/// Per-operator execution statistics, summed into QueryStats by the plan
+/// and rendered per node by ExplainPlan().
+struct OperatorStats : AccessPathCounters {
   /// Rows this operator emitted to its parent.
   size_t rows_out = 0;
   /// Rows pulled from children (Filter reports its selectivity this way).
   size_t rows_in = 0;
-  size_t pages_scanned = 0;
-  size_t pages_skipped = 0;
-  /// Distinct pages this operator fetched that no earlier fetch of the
-  /// same query already touched (ExecContext dedupes query-wide).
-  size_t pages_fetched = 0;
-  size_t ix_probes = 0;
-  size_t buffer_probes = 0;
-  size_t buffer_matches = 0;
-  /// Buffer probes / matches served by the cold tier (demoted runs); part
-  /// of buffer_probes / buffer_matches, broken out for the tier annotation.
-  size_t cold_probes = 0;
-  size_t cold_matches = 0;
-  size_t entries_added = 0;
-  size_t entries_dropped = 0;
-  size_t partitions_dropped = 0;
-  /// Algorithm 2 demote-mode displacement (victims compacted cold).
-  size_t partitions_demoted = 0;
-  size_t entries_demoted = 0;
-  /// Cold partitions promoted back hot by this operator's Open.
-  size_t partitions_promoted = 0;
-  /// |I| of Algorithm 2 (pages selected for indexing this scan).
-  size_t pages_selected = 0;
-  /// Pages quarantined by this operator after a fault (degradation path).
-  size_t partitions_quarantined = 0;
-  /// The operator fell back to a plain scan after a fault.
-  bool degraded = false;
 };
 
 /// Shared per-execution state threaded through Open(). Owns the query-wide

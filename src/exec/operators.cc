@@ -55,38 +55,20 @@ Status FullTableScan::Open(ExecContext* ctx) {
   // scan takes no structural latch and no sentinels). Concurrent scans and
   // probes share freely; DML of any page of this table waits.
   heap_latch_ = table_->page_latches().AcquireAllShared();
-  next_page_ = 0;
   cursor_ = 0;
   rids_.clear();
-  columns_ = PredicateColumns(predicates_);
-  eager_ = ctx->dispatcher != nullptr &&
-           ctx->dispatcher->worker_count() > 1 &&
-           table_->PageCount() >= ctx->parallel.min_pages_for_parallel;
-  if (eager_) {
-    size_t pages = 0;
-    const Status scan =
-        MorselPlainScan(*table_, predicates_, *ctx, &rids_, &pages);
-    // On failure rids_/pages hold the serial prefix before the failing
-    // page, so the stats match a streaming scan that died on that page.
-    stats_.pages_scanned += pages;
-    stats_.rows_out += rids_.size();
-    AIB_RETURN_IF_ERROR(scan);
-  }
-  return Status::Ok();
+  size_t pages = 0;
+  const Status scan =
+      MorselPlainScan(*table_, predicates_, *ctx, &rids_, &pages);
+  // On failure rids_/pages hold the prefix before the failing page.
+  stats_.pages_scanned += pages;
+  stats_.rows_out += rids_.size();
+  return scan;
 }
 
 Result<bool> FullTableScan::NextBatch(TupleBatch* out) {
   out->Clear();
-  if (eager_) {
-    return EmitRidChunk(rids_, &cursor_, /*needs_fetch=*/false, out);
-  }
-  if (next_page_ >= table_->PageCount()) return false;
-  AIB_RETURN_IF_ERROR(LoadPageBatch(*table_, next_page_, columns_, out));
-  RefineSelection(predicates_, out);
-  ++next_page_;
-  ++stats_.pages_scanned;
-  stats_.rows_out += out->ActiveCount();
-  return true;
+  return EmitRidChunk(rids_, &cursor_, /*needs_fetch=*/false, out);
 }
 
 Status FullTableScan::Close() {
@@ -427,14 +409,10 @@ Status IndexingTableScan::Open(ExecContext* ctx) {
 Status IndexingTableScan::RunScanLeg(IndexBuffer* buffer,
                                      const std::unordered_set<size_t>& selected,
                                      ExecContext* ctx) {
-  IndexingScanStats scan_stats;
   IndexingScanFailure failure;
-  const Status scan =
-      MorselIndexingScan(*table_, buffer, selected, predicates_, *ctx,
-                         &scan_rids_, &scan_stats, &failure);
-  stats_.pages_scanned += scan_stats.pages_scanned;
-  stats_.pages_skipped += scan_stats.pages_skipped;
-  stats_.entries_added += scan_stats.entries_added;
+  const Status scan = MorselIndexingScan(*table_, buffer, selected,
+                                         predicates_, *ctx, &scan_rids_,
+                                         &stats_, &failure);
   if (scan.ok()) {
     // The scan just read every C[p] > 0 page cleanly — including any
     // quarantined ones, whose counters stay positive — so the pages are

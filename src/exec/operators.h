@@ -10,7 +10,7 @@
 
 #include "common/partition_latch.h"
 #include "core/buffer_space.h"
-#include "core/indexing_scan.h"
+#include "exec/morsel.h"
 #include "exec/operator.h"
 #include "exec/query.h"
 #include "index/partial_index.h"
@@ -18,10 +18,10 @@
 namespace aib {
 
 /// Leaf: scans every page of the table, evaluating the whole conjunction
-/// with the branch-free batch kernel. Serially it streams one page per
-/// batch (rids need no fetch — the tuples were just read); with a morsel
-/// dispatcher configured and a table above the parallel floor, Open fans
-/// the pages out as morsels and NextBatch chunks the merged result. The
+/// with the branch-free batch kernel. Open runs the scan through
+/// MorselPlainScan (fanned out as morsels when a dispatcher is configured
+/// and the table is above the parallel floor) and NextBatch chunks the
+/// matching rids, which need no fetch — the tuples were just read. The
 /// baseline access path and the miss path when no Index Buffer Space is
 /// configured.
 ///
@@ -41,10 +41,6 @@ class FullTableScan : public PhysicalOperator {
  private:
   const Table* table_;
   std::vector<ColumnPredicate> predicates_;
-  std::vector<ColumnId> columns_;
-  size_t next_page_ = 0;
-  /// Parallel mode: the scan ran eagerly in Open; NextBatch chunks rids_.
-  bool eager_ = false;
   std::vector<Rid> rids_;
   size_t cursor_ = 0;
   PartitionLatchTable::LatchSet heap_latch_;
@@ -172,10 +168,10 @@ class CoveredOnSkippedFetch : public PhysicalOperator {
 ///
 /// The scan leg runs through MorselIndexingScan (exec/morsel.h): with a
 /// dispatcher configured it fans pages out to read-only workers and merges
-/// the staged per-page results under this latch, bit-identical to the
-/// serial scan for any worker count.
+/// the staged per-page results under these latches, bit-identical to the
+/// inline run for any worker count.
 ///
-/// Emission order (the order the pre-refactor executor produced): the
+/// Emission order (Algorithm 1's: lines 8–10, then lines 11–17): the
 /// probe pipeline's buffer matches, then the scan's matches, then the
 /// hybrid tail's covered-on-skipped matches — each chunked to batch
 /// capacity.

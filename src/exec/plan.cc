@@ -14,23 +14,7 @@ int64_t NowNs() {
 }
 
 void Aggregate(const PhysicalOperator& op, QueryStats* stats) {
-  const OperatorStats& s = op.stats();
-  stats->pages_scanned += s.pages_scanned;
-  stats->pages_skipped += s.pages_skipped;
-  stats->pages_fetched += s.pages_fetched;
-  stats->ix_probes += s.ix_probes;
-  stats->buffer_probes += s.buffer_probes;
-  stats->buffer_matches += s.buffer_matches;
-  stats->cold_probes += s.cold_probes;
-  stats->cold_matches += s.cold_matches;
-  stats->entries_added += s.entries_added;
-  stats->entries_dropped += s.entries_dropped;
-  stats->partitions_dropped += s.partitions_dropped;
-  stats->partitions_demoted += s.partitions_demoted;
-  stats->entries_demoted += s.entries_demoted;
-  stats->partitions_promoted += s.partitions_promoted;
-  stats->partitions_quarantined += s.partitions_quarantined;
-  stats->degraded = stats->degraded || s.degraded;
+  stats->Add(op.stats());
   for (const PhysicalOperator* child : op.Children()) {
     Aggregate(*child, stats);
   }

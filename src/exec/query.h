@@ -52,8 +52,6 @@ struct Query {
   /// tuner adapts at).
   bool IsPoint() const { return lo == hi; }
 
-  bool IsConjunctive() const { return !residuals.empty(); }
-
   /// Primary predicate followed by the residual conjuncts.
   std::vector<ColumnPredicate> AllPredicates() const {
     std::vector<ColumnPredicate> preds;
@@ -64,20 +62,16 @@ struct Query {
   }
 };
 
-/// Per-query execution statistics, consumed by the cost model and the
-/// benches (which plot them as the paper's per-query series).
-struct QueryStats {
-  /// The query was answered by the partial index alone.
-  bool used_partial_index = false;
-  /// The query ran an indexing table scan (Algorithm 1).
-  bool used_index_buffer = false;
-
-  size_t result_count = 0;
+/// The access-path counters, declared once: every operator carries them
+/// (OperatorStats), a statement sums its operator tree into them
+/// (QueryStats), and a fleet sums its legs — each roll-up is one Add().
+struct AccessPathCounters {
   size_t pages_scanned = 0;
   size_t pages_skipped = 0;
   /// Distinct pages touched to fetch index-matched tuples. Deduplicated
-  /// across the whole query: a page fetched by both the buffer-match
-  /// materialization and the hybrid covered-on-skipped tail counts once.
+  /// across the whole statement (ExecContext): a page fetched by both the
+  /// buffer-match materialization and the hybrid covered-on-skipped tail
+  /// counts once.
   size_t pages_fetched = 0;
   size_t ix_probes = 0;
   /// Index Buffer partitions probed.
@@ -90,18 +84,50 @@ struct QueryStats {
   size_t entries_added = 0;
   size_t entries_dropped = 0;
   size_t partitions_dropped = 0;
-  /// Two-tier displacement this query caused (demote mode): Algorithm 2
-  /// victims compacted cold, and cold partitions promoted back hot because
-  /// this query's range probes them.
+  /// Two-tier displacement (demote mode): Algorithm 2 victims compacted
+  /// cold, and cold partitions promoted back hot because the driving range
+  /// probes them.
   size_t partitions_demoted = 0;
   size_t entries_demoted = 0;
   size_t partitions_promoted = 0;
-  /// Pages quarantined by fault-degradation during this query.
+  /// Pages quarantined by fault-degradation.
   size_t partitions_quarantined = 0;
-  /// The query was answered through the degraded plain-scan leg after a
-  /// fault (results are still exact — only slower, per the recovery-free
-  /// argument).
+  /// |I| of Algorithm 2 (pages selected for indexing).
+  size_t pages_selected = 0;
+  /// Answered through the degraded plain-scan leg after a fault (results
+  /// are still exact — only slower, per the recovery-free argument).
   bool degraded = false;
+
+  void Add(const AccessPathCounters& other) {
+    pages_scanned += other.pages_scanned;
+    pages_skipped += other.pages_skipped;
+    pages_fetched += other.pages_fetched;
+    ix_probes += other.ix_probes;
+    buffer_probes += other.buffer_probes;
+    buffer_matches += other.buffer_matches;
+    cold_probes += other.cold_probes;
+    cold_matches += other.cold_matches;
+    entries_added += other.entries_added;
+    entries_dropped += other.entries_dropped;
+    partitions_dropped += other.partitions_dropped;
+    partitions_demoted += other.partitions_demoted;
+    entries_demoted += other.entries_demoted;
+    partitions_promoted += other.partitions_promoted;
+    partitions_quarantined += other.partitions_quarantined;
+    pages_selected += other.pages_selected;
+    degraded = degraded || other.degraded;
+  }
+};
+
+/// Per-statement execution statistics, consumed by the cost model and the
+/// benches (which plot them as the paper's per-query series).
+struct QueryStats : AccessPathCounters {
+  /// The query was answered by the partial index alone.
+  bool used_partial_index = false;
+  /// The query ran an indexing table scan (Algorithm 1).
+  bool used_index_buffer = false;
+
+  size_t result_count = 0;
 
   /// Simulated cost units (CostModel) — the "runtime" axis of the figures.
   double cost = 0;

@@ -29,21 +29,11 @@ std::chrono::milliseconds RemainingBudget(const QueryControl* control) {
 }
 
 /// Folds one leg's stats into the statement-wide merge.
-void MergeLegStats(const QueryStats& leg, QueryStats* merged) {
+void MergeLeg(const QueryStats& leg, QueryStats* merged) {
+  merged->Add(leg);
   merged->used_partial_index |= leg.used_partial_index;
   merged->used_index_buffer |= leg.used_index_buffer;
   merged->result_count += leg.result_count;
-  merged->pages_scanned += leg.pages_scanned;
-  merged->pages_skipped += leg.pages_skipped;
-  merged->pages_fetched += leg.pages_fetched;
-  merged->ix_probes += leg.ix_probes;
-  merged->buffer_probes += leg.buffer_probes;
-  merged->buffer_matches += leg.buffer_matches;
-  merged->entries_added += leg.entries_added;
-  merged->entries_dropped += leg.entries_dropped;
-  merged->partitions_dropped += leg.partitions_dropped;
-  merged->partitions_quarantined += leg.partitions_quarantined;
-  merged->degraded |= leg.degraded;
   merged->cost += leg.cost;
   // Legs run concurrently; the statement's wall is the slowest leg.
   merged->wall_ns = std::max(merged->wall_ns, leg.wall_ns);
@@ -74,14 +64,6 @@ ScatterGatherScan::ScatterGatherScan(Query query, std::vector<ScatterLeg> legs,
       backoff_rng_(options.backoff_seed) {
   stats_ = {};
 }
-
-ScatterGatherScan::ScatterGatherScan(Query query, std::vector<ScatterLeg> legs,
-                                     size_t max_leg_retries)
-    : ScatterGatherScan(std::move(query), std::move(legs), [&] {
-        ScatterOptions options;
-        options.max_leg_retries = max_leg_retries;
-        return options;
-      }()) {}
 
 std::string ScatterGatherScan::Describe() const {
   std::ostringstream out;
@@ -133,7 +115,7 @@ Status ScatterGatherScan::DispatchLeg(size_t i) {
   // a wedged shard surfaces as Busy rather than hanging the gather.
   for (size_t attempt = 0; attempt < kAdmissionAttempts; ++attempt) {
     Result<std::future<Result<StatementResult>>> future =
-        legs_[i].service->Submit(statement, submit);
+        legs_[i].node->service().Submit(statement, submit);
     if (future.ok()) {
       futures_[i] = std::move(future).value();
       dispatched_at_[i] = std::chrono::steady_clock::now();
@@ -219,12 +201,10 @@ Status ScatterGatherScan::Open(ExecContext* ctx) {
     leg_infos_.push_back(info);
   }
   // Pin every involved shard against warm restart for the lifetime of the
-  // gather, then resolve the service pointers under the pins.
+  // gather; the legs reach their services only under the pins.
   leg_gates_.clear();
-  for (ScatterLeg& leg : legs_) {
-    if (leg.node == nullptr) continue;
+  for (const ScatterLeg& leg : legs_) {
     leg_gates_.emplace_back(leg.node->restart_latch());
-    leg.service = &leg.node->service();
   }
   for (size_t i = 0; i < legs_.size(); ++i) {
     const Status status = DispatchWithRetries(i);
@@ -263,7 +243,7 @@ Result<StatementResult> ScatterGatherScan::CollectLeg(size_t i) {
   submit.deadline = RemainingBudget(caller_control_);
   submit.cancel = leg_cancel_;
   Result<std::future<Result<StatementResult>>> hedge =
-      legs_[i].service->Submit(Statement::Select(query_), submit);
+      legs_[i].node->service().Submit(Statement::Select(query_), submit);
   if (!hedge.ok()) return primary.get();
   ++hedges_used_;
   leg_infos_[i].hedged = true;
@@ -307,7 +287,7 @@ Status ScatterGatherScan::AwaitLeg(size_t i) {
       info.status = Status::Ok();
       info.rows = result->rids.size();
       info.stats = result->stats;
-      MergeLegStats(result->stats, &merged_);
+      MergeLeg(result->stats, &merged_);
       current_rids_ = std::move(result->rids);
       return Status::Ok();
     }

@@ -17,14 +17,12 @@
 
 namespace aib {
 
-/// One scatter leg: the shard a statement fans out to. When `node` is
-/// set, the operator holds the shard's restart latch (shared) from Open
-/// to Close and resolves `service` under it, so a concurrent warm restart
-/// can never swap the service out from under an in-flight leg; bare
-/// `service` legs (tests, single-node paths) skip the latch.
+/// One scatter leg: the shard a statement fans out to. The operator holds
+/// the node's restart latch (shared) from Open to Close and reaches its
+/// service only under it, so a concurrent warm restart can never swap the
+/// service out from under an in-flight leg.
 struct ScatterLeg {
   size_t shard = 0;
-  QueryService* service = nullptr;
   Shard* node = nullptr;
 };
 
@@ -107,10 +105,6 @@ class ScatterGatherScan : public PhysicalOperator {
   ScatterGatherScan(Query query, std::vector<ScatterLeg> legs,
                     ScatterOptions options);
 
-  /// Legacy convenience: plain gather with only the retry bound set.
-  ScatterGatherScan(Query query, std::vector<ScatterLeg> legs,
-                    size_t max_leg_retries = 3);
-
   std::string Name() const override { return "ScatterGatherScan"; }
   std::string Describe() const override;
 
@@ -167,7 +161,7 @@ class ScatterGatherScan : public PhysicalOperator {
 
   std::vector<std::future<Result<StatementResult>>> futures_;
   std::vector<std::chrono::steady_clock::time_point> dispatched_at_;
-  /// Shared restart-latch holds for legs carrying a node, Open → Close.
+  /// Shared restart-latch holds, one per leg, Open → Close.
   std::vector<std::shared_lock<std::shared_mutex>> leg_gates_;
   /// Loser futures of won hedges; kept until Close so their promises
   /// outlive us deliberately rather than by accident.

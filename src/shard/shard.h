@@ -85,10 +85,10 @@ class Shard {
     const Status saved = db_->catalog().SaveSnapshotTo(snapshot);
     if (!saved.ok()) return revive(saved);
     Result<std::unique_ptr<Catalog>> catalog = Catalog::LoadSnapshotFrom(
-        snapshot, Database::ToCatalogOptions(options_.db));
+        snapshot, options_.db);
     if (!catalog.ok()) return revive(catalog.status());
     service_.reset();
-    db_ = std::make_unique<Database>(std::move(catalog).value(), options_.db,
+    db_ = std::make_unique<Database>(std::move(catalog).value(),
                                      "shard" + std::to_string(id_));
     service_ = std::make_unique<QueryService>(
         db_->executor(), options_.service, &db_->metrics());

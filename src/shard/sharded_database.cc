@@ -225,7 +225,7 @@ Result<ShardResult> ShardedDatabase::RunSelect(
   std::vector<ScatterLeg> legs;
   legs.reserve(targets.size());
   for (const size_t shard : targets) {
-    legs.push_back(ScatterLeg{shard, nullptr, shards_[shard].get()});
+    legs.push_back(ScatterLeg{shard, shards_[shard].get()});
   }
   router_metrics_.Increment(targets.size() == 1
                                 ? kMetricShardStatementsRouted

@@ -71,18 +71,6 @@ class DiskManager {
   /// replay bit-identically for a given seed.
   FaultInjector& fault_injector() { return injector_; }
 
-  /// Makes the next `count` ReadPage calls fail with Corruption. Thin shim
-  /// over the FaultInjector's deterministic one-shot counters, kept for the
-  /// pre-injector error-path tests.
-  void InjectReadFaults(size_t count) {
-    injector_.InjectOneShot(FaultOp::kRead, count);
-  }
-
-  /// Makes the next `count` WritePage calls fail with Corruption.
-  void InjectWriteFaults(size_t count) {
-    injector_.InjectOneShot(FaultOp::kWrite, count);
-  }
-
  private:
   uint32_t page_size_;
   Metrics* metrics_;  // not owned; may be null

@@ -9,23 +9,9 @@
 
 namespace aib {
 
-/// Options of the single-table facade; field-compatible with
-/// CatalogOptions (Database simply forwards them).
-struct DatabaseOptions {
-  uint32_t page_size = kDefaultPageSize;
-  /// Frames in the page buffer pool.
-  size_t buffer_pool_pages = 1 << 16;
-  /// See HeapFileOptions.
-  uint16_t max_tuples_per_page = 0;
-  /// Index Buffer Space configuration; ignored if !enable_index_buffer.
-  BufferSpaceOptions space;
-  /// Default options for lazily created Index Buffers.
-  IndexBufferOptions buffer;
-  bool enable_index_buffer = true;
-  CostModelOptions cost;
-  /// Replacement policy of the page buffer pool (see storage/buffer_pool.h).
-  EvictionPolicy eviction_policy = EvictionPolicy::kSegmented;
-};
+/// Options of the single-table facade: a Database is a one-table Catalog,
+/// so it takes the catalog's options as they are.
+using DatabaseOptions = CatalogOptions;
 
 /// The single-table convenience facade: one table, its partial secondary
 /// indexes, optional Index Buffer Space, optional online tuners, and the
@@ -41,14 +27,8 @@ class Database {
                     std::string table_name = "t");
 
   /// Adopts a catalog restored from a snapshot (warm shard restart): the
-  /// catalog must already contain `table_name`. `options` records the
-  /// runtime configuration the catalog was loaded under.
-  Database(std::unique_ptr<Catalog> catalog, DatabaseOptions options,
-           const std::string& table_name);
-
-  /// The catalog-level view of these facade options; public so restart
-  /// paths can LoadSnapshot under the same runtime configuration.
-  static CatalogOptions ToCatalogOptions(const DatabaseOptions& options);
+  /// catalog must already contain `table_name`.
+  Database(std::unique_ptr<Catalog> catalog, const std::string& table_name);
 
   Table& table() { return *table_; }
   const Table& table() const { return *table_; }
@@ -56,7 +36,7 @@ class Database {
   IndexBufferSpace* space() { return catalog_->space(); }
   BufferPool& buffer_pool() { return catalog_->buffer_pool(); }
   Catalog& catalog() { return *catalog_; }
-  const DatabaseOptions& options() const { return options_; }
+  const DatabaseOptions& options() const { return catalog_->options(); }
 
   /// Inserts without maintenance — for initial loading *before* indexes
   /// are created (indexes Build() from scratch anyway).
@@ -111,7 +91,6 @@ class Database {
   }
 
  private:
-  DatabaseOptions options_;
   std::unique_ptr<Catalog> catalog_;
   Table* table_;
 };

@@ -8,7 +8,6 @@
 #include "common/query_control.h"
 #include "common/rng.h"
 #include "core/index_buffer.h"
-#include "core/indexing_scan.h"
 #include "exec/morsel.h"
 #include "index/partial_index.h"
 #include "storage/buffer_pool.h"
@@ -66,7 +65,7 @@ ExecContext MakeContext(const Table& table, MorselDispatcher* dispatcher,
 struct IndexingRun {
   Status status = Status::Ok();
   std::vector<Rid> rids;
-  IndexingScanStats stats;
+  AccessPathCounters stats;
   IndexingScanFailure failure;
   size_t total_entries = 0;
   size_t partition_count = 0;

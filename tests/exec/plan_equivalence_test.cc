@@ -1,37 +1,37 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "../test_util.h"
 #include "common/rng.h"
-#include "core/indexing_scan.h"
 #include "exec/executor.h"
 
 namespace aib {
 namespace {
 
+using ::aib::testing::GroundTruth;
 using ::aib::testing::MakeSmallPaperDb;
+using ::aib::testing::Sorted;
 
-/// Faithful reimplementation of the pre-refactor monolithic Executor (the
-/// tree before the physical-plan refactor), operating directly on a
-/// Database's table, space, and indexes. The plan-based executor must
-/// reproduce its rids in the exact emission order and its stats field by
-/// field; only pages_fetched may differ (the refactor deduplicates fetched
-/// pages across the whole query, the monolith deduplicated per FetchRids
-/// call, double-counting pages shared between the buffer-match fetch and
-/// the hybrid covered-on-skipped fetch).
-class LegacyExecutor {
+// Totals of the paper workload below, recorded from the per-tuple
+// reference implementation of Algorithm 1 (identical stats, query by
+// query) before it was retired in favour of the operator path.
+constexpr size_t kRecordedPagesScanned = 39;
+constexpr size_t kRecordedPagesSkipped = 2847;
+constexpr size_t kRecordedEntriesAdded = 5394;
+constexpr size_t kRecordedBufferEntries[3] = {1822, 1798, 1774};
+
+/// Reference implementations of the two plain access paths, written
+/// directly against a Database's table and indexes: a per-tuple full scan
+/// and a partial-index probe. The plan-based executor must reproduce their
+/// rids in the exact emission order and their stats field by field.
+class ReferenceExecutor {
  public:
-  explicit LegacyExecutor(Database* db)
-      : table_(&db->table()),
-        space_(db->space()),
-        cost_model_(db->options().cost),
-        buffer_options_(db->options().buffer),
-        db_(db) {}
+  explicit ReferenceExecutor(Database* db)
+      : table_(&db->table()), cost_model_(db->options().cost), db_(db) {}
 
   Result<StatementResult> FullScan(const Query& query) {
     StatementResult result;
@@ -65,173 +65,62 @@ class LegacyExecutor {
                   [&](Value, const Rid& rid) { result.rids.push_back(rid); });
     }
     ++result.stats.ix_probes;
-    AIB_RETURN_IF_ERROR(FetchRids(result.rids, &result.stats));
+    std::unordered_set<PageId> pages;
+    for (const Rid& rid : result.rids) {
+      AIB_RETURN_IF_ERROR(table_->Get(rid).status());
+      pages.insert(rid.page_id);
+    }
+    result.stats.pages_fetched = pages.size();
     result.stats.result_count = result.rids.size();
-    result.stats.cost = cost_model_.QueryCost(result.stats);
-    return result;
-  }
-
-  Result<StatementResult> Execute(const Query& query) {
-    PartialIndex* index = db_->GetIndex(query.column);
-    if (index == nullptr) return FullScan(query);
-
-    const bool hit = index->coverage().CoversRange(query.lo, query.hi);
-    if (space_ != nullptr) {
-      std::unique_lock<std::shared_mutex> latch(space_->latch());
-      space_->OnQuery(index, hit);
-    }
-
-    if (hit) {
-      StatementResult result;
-      result.stats.used_partial_index = true;
-      if (query.IsPoint()) {
-        index->Lookup(query.lo, &result.rids);
-      } else {
-        index->Scan(query.lo, query.hi, [&](Value, const Rid& rid) {
-          result.rids.push_back(rid);
-        });
-      }
-      ++result.stats.ix_probes;
-      AIB_RETURN_IF_ERROR(FetchRids(result.rids, &result.stats));
-      result.stats.result_count = result.rids.size();
-      result.stats.cost = cost_model_.QueryCost(result.stats);
-      return result;
-    }
-
-    AIB_ASSIGN_OR_RETURN(StatementResult result, ExecuteMiss(query, index));
     result.stats.cost = cost_model_.QueryCost(result.stats);
     return result;
   }
 
  private:
-  Status FetchRids(const std::vector<Rid>& rids, QueryStats* stats) const {
-    std::unordered_set<PageId> pages;
-    for (const Rid& rid : rids) {
-      AIB_RETURN_IF_ERROR(table_->Get(rid).status());
-      pages.insert(rid.page_id);
-    }
-    stats->pages_fetched += pages.size();
-    return Status::Ok();
-  }
-
-  Result<StatementResult> ExecuteMiss(const Query& query, PartialIndex* index) {
-    if (space_ == nullptr) return FullScan(query);
-
-    std::unique_lock<std::shared_mutex> latch(space_->latch());
-
-    IndexBuffer* buffer = space_->GetBuffer(index);
-    if (buffer == nullptr) {
-      AIB_ASSIGN_OR_RETURN(buffer,
-                           space_->CreateBuffer(index, buffer_options_));
-    }
-
-    StatementResult result;
-    result.stats.used_index_buffer = true;
-    result.stats.buffer_probes = buffer->PartitionCount();
-
-    const bool hybrid =
-        !index->coverage().CoversRange(query.lo, query.hi) &&
-        index->coverage().IntersectsRange(query.lo, query.hi);
-    std::vector<bool> skipped_before;
-    if (hybrid) {
-      buffer->counters().EnsureSize(table_->PageCount());
-      skipped_before.resize(table_->PageCount());
-      for (size_t page = 0; page < table_->PageCount(); ++page) {
-        skipped_before[page] = buffer->counters().Get(page) == 0;
-      }
-    }
-
-    IndexingScanStats scan_stats;
-    AIB_RETURN_IF_ERROR(RunIndexingScan(*table_, space_, buffer, query.lo,
-                                        query.hi, &result.rids, &scan_stats));
-    result.stats.pages_scanned = scan_stats.pages_scanned;
-    result.stats.pages_skipped = scan_stats.pages_skipped;
-    result.stats.entries_added = scan_stats.entries_added;
-    result.stats.buffer_matches = scan_stats.buffer_matches;
-    result.stats.partitions_dropped = scan_stats.partitions_dropped;
-    result.stats.entries_dropped = scan_stats.entries_dropped;
-
-    const std::vector<Rid> buffer_rids(
-        result.rids.begin(),
-        result.rids.begin() +
-            static_cast<ptrdiff_t>(scan_stats.buffer_matches));
-    AIB_RETURN_IF_ERROR(FetchRids(buffer_rids, &result.stats));
-
-    if (hybrid) {
-      std::vector<Rid> covered_on_skipped;
-      Status page_status = Status::Ok();
-      index->Scan(query.lo, query.hi, [&](Value, const Rid& rid) {
-        Result<size_t> page = table_->PageNumberOf(rid);
-        if (!page.ok()) {
-          page_status = page.status();
-          return;
-        }
-        if (page.value() < skipped_before.size() &&
-            skipped_before[page.value()]) {
-          covered_on_skipped.push_back(rid);
-        }
-      });
-      AIB_RETURN_IF_ERROR(page_status);
-      ++result.stats.ix_probes;
-      AIB_RETURN_IF_ERROR(FetchRids(covered_on_skipped, &result.stats));
-      result.rids.insert(result.rids.end(), covered_on_skipped.begin(),
-                         covered_on_skipped.end());
-    }
-
-    result.stats.result_count = result.rids.size();
-    return result;
-  }
-
   const Table* table_;
-  IndexBufferSpace* space_;
   CostModel cost_model_;
-  IndexBufferOptions buffer_options_;
   Database* db_;
 };
 
-/// Compares a legacy result against a plan-path result. Rids must match in
-/// emission order; every stats field must match except pages_fetched (the
-/// plan path may count fewer after query-wide dedup — never more) and cost
-/// (equal whenever pages_fetched is, never higher otherwise).
-void ExpectEquivalent(
-    const StatementResult& legacy, const StatementResult& plan,
-                      const std::string& label) {
+/// Compares a reference result against a plan-path result: rids in
+/// emission order, and every stats field.
+void ExpectEquivalent(const StatementResult& reference,
+                      const StatementResult& plan, const std::string& label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(legacy.rids, plan.rids);
-  EXPECT_EQ(legacy.stats.used_partial_index, plan.stats.used_partial_index);
-  EXPECT_EQ(legacy.stats.used_index_buffer, plan.stats.used_index_buffer);
-  EXPECT_EQ(legacy.stats.result_count, plan.stats.result_count);
-  EXPECT_EQ(legacy.stats.pages_scanned, plan.stats.pages_scanned);
-  EXPECT_EQ(legacy.stats.pages_skipped, plan.stats.pages_skipped);
-  EXPECT_EQ(legacy.stats.ix_probes, plan.stats.ix_probes);
-  EXPECT_EQ(legacy.stats.buffer_probes, plan.stats.buffer_probes);
-  EXPECT_EQ(legacy.stats.buffer_matches, plan.stats.buffer_matches);
-  EXPECT_EQ(legacy.stats.entries_added, plan.stats.entries_added);
-  EXPECT_EQ(legacy.stats.entries_dropped, plan.stats.entries_dropped);
-  EXPECT_EQ(legacy.stats.partitions_dropped, plan.stats.partitions_dropped);
-  EXPECT_LE(plan.stats.pages_fetched, legacy.stats.pages_fetched);
-  if (legacy.stats.pages_fetched == plan.stats.pages_fetched) {
-    EXPECT_DOUBLE_EQ(legacy.stats.cost, plan.stats.cost);
-  } else {
-    EXPECT_LE(plan.stats.cost, legacy.stats.cost);
-  }
+  EXPECT_EQ(reference.rids, plan.rids);
+  EXPECT_EQ(reference.stats.used_partial_index, plan.stats.used_partial_index);
+  EXPECT_EQ(reference.stats.used_index_buffer, plan.stats.used_index_buffer);
+  EXPECT_EQ(reference.stats.result_count, plan.stats.result_count);
+  EXPECT_EQ(reference.stats.pages_scanned, plan.stats.pages_scanned);
+  EXPECT_EQ(reference.stats.pages_skipped, plan.stats.pages_skipped);
+  EXPECT_EQ(reference.stats.pages_fetched, plan.stats.pages_fetched);
+  EXPECT_EQ(reference.stats.ix_probes, plan.stats.ix_probes);
+  EXPECT_EQ(reference.stats.buffer_probes, plan.stats.buffer_probes);
+  EXPECT_EQ(reference.stats.buffer_matches, plan.stats.buffer_matches);
+  EXPECT_EQ(reference.stats.entries_added, plan.stats.entries_added);
+  EXPECT_EQ(reference.stats.entries_dropped, plan.stats.entries_dropped);
+  EXPECT_EQ(reference.stats.partitions_dropped, plan.stats.partitions_dropped);
+  EXPECT_DOUBLE_EQ(reference.stats.cost, plan.stats.cost);
 }
 
 /// The paper-scenario workload from the seed's integration tests: mixed
 /// point and range queries across all three columns — covered hits,
 /// uncovered misses (the Algorithm 1 path), hybrid ranges crossing the
-/// coverage boundary, and fully covered ranges — driven against two
-/// identically-seeded databases so legacy and plan executors see identical
-/// adaptive state at every step.
+/// coverage boundary, and fully covered ranges. Every answer is checked
+/// against a brute-force oracle (one pass over the table's tuples), every
+/// indexing scan accounts for each page exactly once, and the workload's
+/// adaptive trajectory — pages scanned and skipped, entries indexed, and
+/// the converged buffer sizes — matches the figures recorded from the
+/// per-tuple reference implementation of Algorithm 1 this engine replaced.
 TEST(PlanEquivalenceTest, PaperWorkloadIdenticalRidsAndStats) {
-  std::unique_ptr<Database> legacy_db = MakeSmallPaperDb(
+  std::unique_ptr<Database> db = MakeSmallPaperDb(
       /*num_tuples=*/2000, /*value_max=*/1000, /*covered_hi=*/100);
-  std::unique_ptr<Database> plan_db = MakeSmallPaperDb(
-      /*num_tuples=*/2000, /*value_max=*/1000, /*covered_hi=*/100);
-  ASSERT_NE(legacy_db, nullptr);
-  ASSERT_NE(plan_db, nullptr);
+  ASSERT_NE(db, nullptr);
+  const size_t page_count = db->table().PageCount();
 
-  LegacyExecutor legacy(legacy_db.get());
+  size_t pages_scanned = 0;
+  size_t pages_skipped = 0;
+  size_t entries_added = 0;
   Rng rng(271828);
   for (int i = 0; i < 300; ++i) {
     const ColumnId column = static_cast<ColumnId>(rng.UniformInt(0, 2));
@@ -262,24 +151,31 @@ TEST(PlanEquivalenceTest, PaperWorkloadIdenticalRidsAndStats) {
                            lo + static_cast<Value>(rng.UniformInt(0, 49)));
     }
 
-    Result<StatementResult> legacy_result = legacy.Execute(query);
-    Result<StatementResult> plan_result =
-        plan_db->ExecuteStatement(Statement::Select(query));
-    ASSERT_TRUE(legacy_result.ok()) << legacy_result.status().ToString();
-    ASSERT_TRUE(plan_result.ok()) << plan_result.status().ToString();
-    ExpectEquivalent(*legacy_result, *plan_result,
-                     "query " + std::to_string(i) + " col" +
-                         std::to_string(query.column) + " [" +
-                         std::to_string(query.lo) + "," +
-                         std::to_string(query.hi) + "]");
+    Result<StatementResult> result =
+        db->ExecuteStatement(Statement::Select(query));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    SCOPED_TRACE("query " + std::to_string(i) + " col" +
+                 std::to_string(query.column) + " [" +
+                 std::to_string(query.lo) + "," + std::to_string(query.hi) +
+                 "]");
+    EXPECT_EQ(Sorted(result->rids),
+              Sorted(GroundTruth(*db, query.column, query.lo, query.hi)));
+    EXPECT_EQ(result->stats.result_count, result->rids.size());
+    if (result->stats.used_index_buffer) {
+      EXPECT_EQ(result->stats.pages_scanned + result->stats.pages_skipped,
+                page_count);
+    }
+    pages_scanned += result->stats.pages_scanned;
+    pages_skipped += result->stats.pages_skipped;
+    entries_added += result->stats.entries_added;
   }
 
-  // Adaptive state converged identically: same buffer contents.
+  EXPECT_EQ(pages_scanned, kRecordedPagesScanned);
+  EXPECT_EQ(pages_skipped, kRecordedPagesSkipped);
+  EXPECT_EQ(entries_added, kRecordedEntriesAdded);
   for (ColumnId c = 0; c < 3; ++c) {
-    ASSERT_NE(legacy_db->GetBuffer(c), nullptr);
-    ASSERT_NE(plan_db->GetBuffer(c), nullptr);
-    EXPECT_EQ(legacy_db->GetBuffer(c)->TotalEntries(),
-              plan_db->GetBuffer(c)->TotalEntries())
+    ASSERT_NE(db->GetBuffer(c), nullptr);
+    EXPECT_EQ(db->GetBuffer(c)->TotalEntries(), kRecordedBufferEntries[c])
         << "column " << c;
   }
 }
@@ -291,15 +187,15 @@ TEST(PlanEquivalenceTest, FullScanEntryPointEquivalent) {
   options.enable_index_buffer = false;
   std::unique_ptr<Database> db = MakeSmallPaperDb(2000, 1000, 100, options);
   ASSERT_NE(db, nullptr);
-  LegacyExecutor legacy(db.get());
+  ReferenceExecutor reference(db.get());
   for (const Query& query :
        {Query::Point(1, 700), Query::Range(0, 50, 150),
         Query::Range(2, 1, 1000)}) {
-    Result<StatementResult> legacy_result = legacy.FullScan(query);
+    Result<StatementResult> reference_result = reference.FullScan(query);
     Result<StatementResult> plan_result =
         db->ExecuteStatement(Statement::Select(query));
-    ASSERT_TRUE(legacy_result.ok() && plan_result.ok());
-    ExpectEquivalent(*legacy_result, *plan_result,
+    ASSERT_TRUE(reference_result.ok() && plan_result.ok());
+    ExpectEquivalent(*reference_result, *plan_result,
                      "full scan [" + std::to_string(query.lo) + "," +
                          std::to_string(query.hi) + "]");
   }
@@ -309,13 +205,13 @@ TEST(PlanEquivalenceTest, IndexScanEntryPointEquivalent) {
   // A fully covered select plans as a pure partial-index probe.
   std::unique_ptr<Database> db = MakeSmallPaperDb();
   ASSERT_NE(db, nullptr);
-  LegacyExecutor legacy(db.get());
+  ReferenceExecutor reference(db.get());
   for (const Query& query : {Query::Point(0, 50), Query::Range(1, 10, 60)}) {
-    Result<StatementResult> legacy_result = legacy.IndexScan(query);
+    Result<StatementResult> reference_result = reference.IndexScan(query);
     Result<StatementResult> plan_result =
         db->ExecuteStatement(Statement::Select(query));
-    ASSERT_TRUE(legacy_result.ok() && plan_result.ok());
-    ExpectEquivalent(*legacy_result, *plan_result,
+    ASSERT_TRUE(reference_result.ok() && plan_result.ok());
+    ExpectEquivalent(*reference_result, *plan_result,
                      "index scan [" + std::to_string(query.lo) + "," +
                          std::to_string(query.hi) + "]");
   }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "shard/sharded_database.h"
@@ -339,6 +341,57 @@ TEST(ShardedEquivalenceTest, FleetCountersRollUpEveryShard) {
   }
   EXPECT_EQ(counters.at(kMetricPagesRead), per_shard_sum);
   EXPECT_GT(counters.at(kMetricShardLegsDispatched), 0);
+}
+
+int64_t CounterDelta(const std::map<std::string, int64_t>& before,
+                     const std::map<std::string, int64_t>& after,
+                     const std::string& name) {
+  const auto b = before.find(name);
+  const auto a = after.find(name);
+  return (a == after.end() ? 0 : a->second) -
+         (b == before.end() ? 0 : b->second);
+}
+
+TEST(ShardedEquivalenceTest, MergedStatsCarryEveryLegCounter) {
+  // A warm restart brings each shard's buffer partitions back in the cold
+  // tier. A select past every buffered key then probes the cold runs
+  // without promoting them, and the next uncovered select promotes them
+  // hot again. The merged ShardResult stats must report the cold-tier
+  // traffic and the promotions the shards' own metrics saw — no leg
+  // counter dropped in the gather.
+  auto fleet = MakeFleet(4, ShardingPolicy::kHash);
+  const Query uncovered = Query::Range(0, kCoveredHi + 1, kLoadHi);
+  Result<ShardResult> warm = fleet->ExecuteQuery(uncovered);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_EQ(warm->legs, fleet->ShardCount());
+  ASSERT_GT(warm->stats.entries_added, 0u);
+  for (size_t s = 0; s < fleet->ShardCount(); ++s) {
+    ASSERT_TRUE(fleet->RestartShard(s).ok());
+  }
+
+  auto before = fleet->FleetCounters();
+  Result<ShardResult> past =
+      fleet->ExecuteQuery(Query::Range(0, kLoadHi + 1, kLoadHi + 100));
+  ASSERT_TRUE(past.ok()) << past.status().ToString();
+  auto after = fleet->FleetCounters();
+  EXPECT_TRUE(past->rids.empty());
+  EXPECT_GT(past->stats.cold_probes, 0u);
+  EXPECT_EQ(past->stats.partitions_promoted, 0u);
+  EXPECT_EQ(past->stats.cold_matches, 0u);
+  EXPECT_EQ(CounterDelta(before, after, kMetricColdHits), 0);
+
+  before = after;
+  Result<ShardResult> cold = fleet->ExecuteQuery(uncovered);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  after = fleet->FleetCounters();
+  std::vector<GlobalRid> cold_rids = cold->rids;
+  std::vector<GlobalRid> warm_rids = warm->rids;
+  std::sort(cold_rids.begin(), cold_rids.end());
+  std::sort(warm_rids.begin(), warm_rids.end());
+  EXPECT_EQ(cold_rids, warm_rids);
+  EXPECT_GT(cold->stats.partitions_promoted, 0u);
+  EXPECT_EQ(static_cast<int64_t>(cold->stats.partitions_promoted),
+            CounterDelta(before, after, kMetricColdPartitionsPromoted));
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ TEST(FaultInjectionTest, ReadFaultSurfacesFromDisk) {
   DiskManager disk(512);
   const PageId id = disk.AllocatePage();
   Page page(512);
-  disk.InjectReadFaults(1);
+  disk.fault_injector().InjectOneShot(FaultOp::kRead, 1);
   EXPECT_TRUE(disk.ReadPage(id, &page).IsCorruption());
   // The fault is one-shot.
   EXPECT_TRUE(disk.ReadPage(id, &page).ok());
@@ -30,7 +30,7 @@ TEST(FaultInjectionTest, WriteFaultSurfacesFromDisk) {
   DiskManager disk(512);
   const PageId id = disk.AllocatePage();
   Page page(512);
-  disk.InjectWriteFaults(1);
+  disk.fault_injector().InjectOneShot(FaultOp::kWrite, 1);
   EXPECT_TRUE(disk.WritePage(id, page).IsCorruption());
   EXPECT_TRUE(disk.WritePage(id, page).ok());
 }
@@ -39,7 +39,7 @@ TEST(FaultInjectionTest, BufferPoolPropagatesReadFault) {
   DiskManager disk(512);
   BufferPool pool(&disk, 4);
   const PageId id = disk.AllocatePage();
-  disk.InjectReadFaults(1);
+  disk.fault_injector().InjectOneShot(FaultOp::kRead, 1);
   EXPECT_TRUE(pool.FetchPage(id).status().IsCorruption());
   // The pool recovers: the failed fetch must not leak a pinned frame or a
   // stale table entry.
@@ -58,7 +58,7 @@ TEST(FaultInjectionTest, HeapFileRecoversAfterFaultWindow) {
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(heap.Insert(Tuple({i}, {std::string(60, 'f')})).ok());
   }
-  disk.InjectReadFaults(1);
+  disk.fault_injector().InjectOneShot(FaultOp::kRead, 1);
   EXPECT_FALSE(heap.Get(rid.value()).ok());
   // After the fault window, the same Get succeeds and returns the data.
   Result<Tuple> tuple = heap.Get(rid.value());
@@ -75,7 +75,7 @@ TEST(FaultInjectionTest, ScanPropagatesFaultMidway) {
     ASSERT_TRUE(heap.Insert(Tuple({i}, {std::string(60, 'f')})).ok());
   }
   ASSERT_GT(heap.PageCount(), 3u);
-  disk.InjectReadFaults(1);
+  disk.fault_injector().InjectOneShot(FaultOp::kRead, 1);
   size_t visited = 0;
   const Status status =
       heap.ForEachTuple([&](const Rid&, const Tuple&) { ++visited; });
@@ -141,7 +141,7 @@ TEST(FaultInjectorTest, DisarmClearsOneShots) {
   DiskManager disk(512);
   const PageId id = disk.AllocatePage();
   Page page(512);
-  disk.InjectReadFaults(3);
+  disk.fault_injector().InjectOneShot(FaultOp::kRead, 3);
   disk.fault_injector().Disarm();
   EXPECT_TRUE(disk.ReadPage(id, &page).ok());
 }
