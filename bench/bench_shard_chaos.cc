@@ -129,7 +129,8 @@ PhaseStats ReplayPoints(ShardedDatabase* fleet, const std::vector<Value>& keys) 
   const auto wall_start = std::chrono::steady_clock::now();
   for (const Value key : keys) {
     const auto start = std::chrono::steady_clock::now();
-    Result<ShardResult> result = fleet->ExecuteQuery(Query::Point(0, key));
+    Result<ShardResult> result =
+        fleet->ExecuteStatement(ShardStatement::Select(Query::Point(0, key)));
     const auto end = std::chrono::steady_clock::now();
     if (!result.ok()) ++stats.failures;
     latencies.push_back(
@@ -155,7 +156,8 @@ void CrashAndOpenBreaker(ShardedDatabase* fleet) {
   for (int i = 0;
        i < 8 && fleet->health().state(kCrashShard) != BreakerState::kOpen;
        ++i) {
-    (void)fleet->ExecuteQuery(Query::Point(0, victim));
+    (void)fleet->ExecuteStatement(
+        ShardStatement::Select(Query::Point(0, victim)));
   }
   if (fleet->health().state(kCrashShard) != BreakerState::kOpen) {
     std::fprintf(stderr, "breaker failed to open\n");
@@ -176,7 +178,8 @@ uint64_t BrownoutScriptHash(const bench::BenchArgs& args) {
   brownout.latency = std::chrono::microseconds{200};
   fleet->fault_injector().Brownout(1, brownout);
   for (size_t i = 0; i < kScatterOps; ++i) {
-    (void)fleet->ExecuteQuery(Query::Range(1, kDomainLo, kDomainHi));
+    (void)fleet->ExecuteStatement(
+        ShardStatement::Select(Query::Range(1, kDomainLo, kDomainHi)));
   }
   return fleet->fault_injector().TraceHash();
 }
@@ -219,8 +222,10 @@ int Run(const bench::BenchArgs& args) {
                           Query::Point(0, VictimKey(*fleet)),
                           Query::Range(0, kDomainLo, kDomainLo + 500)};
   for (const Query& probe : probes) {
-    Result<ShardResult> mine = fleet->ExecuteQuery(probe);
-    Result<ShardResult> theirs = twin->ExecuteQuery(probe);
+    Result<ShardResult> mine =
+        fleet->ExecuteStatement(ShardStatement::Select(probe));
+    Result<ShardResult> theirs =
+        twin->ExecuteStatement(ShardStatement::Select(probe));
     if (!mine.ok() || !theirs.ok() || mine->rids != theirs->rids) {
       restart_identical = false;
     }
@@ -234,13 +239,15 @@ int Run(const bench::BenchArgs& args) {
   hedge_options.tolerance.breaker.hedge_floor = std::chrono::microseconds{0};
   auto hedge_fleet = MakeFleet(args, hedge_options);
   Result<ShardResult> unhedged_baseline =
-      twin->ExecuteQuery(Query::Range(1, kDomainLo, kDomainHi));
+      twin->ExecuteStatement(
+          ShardStatement::Select(Query::Range(1, kDomainLo, kDomainHi)));
   size_t hedges = 0;
   size_t hedge_wins = 0;
   bool hedged_results_ok = true;
   for (size_t i = 0; i < kScatterOps; ++i) {
     Result<ShardResult> result =
-        hedge_fleet->ExecuteQuery(Query::Range(1, kDomainLo, kDomainHi));
+        hedge_fleet->ExecuteStatement(
+            ShardStatement::Select(Query::Range(1, kDomainLo, kDomainHi)));
     if (!result.ok()) {
       hedged_results_ok = false;
       continue;

@@ -188,11 +188,15 @@ PageSelection IndexBufferSpace::SelectPagesForBuffer(IndexBuffer* target) {
       break;
   }
 
-  // Greedy prefix of `candidates` fitting `allowance` entries and I_MAX.
+  // Greedy prefix of `candidates` fitting `allowance` entries and I_MAX
+  // (0 = no cap).
+  const size_t max_pages = options_.max_pages_per_scan == 0
+                               ? std::numeric_limits<size_t>::max()
+                               : options_.max_pages_per_scan;
   auto select = [&](size_t allowance) {
     std::pair<std::vector<size_t>, size_t> selection;  // pages, n_I
     for (const auto& [c, page] : candidates) {
-      if (selection.first.size() >= options_.max_pages_per_scan) break;
+      if (selection.first.size() >= max_pages) break;
       if (selection.second + c > allowance) break;
       selection.first.push_back(page);
       selection.second += c;

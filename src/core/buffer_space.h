@@ -43,7 +43,7 @@ struct BufferSpaceOptions {
   /// 0 = unlimited (paper Exp. 1).
   size_t max_entries = 0;
   /// I_MAX: upper bound on pages newly indexed per table scan (paper: 5,000
-  /// or 10,000).
+  /// or 10,000). 0 = no per-scan cap.
   size_t max_pages_per_scan = 5000;
   /// Seed for the probabilistic victim selection.
   uint64_t seed = 42;

@@ -67,8 +67,8 @@ struct ShardHealthSnapshot {
 };
 
 /// Per-shard rolling error/latency window feeding a Closed → Open →
-/// HalfProbe circuit breaker, consulted by ScatterGatherScan and
-/// ShardedDatabase before every dispatch. The same window's latency
+/// HalfProbe circuit breaker, consulted by ShardedDatabase's leg runner
+/// before every select and DML leg dispatch. The same window's latency
 /// quantile supplies the hedge delay, so "this shard is slow lately"
 /// drives both when to hedge and when to stop asking entirely.
 ///

@@ -124,7 +124,7 @@ struct ShardResult {
 /// Implementations: SingleNodeTarget (one Shard, no routing) and
 /// ShardedDatabase (N shared-nothing shards behind a ShardRouter).
 ///
-/// Thread-safety: ExecuteStatement/ExecuteQuery/FetchRow may be called
+/// Thread-safety: ExecuteStatement/FetchRow may be called
 /// from concurrent threads once provisioning (LoadTuple /
 /// CreatePartialIndex) is complete; provisioning itself is single-threaded
 /// setup, same as the underlying Database contract.
@@ -165,11 +165,6 @@ class IShardTarget {
   virtual Status AdmissionCheck(const ShardStatement& statement) const {
     (void)statement;
     return Status::Ok();
-  }
-
-  Result<ShardResult> ExecuteQuery(const Query& query,
-                                   const ShardSubmitOptions& submit = {}) {
-    return ExecuteStatement(ShardStatement::Select(query), submit);
   }
 
   /// The row behind a fleet-wide rid — the gather-side materialization

@@ -9,7 +9,6 @@
 
 #include "common/backoff.h"
 #include "common/metrics.h"
-#include "shard/scatter_gather.h"
 #include "shard/shard_fault.h"
 #include "shard/shard_health.h"
 #include "shard/shard_router.h"
@@ -47,24 +46,32 @@ struct ShardedDatabaseOptions {
 };
 
 /// A shared-nothing shard fleet behind one statement front door: rows are
-/// placed by the ShardRouter, selects scatter to the owning shards
-/// through ScatterGatherScan and gather through the NextBatch protocol,
-/// DML routes to the single owning shard (updates whose new routing value
-/// moves them are migrated delete+insert), and every shard runs the
-/// paper's adaptive control loop independently on its own
-/// IndexBufferSpace — coverage C[p] is per-shard by design.
+/// placed by the ShardRouter, selects scatter to the owning shards and
+/// gather their rids in ascending shard order, DML routes to the single
+/// owning shard (updates whose new routing value moves them are migrated
+/// delete+insert), and every shard runs the paper's adaptive control loop
+/// independently on its own IndexBufferSpace — coverage C[p] is per-shard
+/// by design.
+///
+/// Every shard leg, select or DML, runs through one leg runner: Dispatch
+/// (circuit-breaker gate, outage gate, jittered Busy backoff, Submit with
+/// what remains of the statement's deadline) and Await (wait, hedge a slow
+/// select leg, record the outcome in the breaker, re-dispatch a
+/// transient/corruption failure up to `max_leg_retries` — the
+/// recovery-free property of §VII makes a failed leg safe to re-run).
 ///
 /// Fleet fault tolerance: a ShardFaultInjector can crash/hang/brownout
 /// individual shards (tests, shell, chaos bench); every dispatch consults
 /// the shard's circuit breaker in the ShardHealthTracker and feeds its
-/// outcome back; slow scatter legs hedge within a per-statement budget;
+/// outcome back; slow select legs hedge within a per-statement budget;
 /// and RestartShard(i) warm-restarts a node from its own durable state —
 /// the Index Buffers re-adapt from cold (recovery-free, §VII) while
 /// results stay bit-identical to a never-crashed fleet.
 ///
 /// No cross-shard transactions: a migrating update is two independent
 /// single-shard statements (documented non-atomicity; the delete lands
-/// before the insert).
+/// before the insert, and only the delete answers to the caller's
+/// deadline and cancel).
 class ShardedDatabase : public IShardTarget {
  public:
   ShardedDatabase(Schema schema, ShardedDatabaseOptions options);
@@ -117,17 +124,44 @@ class ShardedDatabase : public IShardTarget {
   void Shutdown();
 
  private:
-  Result<ShardResult> RunSelect(const Query& query,
-                                const ShardSubmitOptions& submit);
-  Result<ShardResult> RunDml(const ShardStatement& statement,
-                             const ShardSubmitOptions& submit);
+  struct Leg;
+  struct LegRun;
 
-  /// One single-shard statement leg with breaker gate, outage gate,
-  /// jittered Busy backoff, and bounded transient/corruption re-dispatch.
-  /// `retried` (optional) accumulates re-dispatch count.
-  Result<StatementResult> RunOnShard(size_t shard, const Statement& statement,
-                                     const ShardSubmitOptions& submit,
-                                     size_t* retried);
+  Result<ShardResult> RunSelect(const Query& query,
+                                const QueryControl& control,
+                                bool allow_partial);
+  Result<ShardResult> RunDml(const ShardStatement& statement,
+                             const QueryControl& control);
+
+  /// Runs `statement` on `shards` (ascending): pins each shard against
+  /// warm restart, dispatches every leg (stopping at the first refusal
+  /// that fails the statement), then awaits the legs in shard order,
+  /// checking `control` before each, and gathers their rids (tagged with
+  /// the shard) and merged stats. Hedging and `allow_partial` apply to
+  /// selects only.
+  Result<ShardResult> RunLegs(const Statement& statement,
+                              const std::vector<size_t>& shards,
+                              const QueryControl& control,
+                              bool allow_partial);
+
+  /// One dispatch attempt of `leg`: breaker gate, outage gate, then Submit
+  /// with the remaining budget and jittered backoff while Busy.
+  Status Dispatch(LegRun& run, Leg& leg);
+
+  /// True when `status`, the failure of `leg`'s latest attempt, fails the
+  /// statement: neither skipped under allow_partial nor retriable.
+  bool FailsStatement(const LegRun& run, const Leg& leg,
+                      const Status& status) const;
+
+  /// The leg's result: waits (hedging when allowed), records the outcome
+  /// in the breaker, and re-dispatches transient/corruption failures up
+  /// to `max_leg_retries`.
+  Result<StatementResult> Await(LegRun& run, Leg& leg);
+
+  /// Waits for the leg's future; past the shard's hedge delay, dispatches
+  /// one duplicate when the run's hedge budget allows; the first result
+  /// to land wins.
+  Result<StatementResult> Collect(LegRun& run, Leg& leg);
 
   /// Shards `statement` would touch (select: routed set; DML: owning
   /// shard(s), both sides of a migration).

@@ -4,6 +4,7 @@
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "workload/database.h"
 
 namespace aib {
 namespace {
@@ -100,6 +101,34 @@ TEST_F(BufferSpaceTest, ImaxCapsSelection) {
   IndexBuffer* buffer =
       space.CreateBuffer(indexes_[0].get(), SmallPartitions()).value();
   EXPECT_EQ(space.SelectPagesForBuffer(buffer).pages.size(), 3u);
+}
+
+TEST_F(BufferSpaceTest, ZeroImaxMeansNoPerScanCap) {
+  BufferSpaceOptions options;
+  options.max_pages_per_scan = 0;
+  IndexBufferSpace space(options);
+  IndexBuffer* buffer =
+      space.CreateBuffer(indexes_[0].get(), SmallPartitions()).value();
+  // Pages 5..19 are uncovered.
+  const PageSelection selection = space.SelectPagesForBuffer(buffer);
+  EXPECT_EQ(selection.pages.size(), 15u);
+  EXPECT_EQ(selection.expected_entries, 150u);
+
+  // End to end: one uncovered select indexes every uncovered page.
+  DatabaseOptions db_options;
+  db_options.max_tuples_per_page = 10;
+  db_options.space = options;
+  Database db(Schema::PaperSchema(1, 16), db_options);
+  for (Value v = 0; v < 100; ++v) {
+    ASSERT_TRUE(db.LoadTuple(Tuple({v}, {"p"})).ok());
+  }
+  ASSERT_TRUE(db.CreatePartialIndex(0, ValueCoverage::Range(0, 19)).ok());
+  Result<StatementResult> result =
+      db.ExecuteStatement(Statement::Select(Query::Point(0, 55)));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->stats.pages_selected, 8u);
+  EXPECT_EQ(result->stats.entries_added, 80u);
+  EXPECT_EQ(db.GetBuffer(0)->TotalEntries(), 80u);
 }
 
 TEST_F(BufferSpaceTest, BudgetLimitsSelection) {

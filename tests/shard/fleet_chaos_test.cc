@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,7 +82,8 @@ void OpenBreakerViaCrash(ShardedDatabase* fleet, size_t shard) {
   const Value victim = ValueOwnedBy(*fleet, shard);
   for (int i = 0; i < 5 && fleet->health().state(shard) != BreakerState::kOpen;
        ++i) {
-    (void)fleet->ExecuteQuery(Query::Point(0, victim));
+    (void)fleet->ExecuteStatement(
+        ShardStatement::Select(Query::Point(0, victim)));
   }
   ASSERT_EQ(fleet->health().state(shard), BreakerState::kOpen);
 }
@@ -93,7 +96,8 @@ TEST(FleetChaosTest, CrashedShardFailsFastWithAnnotatedStatus) {
   fleet->fault_injector().Crash(crashed);
   const Value victim = ValueOwnedBy(*fleet, crashed);
 
-  Result<ShardResult> doomed = fleet->ExecuteQuery(Query::Point(0, victim));
+  Result<ShardResult> doomed =
+      fleet->ExecuteStatement(ShardStatement::Select(Query::Point(0, victim)));
   ASSERT_FALSE(doomed.ok());
   EXPECT_TRUE(doomed.status().IsIoError()) << doomed.status().ToString();
   const std::string message = doomed.status().ToString();
@@ -105,8 +109,8 @@ TEST(FleetChaosTest, CrashedShardFailsFastWithAnnotatedStatus) {
 
   // Healthy-routed statements are untouched by the outage.
   size_t healthy = (crashed + 1) % kShards;
-  Result<ShardResult> fine =
-      fleet->ExecuteQuery(Query::Point(0, ValueOwnedBy(*fleet, healthy)));
+  Result<ShardResult> fine = fleet->ExecuteStatement(
+      ShardStatement::Select(Query::Point(0, ValueOwnedBy(*fleet, healthy))));
   EXPECT_TRUE(fine.ok()) << fine.status().ToString();
 
   const auto counters = fleet->FleetCounters();
@@ -116,10 +120,12 @@ TEST(FleetChaosTest, CrashedShardFailsFastWithAnnotatedStatus) {
   // One more statement records the fifth consecutive failure and trips
   // the breaker; from then on the statement fails fast with Unavailable
   // and the precise per-shard annotation.
-  Result<ShardResult> tripped = fleet->ExecuteQuery(Query::Point(0, victim));
+  Result<ShardResult> tripped =
+      fleet->ExecuteStatement(ShardStatement::Select(Query::Point(0, victim)));
   ASSERT_FALSE(tripped.ok());
   EXPECT_EQ(fleet->health().state(crashed), BreakerState::kOpen);
-  Result<ShardResult> refused = fleet->ExecuteQuery(Query::Point(0, victim));
+  Result<ShardResult> refused =
+      fleet->ExecuteStatement(ShardStatement::Select(Query::Point(0, victim)));
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(refused.status().IsUnavailable())
       << refused.status().ToString();
@@ -137,7 +143,8 @@ TEST(FleetChaosTest, AllowPartialGatherSkipsOpenCircuitShard) {
   auto fleet = MakeFleet(options);
 
   // Baseline scatter before any outage: count rows per shard.
-  Result<ShardResult> baseline = fleet->ExecuteQuery(kScatterAll);
+  Result<ShardResult> baseline =
+      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
   ASSERT_TRUE(baseline.ok());
   size_t rows_on_crashed = 0;
   const size_t crashed = 1;
@@ -150,7 +157,8 @@ TEST(FleetChaosTest, AllowPartialGatherSkipsOpenCircuitShard) {
 
   // Without the opt-in, a scatter touching the open-circuit shard fails
   // fast with the per-shard status.
-  Result<ShardResult> refused = fleet->ExecuteQuery(kScatterAll);
+  Result<ShardResult> refused =
+      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(refused.status().IsUnavailable())
       << refused.status().ToString();
@@ -159,7 +167,8 @@ TEST(FleetChaosTest, AllowPartialGatherSkipsOpenCircuitShard) {
   // marker and the skipped-shard report.
   ShardSubmitOptions partial;
   partial.allow_partial = true;
-  Result<ShardResult> degraded = fleet->ExecuteQuery(kScatterAll, partial);
+  Result<ShardResult> degraded =
+      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll), partial);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_TRUE(degraded->stats.degraded);
   ASSERT_EQ(degraded->shards_skipped.size(), 1u);
@@ -172,8 +181,9 @@ TEST(FleetChaosTest, AllowPartialGatherSkipsOpenCircuitShard) {
   EXPECT_GT(fleet->FleetCounters().at(kMetricShardLegsSkipped), 0);
 
   // Healthy-pruned statements never consult the crashed shard at all.
-  Result<ShardResult> routed = fleet->ExecuteQuery(
-      Query::Point(0, ValueOwnedBy(*fleet, (crashed + 1) % kShards)));
+  Result<ShardResult> routed =
+      fleet->ExecuteStatement(ShardStatement::Select(
+          Query::Point(0, ValueOwnedBy(*fleet, (crashed + 1) % kShards))));
   EXPECT_TRUE(routed.ok()) << routed.status().ToString();
 }
 
@@ -184,8 +194,9 @@ TEST(FleetChaosTest, HangRespectsStatementDeadline) {
   ShardSubmitOptions submit;
   submit.deadline = milliseconds{100};
   const auto start = std::chrono::steady_clock::now();
-  Result<ShardResult> timed_out =
-      fleet->ExecuteQuery(Query::Point(0, ValueOwnedBy(*fleet, hung)), submit);
+  Result<ShardResult> timed_out = fleet->ExecuteStatement(
+      ShardStatement::Select(Query::Point(0, ValueOwnedBy(*fleet, hung))),
+      submit);
   const auto waited = std::chrono::steady_clock::now() - start;
   ASSERT_FALSE(timed_out.ok());
   EXPECT_TRUE(timed_out.status().IsTimeout())
@@ -194,8 +205,9 @@ TEST(FleetChaosTest, HangRespectsStatementDeadline) {
   // statement returns.
   EXPECT_LT(waited, milliseconds{5000});
   fleet->fault_injector().Revive(hung);
-  Result<ShardResult> revived =
-      fleet->ExecuteQuery(Query::Point(0, ValueOwnedBy(*fleet, hung)), submit);
+  Result<ShardResult> revived = fleet->ExecuteStatement(
+      ShardStatement::Select(Query::Point(0, ValueOwnedBy(*fleet, hung))),
+      submit);
   EXPECT_TRUE(revived.ok()) << revived.status().ToString();
   EXPECT_GT(fleet->FleetCounters().at(kMetricShardHangWaits), 0);
 }
@@ -210,10 +222,12 @@ TEST(FleetChaosTest, HedgedLegsDispatchWithinBudget) {
   options.tolerance.hedge_budget = 2;
   auto fleet = MakeFleet(options);
 
-  Result<ShardResult> baseline = fleet->ExecuteQuery(kScatterAll);
+  Result<ShardResult> baseline =
+      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
   ASSERT_TRUE(baseline.ok());
 
-  Result<ShardResult> hedged = fleet->ExecuteQuery(kScatterAll);
+  Result<ShardResult> hedged =
+      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
   ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();
   EXPECT_GE(hedged->legs_hedged, 1u);
   EXPECT_LE(hedged->legs_hedged, 2u) << "hedge budget exceeded";
@@ -222,6 +236,245 @@ TEST(FleetChaosTest, HedgedLegsDispatchWithinBudget) {
   // duplicate races the same statement on the same shard.
   EXPECT_EQ(hedged->rids, baseline->rids);
   EXPECT_GT(fleet->FleetCounters().at(kMetricShardLegsHedged), 0);
+}
+
+TEST(FleetChaosTest, DmlHonorsStatementDeadlineUnderBrownout) {
+  auto fleet = MakeFleet();
+  const size_t slow = 1;
+  const Value owned = ValueOwnedBy(*fleet, slow);
+  Result<ShardResult> before =
+      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  // Every dispatch to the slow shard stalls 60ms in the outage gate, three
+  // times the statements' 20ms budget.
+  BrownoutOptions brownout;
+  brownout.latency_rate = 1.0;
+  brownout.latency = milliseconds{60};
+  fleet->fault_injector().Brownout(slow, brownout);
+  ShardSubmitOptions submit;
+  submit.deadline = milliseconds{20};
+
+  Result<ShardResult> insert = fleet->ExecuteStatement(
+      ShardStatement::Insert(Tuple({owned, 1}, {"row"})), submit);
+  ASSERT_FALSE(insert.ok());
+  EXPECT_TRUE(insert.status().IsTimeout()) << insert.status().ToString();
+  Result<ShardResult> select = fleet->ExecuteStatement(
+      ShardStatement::Select(Query::Point(0, owned)), submit);
+  ASSERT_FALSE(select.ok());
+  EXPECT_TRUE(select.status().IsTimeout()) << select.status().ToString();
+
+  fleet->fault_injector().Revive(slow);
+  Result<ShardResult> after =
+      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->rids.size(), before->rids.size())
+      << "a timed-out insert must not land";
+}
+
+TEST(FleetChaosTest, DmlOnCrashedOwnerFailsFastAndRecoversAfterRevive) {
+  ShardedDatabaseOptions options = FleetOptions();
+  // A fixed probe delay: long enough that the breaker stays open while the
+  // fail-fast checks run, short enough to wait out after the revive.
+  options.tolerance.breaker.probe_backoff.base = microseconds{500000};
+  options.tolerance.breaker.probe_backoff.jitter = 0.0;
+  auto fleet = MakeFleet(options);
+  const size_t crashed = 2;
+  const Value victim = ValueOwnedBy(*fleet, crashed);
+  const auto row_count = [&] {
+    Result<ShardResult> all =
+        fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
+    EXPECT_TRUE(all.ok()) << all.status().ToString();
+    return all.ok() ? all->rids.size() : 0;
+  };
+  Result<ShardResult> first = fleet->ExecuteStatement(
+      ShardStatement::Insert(Tuple({victim, 1}, {"row"})));
+  Result<ShardResult> second = fleet->ExecuteStatement(
+      ShardStatement::Insert(Tuple({victim, 2}, {"row"})));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const size_t rows = row_count();
+
+  fleet->fault_injector().Crash(crashed);
+  const std::vector<ShardStatement> dml = {
+      ShardStatement::Insert(Tuple({victim, 3}, {"row"})),
+      ShardStatement::Update(first->rids.at(0), Tuple({victim, 4}, {"row"})),
+      ShardStatement::Delete(second->rids.at(0)),
+  };
+  // The insert burns its four attempts on crash rejects; the update's
+  // first reject is the fifth in a row and trips the breaker, so its
+  // retry and the delete fail fast.
+  for (const ShardStatement& statement : dml) {
+    Result<ShardResult> result = fleet->ExecuteStatement(statement);
+    ASSERT_FALSE(result.ok());
+    const std::string message = result.status().ToString();
+    EXPECT_TRUE(result.status().IsIoError() ||
+                result.status().IsUnavailable())
+        << message;
+    EXPECT_NE(message.find("shard " + std::to_string(crashed) + ": "),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("(attempts="), std::string::npos) << message;
+    EXPECT_NE(message.find(", breaker="), std::string::npos) << message;
+  }
+  ASSERT_EQ(fleet->health().state(crashed), BreakerState::kOpen);
+
+  // Open breaker: the admission check refuses, and the ladder refuses
+  // without dispatching — no crash reject is drawn.
+  const ShardStatement next =
+      ShardStatement::Insert(Tuple({victim, 5}, {"row"}));
+  EXPECT_TRUE(fleet->AdmissionCheck(next).IsUnavailable());
+  const int64_t rejects = fleet->FleetCounters().at(kMetricShardCrashRejects);
+  Result<ShardResult> refused = fleet->ExecuteStatement(next);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsUnavailable())
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().ToString().find("attempts=1, breaker=open"),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_EQ(fleet->FleetCounters().at(kMetricShardCrashRejects), rejects);
+
+  // Revive and wait for the probe to come due: the next DML takes the
+  // half-open probe slot, succeeds, and closes the breaker.
+  fleet->fault_injector().Revive(crashed);
+  const auto give_up = std::chrono::steady_clock::now() + milliseconds{5000};
+  while (fleet->health().WouldFailFast(crashed) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(milliseconds{5});
+  }
+  EXPECT_TRUE(fleet->AdmissionCheck(next).ok());
+  Result<ShardResult> probe = fleet->ExecuteStatement(next);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  EXPECT_EQ(fleet->health().state(crashed), BreakerState::kClosed);
+  ASSERT_TRUE(fleet->ExecuteStatement(dml[1]).ok());
+  ASSERT_TRUE(fleet->ExecuteStatement(dml[2]).ok());
+  // Nothing the failed statements attempted landed: one insert and one
+  // delete since the crash.
+  EXPECT_EQ(row_count(), rows);
+}
+
+TEST(FleetChaosTest, StalledLegDoesNotChargeLaterShards) {
+  // A hang and a brownout delay each spend the whole budget on shard 1 of
+  // 4. The gather stops there: shards 2 and 3 are never dispatched, so
+  // their breakers see nothing of shard 1's outage.
+  for (const bool hang : {true, false}) {
+    auto fleet = MakeFleet();
+    const size_t stalled = 1;
+    if (hang) {
+      fleet->fault_injector().Hang(stalled);
+    } else {
+      BrownoutOptions brownout;
+      brownout.latency_rate = 1.0;
+      brownout.latency = milliseconds{60};
+      fleet->fault_injector().Brownout(stalled, brownout);
+    }
+    ShardSubmitOptions submit;
+    submit.deadline = milliseconds{20};
+    for (int i = 0; i < 6; ++i) {
+      Result<ShardResult> result =
+          fleet->ExecuteStatement(ShardStatement::Select(kScatterAll), submit);
+      ASSERT_FALSE(result.ok());
+      // Timeouts until shard 1's breaker opens, fail-fast after.
+      EXPECT_TRUE(result.status().IsTimeout() ||
+                  result.status().IsUnavailable())
+          << result.status().ToString();
+    }
+    EXPECT_EQ(fleet->health().state(stalled), BreakerState::kOpen)
+        << (hang ? "hang" : "brownout");
+    for (const size_t healthy : {size_t{0}, size_t{2}, size_t{3}}) {
+      EXPECT_EQ(fleet->health().state(healthy), BreakerState::kClosed)
+          << (hang ? "hang" : "brownout") << ", shard " << healthy;
+    }
+    fleet->fault_injector().Revive(stalled);
+  }
+}
+
+TEST(FleetChaosTest, CallerCancelReachesRunningLegs) {
+  auto fleet = MakeFleet();
+  const size_t blocked = 2;
+  const Value owned = ValueOwnedBy(*fleet, blocked);
+  Result<ShardResult> before =
+      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  Shard& node = fleet->shard(blocked);
+
+  // Runs `statement` while the blocked shard's statement membrane is held
+  // exclusively, so its leg is dispatched and parked in the shard worker;
+  // cancels the caller's token there, then lets the leg go on.
+  const auto cancel_mid_leg = [&](const ShardStatement& statement) {
+    ShardSubmitOptions submit;
+    submit.cancel = MakeCancelToken();
+    Result<ShardResult> result = Status::Internal("not run");
+    std::unique_lock<std::shared_mutex> quiesce(
+        node.db().executor()->statement_latch());
+    const int64_t submitted = node.service().stats().submitted;
+    std::thread caller(
+        [&] { result = fleet->ExecuteStatement(statement, submit); });
+    const auto give_up = std::chrono::steady_clock::now() + milliseconds{5000};
+    while (node.service().stats().submitted == submitted &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(milliseconds{1});
+    }
+    std::this_thread::sleep_for(milliseconds{10});
+    submit.cancel->store(true, std::memory_order_relaxed);
+    std::this_thread::sleep_for(milliseconds{20});
+    quiesce.unlock();
+    caller.join();
+    return result;
+  };
+
+  Result<ShardResult> insert =
+      cancel_mid_leg(ShardStatement::Insert(Tuple({owned, 1}, {"row"})));
+  ASSERT_FALSE(insert.ok());
+  EXPECT_TRUE(insert.status().IsCancelled()) << insert.status().ToString();
+  Result<ShardResult> scatter =
+      cancel_mid_leg(ShardStatement::Select(kScatterAll));
+  ASSERT_FALSE(scatter.ok());
+  EXPECT_TRUE(scatter.status().IsCancelled()) << scatter.status().ToString();
+
+  // A cancel is the caller's decision, not the shard's health.
+  EXPECT_EQ(fleet->health().state(blocked), BreakerState::kClosed);
+  Result<ShardResult> after =
+      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->rids.size(), before->rids.size())
+      << "a cancelled insert must not land";
+}
+
+TEST(FleetChaosTest, MigratingUpdateKeepsRowPastTightDeadline) {
+  auto fleet = MakeFleet();
+  const size_t from = 0;
+  const size_t to = 3;
+  // Column 1 carries a marker no provisioned row has.
+  constexpr Value kMarker = kLoadHi + 7;
+  Result<ShardResult> placed = fleet->ExecuteStatement(ShardStatement::Insert(
+      Tuple({ValueOwnedBy(*fleet, from), kMarker}, {"row"})));
+  ASSERT_TRUE(placed.ok()) << placed.status().ToString();
+  ASSERT_EQ(placed->rids.at(0).shard, from);
+
+  // The new owner stalls 60ms in the outage gate, three times the
+  // update's budget; the delete on the old owner is quick.
+  BrownoutOptions brownout;
+  brownout.latency_rate = 1.0;
+  brownout.latency = milliseconds{60};
+  fleet->fault_injector().Brownout(to, brownout);
+  ShardSubmitOptions submit;
+  submit.deadline = milliseconds{20};
+  Result<ShardResult> moved = fleet->ExecuteStatement(
+      ShardStatement::Update(placed->rids.at(0),
+                             Tuple({ValueOwnedBy(*fleet, to), kMarker},
+                                   {"row"})),
+      submit);
+  fleet->fault_injector().Revive(to);
+  // Once the delete committed, the insert ran to its own outcome rather
+  // than drop the row on the spent budget.
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_EQ(moved->legs, 2u);
+  Result<ShardResult> found = fleet->ExecuteStatement(
+      ShardStatement::Select(Query::Point(1, kMarker)));
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_EQ(found->rids.size(), 1u) << "the migrated row must exist once";
+  EXPECT_EQ(found->rids[0].shard, to);
 }
 
 TEST(FleetChaosTest, WarmRestartMatchesNeverCrashedTwin) {
@@ -257,7 +510,8 @@ TEST(FleetChaosTest, WarmRestartMatchesNeverCrashedTwin) {
   subject->fault_injector().Crash(crashed);
   const Value victim = ValueOwnedBy(*subject, crashed);
   for (int i = 0; i < 3; ++i) {
-    Result<ShardResult> doomed = subject->ExecuteQuery(Query::Point(0, victim));
+    Result<ShardResult> doomed = subject->ExecuteStatement(
+        ShardStatement::Select(Query::Point(0, victim)));
     EXPECT_FALSE(doomed.ok());
   }
   ASSERT_TRUE(subject->RestartShard(crashed).ok());
@@ -283,14 +537,17 @@ TEST(FleetChaosTest, WarmRestartMatchesNeverCrashedTwin) {
       Query::Range(0, 1490, 1560),
   };
   for (const Query& query : probes) {
-    Result<ShardResult> on_subject = subject->ExecuteQuery(query);
-    Result<ShardResult> on_twin = twin->ExecuteQuery(query);
+    Result<ShardResult> on_subject =
+        subject->ExecuteStatement(ShardStatement::Select(query));
+    Result<ShardResult> on_twin =
+        twin->ExecuteStatement(ShardStatement::Select(query));
     ASSERT_TRUE(on_subject.ok()) << on_subject.status().ToString();
     ASSERT_TRUE(on_twin.ok()) << on_twin.status().ToString();
     EXPECT_EQ(on_subject->rids, on_twin->rids);
   }
   // And the rows behind those rids are the same bytes.
-  Result<ShardResult> all = subject->ExecuteQuery(kScatterAll);
+  Result<ShardResult> all =
+      subject->ExecuteStatement(ShardStatement::Select(kScatterAll));
   ASSERT_TRUE(all.ok());
   for (const GlobalRid& grid : all->rids) {
     Result<Tuple> mine = subject->FetchRow(grid);
@@ -314,7 +571,8 @@ TEST(FleetChaosTest, RestartWhileHungRevivesInsteadOfDeadlocking) {
   std::thread blocked([&] {
     // No deadline: this admit parks inside the injector until the restart
     // revives the shard.
-    Result<ShardResult> result = fleet->ExecuteQuery(Query::Point(0, victim));
+    Result<ShardResult> result = fleet->ExecuteStatement(
+        ShardStatement::Select(Query::Point(0, victim)));
     query_status = result.status();
     query_done.store(true);
   });
@@ -325,7 +583,8 @@ TEST(FleetChaosTest, RestartWhileHungRevivesInsteadOfDeadlocking) {
   ASSERT_TRUE(fleet->RestartShard(hung).ok());
   blocked.join();
   EXPECT_TRUE(query_status.ok()) << query_status.ToString();
-  Result<ShardResult> after = fleet->ExecuteQuery(Query::Point(0, victim));
+  Result<ShardResult> after =
+      fleet->ExecuteStatement(ShardStatement::Select(Query::Point(0, victim)));
   EXPECT_TRUE(after.ok()) << after.status().ToString();
 }
 
@@ -374,14 +633,15 @@ TEST(FleetChaosTest, FaultScriptTraceHashReplays) {
     fleet->fault_injector().Crash(1);
     const Value victim = ValueOwnedBy(*fleet, 1);
     for (int i = 0; i < 2; ++i) {
-      (void)fleet->ExecuteQuery(Query::Point(0, victim));
+      (void)fleet->ExecuteStatement(
+          ShardStatement::Select(Query::Point(0, victim)));
     }
     fleet->fault_injector().Revive(1);
     BrownoutOptions brownout;
     brownout.error_rate = 0.4;
     fleet->fault_injector().Brownout(2, brownout);
     for (size_t i = 0; i < 6 + extra; ++i) {
-      (void)fleet->ExecuteQuery(kScatterAll);
+      (void)fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
     }
     fleet->fault_injector().Revive(2);
   };
@@ -417,8 +677,10 @@ TEST(FleetChaosTest, ConcurrentOutagesAndRestartsStayCoherent) {
             static_cast<Value>(rng.UniformInt(kLoadLo, kLoadHi));
         Result<ShardResult> result =
             (i % 3) == 0
-                ? fleet->ExecuteQuery(Query::Range(1, v, v + 50), submit)
-                : fleet->ExecuteQuery(Query::Point(0, v), submit);
+                ? fleet->ExecuteStatement(
+                    ShardStatement::Select(Query::Range(1, v, v + 50)), submit)
+                : fleet->ExecuteStatement(
+                    ShardStatement::Select(Query::Point(0, v)), submit);
         if (result.ok()) {
           succeeded.fetch_add(1);
         } else {
@@ -446,7 +708,8 @@ TEST(FleetChaosTest, ConcurrentOutagesAndRestartsStayCoherent) {
   EXPECT_GT(succeeded.load(), 0u);
   // The fleet is coherent after the dust settles: every outage cleared,
   // a full scatter succeeds, and the restarted shard serves traffic.
-  Result<ShardResult> final_scan = fleet->ExecuteQuery(kScatterAll);
+  Result<ShardResult> final_scan =
+      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
   EXPECT_TRUE(final_scan.ok()) << final_scan.status().ToString();
 }
 

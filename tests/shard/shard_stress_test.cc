@@ -127,7 +127,8 @@ TEST(ShardStressTest, ConcurrentTenantsKeepTheFleetConsistent) {
   EXPECT_EQ(failures.load(), 0u);
 
   // Fleet-wide row count: initial load plus the surviving inserts.
-  Result<ShardResult> all = fleet->ExecuteQuery(Query::Range(0, 1, kDomainHi));
+  Result<ShardResult> all = fleet->ExecuteStatement(
+      ShardStatement::Select(Query::Range(0, 1, kDomainHi)));
   ASSERT_TRUE(all.ok()) << all.status().ToString();
   EXPECT_EQ(all->rids.size(),
             200 + static_cast<size_t>(net_inserted.load()));
@@ -148,7 +149,8 @@ TEST(ShardStressTest, CountersStayReadableWhileTrafficRuns) {
       Rng rng(t + 1);
       for (size_t i = 0; i < 150; ++i) {
         const Value v = static_cast<Value>(rng.UniformInt(1, kDomainHi));
-        EXPECT_TRUE(fleet->ExecuteQuery(Query::Point(0, v)).ok());
+        EXPECT_TRUE(fleet->ExecuteStatement(
+            ShardStatement::Select(Query::Point(0, v))).ok());
       }
     });
   }
@@ -169,7 +171,8 @@ TEST(ShardStressTest, ConcurrentCancellationIsClean) {
     // Scatter query racing the cancel: either outcome is legal, crashes
     // and leaked legs are not.
     Result<ShardResult> result =
-        fleet->ExecuteQuery(Query::Range(0, 1, kDomainHi), submit);
+        fleet->ExecuteStatement(
+            ShardStatement::Select(Query::Range(0, 1, kDomainHi)), submit);
     if (!result.ok()) {
       EXPECT_TRUE(result.status().IsCancelled())
           << result.status().ToString();

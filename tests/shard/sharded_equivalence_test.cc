@@ -125,7 +125,8 @@ ReplayTrace Replay(IShardTarget* target, size_t num_statements,
     std::vector<GlobalRid>& mine = live[op->tenant];
     switch (op->kind) {
       case StatementKind::kSelect: {
-        Result<ShardResult> result = target->ExecuteQuery(op->query, submit);
+        Result<ShardResult> result =
+            target->ExecuteStatement(ShardStatement::Select(op->query), submit);
         if (!result.ok()) {
           trace.failures.push_back(result.status().ToString());
           trace.selects.emplace_back();
@@ -181,7 +182,8 @@ ReplayTrace Replay(IShardTarget* target, size_t num_statements,
   // Full-table contents via an unrouted scatter (non-routing column spans
   // the whole domain).
   Result<ShardResult> all =
-      target->ExecuteQuery(Query::Range(1, kLoadLo, kLoadHi), submit);
+      target->ExecuteStatement(
+          ShardStatement::Select(Query::Range(1, kLoadLo, kLoadHi)), submit);
   EXPECT_TRUE(all.ok()) << all.status().ToString();
   if (all.ok()) {
     for (const GlobalRid& grid : all->rids) {
@@ -250,21 +252,25 @@ TEST(ShardedEquivalenceTest, UpdateAcrossShardBoundaryMigratesTheRow) {
   EXPECT_EQ(fleet->router_metrics().Get(kMetricShardRowsMigrated), 1);
   // The row is findable at its new home and gone from the old shard.
   Result<ShardResult> found =
-      fleet->ExecuteQuery(Query::Point(0, moved_value));
+      fleet->ExecuteStatement(
+          ShardStatement::Select(Query::Point(0, moved_value)));
   ASSERT_TRUE(found.ok());
   ASSERT_EQ(found->rids.size(), 1u);
   EXPECT_EQ(found->rids[0], updated->rids.at(0));
-  Result<ShardResult> gone = fleet->ExecuteQuery(Query::Point(0, 500));
+  Result<ShardResult> gone =
+      fleet->ExecuteStatement(ShardStatement::Select(Query::Point(0, 500)));
   ASSERT_TRUE(gone.ok());
   EXPECT_TRUE(gone->rids.empty());
 }
 
 TEST(ShardedEquivalenceTest, RoutedPointQueriesUseOneLeg) {
   auto fleet = MakeFleet(4, ShardingPolicy::kHash);
-  Result<ShardResult> routed = fleet->ExecuteQuery(Query::Point(0, 1234));
+  Result<ShardResult> routed =
+      fleet->ExecuteStatement(ShardStatement::Select(Query::Point(0, 1234)));
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(routed->legs, 1u);
-  Result<ShardResult> scattered = fleet->ExecuteQuery(Query::Point(1, 1234));
+  Result<ShardResult> scattered =
+      fleet->ExecuteStatement(ShardStatement::Select(Query::Point(1, 1234)));
   ASSERT_TRUE(scattered.ok());
   EXPECT_EQ(scattered->legs, 4u);
 }
@@ -322,8 +328,10 @@ TEST(ShardedEquivalenceTest, PreCancelledStatementFailsOnBothDeployments) {
   submit.cancel = MakeCancelToken();
   submit.cancel->store(true);
   const Query query = Query::Range(1, kLoadLo, kLoadHi);
-  Result<ShardResult> on_single = single.ExecuteQuery(query, submit);
-  Result<ShardResult> on_fleet = fleet->ExecuteQuery(query, submit);
+  Result<ShardResult> on_single =
+      single.ExecuteStatement(ShardStatement::Select(query), submit);
+  Result<ShardResult> on_fleet =
+      fleet->ExecuteStatement(ShardStatement::Select(query), submit);
   ASSERT_FALSE(on_single.ok());
   ASSERT_FALSE(on_fleet.ok());
   EXPECT_TRUE(on_single.status().IsCancelled())
@@ -333,7 +341,8 @@ TEST(ShardedEquivalenceTest, PreCancelledStatementFailsOnBothDeployments) {
 
 TEST(ShardedEquivalenceTest, FleetCountersRollUpEveryShard) {
   auto fleet = MakeFleet(4, ShardingPolicy::kHash);
-  ASSERT_TRUE(fleet->ExecuteQuery(Query::Range(1, kLoadLo, kLoadHi)).ok());
+  ASSERT_TRUE(fleet->ExecuteStatement(
+      ShardStatement::Select(Query::Range(1, kLoadLo, kLoadHi))).ok());
   const auto counters = fleet->FleetCounters();
   int64_t per_shard_sum = 0;
   for (size_t s = 0; s < fleet->ShardCount(); ++s) {
@@ -361,7 +370,8 @@ TEST(ShardedEquivalenceTest, MergedStatsCarryEveryLegCounter) {
   // counter dropped in the gather.
   auto fleet = MakeFleet(4, ShardingPolicy::kHash);
   const Query uncovered = Query::Range(0, kCoveredHi + 1, kLoadHi);
-  Result<ShardResult> warm = fleet->ExecuteQuery(uncovered);
+  Result<ShardResult> warm =
+      fleet->ExecuteStatement(ShardStatement::Select(uncovered));
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   ASSERT_EQ(warm->legs, fleet->ShardCount());
   ASSERT_GT(warm->stats.entries_added, 0u);
@@ -371,7 +381,8 @@ TEST(ShardedEquivalenceTest, MergedStatsCarryEveryLegCounter) {
 
   auto before = fleet->FleetCounters();
   Result<ShardResult> past =
-      fleet->ExecuteQuery(Query::Range(0, kLoadHi + 1, kLoadHi + 100));
+      fleet->ExecuteStatement(
+          ShardStatement::Select(Query::Range(0, kLoadHi + 1, kLoadHi + 100)));
   ASSERT_TRUE(past.ok()) << past.status().ToString();
   auto after = fleet->FleetCounters();
   EXPECT_TRUE(past->rids.empty());
@@ -381,7 +392,8 @@ TEST(ShardedEquivalenceTest, MergedStatsCarryEveryLegCounter) {
   EXPECT_EQ(CounterDelta(before, after, kMetricColdHits), 0);
 
   before = after;
-  Result<ShardResult> cold = fleet->ExecuteQuery(uncovered);
+  Result<ShardResult> cold =
+      fleet->ExecuteStatement(ShardStatement::Select(uncovered));
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   after = fleet->FleetCounters();
   std::vector<GlobalRid> cold_rids = cold->rids;
