@@ -68,7 +68,7 @@ class ColdRun final : public IndexStructure {
   Value MaxKey() const { return entries_.back().key; }
 
   /// Flat little-endian serialization (count + packed entries), used by the
-  /// DiskManager spill path and the warm-restart snapshot.
+  /// warm-restart snapshot.
   std::string Serialize() const;
 
   /// Replaces the contents from `Serialize` output. Rejects short/garbled

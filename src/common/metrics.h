@@ -204,16 +204,14 @@ inline constexpr char kMetricScanPagesServed[] = "exec.scan_pages_served";
 // Two-tier Index Buffer Space (hot B+-tree / cold compacted runs).
 // Demotion compacts a victim partition into a read-only cold run instead
 // of dropping it; promotion restores it into the hot tier at memcpy cost.
-// cold_bytes is a gauge-style counter (incremented on demote/spill-in,
-// decremented on promote/drop) of in-memory cold-run bytes.
+// cold_bytes is a gauge-style counter (incremented on demote, decremented
+// on promote/drop, moved by DML patches) of cold-run bytes.
 inline constexpr char kMetricColdPartitionsDemoted[] =
     "core.partitions_demoted";
 inline constexpr char kMetricColdPartitionsPromoted[] =
     "core.partitions_promoted";
 inline constexpr char kMetricColdBytes[] = "core.cold_bytes";
 inline constexpr char kMetricColdHits[] = "core.cold_hits";
-inline constexpr char kMetricColdRunsSpilled[] = "core.cold_runs_spilled";
-inline constexpr char kMetricColdRunsUnspilled[] = "core.cold_runs_unspilled";
 inline constexpr char kMetricColdRunsInvalidated[] =
     "core.cold_runs_invalidated";
 inline constexpr char kMetricColdEntriesPatched[] =

@@ -34,8 +34,6 @@ Result<IndexBuffer*> IndexBufferSpace::CreateBuffer(
   }
   auto buffer = std::make_unique<IndexBuffer>(index, buffer_options, metrics_);
   AIB_RETURN_IF_ERROR(buffer->InitCounters());
-  buffer->SetTierClock(&tier_clock_);
-  buffer->SetSpillStore(spill_store_);
   std::unique_lock lock(buffers_mu_);
   auto [it, inserted] = buffers_.try_emplace(index, std::move(buffer));
   return it->second.get();
@@ -290,19 +288,10 @@ PageSelection IndexBufferSpace::SelectPagesForBuffer(IndexBuffer* target) {
       ++result.partitions_dropped;
     }
   }
-  if (result.partitions_demoted > 0) EnforceColdBudget();
 
   result.pages = std::move(committed.first);
   result.expected_entries = committed.second;
   return result;
-}
-
-void IndexBufferSpace::SetSpillStore(ColdSpillStore* store) {
-  spill_store_ = store;
-  std::shared_lock lock(buffers_mu_);
-  for (const auto& [index, buffer] : buffers_) {
-    buffer->SetSpillStore(store);
-  }
 }
 
 PromotionResult IndexBufferSpace::PromoteForQuery(IndexBuffer* target,
@@ -346,49 +335,6 @@ size_t IndexBufferSpace::ColdPartitionCount() const {
     count += buffer->ColdPartitionCount();
   }
   return count;
-}
-
-void IndexBufferSpace::EnforceColdBudget() {
-  if (options_.cold_budget_bytes == 0) return;
-  struct ResidentRun {
-    IndexBuffer* buffer = nullptr;
-    size_t partition_id = 0;
-    uint64_t last_touch = 0;
-    size_t bytes = 0;
-    ColumnId column = 0;
-  };
-  std::vector<ResidentRun> runs;
-  size_t total_bytes = 0;
-  {
-    std::shared_lock lock(buffers_mu_);
-    for (const auto& [index, buffer] : buffers_) {
-      for (const IndexBuffer::ColdStats& cold : buffer->ColdSnapshot()) {
-        if (!cold.resident || cold.bytes == 0) continue;
-        runs.push_back({buffer.get(), cold.id, cold.last_touch, cold.bytes,
-                        buffer->column()});
-        total_bytes += cold.bytes;
-      }
-    }
-  }
-  if (total_bytes <= options_.cold_budget_bytes) return;
-  // Stalest first; (column, id) tiebreak keeps the sweep deterministic.
-  std::sort(runs.begin(), runs.end(),
-            [](const ResidentRun& a, const ResidentRun& b) {
-              if (a.last_touch != b.last_touch) {
-                return a.last_touch < b.last_touch;
-              }
-              if (a.column != b.column) return a.column < b.column;
-              return a.partition_id < b.partition_id;
-            });
-  for (const ResidentRun& run : runs) {
-    if (total_bytes <= options_.cold_budget_bytes) break;
-    if (spill_store_ != nullptr) {
-      if (!run.buffer->SpillColdRun(run.partition_id).ok()) continue;
-    } else {
-      run.buffer->DropColdRun(run.partition_id);
-    }
-    total_bytes -= run.bytes;
-  }
 }
 
 }  // namespace aib

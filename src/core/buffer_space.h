@@ -1,7 +1,6 @@
 #ifndef AIB_CORE_BUFFER_SPACE_H_
 #define AIB_CORE_BUFFER_SPACE_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -49,10 +48,6 @@ struct BufferSpaceOptions {
   uint64_t seed = 42;
   PageSelectionPolicy selection_policy = PageSelectionPolicy::kCounterAscending;
   EvictionMode eviction_mode = EvictionMode::kDemote;
-  /// Byte budget for resident (in-memory) cold runs across all buffers;
-  /// 0 = unbounded. Overflow spills the stalest run through the attached
-  /// ColdSpillStore, or discards it when no store is attached.
-  size_t cold_budget_bytes = 0;
 };
 
 /// Result of Algorithm 2: the pages to index during the upcoming table scan
@@ -180,11 +175,6 @@ class IndexBufferSpace {
 
   // --- Cold tier -------------------------------------------------------------
 
-  /// Attaches the disk-backed overflow store for cold runs; forwarded to
-  /// every existing and future buffer. Call before traffic starts.
-  void SetSpillStore(ColdSpillStore* store);
-  ColdSpillStore* spill_store() const { return spill_store_; }
-
   /// Promotes `target`'s cold partitions whose key ranges overlap [lo, hi]
   /// back into the hot tier (ascending partition id), stopping when a
   /// promotion would overrun the hot entry budget. Demote mode only; no-op
@@ -192,16 +182,11 @@ class IndexBufferSpace {
   /// `target`'s scan sentinel (the indexing-scan Open path).
   PromotionResult PromoteForQuery(IndexBuffer* target, Value lo, Value hi);
 
-  /// Resident cold-run bytes across all buffers.
+  /// Cold-run bytes across all buffers.
   size_t ColdBytes() const;
   /// Entries across all cold runs (not charged against `max_entries`).
   size_t ColdEntries() const;
   size_t ColdPartitionCount() const;
-
-  /// Spills (or, without a store, discards) the stalest resident cold runs
-  /// until ColdBytes() fits `cold_budget_bytes`. Called after Algorithm 2's
-  /// demotions; exposed for tests and maintenance sweeps.
-  void EnforceColdBudget();
 
  private:
   struct VictimRef {
@@ -233,10 +218,6 @@ class IndexBufferSpace {
   mutable std::shared_mutex buffers_mu_;
   BufferMap buffers_;
   DegradationManager degradation_;
-  ColdSpillStore* spill_store_ = nullptr;
-  /// Space-wide tier-LRU clock shared by every buffer, so cold-budget
-  /// enforcement can compare staleness across buffers.
-  std::atomic<uint64_t> tier_clock_{0};
 };
 
 }  // namespace aib

@@ -127,10 +127,7 @@ Status CheckBufferConsistency(const Table& table, const IndexBuffer& buffer) {
   }
 
   // Cold tier: a demoted partition's run must hold exactly the truth
-  // entries of its covered pages, like a hot partition. Spilled runs are
-  // validated through their page_entries bookkeeping only (their bytes are
-  // read back and re-validated on first access); resident runs get the
-  // full entry-level walk.
+  // entries of its covered pages, like a hot partition.
   for (const auto& [partition_id, cold] : buffer.cold_partitions()) {
     size_t bookkept = 0;
     for (const auto& [page, entries] : cold.page_entries) {
@@ -144,10 +141,9 @@ Status CheckBufferConsistency(const Table& table, const IndexBuffer& buffer) {
     if (bookkept != cold.entries) {
       return Status::Corruption("cold partition entry accounting drift");
     }
-    if (cold.run == nullptr) continue;
     std::map<size_t, size_t> counted;
     Status status = Status::Ok();
-    cold.run->ForEachEntry([&](Value value, const Rid& rid) {
+    cold.run.ForEachEntry([&](Value value, const Rid& rid) {
       if (!status.ok()) return;
       const Result<size_t> page_or = table.PageNumberOf(rid);
       if (!page_or.ok()) {

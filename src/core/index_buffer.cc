@@ -76,22 +76,13 @@ void IndexBuffer::AddTuple(size_t page, Value value, const Rid& rid) {
     if (cold_it != cold_.end() &&
         cold_it->second.page_entries.contains(page)) {
       // Table I patch of a cold-covered page: the run absorbs the entry in
-      // place so coverage never goes stale. Unreadable spill (impossible
-      // with the simulated disk) invalidates the run instead — C[p] comes
-      // back, plus one for the tuple being added right now.
+      // place so coverage never goes stale.
       ColdPartition& cold = cold_it->second;
-      if (EnsureResidentLocked(&cold).ok()) {
-        cold.run->Insert(value, rid);
-        cold.page_entries[page] += 1;
-        cold.entries += 1;
-        RefreshColdRunStats(&cold);
-        cold.last_touch.store(Tick(), std::memory_order_relaxed);
-        patched_cold = true;
-      } else {
-        DropColdRunLocked(cold_it->first);
-        counters_.EnsureSize(page + 1);
-        counters_.Increment(page);
-      }
+      cold.run.Insert(value, rid);
+      cold.page_entries[page] += 1;
+      cold.entries += 1;
+      RefreshColdRunStats(&cold);
+      patched_cold = true;
     } else {
       GetOrCreatePartitionLocked(page)->AddEntry(page, value, rid);
     }
@@ -113,21 +104,14 @@ bool IndexBuffer::RemoveTuple(size_t page, Value value, const Rid& rid) {
     if (cold_it != cold_.end() &&
         cold_it->second.page_entries.contains(page)) {
       ColdPartition& cold = cold_it->second;
-      if (EnsureResidentLocked(&cold).ok()) {
-        removed = cold.run->Remove(value, rid);
-        if (removed) {
-          // The page stays covered even at zero entries, mirroring the hot
-          // tier's RemoveEntry semantics.
-          cold.page_entries[page] -= 1;
-          cold.entries -= 1;
-          RefreshColdRunStats(&cold);
-          cold.last_touch.store(Tick(), std::memory_order_relaxed);
-          patched_cold = true;
-        }
-      } else {
-        DropColdRunLocked(cold_it->first);
-        counters_.EnsureSize(page + 1);
-        counters_.Decrement(page);
+      removed = cold.run.Remove(value, rid);
+      if (removed) {
+        // The page stays covered even at zero entries, mirroring the hot
+        // tier's RemoveEntry semantics.
+        cold.page_entries[page] -= 1;
+        cold.entries -= 1;
+        RefreshColdRunStats(&cold);
+        patched_cold = true;
       }
     } else {
       auto it = partitions_.find(PartitionIdFor(page));
@@ -156,18 +140,9 @@ void IndexBuffer::MarkPageIndexed(size_t page) {
   GetOrCreatePartitionLocked(page)->CoverPage(page);
 }
 
-bool IndexBuffer::AnySpilledOverlappingLocked(Value lo, Value hi) const {
-  for (const auto& [id, cold] : cold_) {
-    if (cold.run == nullptr && cold.entries > 0 && cold.min_key <= hi &&
-        cold.max_key >= lo) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void IndexBuffer::LookupLocked(Value value, std::vector<Rid>* out,
-                               ProbeTierStats* tier) const {
+void IndexBuffer::Lookup(Value value, std::vector<Rid>* out,
+                         ProbeTierStats* tier) const {
+  std::shared_lock lock(partitions_mu_);
   auto hot_it = partitions_.begin();
   auto cold_it = cold_.begin();
   while (hot_it != partitions_.end() || cold_it != cold_.end()) {
@@ -176,17 +151,11 @@ void IndexBuffer::LookupLocked(Value value, std::vector<Rid>* out,
         (hot_it == partitions_.end() || cold_it->first <= hot_it->first);
     const size_t before = out->size();
     if (take_cold) {
-      const ColdPartition& cold = cold_it->second;
-      if (cold.run != nullptr && cold.entries > 0) {
-        cold.run->Lookup(value, out);
-      }
+      cold_it->second.run.Lookup(value, out);
       const size_t matches = out->size() - before;
       if (metrics_ != nullptr) {
         metrics_->Increment(kMetricIndexProbes);
         if (matches > 0) metrics_->Increment(kMetricColdHits);
-      }
-      if (matches > 0) {
-        cold.last_touch.store(Tick(), std::memory_order_relaxed);
       }
       if (tier != nullptr) {
         ++tier->cold_partitions;
@@ -205,9 +174,10 @@ void IndexBuffer::LookupLocked(Value value, std::vector<Rid>* out,
   }
 }
 
-void IndexBuffer::ScanLocked(Value lo, Value hi,
-                             const std::function<void(Value, const Rid&)>& fn,
-                             ProbeTierStats* tier) const {
+void IndexBuffer::Scan(Value lo, Value hi,
+                       const std::function<void(Value, const Rid&)>& fn,
+                       ProbeTierStats* tier) const {
+  std::shared_lock lock(partitions_mu_);
   // Merged walk of both tiers in ascending partition id. When one id lives
   // in both tiers (a post-demotion hot sibling), the two key-sorted streams
   // interleave by key with the cold entries first at equal keys — they are
@@ -229,16 +199,11 @@ void IndexBuffer::ScanLocked(Value lo, Value hi,
         (cold_it == cold_.end() || hot_it->first <= cold_it->first);
     matches = 0;
     if (has_cold && has_hot) {
-      const ColdPartition& cold = cold_it->second;
       std::vector<std::pair<Value, Rid>> older;
       std::vector<std::pair<Value, Rid>> newer;
-      // A spilled run the caller did not fault in cannot overlap (the
-      // exclusive-path caller faults in every overlapping run first).
-      if (cold.run != nullptr && cold.entries > 0) {
-        cold.run->Scan(lo, hi, [&](Value v, const Rid& rid) {
-          older.emplace_back(v, rid);
-        });
-      }
+      cold_it->second.run.Scan(lo, hi, [&](Value v, const Rid& rid) {
+        older.emplace_back(v, rid);
+      });
       hot_it->second->Scan(lo, hi, [&](Value v, const Rid& rid) {
         newer.emplace_back(v, rid);
       });
@@ -255,9 +220,6 @@ void IndexBuffer::ScanLocked(Value lo, Value hi,
         metrics_->Increment(kMetricIndexProbes, 2);
         if (!older.empty()) metrics_->Increment(kMetricColdHits);
       }
-      if (!older.empty()) {
-        cold.last_touch.store(Tick(), std::memory_order_relaxed);
-      }
       if (tier != nullptr) {
         ++tier->cold_partitions;
         tier->cold_matches += older.size();
@@ -267,16 +229,10 @@ void IndexBuffer::ScanLocked(Value lo, Value hi,
       ++cold_it;
       ++hot_it;
     } else if (has_cold) {
-      const ColdPartition& cold = cold_it->second;
-      if (cold.run != nullptr && cold.entries > 0) {
-        cold.run->Scan(lo, hi, counting_fn);
-      }
+      cold_it->second.run.Scan(lo, hi, counting_fn);
       if (metrics_ != nullptr) {
         metrics_->Increment(kMetricIndexProbes);
         if (matches > 0) metrics_->Increment(kMetricColdHits);
-      }
-      if (matches > 0) {
-        cold.last_touch.store(Tick(), std::memory_order_relaxed);
       }
       if (tier != nullptr) {
         ++tier->cold_partitions;
@@ -293,45 +249,6 @@ void IndexBuffer::ScanLocked(Value lo, Value hi,
       ++hot_it;
     }
   }
-}
-
-void IndexBuffer::Lookup(Value value, std::vector<Rid>* out,
-                         ProbeTierStats* tier) const {
-  {
-    std::shared_lock lock(partitions_mu_);
-    if (!AnySpilledOverlappingLocked(value, value)) {
-      LookupLocked(value, out, tier);
-      return;
-    }
-  }
-  std::unique_lock lock(partitions_mu_);
-  for (auto& [id, cold] : cold_) {
-    if (cold.run == nullptr && cold.entries > 0 && cold.min_key <= value &&
-        cold.max_key >= value) {
-      (void)EnsureResidentLocked(&cold);
-    }
-  }
-  LookupLocked(value, out, tier);
-}
-
-void IndexBuffer::Scan(Value lo, Value hi,
-                       const std::function<void(Value, const Rid&)>& fn,
-                       ProbeTierStats* tier) const {
-  {
-    std::shared_lock lock(partitions_mu_);
-    if (!AnySpilledOverlappingLocked(lo, hi)) {
-      ScanLocked(lo, hi, fn, tier);
-      return;
-    }
-  }
-  std::unique_lock lock(partitions_mu_);
-  for (auto& [id, cold] : cold_) {
-    if (cold.run == nullptr && cold.entries > 0 && cold.min_key <= hi &&
-        cold.max_key >= lo) {
-      (void)EnsureResidentLocked(&cold);
-    }
-  }
-  ScanLocked(lo, hi, fn, tier);
 }
 
 void IndexBuffer::OnBufferUse() {
@@ -426,43 +343,17 @@ void IndexBuffer::Clear() {
 
 // --- Cold tier ---------------------------------------------------------------
 
-uint64_t IndexBuffer::Tick() const {
-  std::atomic<uint64_t>* clock =
-      tier_clock_ != nullptr ? tier_clock_ : &own_clock_;
-  return clock->fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 void IndexBuffer::RefreshColdRunStats(ColdPartition* cold) const {
   const size_t old_bytes = cold->bytes;
-  cold->bytes = cold->run->ApproxBytes();
-  if (cold->run->EntryCount() > 0) {
-    cold->min_key = cold->run->MinKey();
-    cold->max_key = cold->run->MaxKey();
+  cold->bytes = cold->run.ApproxBytes();
+  if (cold->run.EntryCount() > 0) {
+    cold->min_key = cold->run.MinKey();
+    cold->max_key = cold->run.MaxKey();
   }
   if (metrics_ != nullptr && cold->bytes != old_bytes) {
     metrics_->Increment(kMetricColdBytes, static_cast<int64_t>(cold->bytes) -
                                               static_cast<int64_t>(old_bytes));
   }
-}
-
-Status IndexBuffer::EnsureResidentLocked(ColdPartition* cold) const {
-  if (cold->run != nullptr) return Status::Ok();
-  if (!cold->spill.Valid()) {
-    // A zero-entry cold partition (all its tuples covered by the partial
-    // index) never had bytes to spill.
-    cold->run = std::make_unique<ColdRun>();
-    return Status::Ok();
-  }
-  if (spill_store_ == nullptr) {
-    return Status::Internal("spilled cold run without a spill store");
-  }
-  AIB_ASSIGN_OR_RETURN(std::string bytes, spill_store_->Load(cold->spill));
-  auto run = std::make_unique<ColdRun>();
-  AIB_RETURN_IF_ERROR(run->Deserialize(bytes));
-  spill_store_->Free(&cold->spill);
-  cold->run = std::move(run);
-  RefreshColdRunStats(cold);
-  return Status::Ok();
 }
 
 size_t IndexBuffer::DemotePartition(size_t partition_id) {
@@ -474,25 +365,22 @@ size_t IndexBuffer::DemotePartition(size_t partition_id) {
     const BufferPartition& partition = *it->second;
     moved = partition.EntryCount();
 
-    auto run = std::make_unique<ColdRun>();
-    run->Build(partition.structure());
+    ColdRun run;
+    run.Build(partition.structure());
 
     ColdPartition& cold = cold_[partition_id];
     if (cold.entries > 0 || !cold.page_entries.empty()) {
       // A cold sibling already exists (demoted earlier; an indexing scan
       // then covered new pages hot). Merge: the sibling's entries are the
       // older epoch and precede this run's at equal keys.
-      if (EnsureResidentLocked(&cold).ok()) {
-        run->MergeOlder(*cold.run);
-      }
+      run.MergeOlder(cold.run);
     }
     for (const auto& [page, count] : partition.page_entries()) {
       cold.page_entries[page] += count;
     }
     cold.run = std::move(run);
-    cold.entries = cold.run->EntryCount();
+    cold.entries = cold.run.EntryCount();
     RefreshColdRunStats(&cold);
-    cold.last_touch.store(Tick(), std::memory_order_relaxed);
     partitions_.erase(it);
   }
   if (metrics_ != nullptr) {
@@ -501,14 +389,13 @@ size_t IndexBuffer::DemotePartition(size_t partition_id) {
   return moved;
 }
 
-Status IndexBuffer::PromotePartitionLocked(size_t partition_id) {
+Status IndexBuffer::PromotePartition(size_t partition_id) {
+  std::unique_lock lock(partitions_mu_);
   auto it = cold_.find(partition_id);
   if (it == cold_.end()) {
     return Status::NotFound("no cold partition with this id");
   }
   ColdPartition& cold = it->second;
-  AIB_RETURN_IF_ERROR(EnsureResidentLocked(&cold));
-
   const auto start = std::chrono::steady_clock::now();
   auto hot_it = partitions_.find(partition_id);
   if (hot_it == partitions_.end()) {
@@ -520,14 +407,14 @@ Status IndexBuffer::PromotePartitionLocked(size_t partition_id) {
   }
   BufferPartition* partition = hot_it->second.get();
   if (partition->EntryCount() == 0) {
-    cold.run->ForEachEntry([partition](Value value, const Rid& rid) {
+    cold.run.ForEachEntry([partition](Value value, const Rid& rid) {
       partition->InsertEntryRaw(value, rid);
     });
   } else {
     // The sibling accumulated newer entries after the demotion; appending
     // would order the older epoch's postings last at shared keys. Merge
     // instead, older epoch first.
-    partition->MergeOlderEntries(*cold.run);
+    partition->MergeOlderEntries(cold.run);
   }
   partition->MergePageEntries(cold.page_entries);
 
@@ -545,11 +432,6 @@ Status IndexBuffer::PromotePartitionLocked(size_t partition_id) {
   return Status::Ok();
 }
 
-Status IndexBuffer::PromotePartition(size_t partition_id) {
-  std::unique_lock lock(partitions_mu_);
-  return PromotePartitionLocked(partition_id);
-}
-
 size_t IndexBuffer::DropColdRunLocked(size_t partition_id) {
   auto it = cold_.find(partition_id);
   if (it == cold_.end()) return 0;
@@ -559,9 +441,6 @@ size_t IndexBuffer::DropColdRunLocked(size_t partition_id) {
   for (const auto& [page, entry_count] : cold.page_entries) {
     counters_.EnsureSize(page + 1);
     counters_.Set(page, static_cast<uint32_t>(entry_count));
-  }
-  if (spill_store_ != nullptr && cold.spill.Valid()) {
-    spill_store_->Free(&cold.spill);
   }
   if (metrics_ != nullptr) {
     metrics_->Increment(kMetricColdRunsInvalidated);
@@ -582,37 +461,6 @@ size_t IndexBuffer::DropColdRun(size_t partition_id) {
   return DropColdRunLocked(partition_id);
 }
 
-Status IndexBuffer::SpillColdRun(size_t partition_id) {
-  std::unique_lock lock(partitions_mu_);
-  auto it = cold_.find(partition_id);
-  if (it == cold_.end()) {
-    return Status::NotFound("no cold partition with this id");
-  }
-  ColdPartition& cold = it->second;
-  if (cold.run == nullptr) return Status::Ok();  // already spilled
-  if (cold.entries == 0) return Status::Ok();    // nothing worth a page
-  if (spill_store_ == nullptr) {
-    return Status::NotSupported("no spill store attached");
-  }
-  AIB_ASSIGN_OR_RETURN(SpillToken token,
-                       spill_store_->Spill(cold.run->Serialize()));
-  cold.spill = std::move(token);
-  cold.run.reset();
-  if (metrics_ != nullptr && cold.bytes > 0) {
-    metrics_->Increment(kMetricColdBytes, -static_cast<int64_t>(cold.bytes));
-  }
-  cold.bytes = 0;
-  return Status::Ok();
-}
-
-Status IndexBuffer::EnsureColdResident() {
-  std::unique_lock lock(partitions_mu_);
-  for (auto& [id, cold] : cold_) {
-    AIB_RETURN_IF_ERROR(EnsureResidentLocked(&cold));
-  }
-  return Status::Ok();
-}
-
 Status IndexBuffer::InstallColdPartition(
     size_t partition_id, const std::string& run_bytes,
     std::map<size_t, size_t> page_entries) {
@@ -620,18 +468,17 @@ Status IndexBuffer::InstallColdPartition(
   if (partitions_.contains(partition_id) || cold_.contains(partition_id)) {
     return Status::AlreadyExists("partition already present");
   }
-  auto run = std::make_unique<ColdRun>();
-  AIB_RETURN_IF_ERROR(run->Deserialize(run_bytes));
+  ColdRun run;
+  AIB_RETURN_IF_ERROR(run.Deserialize(run_bytes));
   ColdPartition& cold = cold_[partition_id];
   cold.run = std::move(run);
-  cold.entries = cold.run->EntryCount();
+  cold.entries = cold.run.EntryCount();
   cold.page_entries = std::move(page_entries);
   for (const auto& [page, count] : cold.page_entries) {
     counters_.EnsureSize(page + 1);
     counters_.Set(page, 0);
   }
   RefreshColdRunStats(&cold);
-  cold.last_touch.store(Tick(), std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -663,9 +510,6 @@ std::vector<IndexBuffer::ColdStats> IndexBuffer::ColdSnapshot() const {
     s.id = id;
     s.entries = cold.entries;
     s.covered_pages = cold.page_entries.size();
-    s.bytes = cold.bytes;
-    s.resident = cold.run != nullptr;
-    s.last_touch = cold.last_touch.load(std::memory_order_relaxed);
     s.min_key = cold.min_key;
     s.max_key = cold.max_key;
     stats.push_back(std::move(s));

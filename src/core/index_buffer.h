@@ -15,7 +15,6 @@
 #include "core/lru_k_history.h"
 #include "core/page_counters.h"
 #include "index/partial_index.h"
-#include "storage/cold_spill.h"
 
 namespace aib {
 
@@ -41,12 +40,12 @@ struct IndexBufferOptions {
 /// Two tiers (2-Tree refactor): partitions live either *hot* — a mutable
 /// B+-tree charging the space's entry budget — or *cold* — a read-only
 /// compacted run (ColdRun) that keeps the partition's coverage and C[p]
-/// state valid at a fraction of the footprint and charges a separate byte
-/// budget. Eviction demotes hot → cold instead of dropping; re-access
-/// promotes cold → hot at memcpy cost; cold runs overflowing their budget
-/// spill through a ColdSpillStore and are read back on demand. The LRU-K
-/// history is per-buffer and untouched by tier moves, so a promoted
-/// partition's benefit b_p continues from its pre-demotion history. Probes
+/// state valid at a fraction of the footprint, outside the entry budget.
+/// Both tiers live in memory: the buffer is a recovery-free scratch pad.
+/// Eviction demotes hot → cold instead of dropping; re-access promotes
+/// cold → hot at memcpy cost. The LRU-K history is per-buffer and
+/// untouched by tier moves, so a promoted partition's benefit b_p
+/// continues from its pre-demotion history. Probes
 /// consult both tiers (ascending partition id, cold before a hot sibling
 /// of the same id — cold entries are the older epoch), so results match a
 /// never-demoted buffer bit-for-bit. DML on a cold-covered page patches
@@ -136,8 +135,7 @@ class IndexBuffer {
 
   /// Point probe across all partitions of both tiers (ascending partition
   /// id; cold before a hot sibling of the same id). Counts one probe per
-  /// partition. Spilled cold runs whose key range overlaps are read back
-  /// in first.
+  /// partition.
   void Lookup(Value value, std::vector<Rid>* out,
               ProbeTierStats* tier = nullptr) const;
 
@@ -202,37 +200,22 @@ class IndexBuffer {
   /// as in DropPartition.
   void Clear();
 
-  // --- Cold tier (demote / promote / spill) ---------------------------------
+  // --- Cold tier (demote / promote) -----------------------------------------
 
-  /// One demoted partition. `run` is null while the serialized bytes live
-  /// on disk (`spill` then holds the extent); `page_entries` is the hot
-  /// partition's page → entry-count map at demotion time, kept current by
-  /// DML patches so DropColdRun can restore C[p] exactly.
+  /// One demoted partition. `page_entries` is the hot partition's page →
+  /// entry-count map at demotion time, kept current by DML patches so
+  /// DropColdRun can restore C[p] exactly.
   struct ColdPartition {
-    std::unique_ptr<ColdRun> run;
-    SpillToken spill;
+    ColdRun run;
     std::map<size_t, size_t> page_entries;
     size_t entries = 0;
-    /// ApproxBytes of the resident run (0 while spilled).
+    /// ApproxBytes of the run.
     size_t bytes = 0;
-    /// Key range summary, valid when entries > 0; survives spilling so
-    /// probes and promotion can test overlap without reading the run back.
+    /// Key range summary, valid when entries > 0, so promotion can test
+    /// overlap from a snapshot.
     Value min_key = 0;
     Value max_key = 0;
-    /// Tier-LRU clock value of the last demote/probe/patch; the space's
-    /// cold-budget enforcement spills the stalest run first. Mutable: a
-    /// shared-lock probe refreshes it.
-    mutable std::atomic<uint64_t> last_touch{0};
   };
-
-  /// Points the tier-LRU clock at a space-shared counter so last_touch
-  /// values are comparable across buffers. Defaults to a private clock.
-  void SetTierClock(std::atomic<uint64_t>* clock) { tier_clock_ = clock; }
-
-  /// Attaches the disk-backed overflow store for cold runs. Without one,
-  /// budget overflow falls back to DropColdRun (legacy drop semantics).
-  void SetSpillStore(ColdSpillStore* store) { spill_store_ = store; }
-  ColdSpillStore* spill_store() const { return spill_store_; }
 
   /// Demotes a hot partition into a compacted cold run. Coverage and C[p]
   /// are untouched — covered pages stay skippable. Merges with an existing
@@ -242,23 +225,12 @@ class IndexBuffer {
 
   /// Promotes a cold run back into the hot tier: entries replay into a
   /// (new or existing) hot partition in run order and the saved page map
-  /// merges back. Reads a spilled run back in first. NotFound if no cold
-  /// partition with this id exists.
+  /// merges back. NotFound if no cold partition with this id exists.
   Status PromotePartition(size_t partition_id);
 
   /// Discards a cold run entirely, restoring C[p] for each covered page —
-  /// the true eviction, used on budget overflow without a spill store and
-  /// on DML inconsistencies. Returns the entries discarded.
+  /// the true eviction. Returns the entries discarded.
   size_t DropColdRun(size_t partition_id);
-
-  /// Serializes a resident cold run out through the spill store and frees
-  /// the in-memory copy. No-op if already spilled; NotSupported without a
-  /// store.
-  Status SpillColdRun(size_t partition_id);
-
-  /// Reads every spilled cold run back into memory (snapshot save path;
-  /// quiesced contexts).
-  Status EnsureColdResident();
 
   /// Installs a serialized run as a cold partition and marks its pages
   /// fully indexed (C[p] = 0) — the warm-restart load path. The buffer
@@ -270,16 +242,13 @@ class IndexBuffer {
   size_t ColdPartitionCount() const;
   /// Entries across cold runs (not charged against the hot entry budget).
   size_t ColdEntries() const;
-  /// Resident (in-memory) cold-run bytes; spilled runs count zero.
+  /// Cold-run bytes (ApproxBytes summed over runs).
   size_t ColdBytes() const;
 
   struct ColdStats {
     size_t id = 0;
     size_t entries = 0;
     size_t covered_pages = 0;
-    size_t bytes = 0;
-    bool resident = false;
-    uint64_t last_touch = 0;
     Value min_key = 0;
     Value max_key = 0;
   };
@@ -298,22 +267,9 @@ class IndexBuffer {
   size_t DropPartitionLocked(size_t partition_id);
   const BufferPartition* FindPartitionForPageLocked(size_t page) const;
 
-  // Cold-tier internals; callers hold partitions_mu_ exclusively unless
-  // noted.
-  uint64_t Tick() const;
-  Status EnsureResidentLocked(ColdPartition* cold) const;
+  // Cold-tier internals; callers hold partitions_mu_ exclusively.
   size_t DropColdRunLocked(size_t partition_id);
-  Status PromotePartitionLocked(size_t partition_id);
   void RefreshColdRunStats(ColdPartition* cold) const;
-  /// Shared-lock check: does any spilled run's key range overlap [lo, hi]?
-  bool AnySpilledOverlappingLocked(Value lo, Value hi) const;
-  /// Probe both tiers; callers hold partitions_mu_ (shared suffices when
-  /// every overlapping cold run is resident).
-  void LookupLocked(Value value, std::vector<Rid>* out,
-                    ProbeTierStats* tier) const;
-  void ScanLocked(Value lo, Value hi,
-                  const std::function<void(Value, const Rid&)>& fn,
-                  ProbeTierStats* tier) const;
 
   const PartialIndex* index_;
   IndexBufferOptions options_;
@@ -336,13 +292,8 @@ class IndexBuffer {
   /// partition id -> partition (the hot tier).
   std::map<size_t, std::unique_ptr<BufferPartition>> partitions_;
 
-  /// partition id -> demoted partition (the cold tier). Mutable because
-  /// probes unspill on demand through const Lookup/Scan.
-  mutable std::map<size_t, ColdPartition> cold_;
-  ColdSpillStore* spill_store_ = nullptr;
-  /// Tier-LRU clock; space-shared when SetTierClock was called.
-  std::atomic<uint64_t>* tier_clock_ = nullptr;
-  mutable std::atomic<uint64_t> own_clock_{0};
+  /// partition id -> demoted partition (the cold tier).
+  std::map<size_t, ColdPartition> cold_;
 };
 
 }  // namespace aib

@@ -1,5 +1,7 @@
 #include "shard/shard_fault.h"
 
+#include <algorithm>
+#include <chrono>
 #include <thread>
 
 namespace aib {
@@ -17,6 +19,7 @@ constexpr uint64_t kEventHangExpired = 0x4C;
 constexpr uint64_t kEventBrownoutError = 0xB1;
 constexpr uint64_t kEventBrownoutDelay = 0xB2;
 constexpr uint64_t kEventBrownoutPass = 0xB0;
+constexpr uint64_t kEventBrownoutExpired = 0xB3;
 
 /// splitmix64 finalizer; decorrelates per-shard Rng streams and spreads
 /// the fold of per-shard traces.
@@ -161,9 +164,24 @@ Status ShardFaultInjector::Admit(size_t shard, const QueryControl* control) {
         if (metrics_ != nullptr) {
           metrics_->Increment(kMetricShardBrownoutDelays);
         }
-        const auto latency = brownout.latency;
+        // Sleep in short slices, like the hang branch, so the caller's
+        // deadline or cancel cuts the delay short.
+        const auto until = std::chrono::steady_clock::now() + brownout.latency;
         lock.unlock();
-        std::this_thread::sleep_for(latency);
+        for (auto now = std::chrono::steady_clock::now(); now < until;
+             now = std::chrono::steady_clock::now()) {
+          if (control != nullptr) {
+            const Status caller = control->Check();
+            if (!caller.ok()) {
+              lock.lock();
+              Note(&state, kEventBrownoutExpired);
+              return caller;
+            }
+          }
+          std::this_thread::sleep_for(
+              std::min<std::chrono::steady_clock::duration>(
+                  until - now, std::chrono::milliseconds(1)));
+        }
       }
       return Status::Ok();
     }

@@ -16,10 +16,6 @@ Catalog::Catalog(CatalogOptions options) : options_(options) {
                                        pool_options);
   if (options_.enable_index_buffer) {
     space_ = std::make_unique<IndexBufferSpace>(options_.space, &metrics_);
-    // Cold runs that overflow the resident budget spill through the shared
-    // disk manager (staged pages, invisible to the fault injector).
-    cold_spill_ = std::make_unique<ColdSpillStore>(disk_.get(), &metrics_);
-    space_->SetSpillStore(cold_spill_.get());
   }
 }
 

@@ -151,9 +151,6 @@ class Catalog {
   CatalogOptions options_;
   Metrics metrics_;
   std::unique_ptr<DiskManager> disk_;
-  /// Disk-backed overflow for cold Index Buffer runs; declared right after
-  /// disk_ so it outlives the space that holds a raw pointer to it.
-  std::unique_ptr<ColdSpillStore> cold_spill_;
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<IndexBufferSpace> space_;
   /// Keyed by table name; pointers handed out remain stable.

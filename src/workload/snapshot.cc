@@ -16,8 +16,8 @@
 //     per index: u16 column, u8 structure_kind,
 //                u32 interval_count; per interval: i32 lo, i32 hi
 //                u8 has_buffer; if set, the buffer's partitions — hot ones
-//                compacted into cold-run form on the fly, cold ones as-is
-//                (unspilled first), so a load installs everything cold and
+//                compacted into cold-run form on the fly, cold ones as-is,
+//                so a load installs everything cold and
 //                the first re-access promotes (warm restart):
 //                  u64 partition_count
 //                  per partition: u64 partition_id,
@@ -145,10 +145,6 @@ Status Catalog::SaveBufferSection(std::ostream& out,
     return Status::Ok();
   }
   WritePod<uint8_t>(out, 1);
-  // Every run's bytes must be in memory to copy out; spilled extents are
-  // faulted back in first (the snapshot subsumes them, so the new disk's
-  // store starts empty).
-  AIB_RETURN_IF_ERROR(buffer->EnsureColdResident());
 
   // A partition id can live in both tiers at once (pages indexed after its
   // demotion open a new hot sibling), so sections are written per *id* with
@@ -166,8 +162,8 @@ Status Catalog::SaveBufferSection(std::ostream& out,
       page_entries = hot->second->page_entries();
     }
     if (const auto cold = buffer->cold_partitions().find(id);
-        cold != buffer->cold_partitions().end() && cold->second.run != nullptr) {
-      run.MergeOlder(*cold->second.run);
+        cold != buffer->cold_partitions().end()) {
+      run.MergeOlder(cold->second.run);
       for (const auto& [page, entries] : cold->second.page_entries) {
         page_entries[page] += entries;
       }

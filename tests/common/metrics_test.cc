@@ -130,8 +130,8 @@ TEST(MetricsTest, MergeFromRollsUpColdTierCounters) {
   shard0.Observe(kMetricPromotionLatencyMicros, 120.0);
   shard0.Observe(kMetricPromotionLatencyMicros, 80.0);
   shard1.Increment(kMetricColdPartitionsDemoted, 1);
-  shard1.Increment(kMetricColdRunsSpilled, 5);
-  shard1.Increment(kMetricColdRunsUnspilled, 4);
+  shard1.Increment(kMetricColdRunsInvalidated, 5);
+  shard1.Increment(kMetricColdHits, 4);
   shard1.Increment(kMetricColdEntriesPatched, 9);
   shard1.Observe(kMetricPromotionLatencyMicros, 300.0);
   Metrics fleet;
@@ -140,9 +140,8 @@ TEST(MetricsTest, MergeFromRollsUpColdTierCounters) {
   EXPECT_EQ(fleet.Get(kMetricColdPartitionsDemoted), 4);
   EXPECT_EQ(fleet.Get(kMetricColdPartitionsPromoted), 2);
   EXPECT_EQ(fleet.Get(kMetricColdBytes), 3072);
-  EXPECT_EQ(fleet.Get(kMetricColdHits), 7);
-  EXPECT_EQ(fleet.Get(kMetricColdRunsSpilled), 5);
-  EXPECT_EQ(fleet.Get(kMetricColdRunsUnspilled), 4);
+  EXPECT_EQ(fleet.Get(kMetricColdHits), 11);
+  EXPECT_EQ(fleet.Get(kMetricColdRunsInvalidated), 5);
   EXPECT_EQ(fleet.Get(kMetricColdEntriesPatched), 9);
   const Histogram promote = fleet.HistogramCopy(kMetricPromotionLatencyMicros);
   EXPECT_EQ(promote.Count(), 3u);

@@ -1,14 +1,12 @@
 // Two-tier Index Buffer acceptance: demote keeps coverage valid and
 // probe-able, promote restores the hot tier (with the LRU-K history the
-// benefit model accumulated before demotion), cold runs spill and fault
-// back through the ColdSpillStore, and DML patches cold-covered pages in
-// place per Table I.
+// benefit model accumulated before demotion), and DML patches cold-covered
+// pages in place per Table I.
 
 #include <gtest/gtest.h>
 
 #include "core/buffer_space.h"
 #include "storage/buffer_pool.h"
-#include "storage/cold_spill.h"
 #include "storage/disk_manager.h"
 
 namespace aib {
@@ -183,52 +181,6 @@ TEST_F(ColdTierTest, DemoteMergesWithExistingColdSibling) {
   }
 }
 
-TEST_F(ColdTierTest, SpillAndFaultBackThroughStore) {
-  Metrics metrics;
-  ColdSpillStore store(&disk_, &metrics);
-  IndexBufferSpace space({}, &metrics);
-  space.SetSpillStore(&store);
-  IndexBuffer* buffer =
-      space.CreateBuffer(indexes_[0].get(), SmallPartitions()).value();
-  FillPages(buffer, 5, 7);
-  ASSERT_GT(buffer->DemotePartition(1), 0u);
-  ASSERT_GT(buffer->ColdBytes(), 0u);
-
-  ASSERT_TRUE(buffer->SpillColdRun(1).ok());
-  EXPECT_EQ(buffer->ColdBytes(), 0u);
-  EXPECT_EQ(buffer->ColdEntries(), 30u);  // entries still accounted
-  ASSERT_EQ(buffer->ColdSnapshot().size(), 1u);
-  EXPECT_FALSE(buffer->ColdSnapshot()[0].resident);
-  ASSERT_TRUE(buffer->SpillColdRun(1).ok());  // idempotent
-
-  // A probe overlapping the spilled key range faults the run back in and
-  // answers exactly as before.
-  const std::vector<Rid> rids = Probe(*buffer, 63);
-  ASSERT_EQ(rids.size(), 1u);
-  EXPECT_EQ(rids[0], (Rid{6, 3}));
-  EXPECT_TRUE(buffer->ColdSnapshot()[0].resident);
-  EXPECT_GT(buffer->ColdBytes(), 0u);
-  EXPECT_EQ(metrics.Get(kMetricColdRunsSpilled), 1);
-  EXPECT_EQ(metrics.Get(kMetricColdRunsUnspilled), 1);
-
-  // Promotion after a second spill reads back through the store too, and
-  // the freed extent is recycled.
-  ASSERT_TRUE(buffer->SpillColdRun(1).ok());
-  ASSERT_TRUE(buffer->PromotePartition(1).ok());
-  EXPECT_EQ(buffer->TotalEntries(), 30u);
-  EXPECT_GT(store.FreePageCount(), 0u);
-}
-
-TEST_F(ColdTierTest, SpillWithoutStoreIsNotSupported) {
-  IndexBufferSpace space({});
-  IndexBuffer* buffer =
-      space.CreateBuffer(indexes_[0].get(), SmallPartitions()).value();
-  FillPages(buffer, 5, 7);
-  ASSERT_GT(buffer->DemotePartition(1), 0u);
-  EXPECT_TRUE(buffer->SpillColdRun(1).IsNotSupported());
-  EXPECT_TRUE(buffer->SpillColdRun(99).IsNotFound());
-}
-
 TEST_F(ColdTierTest, DropColdRunRestoresCounters) {
   IndexBufferSpace space({});
   IndexBuffer* buffer =
@@ -251,9 +203,8 @@ TEST_F(ColdTierTest, InstallColdPartitionMarksPagesIndexed) {
       space.CreateBuffer(indexes_[0].get(), SmallPartitions()).value();
   FillPages(donor, 5, 7);
   ASSERT_GT(donor->DemotePartition(1), 0u);
-  ASSERT_TRUE(donor->EnsureColdResident().ok());
   const std::string run_bytes =
-      donor->cold_partitions().at(1).run->Serialize();
+      donor->cold_partitions().at(1).run.Serialize();
   const std::map<size_t, size_t> page_entries =
       donor->cold_partitions().at(1).page_entries;
 
@@ -315,23 +266,6 @@ TEST_F(ColdTierTest, DmlPatchesColdRunInPlace) {
   EXPECT_EQ(buffer->counters().Get(7), 9u);
 }
 
-TEST_F(ColdTierTest, DmlFaultsSpilledRunBackForPatch) {
-  Metrics metrics;
-  ColdSpillStore store(&disk_, &metrics);
-  IndexBufferSpace space({}, &metrics);
-  space.SetSpillStore(&store);
-  IndexBuffer* buffer =
-      space.CreateBuffer(indexes_[0].get(), SmallPartitions()).value();
-  FillPages(buffer, 5, 7);
-  ASSERT_GT(buffer->DemotePartition(1), 0u);
-  ASSERT_TRUE(buffer->SpillColdRun(1).ok());
-
-  EXPECT_TRUE(buffer->RemoveTuple(6, 63, Rid{6, 3}));
-  EXPECT_TRUE(buffer->ColdSnapshot()[0].resident);
-  EXPECT_EQ(buffer->ColdEntries(), 29u);
-  EXPECT_TRUE(Probe(*buffer, 63).empty());
-}
-
 TEST_F(ColdTierTest, PromoteForQueryPromotesOverlappingWithinBudget) {
   BufferSpaceOptions options;
   options.max_entries = 100;
@@ -364,54 +298,6 @@ TEST_F(ColdTierTest, PromoteForQueryPromotesOverlappingWithinBudget) {
   const std::vector<Rid> rids = Probe(*buffer, 85);
   ASSERT_EQ(rids.size(), 1u);  // still probe-able cold
   EXPECT_EQ(rids[0], (Rid{8, 5}));
-}
-
-TEST_F(ColdTierTest, EnforceColdBudgetSpillsStalestFirst) {
-  Metrics metrics;
-  ColdSpillStore store(&disk_, &metrics);
-  BufferSpaceOptions options;
-  options.cold_budget_bytes = 600;  // fits roughly one 30-entry run
-  IndexBufferSpace space(options, &metrics);
-  space.SetSpillStore(&store);
-  IndexBuffer* buffer =
-      space.CreateBuffer(indexes_[0].get(), SmallPartitions()).value();
-  FillPages(buffer, 5, 10);
-  ASSERT_GT(buffer->DemotePartition(1), 0u);
-  ASSERT_GT(buffer->DemotePartition(2), 0u);  // now the freshest
-
-  // Touch partition 2 again so partition 1 is unambiguously stalest.
-  (void)Probe(*buffer, 85);
-  ASSERT_GT(space.ColdBytes(), options.cold_budget_bytes);
-
-  space.EnforceColdBudget();
-  EXPECT_LE(space.ColdBytes(), options.cold_budget_bytes);
-  const std::vector<IndexBuffer::ColdStats> stats = buffer->ColdSnapshot();
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_FALSE(stats[0].resident);  // partition 1 spilled
-  EXPECT_TRUE(stats[1].resident);   // partition 2 kept
-  // Nothing was lost: both partitions still answer.
-  EXPECT_EQ(Probe(*buffer, 55).size(), 1u);
-  EXPECT_EQ(Probe(*buffer, 85).size(), 1u);
-}
-
-TEST_F(ColdTierTest, WithoutStoreBudgetOverflowDropsStalest) {
-  BufferSpaceOptions options;
-  options.cold_budget_bytes = 600;
-  IndexBufferSpace space(options);
-  IndexBuffer* buffer =
-      space.CreateBuffer(indexes_[0].get(), SmallPartitions()).value();
-  FillPages(buffer, 5, 10);
-  ASSERT_GT(buffer->DemotePartition(1), 0u);
-  ASSERT_GT(buffer->DemotePartition(2), 0u);
-  (void)Probe(*buffer, 85);
-
-  space.EnforceColdBudget();
-  // Legacy drop semantics: the stalest run is discarded, its pages regain
-  // their counters.
-  EXPECT_EQ(buffer->ColdPartitionCount(), 1u);
-  EXPECT_TRUE(Probe(*buffer, 55).empty());
-  EXPECT_EQ(buffer->counters().Get(5), 10u);
-  EXPECT_EQ(Probe(*buffer, 85).size(), 1u);
 }
 
 TEST_F(ColdTierTest, MetricsTrackTierTransitions) {

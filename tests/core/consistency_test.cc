@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "btree/cold_run.h"
 
 namespace aib {
 namespace {
@@ -106,6 +107,31 @@ TEST_F(ConsistencyTest, DetectsSpaceAccountingViaBuffers) {
   buffer->AddTuple(0, 5, Rid{0, 0});  // stray entry
   EXPECT_TRUE(
       CheckSpaceConsistency(db_->table(), *db_->space()).IsCorruption());
+}
+
+TEST_F(ConsistencyTest, DetectsColdRunValueMismatch) {
+  ASSERT_TRUE(
+      db_->ExecuteStatement(Statement::Select(Query::Point(0, 100))).ok());
+  IndexBuffer* buffer = db_->GetBuffer(0);
+  ASSERT_NE(buffer, nullptr);
+  // Copy a hot partition's entries into a cold run with exact page
+  // bookkeeping, but with one entry's value off from the heap's: only the
+  // entry-level walk of the cold tier can see it.
+  const auto& [partition_id, partition] = *buffer->partitions().begin();
+  const size_t id = partition_id;
+  const std::map<size_t, size_t> page_entries = partition->page_entries();
+  ColdRun run;
+  bool mutated = false;
+  partition->structure().ForEachEntry([&](Value value, const Rid& rid) {
+    run.Insert(mutated ? value : value + 1000, rid);
+    mutated = true;
+  });
+  ASSERT_TRUE(mutated);
+  ASSERT_GT(buffer->DropPartition(id), 0u);
+  ASSERT_TRUE(buffer->InstallColdPartition(id, run.Serialize(), page_entries)
+                  .ok());
+  EXPECT_TRUE(
+      CheckBufferConsistency(db_->table(), *buffer).IsCorruption());
 }
 
 TEST_F(ConsistencyTest, ConsistentUnderTightBudgetChurn) {

@@ -3,8 +3,7 @@
 // against a twin database that executed the same statements with its
 // partitions hot — plus a multi-threaded mixed read/write/tier-churn
 // stress for TSan (`concurrency` label) where a tight entry budget keeps
-// Algorithm 2 demoting, probes promoting, and a small cold byte budget
-// spilling runs mid-traffic.
+// Algorithm 2 demoting and probes promoting mid-traffic.
 
 #include <gtest/gtest.h>
 
@@ -111,12 +110,10 @@ TEST(ColdDmlTest, DmlOnDemotedPagesMatchesHotTwin) {
 TEST(ColdDmlTest, MixedReadWriteStressWithTierChurn) {
   DatabaseOptions options;
   options.max_tuples_per_page = 10;
-  // A tight entry budget keeps Algorithm 2 displacing (demote mode), small
-  // partitions give it many victims, and a small cold byte budget forces
-  // spills of the stalest runs while probes fault others back in.
+  // A tight entry budget keeps Algorithm 2 displacing (demote mode) and
+  // small partitions give it many victims, while probes promote runs back.
   options.space.max_entries = 400;
   options.space.max_pages_per_scan = 40;
-  options.space.cold_budget_bytes = 4096;
   options.buffer.partition_pages = 8;
   auto db = MakeSmallPaperDb(1500, 300, 30, options);
   ASSERT_NE(db, nullptr);

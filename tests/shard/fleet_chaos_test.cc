@@ -246,21 +246,26 @@ TEST(FleetChaosTest, DmlHonorsStatementDeadlineUnderBrownout) {
       fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
   ASSERT_TRUE(before.ok()) << before.status().ToString();
 
-  // Every dispatch to the slow shard stalls 60ms in the outage gate, three
-  // times the statements' 20ms budget.
+  // Every dispatch to the slow shard stalls 2s in the outage gate, a
+  // hundred times the statements' 20ms budget. The gate must give up when
+  // the budget is spent, not when the delay ends.
   BrownoutOptions brownout;
   brownout.latency_rate = 1.0;
-  brownout.latency = milliseconds{60};
+  brownout.latency = milliseconds{2000};
   fleet->fault_injector().Brownout(slow, brownout);
   ShardSubmitOptions submit;
   submit.deadline = milliseconds{20};
 
+  auto start = std::chrono::steady_clock::now();
   Result<ShardResult> insert = fleet->ExecuteStatement(
       ShardStatement::Insert(Tuple({owned, 1}, {"row"})), submit);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, milliseconds{1000});
   ASSERT_FALSE(insert.ok());
   EXPECT_TRUE(insert.status().IsTimeout()) << insert.status().ToString();
+  start = std::chrono::steady_clock::now();
   Result<ShardResult> select = fleet->ExecuteStatement(
       ShardStatement::Select(Query::Point(0, owned)), submit);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, milliseconds{1000});
   ASSERT_FALSE(select.ok());
   EXPECT_TRUE(select.status().IsTimeout()) << select.status().ToString();
 

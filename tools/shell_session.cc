@@ -488,8 +488,6 @@ bool ShellSession::ExecuteLine(const std::string& line) {
            << " promoted=" << metrics.Get(kMetricColdPartitionsPromoted)
            << " cold_bytes=" << metrics.Get(kMetricColdBytes)
            << " cold_hits=" << metrics.Get(kMetricColdHits)
-           << " spilled=" << metrics.Get(kMetricColdRunsSpilled)
-           << " unspilled=" << metrics.Get(kMetricColdRunsUnspilled)
            << " promote_us={"
            << metrics.HistogramCopy(kMetricPromotionLatencyMicros).Summary()
            << "}\n";
