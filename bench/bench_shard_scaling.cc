@@ -1,13 +1,13 @@
 // Throughput-scaling gate for the sharded scatter-gather service layer.
 //
-// One closed-loop multi-tenant traffic pattern replayed against fleets of
-// 1, 2, 4 and 8 hash shards: 8 tenant client threads, each submitting
-// Zipf-skewed point queries on the routing column (plus ~10% routed
-// inserts) through a TenantScheduler, with 1 executor worker per shard —
-// so the only thing that grows with the fleet is shard-side parallelism
-// and the per-shard data share. Every config is freshly provisioned with
-// the same seeded rows and every client replays the same per-tenant
-// seeded stream, so configs differ only in shard count.
+// One closed-loop traffic pattern replayed against fleets of 1, 2, 4 and
+// 8 hash shards: 8 client threads, each calling
+// ShardedDatabase::ExecuteStatement with Zipf-skewed point queries on the
+// routing column (plus ~10% routed inserts), with 1 executor worker per
+// shard — so the only thing that grows with the fleet is shard-side
+// parallelism and the per-shard data share. Every config is freshly
+// provisioned with the same seeded rows and every client replays the same
+// per-client seeded stream, so configs differ only in shard count.
 //
 // Reported per config: aggregate QPS, mean and p99 client-observed
 // latency, and the fleet routing counters. Gates with --check:
@@ -38,13 +38,12 @@
 #include "common/csv_writer.h"
 #include "common/rng.h"
 #include "shard/sharded_database.h"
-#include "shard/tenant_scheduler.h"
 #include "workload/zipf.h"
 
 namespace aib {
 namespace {
 
-constexpr size_t kTenants = 8;
+constexpr size_t kClients = 8;
 constexpr size_t kOpsPerClient = 150;
 constexpr double kInsertFraction = 0.1;
 constexpr Value kDomainLo = 1;
@@ -86,29 +85,17 @@ ConfigResult RunConfig(const bench::BenchArgs& args, size_t num_shards) {
     }
   }
 
-  TenantSchedulerOptions scheduler_options;
-  // Dispatch capacity is constant across configs; only the shard-side
-  // worker pool grows with the fleet.
-  scheduler_options.num_workers = kTenants;
-  for (uint64_t t = 0; t < kTenants; ++t) {
-    TenantOptions tenant;
-    tenant.weight = t == 0 ? 4 : 1;  // one "premium" tenant, like prod
-    tenant.queue_capacity = 2 * kOpsPerClient;
-    scheduler_options.tenants[t] = tenant;
-  }
-  TenantScheduler scheduler(&db, scheduler_options);
-
   const ZipfGenerator zipf(static_cast<size_t>(kDomainHi - kDomainLo + 1),
                            kKeyZipfTheta);
-  std::vector<std::vector<double>> latencies(kTenants);
-  std::vector<size_t> failures(kTenants, 0);
+  std::vector<std::vector<double>> latencies(kClients);
+  std::vector<size_t> failures(kClients, 0);
 
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
-  clients.reserve(kTenants);
-  for (uint64_t t = 0; t < kTenants; ++t) {
+  clients.reserve(kClients);
+  for (uint64_t t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
-      // Per-tenant seeded stream: identical across shard configs.
+      // Per-client seeded stream: identical across shard configs.
       Rng rng(args.seed * 1000 + t + 1);
       latencies[t].reserve(kOpsPerClient);
       for (size_t i = 0; i < kOpsPerClient; ++i) {
@@ -124,15 +111,8 @@ ConfigResult RunConfig(const bench::BenchArgs& args, size_t num_shards) {
           const Value key = kDomainLo + static_cast<Value>(zipf.Sample(rng)) - 1;
           statement = ShardStatement::Select(Query::Point(0, key));
         }
-        ShardSubmitOptions submit;
-        submit.tenant = t;
         const auto start = std::chrono::steady_clock::now();
-        auto future = scheduler.Submit(t, statement, submit);
-        if (!future.ok()) {
-          ++failures[t];
-          continue;
-        }
-        Result<ShardResult> result = future->get();
+        Result<ShardResult> result = db.ExecuteStatement(statement);
         const auto end = std::chrono::steady_clock::now();
         if (!result.ok()) {
           ++failures[t];
@@ -145,12 +125,11 @@ ConfigResult RunConfig(const bench::BenchArgs& args, size_t num_shards) {
   }
   for (std::thread& client : clients) client.join();
   const auto wall_end = std::chrono::steady_clock::now();
-  scheduler.Shutdown();
 
   ConfigResult config;
   config.shards = num_shards;
   std::vector<double> all;
-  for (size_t t = 0; t < kTenants; ++t) {
+  for (size_t t = 0; t < kClients; ++t) {
     all.insert(all.end(), latencies[t].begin(), latencies[t].end());
     config.failures += failures[t];
   }
@@ -177,8 +156,8 @@ ConfigResult RunConfig(const bench::BenchArgs& args, size_t num_shards) {
 
 int Run(const bench::BenchArgs& args) {
   const size_t rows = std::max<size_t>(args.num_tuples / 5, 1000);
-  std::cout << "Shard-scaling bench — " << rows << " rows, " << kTenants
-            << " tenant clients x " << kOpsPerClient
+  std::cout << "Shard-scaling bench — " << rows << " rows, " << kClients
+            << " clients x " << kOpsPerClient
             << " ops, Zipf theta=" << kKeyZipfTheta << ", seed=" << args.seed
             << "\n\n";
 
@@ -219,7 +198,7 @@ int Run(const bench::BenchArgs& args) {
          << "  \"bench\": \"shard_scaling\",\n"
          << "  \"scale\": \"" << args.scale << "\",\n"
          << "  \"rows\": " << rows << ",\n"
-         << "  \"tenants\": " << kTenants << ",\n"
+         << "  \"clients\": " << kClients << ",\n"
          << "  \"ops_per_client\": " << kOpsPerClient << ",\n"
          << "  \"configs\": [\n";
     for (size_t i = 0; i < configs.size(); ++i) {

@@ -157,10 +157,6 @@ inline constexpr char kMetricShardScatterStatements[] =
 inline constexpr char kMetricShardLegsDispatched[] = "shard.legs_dispatched";
 inline constexpr char kMetricShardLegsRetried[] = "shard.legs_retried";
 inline constexpr char kMetricShardRowsMigrated[] = "shard.rows_migrated";
-// Tenant admission (stride scheduler in front of the shard fleet).
-inline constexpr char kMetricTenantSubmitted[] = "tenant.submitted";
-inline constexpr char kMetricTenantRejected[] = "tenant.rejected";
-inline constexpr char kMetricTenantDispatched[] = "tenant.dispatched";
 // Partition-granular latching (common/partition_latch). Acquire counters
 // count stripes/latches taken; `latch.waits` counts acquisitions that
 // missed the try_lock fast path, with blocked time recorded in the
@@ -194,7 +190,6 @@ inline constexpr char kMetricShardHedgeWins[] = "shard.hedge_wins";
 inline constexpr char kMetricShardLegsSkipped[] = "shard.legs_skipped";
 inline constexpr char kMetricShardPartialGathers[] = "shard.partial_gathers";
 inline constexpr char kMetricShardRestarts[] = "shard.restarts";
-inline constexpr char kMetricTenantShed[] = "tenant.shed";
 // Scan-resistant eviction (segmented buffer pool) and shared scans.
 inline constexpr char kMetricBufferPromotions[] = "bufferpool.promotions";
 inline constexpr char kMetricBufferDemotions[] = "bufferpool.demotions";

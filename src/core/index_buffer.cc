@@ -143,6 +143,8 @@ void IndexBuffer::MarkPageIndexed(size_t page) {
 void IndexBuffer::Lookup(Value value, std::vector<Rid>* out,
                          ProbeTierStats* tier) const {
   std::shared_lock lock(partitions_mu_);
+  int64_t probes = 0;
+  int64_t cold_hits = 0;
   auto hot_it = partitions_.begin();
   auto cold_it = cold_.begin();
   while (hot_it != partitions_.end() || cold_it != cold_.end()) {
@@ -150,13 +152,11 @@ void IndexBuffer::Lookup(Value value, std::vector<Rid>* out,
         cold_it != cold_.end() &&
         (hot_it == partitions_.end() || cold_it->first <= hot_it->first);
     const size_t before = out->size();
+    ++probes;
     if (take_cold) {
       cold_it->second.run.Lookup(value, out);
       const size_t matches = out->size() - before;
-      if (metrics_ != nullptr) {
-        metrics_->Increment(kMetricIndexProbes);
-        if (matches > 0) metrics_->Increment(kMetricColdHits);
-      }
+      if (matches > 0) ++cold_hits;
       if (tier != nullptr) {
         ++tier->cold_partitions;
         tier->cold_matches += matches;
@@ -164,7 +164,6 @@ void IndexBuffer::Lookup(Value value, std::vector<Rid>* out,
       ++cold_it;
     } else {
       hot_it->second->Lookup(value, out);
-      if (metrics_ != nullptr) metrics_->Increment(kMetricIndexProbes);
       if (tier != nullptr) {
         ++tier->hot_partitions;
         tier->hot_matches += out->size() - before;
@@ -172,6 +171,7 @@ void IndexBuffer::Lookup(Value value, std::vector<Rid>* out,
       ++hot_it;
     }
   }
+  CountProbes(probes, cold_hits);
 }
 
 void IndexBuffer::Scan(Value lo, Value hi,
@@ -185,6 +185,8 @@ void IndexBuffer::Scan(Value lo, Value hi,
   // BTree would emit.
   auto hot_it = partitions_.begin();
   auto cold_it = cold_.begin();
+  int64_t probes = 0;
+  int64_t cold_hits = 0;
   size_t matches = 0;
   auto counting_fn = [&](Value v, const Rid& rid) {
     ++matches;
@@ -216,10 +218,8 @@ void IndexBuffer::Scan(Value lo, Value hi,
         const auto& entry = take_cold ? older[c++] : newer[h++];
         fn(entry.first, entry.second);
       }
-      if (metrics_ != nullptr) {
-        metrics_->Increment(kMetricIndexProbes, 2);
-        if (!older.empty()) metrics_->Increment(kMetricColdHits);
-      }
+      probes += 2;
+      if (!older.empty()) ++cold_hits;
       if (tier != nullptr) {
         ++tier->cold_partitions;
         tier->cold_matches += older.size();
@@ -230,10 +230,8 @@ void IndexBuffer::Scan(Value lo, Value hi,
       ++hot_it;
     } else if (has_cold) {
       cold_it->second.run.Scan(lo, hi, counting_fn);
-      if (metrics_ != nullptr) {
-        metrics_->Increment(kMetricIndexProbes);
-        if (matches > 0) metrics_->Increment(kMetricColdHits);
-      }
+      ++probes;
+      if (matches > 0) ++cold_hits;
       if (tier != nullptr) {
         ++tier->cold_partitions;
         tier->cold_matches += matches;
@@ -241,7 +239,7 @@ void IndexBuffer::Scan(Value lo, Value hi,
       ++cold_it;
     } else {
       hot_it->second->Scan(lo, hi, counting_fn);
-      if (metrics_ != nullptr) metrics_->Increment(kMetricIndexProbes);
+      ++probes;
       if (tier != nullptr) {
         ++tier->hot_partitions;
         tier->hot_matches += matches;
@@ -249,6 +247,13 @@ void IndexBuffer::Scan(Value lo, Value hi,
       ++hot_it;
     }
   }
+  CountProbes(probes, cold_hits);
+}
+
+void IndexBuffer::CountProbes(int64_t probes, int64_t cold_hits) const {
+  if (metrics_ == nullptr) return;
+  if (probes > 0) metrics_->Increment(kMetricIndexProbes, probes);
+  if (cold_hits > 0) metrics_->Increment(kMetricColdHits, cold_hits);
 }
 
 void IndexBuffer::OnBufferUse() {

@@ -271,6 +271,11 @@ class IndexBuffer {
   size_t DropColdRunLocked(size_t partition_id);
   void RefreshColdRunStats(ColdPartition* cold) const;
 
+  /// Adds one Lookup's or Scan's tallies to `index.probes` and
+  /// `core.cold_hits` in one registry call each; a zero tally names no
+  /// counter.
+  void CountProbes(int64_t probes, int64_t cold_hits) const;
+
   const PartialIndex* index_;
   IndexBufferOptions options_;
   Metrics* metrics_;

@@ -3,23 +3,21 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/query_control.h"
-#include "common/result.h"
 #include "exec/statement.h"
-#include "index/value_coverage.h"
-#include "shard/shard.h"
 
 namespace aib {
 
+// The value types of a ShardedDatabase statement: what goes in
+// (ShardStatement, ShardSubmitOptions) and what comes back (ShardResult,
+// rows addressed by GlobalRid).
+
 /// Fleet-wide record address: the owning shard plus the shard-local rid.
-/// Single-node deployments use shard 0 throughout, so trace-replay
-/// harnesses can drive any deployment with one rid bookkeeping scheme.
+/// A one-shard fleet uses shard 0 throughout.
 struct GlobalRid {
   uint32_t shard = 0;
   Rid rid;
@@ -33,7 +31,7 @@ inline std::string GlobalRidToString(const GlobalRid& grid) {
          RidToString(grid.rid) + "]";
 }
 
-/// One statement addressed to a shard deployment. The same tagged-union
+/// One statement addressed to a shard fleet. The same tagged-union
 /// convention as exec/statement.h, with shard-qualified DML targets:
 /// `query` for selects, `tuple` for inserts/updates, `target` for
 /// updates/deletes.
@@ -77,9 +75,6 @@ struct ShardStatement {
 
 /// Per-statement submission context at the shard layer.
 struct ShardSubmitOptions {
-  /// Tenant attribution; meaningful when the statement flows through a
-  /// TenantScheduler (QoS weights and per-tenant deadlines key off it).
-  uint64_t tenant = 0;
   /// Whole-statement budget; every scatter leg inherits what remains of
   /// it. Zero = unbounded.
   std::chrono::milliseconds deadline{0};
@@ -94,7 +89,7 @@ struct ShardSubmitOptions {
   bool allow_partial = false;
 };
 
-/// Result of one statement against a shard deployment. For selects, `rids`
+/// Result of one statement against a shard fleet. For selects, `rids`
 /// are the matches tagged with their owning shard (ascending shard order,
 /// each shard's own deterministic order within); for DML, `rids` holds the
 /// affected row's address (post-migration for updates that moved shards).
@@ -116,72 +111,6 @@ struct ShardResult {
   /// beat their primary.
   size_t legs_hedged = 0;
   size_t hedge_wins = 0;
-};
-
-/// The deployment abstraction the planner, shell, benches, and tests
-/// depend on: a thing that owns rows, executes statements against them,
-/// and reports merged metrics — whether it is one node or a shard fleet.
-/// Implementations: SingleNodeTarget (one Shard, no routing) and
-/// ShardedDatabase (N shared-nothing shards behind a ShardRouter).
-///
-/// Thread-safety: ExecuteStatement/FetchRow may be called
-/// from concurrent threads once provisioning (LoadTuple /
-/// CreatePartialIndex) is complete; provisioning itself is single-threaded
-/// setup, same as the underlying Database contract.
-class IShardTarget {
- public:
-  virtual ~IShardTarget() = default;
-
-  virtual size_t ShardCount() const = 0;
-  virtual const Schema& schema() const = 0;
-
-  /// Direct access to one shard node (0 <= i < ShardCount()), for tests,
-  /// fault arming, and per-shard introspection.
-  virtual Shard& shard(size_t i) = 0;
-  virtual const Shard& shard(size_t i) const = 0;
-
-  // --- Provisioning ---------------------------------------------------------
-
-  /// Loads a row without index maintenance (initial loading before index
-  /// creation), placing it on its owning shard.
-  virtual Result<GlobalRid> LoadTuple(const Tuple& tuple) = 0;
-
-  /// Creates the same partial index on every shard.
-  virtual Status CreatePartialIndex(
-      ColumnId column, ValueCoverage coverage,
-      IndexStructureKind structure = IndexStructureKind::kBTree) = 0;
-
-  // --- Statements -----------------------------------------------------------
-
-  virtual Result<ShardResult> ExecuteStatement(
-      const ShardStatement& statement,
-      const ShardSubmitOptions& submit = {}) = 0;
-
-  /// Pre-dispatch admission probe: non-Ok when every shard the statement
-  /// would touch currently refuses work (open circuit breakers).
-  /// Schedulers use it to shed queued statements without burning a
-  /// dispatch slot on a guaranteed fail-fast; the default accepts
-  /// everything.
-  virtual Status AdmissionCheck(const ShardStatement& statement) const {
-    (void)statement;
-    return Status::Ok();
-  }
-
-  /// The row behind a fleet-wide rid — the gather-side materialization
-  /// primitive, and what order-normalized cross-deployment comparisons
-  /// fetch (rids are placement-dependent; row contents are not).
-  virtual Result<Tuple> FetchRow(const GlobalRid& grid) const = 0;
-
-  // --- Observability --------------------------------------------------------
-
-  /// Fleet-wide counter rollup: every shard's registry (plus the routing
-  /// layer's own, if any) summed per counter name.
-  virtual std::map<std::string, int64_t> FleetCounters() const = 0;
-
-  /// Renders the routing decision and per-shard physical plans for
-  /// `query` (executes the legs to populate per-operator stats, like the
-  /// shell's explain).
-  virtual Result<std::string> Explain(const Query& query) = 0;
 };
 
 }  // namespace aib

@@ -60,18 +60,6 @@ bool WaitLeg(const QueryControl& caller, const CancelToken& legs,
   }
 }
 
-ShardResult ToShardResult(StatementResult result, size_t shard) {
-  ShardResult out;
-  out.rids.reserve(result.rids.size());
-  for (const Rid& rid : result.rids) {
-    out.rids.push_back(GlobalRid{static_cast<uint32_t>(shard), rid});
-  }
-  out.rows_affected = result.rows_affected;
-  out.stats = result.stats;
-  out.legs = 1;
-  return out;
-}
-
 /// Folds one leg's stats into the statement-wide merge.
 void MergeLeg(const QueryStats& leg, QueryStats* merged) {
   merged->Add(leg);
@@ -165,7 +153,13 @@ Result<Tuple> ShardedDatabase::FetchRow(const GlobalRid& grid) const {
   }
   std::shared_lock<std::shared_mutex> gate(
       shards_[grid.shard]->restart_latch());
-  return shards_[grid.shard]->db().table().Get(grid.rid);
+  const Table& table = shards_[grid.shard]->db().table();
+  // The page's heap stripe, shared, like a covered probe's fetch: a
+  // concurrent statement may be mutating that page.
+  AIB_ASSIGN_OR_RETURN(const size_t page, table.PageNumberOf(grid.rid));
+  const PartitionLatchTable::LatchSet latch =
+      table.page_latches().AcquireShared({page});
+  return table.Get(grid.rid);
 }
 
 std::map<std::string, int64_t> ShardedDatabase::FleetCounters() const {
@@ -550,65 +544,6 @@ Result<ShardResult> ShardedDatabase::ExecuteStatement(
   return RunDml(statement, control);
 }
 
-std::vector<size_t> ShardedDatabase::TargetShards(
-    const ShardStatement& statement) const {
-  switch (statement.kind) {
-    case StatementKind::kSelect:
-      return router_.ShardsForQuery(statement.query);
-    case StatementKind::kInsert:
-      return {router_.ShardForTuple(schema(), statement.tuple)};
-    case StatementKind::kUpdate: {
-      std::vector<size_t> targets;
-      if (statement.target.shard < shards_.size()) {
-        targets.push_back(statement.target.shard);
-      }
-      const size_t owner = router_.ShardForTuple(schema(), statement.tuple);
-      if (targets.empty() || owner != targets.front()) {
-        targets.push_back(owner);
-      }
-      std::sort(targets.begin(), targets.end());
-      return targets;
-    }
-    case StatementKind::kDelete:
-      if (statement.target.shard < shards_.size()) {
-        return {statement.target.shard};
-      }
-      return {};
-  }
-  return {};
-}
-
-Status ShardedDatabase::AdmissionCheck(const ShardStatement& statement) const {
-  const std::vector<size_t> targets = TargetShards(statement);
-  if (targets.empty()) return Status::Ok();
-  if (statement.IsDml()) {
-    // DML needs every involved shard: one open breaker dooms it.
-    for (const size_t shard : targets) {
-      if (health_.WouldFailFast(shard)) {
-        return Status::Unavailable(
-            "shard " + std::to_string(shard) +
-            ": circuit breaker open (breaker=" +
-            BreakerStateName(health_.state(shard)) + ")");
-      }
-    }
-    return Status::Ok();
-  }
-  // A select survives as long as any target shard would dispatch (at
-  // worst degraded under allow_partial; fail-fast legs annotate precisely
-  // if the caller didn't opt in).
-  for (const size_t shard : targets) {
-    if (!health_.WouldFailFast(shard)) return Status::Ok();
-  }
-  std::ostringstream msg;
-  msg << "circuit breaker open on every target shard (";
-  for (size_t i = 0; i < targets.size(); ++i) {
-    if (i > 0) msg << ",";
-    msg << targets[i];
-  }
-  msg << ")";
-  return Status::Unavailable(msg.str());
-}
-
 Status ShardedDatabase::RestartShard(size_t i) {
   if (i >= shards_.size()) {
     return Status::InvalidArgument("restart targets unknown shard");
@@ -656,71 +591,6 @@ Result<std::string> ShardedDatabase::Explain(const Query& query) {
     }
   }
   return out.str();
-}
-
-// --- SingleNodeTarget -------------------------------------------------------
-
-SingleNodeTarget::SingleNodeTarget(Schema schema, const ShardOptions& options)
-    : node_(std::make_unique<Shard>(0, std::move(schema), options)) {}
-
-SingleNodeTarget::~SingleNodeTarget() { node_->service().Shutdown(); }
-
-const Schema& SingleNodeTarget::schema() const {
-  return node_->db().table().schema();
-}
-
-Result<GlobalRid> SingleNodeTarget::LoadTuple(const Tuple& tuple) {
-  AIB_ASSIGN_OR_RETURN(Rid rid, node_->db().LoadTuple(tuple));
-  return GlobalRid{0, rid};
-}
-
-Status SingleNodeTarget::CreatePartialIndex(ColumnId column,
-                                            ValueCoverage coverage,
-                                            IndexStructureKind structure) {
-  return node_->db().CreatePartialIndex(column, std::move(coverage),
-                                        structure);
-}
-
-Result<ShardResult> SingleNodeTarget::ExecuteStatement(
-    const ShardStatement& statement, const ShardSubmitOptions& submit) {
-  Statement local;
-  switch (statement.kind) {
-    case StatementKind::kSelect:
-      local = Statement::Select(statement.query);
-      break;
-    case StatementKind::kInsert:
-      local = Statement::Insert(statement.tuple);
-      break;
-    case StatementKind::kUpdate:
-      local = Statement::Update(statement.target.rid, statement.tuple);
-      break;
-    case StatementKind::kDelete:
-      local = Statement::Delete(statement.target.rid);
-      break;
-  }
-  SubmitOptions options;
-  options.deadline = submit.deadline;
-  options.cancel = submit.cancel;
-  AIB_ASSIGN_OR_RETURN(std::future<Result<StatementResult>> future,
-                       node_->service().Submit(local, options));
-  AIB_ASSIGN_OR_RETURN(StatementResult result, future.get());
-  return ToShardResult(std::move(result), 0);
-}
-
-Result<Tuple> SingleNodeTarget::FetchRow(const GlobalRid& grid) const {
-  return node_->db().table().Get(grid.rid);
-}
-
-std::map<std::string, int64_t> SingleNodeTarget::FleetCounters() const {
-  return node_->metrics().counters();
-}
-
-Result<std::string> SingleNodeTarget::Explain(const Query& query) {
-  Executor* executor = node_->db().executor();
-  std::unique_ptr<PhysicalPlan> plan =
-      executor->PlanStatement(Statement::Select(query));
-  AIB_RETURN_IF_ERROR(executor->ExecutePlan(plan.get()).status());
-  return ExplainPlan(*plan);
 }
 
 }  // namespace aib

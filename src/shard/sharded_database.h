@@ -9,6 +9,8 @@
 
 #include "common/backoff.h"
 #include "common/metrics.h"
+#include "index/value_coverage.h"
+#include "shard/shard.h"
 #include "shard/shard_fault.h"
 #include "shard/shard_health.h"
 #include "shard/shard_router.h"
@@ -45,8 +47,9 @@ struct ShardedDatabaseOptions {
   FleetToleranceOptions tolerance;
 };
 
-/// A shared-nothing shard fleet behind one statement front door: rows are
-/// placed by the ShardRouter, selects scatter to the owning shards and
+/// A shared-nothing shard fleet behind one statement front door, and the
+/// one deployment API: one shard is a single node, N shards a fleet. Rows
+/// are placed by the ShardRouter, selects scatter to the owning shards and
 /// gather their rids in ascending shard order, DML routes to the single
 /// owning shard (updates whose new routing value moves them are migrated
 /// delete+insert), and every shard runs the paper's adaptive control loop
@@ -72,15 +75,22 @@ struct ShardedDatabaseOptions {
 /// single-shard statements (documented non-atomicity; the delete lands
 /// before the insert, and only the delete answers to the caller's
 /// deadline and cancel).
-class ShardedDatabase : public IShardTarget {
+///
+/// Thread-safety: ExecuteStatement/FetchRow may be called from concurrent
+/// threads once provisioning (LoadTuple / CreatePartialIndex) is complete;
+/// provisioning itself is single-threaded setup, same as the underlying
+/// Database contract.
+class ShardedDatabase {
  public:
   ShardedDatabase(Schema schema, ShardedDatabaseOptions options);
-  ~ShardedDatabase() override;
+  ~ShardedDatabase();
 
-  size_t ShardCount() const override { return shards_.size(); }
-  const Schema& schema() const override;
-  Shard& shard(size_t i) override { return *shards_[i]; }
-  const Shard& shard(size_t i) const override { return *shards_[i]; }
+  size_t ShardCount() const { return shards_.size(); }
+  const Schema& schema() const;
+  /// Direct access to one shard node (0 <= i < ShardCount()), for tests,
+  /// fault arming, and per-shard introspection.
+  Shard& shard(size_t i) { return *shards_[i]; }
+  const Shard& shard(size_t i) const { return *shards_[i]; }
   const ShardRouter& router() const { return router_; }
   const ShardedDatabaseOptions& options() const { return options_; }
   /// The routing layer's own registry (leg dispatch/retry/migration and
@@ -92,25 +102,30 @@ class ShardedDatabase : public IShardTarget {
   /// Per-shard breaker/latency state, for introspection and tests.
   const ShardHealthTracker& health() const { return health_; }
 
-  Result<GlobalRid> LoadTuple(const Tuple& tuple) override;
+  /// Loads a row without index maintenance (initial loading before index
+  /// creation), placing it on its owning shard.
+  Result<GlobalRid> LoadTuple(const Tuple& tuple);
+  /// Creates the same partial index on every shard.
   Status CreatePartialIndex(
       ColumnId column, ValueCoverage coverage,
-      IndexStructureKind structure = IndexStructureKind::kBTree) override;
+      IndexStructureKind structure = IndexStructureKind::kBTree);
 
-  Result<ShardResult> ExecuteStatement(
-      const ShardStatement& statement,
-      const ShardSubmitOptions& submit = {}) override;
+  Result<ShardResult> ExecuteStatement(const ShardStatement& statement,
+                                       const ShardSubmitOptions& submit = {});
 
-  /// Unavailable when every shard the statement would touch is behind an
-  /// open breaker (schedulers shed such statements instead of dispatching
-  /// them); Ok otherwise.
-  Status AdmissionCheck(const ShardStatement& statement) const override;
+  /// The row behind a fleet-wide rid — the gather-side materialization
+  /// primitive, and what order-normalized cross-deployment comparisons
+  /// fetch (rids are placement-dependent; row contents are not).
+  Result<Tuple> FetchRow(const GlobalRid& grid) const;
 
-  Result<Tuple> FetchRow(const GlobalRid& grid) const override;
+  /// Fleet-wide counter rollup: every shard's registry plus the routing
+  /// layer's own, summed per counter name.
+  std::map<std::string, int64_t> FleetCounters() const;
 
-  std::map<std::string, int64_t> FleetCounters() const override;
-
-  Result<std::string> Explain(const Query& query) override;
+  /// Renders the routing decision and per-shard physical plans for
+  /// `query` (executes the legs to populate per-operator stats, like the
+  /// shell's explain).
+  Result<std::string> Explain(const Query& query);
 
   /// Warm restart of shard `i`: revives any injected outage, waits out
   /// in-flight requests (restart latch), rebuilds the node from its own
@@ -163,10 +178,6 @@ class ShardedDatabase : public IShardTarget {
   /// to land wins.
   Result<StatementResult> Collect(LegRun& run, Leg& leg);
 
-  /// Shards `statement` would touch (select: routed set; DML: owning
-  /// shard(s), both sides of a migration).
-  std::vector<size_t> TargetShards(const ShardStatement& statement) const;
-
   ShardedDatabaseOptions options_;
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -175,40 +186,6 @@ class ShardedDatabase : public IShardTarget {
   ShardHealthTracker health_;
   /// Per-statement counter; decorrelates backoff jitter across statements.
   std::atomic<uint64_t> statement_seq_{0};
-};
-
-/// The single-node deployment behind the same interface: one Shard, no
-/// routing — GlobalRids always carry shard 0 and every statement executes
-/// directly on the node's QueryService. Lets the planner, benches, and
-/// equivalence tests drive single-node and sharded deployments through
-/// one code path.
-class SingleNodeTarget : public IShardTarget {
- public:
-  SingleNodeTarget(Schema schema, const ShardOptions& options);
-  ~SingleNodeTarget() override;
-
-  size_t ShardCount() const override { return 1; }
-  const Schema& schema() const override;
-  Shard& shard(size_t) override { return *node_; }
-  const Shard& shard(size_t) const override { return *node_; }
-
-  Result<GlobalRid> LoadTuple(const Tuple& tuple) override;
-  Status CreatePartialIndex(
-      ColumnId column, ValueCoverage coverage,
-      IndexStructureKind structure = IndexStructureKind::kBTree) override;
-
-  Result<ShardResult> ExecuteStatement(
-      const ShardStatement& statement,
-      const ShardSubmitOptions& submit = {}) override;
-
-  Result<Tuple> FetchRow(const GlobalRid& grid) const override;
-
-  std::map<std::string, int64_t> FleetCounters() const override;
-
-  Result<std::string> Explain(const Query& query) override;
-
- private:
-  std::unique_ptr<Shard> node_;
 };
 
 }  // namespace aib

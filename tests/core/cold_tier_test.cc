@@ -319,6 +319,56 @@ TEST_F(ColdTierTest, MetricsTrackTierTransitions) {
   EXPECT_EQ(metrics.HistogramCopy(kMetricPromotionLatencyMicros).Count(), 1u);
 }
 
+TEST_F(ColdTierTest, ProbesCountOnePerPartitionAndOneColdHitPerMatchingRun) {
+  Metrics metrics;
+  IndexBufferSpace space({}, &metrics);
+  IndexBuffer* buffer =
+      space.CreateBuffer(indexes_[0].get(), SmallPartitions()).value();
+  // An empty buffer probes nothing and names no counter.
+  (void)Probe(*buffer, 55);
+  EXPECT_EQ(metrics.counters().count(kMetricIndexProbes), 0u);
+  EXPECT_EQ(metrics.counters().count(kMetricColdHits), 0u);
+
+  // Partitions 1..4 (pages 5..19). Value 55 lives twice in partition 1
+  // and once in partitions 2 and 4; partitions 1..3 go cold, so one probe
+  // for 55 visits 3 cold and 1 hot partition and finds a match in 2 of
+  // the cold runs.
+  FillPages(buffer, 5, 19);
+  buffer->AddTuple(6, 55, Rid{6, 99});
+  buffer->AddTuple(9, 55, Rid{9, 99});
+  buffer->AddTuple(17, 55, Rid{17, 99});
+  for (size_t partition = 1; partition <= 3; ++partition) {
+    ASSERT_GT(buffer->DemotePartition(partition), 0u);
+  }
+  ASSERT_EQ(buffer->ColdPartitionCount(), 3u);
+  ASSERT_EQ(buffer->PartitionCount(), 1u);
+
+  int64_t probes = metrics.Get(kMetricIndexProbes);
+  int64_t cold_hits = metrics.Get(kMetricColdHits);
+  IndexBuffer::ProbeTierStats tier;
+  EXPECT_EQ(Probe(*buffer, 55, &tier).size(), 4u);
+  EXPECT_EQ(tier.cold_partitions, 3u);
+  EXPECT_EQ(tier.hot_partitions, 1u);
+  EXPECT_EQ(metrics.Get(kMetricIndexProbes) - probes, 4);
+  EXPECT_EQ(metrics.Get(kMetricColdHits) - cold_hits, 2);
+
+  // A miss still probes every partition and hits no cold run.
+  probes = metrics.Get(kMetricIndexProbes);
+  cold_hits = metrics.Get(kMetricColdHits);
+  EXPECT_TRUE(Probe(*buffer, 1000).empty());
+  EXPECT_EQ(metrics.Get(kMetricIndexProbes) - probes, 4);
+  EXPECT_EQ(metrics.Get(kMetricColdHits) - cold_hits, 0);
+
+  // A range scan counts the same way.
+  probes = metrics.Get(kMetricIndexProbes);
+  cold_hits = metrics.Get(kMetricColdHits);
+  size_t matches = 0;
+  buffer->Scan(55, 55, [&](Value, const Rid&) { ++matches; });
+  EXPECT_EQ(matches, 4u);
+  EXPECT_EQ(metrics.Get(kMetricIndexProbes) - probes, 4);
+  EXPECT_EQ(metrics.Get(kMetricColdHits) - cold_hits, 2);
+}
+
 TEST_F(ColdTierTest, ClearDropsBothTiers) {
   IndexBufferSpace space({});
   IndexBuffer* buffer =

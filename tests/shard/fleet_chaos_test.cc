@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "shard/sharded_database.h"
-#include "shard/tenant_scheduler.h"
 
 namespace aib {
 namespace {
@@ -48,7 +47,7 @@ ShardedDatabaseOptions FleetOptions() {
   return options;
 }
 
-void Provision(IShardTarget* target) {
+void Provision(ShardedDatabase* target) {
   Rng rng(424242);
   for (size_t i = 0; i < kRows; ++i) {
     const Value a = static_cast<Value>(rng.UniformInt(kLoadLo, kLoadHi));
@@ -324,11 +323,10 @@ TEST(FleetChaosTest, DmlOnCrashedOwnerFailsFastAndRecoversAfterRevive) {
   }
   ASSERT_EQ(fleet->health().state(crashed), BreakerState::kOpen);
 
-  // Open breaker: the admission check refuses, and the ladder refuses
-  // without dispatching — no crash reject is drawn.
+  // Open breaker: the ladder refuses without dispatching — no crash
+  // reject is drawn.
   const ShardStatement next =
       ShardStatement::Insert(Tuple({victim, 5}, {"row"}));
-  EXPECT_TRUE(fleet->AdmissionCheck(next).IsUnavailable());
   const int64_t rejects = fleet->FleetCounters().at(kMetricShardCrashRejects);
   Result<ShardResult> refused = fleet->ExecuteStatement(next);
   ASSERT_FALSE(refused.ok());
@@ -347,7 +345,7 @@ TEST(FleetChaosTest, DmlOnCrashedOwnerFailsFastAndRecoversAfterRevive) {
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(milliseconds{5});
   }
-  EXPECT_TRUE(fleet->AdmissionCheck(next).ok());
+  EXPECT_FALSE(fleet->health().WouldFailFast(crashed));
   Result<ShardResult> probe = fleet->ExecuteStatement(next);
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   EXPECT_EQ(fleet->health().state(crashed), BreakerState::kClosed);
@@ -591,39 +589,6 @@ TEST(FleetChaosTest, RestartWhileHungRevivesInsteadOfDeadlocking) {
   Result<ShardResult> after =
       fleet->ExecuteStatement(ShardStatement::Select(Query::Point(0, victim)));
   EXPECT_TRUE(after.ok()) << after.status().ToString();
-}
-
-TEST(FleetChaosTest, TenantSchedulerShedsDoomedStatements) {
-  ShardedDatabaseOptions options = FleetOptions();
-  options.tolerance.breaker.probe_backoff.base = microseconds{10000000};
-  auto fleet = MakeFleet(options);
-  const size_t crashed = 3;
-  OpenBreakerViaCrash(fleet.get(), crashed);
-
-  TenantSchedulerOptions scheduler_options;
-  scheduler_options.num_workers = 1;
-  scheduler_options.metrics = &fleet->router_metrics();
-  TenantScheduler scheduler(fleet.get(), scheduler_options);
-
-  // An insert routed at the open-circuit shard is shed at dispatch time —
-  // Unavailable without ever burning a shard submit.
-  const Value victim = ValueOwnedBy(*fleet, crashed);
-  Result<std::future<Result<ShardResult>>> doomed = scheduler.Submit(
-      1, ShardStatement::Insert(Tuple({victim, 1}, {"row"})), {});
-  ASSERT_TRUE(doomed.ok());
-  Result<ShardResult> shed = std::move(doomed).value().get();
-  ASSERT_FALSE(shed.ok());
-  EXPECT_TRUE(shed.status().IsUnavailable()) << shed.status().ToString();
-  EXPECT_GE(fleet->router_metrics().Get(kMetricTenantShed), 1);
-
-  // A healthy-routed statement flows through the same scheduler.
-  const Value fine = ValueOwnedBy(*fleet, (crashed + 1) % kShards);
-  Result<std::future<Result<ShardResult>>> ok_future = scheduler.Submit(
-      1, ShardStatement::Insert(Tuple({fine, 1}, {"row"})), {});
-  ASSERT_TRUE(ok_future.ok());
-  Result<ShardResult> ok_result = std::move(ok_future).value().get();
-  EXPECT_TRUE(ok_result.ok()) << ok_result.status().ToString();
-  scheduler.Shutdown();
 }
 
 TEST(FleetChaosTest, FaultScriptTraceHashReplays) {

@@ -9,19 +9,18 @@
 
 #include "common/rng.h"
 #include "shard/sharded_database.h"
-#include "shard/tenant_scheduler.h"
 
 namespace aib {
 namespace {
 
-// Multi-tenant stress over a live shard fleet: one client thread per
-// tenant, each driving its own sequential statement stream (so victim
-// rid bookkeeping needs no cross-thread coordination) while the fleet's
-// scatter-gather, admission queues, and stride scheduler all run
-// concurrently. Built to be run under TSan (`ctest -L concurrency`).
+// Concurrent-client stress over a live shard fleet: each client thread
+// drives its own sequential statement stream straight into the fleet (so
+// victim rid bookkeeping needs no cross-thread coordination) while the
+// scatter-gather and the shards' admission queues run concurrently. Built
+// to be run under TSan (`ctest -L concurrency`).
 
-constexpr size_t kTenantThreads = 4;
-constexpr size_t kOpsPerTenant = 120;
+constexpr size_t kClientThreads = 4;
+constexpr size_t kOpsPerClient = 120;
 constexpr Value kDomainHi = 4000;
 
 std::unique_ptr<ShardedDatabase> MakeFleet() {
@@ -45,36 +44,20 @@ std::unique_ptr<ShardedDatabase> MakeFleet() {
   return fleet;
 }
 
-/// Submits through the scheduler, retrying Busy admission (bounded).
-Result<ShardResult> SubmitAndWait(TenantScheduler* scheduler, uint64_t tenant,
-                                  const ShardStatement& statement) {
-  for (int attempt = 0; attempt < 200; ++attempt) {
-    auto future = scheduler->Submit(tenant, statement);
-    if (future.ok()) return std::move(future).value().get();
-    if (!future.status().IsBusy()) return future.status();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return Status::Busy("admission never cleared");
-}
-
-TEST(ShardStressTest, ConcurrentTenantsKeepTheFleetConsistent) {
+TEST(ShardStressTest, ConcurrentClientsKeepTheFleetConsistent) {
   auto fleet = MakeFleet();
-  TenantSchedulerOptions scheduler_options;
-  scheduler_options.num_workers = 4;  // overlap statements across tenants
-  scheduler_options.default_tenant.queue_capacity = 16;
-  TenantScheduler scheduler(fleet.get(), scheduler_options);
 
   std::atomic<size_t> failures{0};
   std::atomic<int64_t> net_inserted{0};
   std::vector<std::thread> clients;
-  clients.reserve(kTenantThreads);
-  for (size_t t = 0; t < kTenantThreads; ++t) {
+  clients.reserve(kClientThreads);
+  for (size_t t = 0; t < kClientThreads; ++t) {
     clients.emplace_back([&, t] {
-      // Per-tenant rng stream and private rid list: statements within a
-      // tenant are sequential, tenants overlap.
+      // Per-client rng stream and private rid list: statements within a
+      // client are sequential, clients overlap.
       Rng rng(100 + t);
       std::vector<GlobalRid> mine;
-      for (size_t i = 0; i < kOpsPerTenant; ++i) {
+      for (size_t i = 0; i < kOpsPerClient; ++i) {
         const uint32_t dice = static_cast<uint32_t>(rng.UniformInt(0, 9));
         if (dice < 4) {  // read
           const Value v = static_cast<Value>(rng.UniformInt(1, kDomainHi));
@@ -82,14 +65,13 @@ TEST(ShardStressTest, ConcurrentTenantsKeepTheFleetConsistent) {
           const Query query =
               routed ? Query::Point(0, v)
                      : Query::Range(0, std::max(1, v - 40), v);
-          if (!SubmitAndWait(&scheduler, t, ShardStatement::Select(query))
-                   .ok()) {
+          if (!fleet->ExecuteStatement(ShardStatement::Select(query)).ok()) {
             ++failures;
           }
         } else if (dice < 7 || mine.empty()) {  // insert
           const Value v = static_cast<Value>(rng.UniformInt(1, kDomainHi));
-          auto result = SubmitAndWait(&scheduler, t,
-                                      ShardStatement::Insert(Tuple({v}, {"row"})));
+          auto result = fleet->ExecuteStatement(
+              ShardStatement::Insert(Tuple({v}, {"row"})));
           if (result.ok()) {
             mine.push_back(result->rids.at(0));
             ++net_inserted;
@@ -98,8 +80,7 @@ TEST(ShardStressTest, ConcurrentTenantsKeepTheFleetConsistent) {
           }
         } else if (dice < 9) {  // update my newest row (may migrate)
           const Value v = static_cast<Value>(rng.UniformInt(1, kDomainHi));
-          auto result = SubmitAndWait(
-              &scheduler, t,
+          auto result = fleet->ExecuteStatement(
               ShardStatement::Update(mine.back(), Tuple({v}, {"row"})));
           if (result.ok()) {
             mine.back() = result->rids.at(0);
@@ -107,8 +88,8 @@ TEST(ShardStressTest, ConcurrentTenantsKeepTheFleetConsistent) {
             ++failures;
           }
         } else {  // delete my newest row
-          auto result = SubmitAndWait(&scheduler, t,
-                                      ShardStatement::Delete(mine.back()));
+          auto result =
+              fleet->ExecuteStatement(ShardStatement::Delete(mine.back()));
           if (result.ok()) {
             mine.pop_back();
             --net_inserted;
@@ -117,7 +98,7 @@ TEST(ShardStressTest, ConcurrentTenantsKeepTheFleetConsistent) {
           }
         }
       }
-      // Every rid this tenant still owns must resolve to a live row.
+      // Every rid this client still owns must resolve to a live row.
       for (const GlobalRid& grid : mine) {
         if (!fleet->FetchRow(grid).ok()) ++failures;
       }

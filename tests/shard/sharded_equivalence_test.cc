@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -64,7 +65,68 @@ ShardOptions SmallShardOptions() {
   return options;
 }
 
-void Provision(IShardTarget* target) {
+/// The single-node reference: one Shard, no routing. Every statement goes
+/// through the node's QueryService and every rid carries shard 0, so the
+/// replay drives it and a fleet with one rid bookkeeping scheme.
+class SingleNode {
+ public:
+  SingleNode() : node_(0, TestSchema(), SmallShardOptions()) {}
+
+  const Schema& schema() const { return node_.db().table().schema(); }
+
+  Result<GlobalRid> LoadTuple(const Tuple& tuple) {
+    AIB_ASSIGN_OR_RETURN(Rid rid, node_.db().LoadTuple(tuple));
+    return GlobalRid{0, rid};
+  }
+
+  Status CreatePartialIndex(ColumnId column, ValueCoverage coverage) {
+    return node_.db().CreatePartialIndex(column, std::move(coverage));
+  }
+
+  Result<ShardResult> ExecuteStatement(const ShardStatement& statement,
+                                       const ShardSubmitOptions& submit = {}) {
+    Statement local;
+    switch (statement.kind) {
+      case StatementKind::kSelect:
+        local = Statement::Select(statement.query);
+        break;
+      case StatementKind::kInsert:
+        local = Statement::Insert(statement.tuple);
+        break;
+      case StatementKind::kUpdate:
+        local = Statement::Update(statement.target.rid, statement.tuple);
+        break;
+      case StatementKind::kDelete:
+        local = Statement::Delete(statement.target.rid);
+        break;
+    }
+    SubmitOptions options;
+    options.deadline = submit.deadline;
+    options.cancel = submit.cancel;
+    AIB_ASSIGN_OR_RETURN(std::future<Result<StatementResult>> future,
+                         node_.service().Submit(local, options));
+    AIB_ASSIGN_OR_RETURN(StatementResult result, future.get());
+    ShardResult out;
+    for (const Rid& rid : result.rids) out.rids.push_back(GlobalRid{0, rid});
+    out.rows_affected = result.rows_affected;
+    out.stats = result.stats;
+    out.legs = 1;
+    return out;
+  }
+
+  Result<Tuple> FetchRow(const GlobalRid& grid) const {
+    return node_.db().table().Get(grid.rid);
+  }
+
+ private:
+  Shard node_;
+};
+
+// Provision, RowContents and Replay take either deployment: the
+// single-node reference or a ShardedDatabase.
+
+template <typename Deployment>
+void Provision(Deployment* target) {
   Rng rng(424242);
   for (size_t i = 0; i < kRows; ++i) {
     const Value a = static_cast<Value>(rng.UniformInt(kLoadLo, kLoadHi));
@@ -93,7 +155,8 @@ std::unique_ptr<ShardedDatabase> MakeFleet(size_t shards,
 /// harness materialization, not the system under test — mask fault
 /// injection so the oracle comparison itself never rolls the dice (the
 /// statements being compared run with faults live).
-std::vector<Value> RowContents(const IShardTarget& target,
+template <typename Deployment>
+std::vector<Value> RowContents(const Deployment& target,
                                const GlobalRid& grid) {
   FaultInjector::ScopedSuspend suspend;
   Result<Tuple> tuple = target.FetchRow(grid);
@@ -116,7 +179,8 @@ struct ReplayTrace {
 
 /// Replays the trace, resolving victim ranks against per-tenant live-rid
 /// lists exactly as the generator contract prescribes (rank 1 = newest).
-ReplayTrace Replay(IShardTarget* target, size_t num_statements,
+template <typename Deployment>
+ReplayTrace Replay(Deployment* target, size_t num_statements,
                    uint64_t seed, const ShardSubmitOptions& submit = {}) {
   ReplayTrace trace;
   MixedWorkloadGenerator gen(TraceOptions(num_statements), seed);
@@ -206,21 +270,21 @@ void ExpectSameTrace(const ReplayTrace& a, const ReplayTrace& b) {
 }
 
 TEST(ShardedEquivalenceTest, OneShardFleetMatchesSingleNode) {
-  SingleNodeTarget single(TestSchema(), SmallShardOptions());
+  SingleNode single;
   Provision(&single);
   auto fleet = MakeFleet(1, ShardingPolicy::kHash);
   ExpectSameTrace(Replay(&single, 300, 7), Replay(fleet.get(), 300, 7));
 }
 
 TEST(ShardedEquivalenceTest, FourHashShardsMatchSingleNode) {
-  SingleNodeTarget single(TestSchema(), SmallShardOptions());
+  SingleNode single;
   Provision(&single);
   auto fleet = MakeFleet(4, ShardingPolicy::kHash);
   ExpectSameTrace(Replay(&single, 300, 7), Replay(fleet.get(), 300, 7));
 }
 
 TEST(ShardedEquivalenceTest, ThreeRangeShardsMatchSingleNode) {
-  SingleNodeTarget single(TestSchema(), SmallShardOptions());
+  SingleNode single;
   Provision(&single);
   auto fleet = MakeFleet(3, ShardingPolicy::kRange);
   ExpectSameTrace(Replay(&single, 300, 7), Replay(fleet.get(), 300, 7));
@@ -280,7 +344,7 @@ TEST(ShardedEquivalenceTest, ChaosReplayStillMatchesCleanSingleNode) {
   // per-shard fault injection (decorrelated streams). Leg retries plus
   // the per-shard service retries must make the trace bit-identical
   // anyway.
-  SingleNodeTarget single(TestSchema(), SmallShardOptions());
+  SingleNode single;
   Provision(&single);
   // A pool smaller than the table keeps reads on the disk path, where
   // faults inject (a big pool would absorb every read after provisioning).
@@ -311,7 +375,7 @@ TEST(ShardedEquivalenceTest, ChaosReplayStillMatchesCleanSingleNode) {
 }
 
 TEST(ShardedEquivalenceTest, GenerousDeadlineDoesNotChangeResults) {
-  SingleNodeTarget single(TestSchema(), SmallShardOptions());
+  SingleNode single;
   Provision(&single);
   auto fleet = MakeFleet(4, ShardingPolicy::kHash);
   ShardSubmitOptions submit;
@@ -321,7 +385,7 @@ TEST(ShardedEquivalenceTest, GenerousDeadlineDoesNotChangeResults) {
 }
 
 TEST(ShardedEquivalenceTest, PreCancelledStatementFailsOnBothDeployments) {
-  SingleNodeTarget single(TestSchema(), SmallShardOptions());
+  SingleNode single;
   Provision(&single);
   auto fleet = MakeFleet(4, ShardingPolicy::kHash);
   ShardSubmitOptions submit;

@@ -299,19 +299,16 @@ TEST_F(ShellTest, ShardedExplainShowsLegs) {
   EXPECT_NE(Output().find("Leg[shard 3]"), std::string::npos);
 }
 
-TEST_F(ShellTest, TenantPrefixAndStickyTenant) {
+TEST_F(ShellTest, ShardedStatsPrintsShardsAndFleetRollup) {
   EXPECT_TRUE(Exec("shards 2"));
   EXPECT_TRUE(Exec("create_table t 1"));
   EXPECT_TRUE(Exec("load_random t 100 1 500 1"));
-  EXPECT_TRUE(Exec("tenant 7 query t 0 50"));  // prefix form
-  EXPECT_TRUE(Exec("tenant 3"));               // sticky form
-  EXPECT_NE(Output().find("ok: tenant 3"), std::string::npos);
+  EXPECT_TRUE(Exec("query t 0 50"));
   EXPECT_TRUE(Exec("query t 0 60"));
   EXPECT_TRUE(Exec("stats"));
-  EXPECT_NE(Output().find("tenant 7:"), std::string::npos);
-  EXPECT_NE(Output().find("tenant 3:"), std::string::npos);
   EXPECT_NE(Output().find("fleet:"), std::string::npos);
   EXPECT_NE(Output().find("shard 1:"), std::string::npos);
+  EXPECT_NE(Output().find("shard.statements_routed=2"), std::string::npos);
 }
 
 TEST_F(ShellTest, ShardedFaultsRetryTransparently) {

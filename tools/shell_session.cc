@@ -67,13 +67,10 @@ QueryControl ShellSession::MakeControl() const {
 }
 
 Result<ShardResult> ShellSession::ExecuteSharded(
-    ShardedTable* table, const ShardStatement& statement) {
+    ShardedDatabase* db, const ShardStatement& statement) {
   ShardSubmitOptions submit;
   submit.deadline = deadline_;
-  Result<std::future<Result<ShardResult>>> future =
-      table->scheduler->Submit(tenant_, statement, submit);
-  if (!future.ok()) return future.status();
-  return std::move(future).value().get();
+  return db->ExecuteStatement(statement, submit);
 }
 
 Result<StatementResult> ShellSession::ExecuteQuery(Table* table,
@@ -138,28 +135,6 @@ bool ShellSession::ExecuteLine(const std::string& line) {
            << ShardingPolicyName(shard_policy_) << ", routing column "
            << routing_column_ << "\n";
       return true;
-    }
-
-    if (command == "tenant") {
-      if (tokens.size() < 2) return Fail("tenant T [COMMAND ...]");
-      const uint64_t tenant = std::stoull(tokens[1]);
-      if (tokens.size() == 2) {
-        tenant_ = tenant;
-        out_ << "ok: tenant " << tenant_ << "\n";
-        return true;
-      }
-      // Prefix form: run the rest of the line as this tenant, then
-      // restore the session tenant.
-      std::string rest;
-      for (size_t i = 2; i < tokens.size(); ++i) {
-        if (i > 2) rest += ' ';
-        rest += tokens[i];
-      }
-      const uint64_t saved = tenant_;
-      tenant_ = tenant;
-      const bool ok = ExecuteLine(rest);
-      tenant_ = saved;
-      return ok;
     }
 
     if (sharded() && command != "config" && command != "deadline" &&
@@ -580,21 +555,16 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     // One worker per shard service keeps the shell deterministic (FIFO
     // per shard), like the catalog path.
     options.shard.service.num_workers = 1;
-    ShardedTable entry;
-    entry.db = std::make_unique<ShardedDatabase>(
-        Schema::PaperSchema(int_cols, 64), options);
-    TenantSchedulerOptions scheduler;
-    scheduler.num_workers = 1;
-    scheduler.metrics = &entry.db->router_metrics();
-    entry.scheduler =
-        std::make_unique<TenantScheduler>(entry.db.get(), scheduler);
-    sharded_.emplace(tokens[1], std::move(entry));
+    sharded_.emplace(tokens[1], std::make_unique<ShardedDatabase>(
+                                    Schema::PaperSchema(int_cols, 64),
+                                    options));
     out_ << "ok: sharded table " << tokens[1] << " with " << int_cols
          << " int columns on " << shard_count_ << " shards\n";
     return true;
   }
 
-  ShardedTable* table = tokens.size() > 1 ? GetSharded(tokens[1]) : nullptr;
+  ShardedDatabase* table =
+      tokens.size() > 1 ? sharded_table(tokens[1]) : nullptr;
 
   if (command == "load_random") {
     if (tokens.size() < 5) return Fail("load_random NAME COUNT LO HI [SEED]");
@@ -603,22 +573,22 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     const Value lo = std::stoi(tokens[3]);
     const Value hi = std::stoi(tokens[4]);
     Rng rng(tokens.size() > 5 ? std::stoull(tokens[5]) : 1);
-    const size_t int_cols = table->db->schema().IntColumnIds().size();
+    const size_t int_cols = table->schema().IntColumnIds().size();
     for (size_t i = 0; i < count; ++i) {
       std::vector<Value> values;
       for (size_t c = 0; c < int_cols; ++c) {
         values.push_back(static_cast<Value>(rng.UniformInt(lo, hi)));
       }
       Result<GlobalRid> rid =
-          table->db->LoadTuple(Tuple(std::move(values), {"row"}));
+          table->LoadTuple(Tuple(std::move(values), {"row"}));
       if (!rid.ok()) return Fail(rid.status().ToString());
     }
     size_t pages = 0;
-    for (size_t s = 0; s < table->db->ShardCount(); ++s) {
-      pages += table->db->shard(s).db().table().PageCount();
+    for (size_t s = 0; s < table->ShardCount(); ++s) {
+      pages += table->shard(s).db().table().PageCount();
     }
     out_ << "ok: loaded " << count << " tuples into " << tokens[1] << " ("
-         << pages << " pages across " << table->db->ShardCount()
+         << pages << " pages across " << table->ShardCount()
          << " shards)\n";
     return true;
   }
@@ -631,7 +601,7 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     }
     if (table == nullptr) return Fail("no sharded table " + tokens[1]);
     const ColumnId column = static_cast<ColumnId>(std::stoi(tokens[2]));
-    const Status status = table->db->CreatePartialIndex(
+    const Status status = table->CreatePartialIndex(
         column,
         ValueCoverage::Range(std::stoi(tokens[3]), std::stoi(tokens[4])),
         *kind);
@@ -651,8 +621,8 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     if (tokens.size() > 4) options.index_threshold = std::stoi(tokens[4]);
     if (tokens.size() > 5) options.max_indexed_values = std::stoull(tokens[5]);
     const ColumnId column = static_cast<ColumnId>(std::stoi(tokens[2]));
-    for (size_t s = 0; s < table->db->ShardCount(); ++s) {
-      const Status status = table->db->shard(s).db().AttachTuner(column, options);
+    for (size_t s = 0; s < table->ShardCount(); ++s) {
+      const Status status = table->shard(s).db().AttachTuner(column, options);
       if (!status.ok()) return Fail(status.ToString());
     }
     out_ << "ok: tuner attached on every shard\n";
@@ -680,7 +650,7 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     out_ << "rows=" << result->rids.size() << " cost=" << result->stats.cost
          << " scanned=" << result->stats.pages_scanned
          << " skipped=" << result->stats.pages_skipped << " legs="
-         << result->legs << "/" << table->db->ShardCount()
+         << result->legs << "/" << table->ShardCount()
          << (result->stats.used_partial_index   ? " [index]"
              : result->stats.used_index_buffer ? " [buffer]"
                                                : " [scan]")
@@ -698,7 +668,7 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     if (!ParseResiduals(tokens, 5, &query)) {
       return Fail("residual predicates must be COLUMN LO HI triplets");
     }
-    Result<std::string> rendered = table->db->Explain(query);
+    Result<std::string> rendered = table->Explain(query);
     if (!rendered.ok()) return Fail(rendered.status().ToString());
     out_ << rendered.value();
     return true;
@@ -732,7 +702,7 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     for (size_t i = 2; i < tokens.size(); ++i) {
       values.push_back(std::stoi(tokens[i]));
     }
-    if (values.size() != table->db->schema().IntColumnIds().size()) {
+    if (values.size() != table->schema().IntColumnIds().size()) {
       return Fail("value count does not match schema");
     }
     Result<ShardResult> result = ExecuteSharded(
@@ -756,7 +726,7 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     for (size_t i = 5; i < tokens.size(); ++i) {
       values.push_back(std::stoi(tokens[i]));
     }
-    if (values.size() != table->db->schema().IntColumnIds().size()) {
+    if (values.size() != table->schema().IntColumnIds().size()) {
       return Fail("value count does not match schema");
     }
     Result<ShardResult> result = ExecuteSharded(
@@ -792,9 +762,9 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
           "[LATENCY_TICKS]]] | fault off");
     }
     for (auto& [name, entry] : sharded_) {
-      for (size_t s = 0; s < entry.db->ShardCount(); ++s) {
+      for (size_t s = 0; s < entry->ShardCount(); ++s) {
         FaultInjector& injector =
-            entry.db->shard(s).db().catalog().disk().fault_injector();
+            entry->shard(s).db().catalog().disk().fault_injector();
         if (tokens[1] == "off") {
           injector.Disarm();
           continue;
@@ -833,10 +803,10 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     }
     if (table == nullptr) return Fail("no sharded table " + tokens[1]);
     const size_t shard = std::stoull(tokens[2]);
-    if (shard >= table->db->ShardCount()) {
+    if (shard >= table->ShardCount()) {
       return Fail("shard " + tokens[2] + " out of range");
     }
-    ShardFaultInjector& injector = table->db->fault_injector();
+    ShardFaultInjector& injector = table->fault_injector();
     const std::string& outage = tokens[3];
     if (outage == "crash") {
       injector.Crash(shard);
@@ -867,10 +837,10 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     if (tokens.size() != 3) return Fail("restart NAME SHARD");
     if (table == nullptr) return Fail("no sharded table " + tokens[1]);
     const size_t shard = std::stoull(tokens[2]);
-    if (shard >= table->db->ShardCount()) {
+    if (shard >= table->ShardCount()) {
       return Fail("shard " + tokens[2] + " out of range");
     }
-    const Status status = table->db->RestartShard(shard);
+    const Status status = table->RestartShard(shard);
     if (!status.ok()) return Fail(status.ToString());
     out_ << "ok: shard " << shard
          << " restarted (warm buffer coverage from snapshot, breaker "
@@ -881,9 +851,8 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
   if (command == "buffers") {
     for (const auto& [name, entry] : sharded_) {
       out_ << name << ":\n";
-      for (size_t s = 0; s < entry.db->ShardCount(); ++s) {
-        const IndexBufferSpace* space =
-            const_cast<ShardedTable&>(entry).db->shard(s).db().space();
+      for (size_t s = 0; s < entry->ShardCount(); ++s) {
+        const IndexBufferSpace* space = entry->shard(s).db().space();
         out_ << "  shard " << s << ": ";
         if (space == nullptr) {
           out_ << "index buffer space disabled\n";
@@ -904,7 +873,7 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
 
   if (command == "stats") {
     for (const auto& [name, entry] : sharded_) {
-      ShardedDatabase& db = *const_cast<ShardedTable&>(entry).db;
+      ShardedDatabase& db = *entry;
       out_ << name << " (" << db.ShardCount() << " shards):\n";
       for (size_t s = 0; s < db.ShardCount(); ++s) {
         const Metrics& metrics = db.shard(s).metrics();
@@ -930,14 +899,6 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
              << " failures=" << health.failures
              << " opened=" << health.times_opened << "\n";
       }
-      for (const TenantScheduler::TenantInfo& info :
-           entry.scheduler->TenantInfos()) {
-        out_ << "  tenant " << info.tenant << ": weight=" << info.weight
-             << " submitted=" << info.submitted
-             << " dispatched=" << info.dispatched
-             << " rejected=" << info.rejected << " queued=" << info.queued
-             << "\n";
-      }
       out_ << "  fleet:\n";
       for (const auto& [counter, value] : db.FleetCounters()) {
         out_ << "    " << counter << "=" << value << "\n";
@@ -950,8 +911,8 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     if (tokens.size() != 2) return Fail("consistency NAME");
     if (table == nullptr) return Fail("no sharded table " + tokens[1]);
     FaultInjector::ScopedSuspend suspend;
-    for (size_t s = 0; s < table->db->ShardCount(); ++s) {
-      Database& db = table->db->shard(s).db();
+    for (size_t s = 0; s < table->ShardCount(); ++s) {
+      Database& db = table->shard(s).db();
       if (db.space() == nullptr) continue;
       const Status status = CheckSpaceConsistency(db.table(), *db.space());
       if (!status.ok()) {

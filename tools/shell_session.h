@@ -10,7 +10,6 @@
 
 #include "common/query_control.h"
 #include "shard/sharded_database.h"
-#include "shard/tenant_scheduler.h"
 #include "workload/catalog.h"
 
 namespace aib::tools {
@@ -63,9 +62,6 @@ namespace aib::tools {
 ///                           (default 0) instead of a catalog table;
 ///                           existing sharded tables are dropped
 ///   shards off            — back to single-node catalog mode
-///   tenant T [COMMAND...] — with a trailing command, runs it as tenant T;
-///                           alone, makes T the session tenant. Statements
-///                           enter through each table's TenantScheduler
 ///   In sharded mode query/range/run/insert/load_random/create_index/
 ///   explain/fault/stats/buffers/consistency/attach_tuner/deadline work
 ///   against the shard fleet (explain renders the scatter legs; stats
@@ -91,16 +87,10 @@ class ShellSession {
   bool sharded() const { return shard_count_ > 0; }
   ShardedDatabase* sharded_table(const std::string& name) {
     auto it = sharded_.find(name);
-    return it == sharded_.end() ? nullptr : it->second.db.get();
+    return it == sharded_.end() ? nullptr : it->second.get();
   }
 
  private:
-  /// One sharded table: the shard fleet plus its multi-tenant front door.
-  struct ShardedTable {
-    std::unique_ptr<ShardedDatabase> db;
-    std::unique_ptr<TenantScheduler> scheduler;
-  };
-
   bool Fail(const std::string& message);
 
   /// Control for one query: carries the session deadline when one is set.
@@ -111,15 +101,9 @@ class ShellSession {
   /// never Timeout/Cancelled).
   Result<StatementResult> ExecuteQuery(Table* table, const Query& query);
 
-  /// Dispatches a statement through `table`'s tenant scheduler as the
-  /// session tenant, with the session deadline.
-  Result<ShardResult> ExecuteSharded(ShardedTable* table,
+  /// Executes a statement on the fleet `db` with the session deadline.
+  Result<ShardResult> ExecuteSharded(ShardedDatabase* db,
                                      const ShardStatement& statement);
-
-  ShardedTable* GetSharded(const std::string& name) {
-    auto it = sharded_.find(name);
-    return it == sharded_.end() ? nullptr : &it->second;
-  }
 
   /// Handles the commands that behave differently against a shard fleet.
   /// Only called in sharded mode.
@@ -135,8 +119,7 @@ class ShellSession {
   size_t shard_count_ = 0;
   ShardingPolicy shard_policy_ = ShardingPolicy::kHash;
   ColumnId routing_column_ = 0;
-  uint64_t tenant_ = 0;
-  std::map<std::string, ShardedTable> sharded_;
+  std::map<std::string, std::unique_ptr<ShardedDatabase>> sharded_;
 };
 
 }  // namespace aib::tools
