@@ -15,6 +15,15 @@
 
 using namespace aib;
 
+namespace {
+
+// Entries in both tiers of a buffer: demoted cold runs count too.
+size_t BufferedEntries(const IndexBuffer* buffer) {
+  return buffer->TotalEntries() + buffer->ColdEntries();
+}
+
+}  // namespace
+
 int main() {
   const std::string snapshot_path =
       (std::filesystem::temp_directory_path() / "aib_restart_demo.bin")
@@ -56,8 +65,8 @@ int main() {
     }
     std::cout << "session 1: first miss cost " << first_cost
               << ", warm miss cost " << warm_cost << " (buffer holds "
-              << catalog.GetBuffer(table, 0)->TotalEntries()
-              << " entries)\n";
+              << BufferedEntries(catalog.GetBuffer(table, 0))
+              << " entries, hot + cold)\n";
 
     if (!catalog.SaveSnapshot(snapshot_path).ok()) return 1;
     std::cout << "session 1: snapshot saved; process 'crashes' now.\n\n";
@@ -78,8 +87,9 @@ int main() {
               << catalog->GetIndex(table, 0)->coverage().ToString() << " ("
               << catalog->GetIndex(table, 0)->EntryCount() << " entries)\n"
               << "session 2: Index Buffer after restart: "
-              << catalog->GetBuffer(table, 0)->TotalEntries()
-              << " entries — nothing was recovered, nothing had to be.\n";
+              << BufferedEntries(catalog->GetBuffer(table, 0))
+              << " entries, hot + cold — nothing was recovered, nothing had "
+                 "to be.\n";
 
     // The first post-restart miss pays a scan (and re-warms the buffer);
     // the second is cheap again.

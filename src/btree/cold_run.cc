@@ -1,29 +1,9 @@
 #include "btree/cold_run.h"
 
 #include <algorithm>
-#include <cstring>
 #include <iterator>
 
 namespace aib {
-
-namespace {
-
-// Serialized layout, little-endian on every platform we target:
-//   uint64 count, then count * (int32 key, uint32 page_id, uint16 slot).
-constexpr size_t kEntryWireBytes = 4 + 4 + 2;
-
-void AppendPod(std::string* out, const void* src, size_t n) {
-  out->append(reinterpret_cast<const char*>(src), n);
-}
-
-bool ReadPod(const std::string& in, size_t* offset, void* dst, size_t n) {
-  if (*offset + n > in.size()) return false;
-  std::memcpy(dst, in.data() + *offset, n);
-  *offset += n;
-  return true;
-}
-
-}  // namespace
 
 void ColdRun::Build(const IndexStructure& source) {
   entries_.clear();
@@ -112,48 +92,6 @@ bool ColdRun::Overlaps(Value lo, Value hi) const {
   auto it = std::lower_bound(entries_.begin(), entries_.end(), lo,
                              [](const Entry& e, Value k) { return e.key < k; });
   return it != entries_.end() && it->key <= hi;
-}
-
-std::string ColdRun::Serialize() const {
-  std::string out;
-  uint64_t count = entries_.size();
-  out.reserve(sizeof(count) + entries_.size() * kEntryWireBytes);
-  AppendPod(&out, &count, sizeof(count));
-  for (const Entry& e : entries_) {
-    int32_t key = e.key;
-    uint32_t page_id = e.rid.page_id;
-    uint16_t slot = e.rid.slot;
-    AppendPod(&out, &key, sizeof(key));
-    AppendPod(&out, &page_id, sizeof(page_id));
-    AppendPod(&out, &slot, sizeof(slot));
-  }
-  return out;
-}
-
-Status ColdRun::Deserialize(const std::string& bytes) {
-  size_t offset = 0;
-  uint64_t count = 0;
-  if (!ReadPod(bytes, &offset, &count, sizeof(count))) {
-    return Status::Corruption("cold run: truncated header");
-  }
-  if (bytes.size() - offset != count * kEntryWireBytes) {
-    return Status::Corruption("cold run: size mismatch");
-  }
-  std::vector<Entry> entries;
-  entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    int32_t key = 0;
-    uint32_t page_id = 0;
-    uint16_t slot = 0;
-    if (!ReadPod(bytes, &offset, &key, sizeof(key)) ||
-        !ReadPod(bytes, &offset, &page_id, sizeof(page_id)) ||
-        !ReadPod(bytes, &offset, &slot, sizeof(slot))) {
-      return Status::Corruption("cold run: truncated entry");
-    }
-    entries.push_back(Entry{key, Rid{page_id, slot}});
-  }
-  entries_ = std::move(entries);
-  return Status::Ok();
 }
 
 }  // namespace aib

@@ -1,11 +1,9 @@
 #ifndef AIB_BTREE_COLD_RUN_H_
 #define AIB_BTREE_COLD_RUN_H_
 
-#include <string>
 #include <vector>
 
 #include "btree/index_structure.h"
-#include "common/status.h"
 #include "common/types.h"
 
 namespace aib {
@@ -23,7 +21,7 @@ namespace aib {
 /// equal keys keep the order the source structure emitted them in
 /// (BTree::ForEachEntry is key-ordered with insertion-ordered postings).
 /// Lookup/Scan therefore emit rids in exactly the sequence the hot tree
-/// would have — the property the warm-restart and serial/parallel
+/// would have — the property the demotion and serial/parallel
 /// bit-identity suites pin.
 ///
 /// Mutation is the exception, not the rule: Insert/Remove exist so the
@@ -66,14 +64,6 @@ class ColdRun final : public IndexStructure {
   /// Smallest/largest key present. Only valid when EntryCount() > 0.
   Value MinKey() const { return entries_.front().key; }
   Value MaxKey() const { return entries_.back().key; }
-
-  /// Flat little-endian serialization (count + packed entries), used by the
-  /// warm-restart snapshot.
-  std::string Serialize() const;
-
-  /// Replaces the contents from `Serialize` output. Rejects short/garbled
-  /// input; trailing bytes after the encoded run are an error.
-  Status Deserialize(const std::string& bytes);
 
   const std::vector<Entry>& entries() const { return entries_; }
 

@@ -173,7 +173,7 @@ inline constexpr char kMetricLatchOptimisticFallbacks[] =
 // Histogram name (Observe/HistogramCopy, not a counter).
 inline constexpr char kMetricLatchWaitMicros[] = "latch.wait_us";
 // Fleet fault tolerance (shard outage injection, per-shard circuit
-// breakers, hedged scatter legs, warm restarts). Outage and breaker
+// breakers, hedged scatter legs, shard restarts). Outage and breaker
 // counters live in the router's registry, rolled into FleetCounters().
 inline constexpr char kMetricShardOutagesArmed[] = "shard.outages_armed";
 inline constexpr char kMetricShardCrashRejects[] = "shard.crash_rejects";

@@ -127,7 +127,7 @@ class IndexBufferSpace {
   IndexBuffer* GetBuffer(const PartialIndex* index) const;
 
   /// Unsynchronized map view for quiesced contexts only (consistency
-  /// checks, snapshots, single-threaded tests).
+  /// checks, single-threaded tests).
   const BufferMap& buffers() const { return buffers_; }
 
   bool Unlimited() const { return options_.max_entries == 0; }

@@ -466,27 +466,6 @@ size_t IndexBuffer::DropColdRun(size_t partition_id) {
   return DropColdRunLocked(partition_id);
 }
 
-Status IndexBuffer::InstallColdPartition(
-    size_t partition_id, const std::string& run_bytes,
-    std::map<size_t, size_t> page_entries) {
-  std::unique_lock lock(partitions_mu_);
-  if (partitions_.contains(partition_id) || cold_.contains(partition_id)) {
-    return Status::AlreadyExists("partition already present");
-  }
-  ColdRun run;
-  AIB_RETURN_IF_ERROR(run.Deserialize(run_bytes));
-  ColdPartition& cold = cold_[partition_id];
-  cold.run = std::move(run);
-  cold.entries = cold.run.EntryCount();
-  cold.page_entries = std::move(page_entries);
-  for (const auto& [page, count] : cold.page_entries) {
-    counters_.EnsureSize(page + 1);
-    counters_.Set(page, 0);
-  }
-  RefreshColdRunStats(&cold);
-  return Status::Ok();
-}
-
 size_t IndexBuffer::ColdPartitionCount() const {
   std::shared_lock lock(partitions_mu_);
   return cold_.size();

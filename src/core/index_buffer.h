@@ -151,8 +151,8 @@ class IndexBuffer {
   void OnBufferUse();
   void OnOtherQuery();
 
-  /// Unsynchronized history view for quiesced contexts only (snapshots,
-  /// single-threaded experiments).
+  /// Unsynchronized history view for quiesced contexts only
+  /// (single-threaded experiments).
   LruKHistory& history() { return history_; }
   const LruKHistory& history() const { return history_; }
 
@@ -181,7 +181,7 @@ class IndexBuffer {
   std::vector<PartitionStats> PartitionSnapshot() const;
 
   /// Unsynchronized partition map view for quiesced contexts only
-  /// (consistency checks, snapshots, single-threaded tests).
+  /// (consistency checks, single-threaded tests).
   const std::map<size_t, std::unique_ptr<BufferPartition>>& partitions()
       const {
     return partitions_;
@@ -232,13 +232,6 @@ class IndexBuffer {
   /// the true eviction. Returns the entries discarded.
   size_t DropColdRun(size_t partition_id);
 
-  /// Installs a serialized run as a cold partition and marks its pages
-  /// fully indexed (C[p] = 0) — the warm-restart load path. The buffer
-  /// must not already hold this partition in either tier.
-  Status InstallColdPartition(size_t partition_id,
-                              const std::string& run_bytes,
-                              std::map<size_t, size_t> page_entries);
-
   size_t ColdPartitionCount() const;
   /// Entries across cold runs (not charged against the hot entry budget).
   size_t ColdEntries() const;
@@ -256,7 +249,7 @@ class IndexBuffer {
   std::vector<ColdStats> ColdSnapshot() const;
 
   /// Unsynchronized cold-tier view for quiesced contexts only (consistency
-  /// checks, snapshots).
+  /// checks).
   const std::map<size_t, ColdPartition>& cold_partitions() const {
     return cold_;
   }

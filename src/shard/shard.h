@@ -28,18 +28,17 @@ struct ShardOptions {
 /// per shard, which is what keeps the scatter-gather layer a pure
 /// routing/merging concern.
 ///
-/// Warm restart: Restart() tears the node down and rebuilds it from its
-/// own durable state (pages + schema + index definitions via the catalog
+/// Restart: Restart() tears the node down and rebuilds it from its own
+/// durable state (pages + schema + index definitions via the catalog
 /// snapshot machinery, round-tripped through memory). The Index Buffer
-/// Space comes back *warm*: the snapshot carries every buffer partition in
-/// cold-run form, so covered pages stay skippable from the first
-/// post-restart query and overlapping probes promote their runs back hot —
-/// while the hot tier itself stays recovery-free (§VII); only LRU-K
-/// history and tuner state restart from zero. Results stay bit-identical
-/// because heap placement is durable. Callers coordinate in-flight traffic
-/// through restart_latch(): request paths hold it shared for as long as
-/// they use service()/db() pointers, and Restart() takes it exclusively
-/// while it swaps them.
+/// Space comes back *empty* — the buffer is recovery-free (§VII), so every
+/// buffer starts with C[p] from InitFromTable and re-adapts from the first
+/// indexing scans; LRU-K history and tuner state restart from zero too.
+/// Answers keep exactly their rids because heap placement is durable; only
+/// their order, which puts buffer matches first, follows the buffer.
+/// Callers coordinate in-flight traffic through restart_latch(): request
+/// paths hold it shared for as long as they use service()/db() pointers,
+/// and Restart() takes it exclusively while it swaps them.
 class Shard {
  public:
   Shard(size_t id, Schema schema, const ShardOptions& options)
@@ -60,11 +59,10 @@ class Shard {
   }
 
   /// Tears down and rebuilds the node from its durable state. Joins the
-  /// old service's workers, snapshots the old database's pages, metadata,
-  /// and buffer coverage (cold-run form) to an in-memory stream, and
-  /// stands up a fresh Database + QueryService over the reloaded catalog.
-  /// Metrics, LRU-K history, and tuner state restart from zero; buffer
-  /// coverage comes back cold-installed and re-warms on first touch.
+  /// old service's workers, snapshots the old database's pages, metadata
+  /// and index definitions to an in-memory stream, and stands up a fresh
+  /// Database + QueryService over the reloaded catalog. Metrics, the Index
+  /// Buffer Space, LRU-K history and tuner state restart from zero.
   Status Restart() {
     std::unique_lock<std::shared_mutex> lock(restart_latch_);
     // Shutdown must precede the snapshot: stragglers that no longer hold

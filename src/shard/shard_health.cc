@@ -82,21 +82,6 @@ ShardHealthTracker::Admit ShardHealthTracker::AdmitRequest(size_t shard) {
   return Admit::kAllow;
 }
 
-bool ShardHealthTracker::WouldFailFast(size_t shard) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const ShardState& state = shards_[shard];
-  switch (state.state) {
-    case BreakerState::kClosed:
-      return false;
-    case BreakerState::kOpen:
-      // A due probe means the next request gets through.
-      return std::chrono::steady_clock::now() < state.probe_at;
-    case BreakerState::kHalfProbe:
-      return true;
-  }
-  return false;
-}
-
 void ShardHealthTracker::RecordSuccess(size_t shard,
                                        std::chrono::nanoseconds latency) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -102,10 +102,6 @@ class ShardHealthTracker {
   /// breaker Open → HalfProbe when the probe backoff has elapsed.
   Admit AdmitRequest(size_t shard);
 
-  /// Non-mutating peek: true when a request admitted right now would fail
-  /// fast (open, probe not yet due, or probe already in flight).
-  bool WouldFailFast(size_t shard) const;
-
   void RecordSuccess(size_t shard, std::chrono::nanoseconds latency);
   void RecordFailure(size_t shard, std::chrono::nanoseconds latency);
 

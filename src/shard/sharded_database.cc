@@ -178,7 +178,7 @@ struct ShardedDatabase::Leg {
       : shard(shard), pin(restart_latch) {}
 
   size_t shard;
-  /// Held from dispatch to the end of the statement, so a concurrent warm
+  /// Held from dispatch to the end of the statement, so a concurrent
   /// restart cannot swap the shard's service out from under the leg.
   std::shared_lock<std::shared_mutex> pin;
   /// Dispatch attempts (1 = no retry), refused ones included.

@@ -67,9 +67,9 @@ struct ShardedDatabaseOptions {
 /// individual shards (tests, shell, chaos bench); every dispatch consults
 /// the shard's circuit breaker in the ShardHealthTracker and feeds its
 /// outcome back; slow select legs hedge within a per-statement budget;
-/// and RestartShard(i) warm-restarts a node from its own durable state —
-/// the Index Buffers re-adapt from cold (recovery-free, §VII) while
-/// results stay bit-identical to a never-crashed fleet.
+/// and RestartShard(i) restarts a node from its own durable state — its
+/// Index Buffers come back empty and re-adapt (recovery-free, §VII) while
+/// answers hold the same rids as a never-crashed fleet.
 ///
 /// No cross-shard transactions: a migrating update is two independent
 /// single-shard statements (documented non-atomicity; the delete lands
@@ -127,11 +127,11 @@ class ShardedDatabase {
   /// shell's explain).
   Result<std::string> Explain(const Query& query);
 
-  /// Warm restart of shard `i`: revives any injected outage, waits out
+  /// Restart of shard `i`: revives any injected outage, waits out
   /// in-flight requests (restart latch), rebuilds the node from its own
   /// durable pages via Shard::Restart, and resets the shard's breaker.
-  /// The shard comes back with cold Index Buffers and zeroed metrics,
-  /// exactly like a process restart.
+  /// The shard comes back with an empty Index Buffer Space and zeroed
+  /// metrics, exactly like a process restart.
   Status RestartShard(size_t i);
 
   /// Stops admission on every shard service and joins their workers.
@@ -149,7 +149,7 @@ class ShardedDatabase {
                              const QueryControl& control);
 
   /// Runs `statement` on `shards` (ascending): pins each shard against
-  /// warm restart, dispatches every leg (stopping at the first refusal
+  /// restart, dispatches every leg (stopping at the first refusal
   /// that fails the statement), then awaits the legs in shard order,
   /// checking `control` before each, and gathers their rids (tagged with
   /// the shard) and merged stats. Hedging and `allow_partial` apply to

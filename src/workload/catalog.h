@@ -107,20 +107,19 @@ class Catalog {
 
   // --- Snapshots (workload/snapshot.cc) -------------------------------------
   //
-  // A snapshot persists the durable state — raw pages, table/schema
-  // metadata, partial-index definitions — plus the Index Buffers' coverage
-  // in cold-run form: every hot and cold partition is compacted into a
-  // sorted (key, rid) run. LoadSnapshot installs the runs *cold* (C[p] = 0
-  // for their pages, so indexing scans skip them right away) and the first
-  // overlapping probe promotes them hot, so restarts come up warm while the
-  // hot tier itself stays "memory-based and without expenses for crash
-  // recovery" (§VII). LRU-K history and tuner state remain ephemeral.
+  // A snapshot persists the durable state only: raw pages, table/schema
+  // metadata, heap page lists and partial-index definitions. The Index
+  // Buffers are not saved: after LoadSnapshot each one starts empty with
+  // C[p] from InitFromTable, exactly as a freshly created index does, and
+  // re-adapts from the first indexing scans — the buffer is "memory-based
+  // and without expenses for crash recovery" (§VII). LRU-K history and
+  // tuner state are ephemeral too.
 
   /// Writes the catalog's durable state to `path`. Flushes the buffer
   /// pool first.
   Status SaveSnapshot(const std::string& path);
 
-  /// Stream variant of SaveSnapshot — what warm shard restarts use: the
+  /// Stream variant of SaveSnapshot — what shard restarts use: the
   /// snapshot round-trips through an in-memory stream, no filesystem
   /// involved.
   Status SaveSnapshotTo(std::ostream& out);
@@ -143,10 +142,6 @@ class Catalog {
   };
 
   TableState* StateOf(const Table* table) const;
-
-  /// snapshot.cc: writes one index's Index Buffer section — every hot and
-  /// cold partition serialized in cold-run form (see the format comment).
-  Status SaveBufferSection(std::ostream& out, const PartialIndex* index);
 
   CatalogOptions options_;
   Metrics metrics_;

@@ -26,7 +26,7 @@ class Database {
   explicit Database(Schema schema, DatabaseOptions options = {},
                     std::string table_name = "t");
 
-  /// Adopts a catalog restored from a snapshot (warm shard restart): the
+  /// Adopts a catalog restored from a snapshot (shard restart): the
   /// catalog must already contain `table_name`.
   Database(std::unique_ptr<Catalog> catalog, const std::string& table_name);
 

@@ -1,9 +1,8 @@
 // Snapshot persistence for Catalog (see catalog.h for the semantics: only
-// durable state plus the Index Buffer *coverage* is saved; the hot tier and
-// tuners stay recovery-free by design, §VII).
+// durable state is saved; every Index Buffer comes back empty, §VII).
 //
 // Binary format (little-endian):
-//   magic "AIBSNAP2" ("AIBSNAP1" accepted on load: no buffer sections)
+//   magic "AIBSNAP1"
 //   u32 page_size
 //   u64 page_count          | raw pages follow, page_size bytes each
 //   u32 table_count
@@ -15,19 +14,9 @@
 //     u32 index_count
 //     per index: u16 column, u8 structure_kind,
 //                u32 interval_count; per interval: i32 lo, i32 hi
-//                u8 has_buffer; if set, the buffer's partitions — hot ones
-//                compacted into cold-run form on the fly, cold ones as-is,
-//                so a load installs everything cold and
-//                the first re-access promotes (warm restart):
-//                  u64 partition_count
-//                  per partition: u64 partition_id,
-//                                 blob run_bytes (ColdRun::Serialize),
-//                                 u64 page_count; per page: u64 page,
-//                                                           u64 entries
 
 #include <cstring>
 #include <fstream>
-#include <set>
 
 #include "workload/catalog.h"
 
@@ -35,8 +24,7 @@ namespace aib {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'A', 'I', 'B', 'S', 'N', 'A', 'P', '1'};
-constexpr char kMagic[8] = {'A', 'I', 'B', 'S', 'N', 'A', 'P', '2'};
+constexpr char kMagic[8] = {'A', 'I', 'B', 'S', 'N', 'A', 'P', '1'};
 
 template <typename T>
 void WritePod(std::ostream& out, T value) {
@@ -62,21 +50,6 @@ bool ReadString(std::istream& in, std::string* s) {
   if (length > (1u << 20)) return false;  // sanity bound for metadata
   s->resize(length);
   in.read(s->data(), length);
-  return in.good() || (length == 0 && !in.bad());
-}
-
-// Serialized cold runs can be far larger than metadata strings.
-void WriteBlob(std::ostream& out, const std::string& s) {
-  WritePod<uint64_t>(out, s.size());
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadBlob(std::istream& in, std::string* s) {
-  uint64_t length;
-  if (!ReadPod(in, &length)) return false;
-  if (length > (1ull << 32)) return false;  // sanity bound
-  s->resize(length);
-  in.read(s->data(), static_cast<std::streamsize>(length));
   return in.good() || (length == 0 && !in.bad());
 }
 
@@ -128,54 +101,10 @@ Status Catalog::SaveSnapshotTo(std::ostream& out) {
         WritePod<int32_t>(out, lo);
         WritePod<int32_t>(out, hi);
       });
-      AIB_RETURN_IF_ERROR(SaveBufferSection(out, index.get()));
     }
   }
   out.flush();
   if (!out.good()) return Status::Internal("snapshot write failed");
-  return Status::Ok();
-}
-
-Status Catalog::SaveBufferSection(std::ostream& out,
-                                  const PartialIndex* index) {
-  IndexBuffer* buffer =
-      space_ != nullptr ? space_->GetBuffer(index) : nullptr;
-  if (buffer == nullptr) {
-    WritePod<uint8_t>(out, 0);
-    return Status::Ok();
-  }
-  WritePod<uint8_t>(out, 1);
-
-  // A partition id can live in both tiers at once (pages indexed after its
-  // demotion open a new hot sibling), so sections are written per *id* with
-  // the tiers merged — exactly the shape InstallColdPartition expects.
-  std::set<size_t> ids;
-  for (const auto& [id, partition] : buffer->partitions()) ids.insert(id);
-  for (const auto& [id, cold] : buffer->cold_partitions()) ids.insert(id);
-  WritePod<uint64_t>(out, ids.size());
-  for (const size_t id : ids) {
-    ColdRun run;
-    std::map<size_t, size_t> page_entries;
-    if (const auto hot = buffer->partitions().find(id);
-        hot != buffer->partitions().end()) {
-      run.Build(hot->second->structure());
-      page_entries = hot->second->page_entries();
-    }
-    if (const auto cold = buffer->cold_partitions().find(id);
-        cold != buffer->cold_partitions().end()) {
-      run.MergeOlder(cold->second.run);
-      for (const auto& [page, entries] : cold->second.page_entries) {
-        page_entries[page] += entries;
-      }
-    }
-    WritePod<uint64_t>(out, id);
-    WriteBlob(out, run.Serialize());
-    WritePod<uint64_t>(out, page_entries.size());
-    for (const auto& [page, entries] : page_entries) {
-      WritePod<uint64_t>(out, page);
-      WritePod<uint64_t>(out, entries);
-    }
-  }
   return Status::Ok();
 }
 
@@ -192,9 +121,7 @@ Result<std::unique_ptr<Catalog>> Catalog::LoadSnapshotFrom(
     std::istream& in, CatalogOptions options) {
   char magic[sizeof(kMagic)];
   in.read(magic, sizeof(magic));
-  if (!in.good()) return Status::Corruption("bad snapshot magic");
-  const bool v2 = std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
-  if (!v2 && std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) != 0) {
+  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("bad snapshot magic");
   }
   uint32_t page_size;
@@ -282,52 +209,11 @@ Result<std::unique_ptr<Catalog>> Catalog::LoadSnapshotFrom(
         }
         coverage.AddRange(lo, hi);
       }
-      // Rebuilds the index from the restored pages and initializes the
-      // Index Buffer with up-to-date page counters.
+      // Rebuilds the index from the restored pages and starts its Index
+      // Buffer empty, with C[p] from InitFromTable.
       AIB_RETURN_IF_ERROR(catalog->CreatePartialIndex(
           table, column, std::move(coverage),
           static_cast<IndexStructureKind>(kind)));
-      if (!v2) continue;
-
-      // Warm restart: install the saved runs cold. C[p] drops to 0 for
-      // their covered pages, so indexing scans skip them immediately; the
-      // first probe whose range overlaps a run promotes it back hot.
-      uint8_t has_buffer;
-      if (!ReadPod(in, &has_buffer)) {
-        return Status::Corruption("bad buffer section flag");
-      }
-      if (has_buffer == 0) continue;
-      uint64_t partition_count;
-      if (!ReadPod(in, &partition_count) || partition_count > (1ull << 32)) {
-        return Status::Corruption("bad buffer partition count");
-      }
-      IndexBuffer* buffer =
-          catalog->GetBuffer(table, static_cast<ColumnId>(column));
-      for (uint64_t p = 0; p < partition_count; ++p) {
-        uint64_t partition_id;
-        std::string run_bytes;
-        uint64_t page_count;
-        if (!ReadPod(in, &partition_id) || !ReadBlob(in, &run_bytes) ||
-            !ReadPod(in, &page_count) || page_count > (1ull << 32)) {
-          return Status::Corruption("bad buffer partition section");
-        }
-        std::map<size_t, size_t> page_entries;
-        for (uint64_t e = 0; e < page_count; ++e) {
-          uint64_t page;
-          uint64_t entries;
-          if (!ReadPod(in, &page) || !ReadPod(in, &entries)) {
-            return Status::Corruption("bad buffer page entry");
-          }
-          page_entries[static_cast<size_t>(page)] =
-              static_cast<size_t>(entries);
-        }
-        // Without a space the section is parsed and discarded — the pages
-        // themselves are durable, only the adaptive state is skipped.
-        if (buffer == nullptr) continue;
-        AIB_RETURN_IF_ERROR(buffer->InstallColdPartition(
-            static_cast<size_t>(partition_id), run_bytes,
-            std::move(page_entries)));
-      }
     }
   }
   return catalog;

@@ -125,49 +125,6 @@ TEST(ColdRunTest, OverlapsChecksKeyRange) {
   EXPECT_FALSE(run.Overlaps(11, 19));
 }
 
-TEST(ColdRunTest, SerializeRoundTripPreservesEntries) {
-  BTree tree(4);
-  for (Value v = 0; v < 100; ++v) {
-    tree.Insert(v % 13, MakeRid(static_cast<PageId>(v), v % 5));
-  }
-  ColdRun run;
-  run.Build(tree);
-  ColdRun copy;
-  ASSERT_TRUE(copy.Deserialize(run.Serialize()).ok());
-  ASSERT_EQ(copy.EntryCount(), run.EntryCount());
-  for (size_t i = 0; i < run.entries().size(); ++i) {
-    EXPECT_EQ(copy.entries()[i].key, run.entries()[i].key);
-    EXPECT_EQ(copy.entries()[i].rid, run.entries()[i].rid);
-  }
-}
-
-TEST(ColdRunTest, EmptyRunSerializeRoundTrip) {
-  ColdRun run;
-  ColdRun copy;
-  copy.Insert(1, MakeRid(1, 1));  // must be replaced, not appended to
-  ASSERT_TRUE(copy.Deserialize(run.Serialize()).ok());
-  EXPECT_EQ(copy.EntryCount(), 0u);
-}
-
-TEST(ColdRunTest, DeserializeRejectsGarbledInput) {
-  ColdRun run;
-  run.Insert(1, MakeRid(1, 1));
-  const std::string bytes = run.Serialize();
-
-  ColdRun copy;
-  // Truncated header.
-  EXPECT_TRUE(copy.Deserialize("abc").IsCorruption());
-  // Truncated entry payload.
-  EXPECT_TRUE(copy.Deserialize(bytes.substr(0, bytes.size() - 1))
-                  .IsCorruption());
-  // Trailing bytes after the encoded run.
-  EXPECT_TRUE(copy.Deserialize(bytes + "x").IsCorruption());
-  // A failed Deserialize must not clobber existing contents.
-  ASSERT_TRUE(copy.Deserialize(bytes).ok());
-  EXPECT_TRUE(copy.Deserialize(bytes + "x").IsCorruption());
-  EXPECT_EQ(copy.EntryCount(), 1u);
-}
-
 TEST(ColdRunTest, ClearReleasesEntries) {
   ColdRun run;
   for (Value v = 0; v < 1000; ++v) run.Insert(v, MakeRid(v, 0));

@@ -197,35 +197,6 @@ TEST_F(ColdTierTest, DropColdRunRestoresCounters) {
   EXPECT_TRUE(Probe(*buffer, 55).empty());
 }
 
-TEST_F(ColdTierTest, InstallColdPartitionMarksPagesIndexed) {
-  IndexBufferSpace space({});
-  IndexBuffer* donor =
-      space.CreateBuffer(indexes_[0].get(), SmallPartitions()).value();
-  FillPages(donor, 5, 7);
-  ASSERT_GT(donor->DemotePartition(1), 0u);
-  const std::string run_bytes =
-      donor->cold_partitions().at(1).run.Serialize();
-  const std::map<size_t, size_t> page_entries =
-      donor->cold_partitions().at(1).page_entries;
-
-  // The warm-restart load path: a fresh buffer receives the run and comes
-  // up with the pages already skippable.
-  IndexBuffer* fresh =
-      space.CreateBuffer(indexes_[1].get(), SmallPartitions()).value();
-  ASSERT_EQ(fresh->counters().Get(5), 10u);
-  ASSERT_TRUE(fresh->InstallColdPartition(1, run_bytes, page_entries).ok());
-  EXPECT_EQ(fresh->ColdEntries(), 30u);
-  for (size_t page = 5; page <= 7; ++page) {
-    EXPECT_EQ(fresh->counters().Get(page), 0u) << "page " << page;
-    EXPECT_TRUE(fresh->PageInBuffer(page)) << "page " << page;
-  }
-  EXPECT_EQ(Probe(*fresh, 61), Probe(*donor, 61));
-
-  EXPECT_TRUE(fresh->InstallColdPartition(1, run_bytes, page_entries)
-                  .IsAlreadyExists());
-  EXPECT_TRUE(fresh->InstallColdPartition(9, "garbage", {}).IsCorruption());
-}
-
 // Table I against the cold tier: insert/delete/update on a demoted page
 // patch the run in place, keeping coverage exact — verified against a twin
 // buffer that received the same DML while hot (the serial oracle).

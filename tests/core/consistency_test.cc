@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
-#include "btree/cold_run.h"
 
 namespace aib {
 namespace {
@@ -114,22 +113,27 @@ TEST_F(ConsistencyTest, DetectsColdRunValueMismatch) {
       db_->ExecuteStatement(Statement::Select(Query::Point(0, 100))).ok());
   IndexBuffer* buffer = db_->GetBuffer(0);
   ASSERT_NE(buffer, nullptr);
-  // Copy a hot partition's entries into a cold run with exact page
-  // bookkeeping, but with one entry's value off from the heap's: only the
-  // entry-level walk of the cold tier can see it.
-  const auto& [partition_id, partition] = *buffer->partitions().begin();
-  const size_t id = partition_id;
-  const std::map<size_t, size_t> page_entries = partition->page_entries();
-  ColdRun run;
-  bool mutated = false;
-  partition->structure().ForEachEntry([&](Value value, const Rid& rid) {
-    run.Insert(mutated ? value : value + 1000, rid);
-    mutated = true;
-  });
-  ASSERT_TRUE(mutated);
-  ASSERT_GT(buffer->DropPartition(id), 0u);
-  ASSERT_TRUE(buffer->InstallColdPartition(id, run.Serialize(), page_entries)
-                  .ok());
+  // Re-key one entry of a hot partition through the buffer's own calls —
+  // exact page bookkeeping, value off from the heap's — then demote the
+  // partition: only the entry-level walk of the cold tier can see it.
+  const size_t id = buffer->partitions().begin()->first;
+  Value value = 0;
+  Rid rid;
+  bool found = false;
+  buffer->partitions().begin()->second->structure().ForEachEntry(
+      [&](Value v, const Rid& r) {
+        if (found) return;
+        value = v;
+        rid = r;
+        found = true;
+      });
+  ASSERT_TRUE(found);
+  const size_t page = db_->table().PageNumberOf(rid).value();
+  ASSERT_TRUE(buffer->RemoveTuple(page, value, rid));
+  buffer->AddTuple(page, value + 1000, rid);
+  ASSERT_GT(buffer->DemotePartition(id), 0u);
+  ASSERT_FALSE(buffer->partitions().contains(id));
+  ASSERT_TRUE(buffer->cold_partitions().contains(id));
   EXPECT_TRUE(
       CheckBufferConsistency(db_->table(), *buffer).IsCorruption());
 }

@@ -17,7 +17,7 @@ namespace {
 
 // Fleet fault tolerance acceptance: whole-shard outages (crash, hang,
 // brownout), the per-shard circuit breakers they trip, degraded gathers,
-// hedged legs, and warm shard restarts that stay bit-identical to a
+// hedged legs, and shard restarts that stay bit-identical to a
 // never-crashed twin.
 
 using std::chrono::microseconds;
@@ -337,15 +337,12 @@ TEST(FleetChaosTest, DmlOnCrashedOwnerFailsFastAndRecoversAfterRevive) {
       << refused.status().ToString();
   EXPECT_EQ(fleet->FleetCounters().at(kMetricShardCrashRejects), rejects);
 
-  // Revive and wait for the probe to come due: the next DML takes the
-  // half-open probe slot, succeeds, and closes the breaker.
+  // Revive and sleep past the probe delay (the breaker opened before
+  // now, so the probe is due by then): the next DML takes the half-open
+  // probe slot, succeeds, and closes the breaker.
   fleet->fault_injector().Revive(crashed);
-  const auto give_up = std::chrono::steady_clock::now() + milliseconds{5000};
-  while (fleet->health().WouldFailFast(crashed) &&
-         std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(milliseconds{5});
-  }
-  EXPECT_FALSE(fleet->health().WouldFailFast(crashed));
+  std::this_thread::sleep_for(fleet->health().snapshot(crashed).probe_delay +
+                              milliseconds{1});
   Result<ShardResult> probe = fleet->ExecuteStatement(next);
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
   EXPECT_EQ(fleet->health().state(crashed), BreakerState::kClosed);
@@ -521,12 +518,12 @@ TEST(FleetChaosTest, WarmRestartMatchesNeverCrashedTwin) {
   EXPECT_EQ(subject->fault_injector().outage(crashed), ShardOutage::kNone);
   EXPECT_EQ(subject->health().state(crashed), BreakerState::kClosed);
   EXPECT_EQ(subject->FleetCounters().at(kMetricShardRestarts), 1);
-  // The restarted node comes back with fresh metrics and an empty *hot*
-  // tier (recovery-free); any Index Buffer coverage the snapshot carried
-  // is reinstalled cold-resident and promotes on first re-access.
+  // The restarted node comes back with fresh metrics and an empty Index
+  // Buffer Space in both tiers (recovery-free).
   EXPECT_EQ(subject->shard(crashed).metrics().Get(kMetricServiceExecuted), 0);
   if (subject->shard(crashed).db().space() != nullptr) {
     EXPECT_EQ(subject->shard(crashed).db().space()->TotalEntries(), 0u);
+    EXPECT_EQ(subject->shard(crashed).db().space()->ColdEntries(), 0u);
   }
 
   // Bit-identical equivalence: heap placement is durable, so not just row
@@ -659,7 +656,7 @@ TEST(FleetChaosTest, ConcurrentOutagesAndRestartsStayCoherent) {
       }
     });
   }
-  // The chaos driver: outages, revivals, and warm restarts under load.
+  // The chaos loop: outages, revivals, and restarts under load.
   const size_t chaos_shard = 1;
   for (int round = 0; round < 6; ++round) {
     fleet->fault_injector().Crash(chaos_shard);

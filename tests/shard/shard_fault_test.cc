@@ -196,7 +196,7 @@ TEST(ShardHealthTrackerTest, StartsClosedAndAllows) {
   for (size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(health.state(s), BreakerState::kClosed);
     EXPECT_EQ(health.AdmitRequest(s), ShardHealthTracker::Admit::kAllow);
-    EXPECT_FALSE(health.WouldFailFast(s));
+    EXPECT_EQ(health.state(s), BreakerState::kClosed);
   }
 }
 
@@ -207,7 +207,6 @@ TEST(ShardHealthTrackerTest, ConsecutiveFailuresTripTheBreaker) {
   EXPECT_EQ(health.state(0), BreakerState::kClosed);
   health.RecordFailure(0, milliseconds{1});
   EXPECT_EQ(health.state(0), BreakerState::kOpen);
-  EXPECT_TRUE(health.WouldFailFast(0));
   EXPECT_EQ(metrics.Get(kMetricShardBreakerOpened), 1);
   // The other shard's window is independent.
   EXPECT_EQ(health.state(1), BreakerState::kClosed);

@@ -426,10 +426,10 @@ int64_t CounterDelta(const std::map<std::string, int64_t>& before,
 }
 
 TEST(ShardedEquivalenceTest, MergedStatsCarryEveryLegCounter) {
-  // A warm restart brings each shard's buffer partitions back in the cold
-  // tier. A select past every buffered key then probes the cold runs
-  // without promoting them, and the next uncovered select promotes them
-  // hot again. The merged ShardResult stats must report the cold-tier
+  // Demoting every shard's hot partitions moves its buffered entries to
+  // the cold tier. A select past every buffered key then probes the cold
+  // runs without promoting them, and the next uncovered select promotes
+  // them hot again. The merged ShardResult stats must report the cold-tier
   // traffic and the promotions the shards' own metrics saw — no leg
   // counter dropped in the gather.
   auto fleet = MakeFleet(4, ShardingPolicy::kHash);
@@ -440,7 +440,13 @@ TEST(ShardedEquivalenceTest, MergedStatsCarryEveryLegCounter) {
   ASSERT_EQ(warm->legs, fleet->ShardCount());
   ASSERT_GT(warm->stats.entries_added, 0u);
   for (size_t s = 0; s < fleet->ShardCount(); ++s) {
-    ASSERT_TRUE(fleet->RestartShard(s).ok());
+    IndexBuffer* buffer = fleet->shard(s).db().GetBuffer(0);
+    ASSERT_NE(buffer, nullptr);
+    for (const IndexBuffer::PartitionStats& stats :
+         buffer->PartitionSnapshot()) {
+      buffer->DemotePartition(stats.id);
+    }
+    ASSERT_GT(buffer->ColdPartitionCount(), 0u) << "shard " << s;
   }
 
   auto before = fleet->FleetCounters();

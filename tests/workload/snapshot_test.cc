@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,8 +40,8 @@ class SnapshotTest : public ::testing::Test {
     return options;
   }
 
-  /// A catalog with one loaded, indexed, buffer-warmed table.
-  std::unique_ptr<Catalog> MakeWarmCatalog() {
+  /// A catalog with one loaded table and a partial index on [1, 50].
+  std::unique_ptr<Catalog> MakeCatalog() {
     auto catalog = std::make_unique<Catalog>(Options());
     Table* table =
         catalog->CreateTable("t", Schema::PaperSchema(1, 32)).value();
@@ -53,11 +54,21 @@ class SnapshotTest : public ::testing::Test {
     EXPECT_TRUE(
         catalog->CreatePartialIndex(table, 0, ValueCoverage::Range(1, 50))
             .ok());
-    // Warm the Index Buffer.
+    return catalog;
+  }
+
+  /// Warms the Index Buffer with misses on uncovered values.
+  static void Warm(Catalog* catalog) {
+    Table* table = catalog->GetTable("t");
     for (Value v = 100; v < 110; ++v) {
       EXPECT_TRUE(catalog->ExecuteStatement(
           table, Statement::Select(Query::Point(0, v))).ok());
     }
+  }
+
+  std::unique_ptr<Catalog> MakeWarmCatalog() {
+    auto catalog = MakeCatalog();
+    Warm(catalog.get());
     return catalog;
   }
 
@@ -103,39 +114,81 @@ TEST_F(SnapshotTest, RoundTripPreservesDataAndIndexes) {
   }
 }
 
-TEST_F(SnapshotTest, IndexBufferComesBackWarmInColdTier) {
+TEST_F(SnapshotTest, IndexBufferComesBackEmptyAndReAdapts) {
   auto original = MakeWarmCatalog();
   Table* table = original->GetTable("t");
-  const size_t warmed = original->GetBuffer(table, 0)->TotalEntries();
-  ASSERT_GT(warmed, 0u);
+  ASSERT_GT(original->GetBuffer(table, 0)->TotalEntries(), 0u);
 
   ASSERT_TRUE(original->SaveSnapshot(path_).ok());
   auto loaded = std::move(Catalog::LoadSnapshot(path_, Options())).value();
   Table* restored = loaded->GetTable("t");
 
-  // The hot tier is recovery-free (restarts empty), but every buffer
-  // partition the snapshot carried is reinstalled as a cold run: coverage
-  // is warm from the first query.
+  // The Index Buffer is recovery-free: it comes back with no entries in
+  // either tier and C[p] as a freshly created index has it — the live
+  // tuples of page p that the partial index does not cover.
   IndexBuffer* buffer = loaded->GetBuffer(restored, 0);
   ASSERT_NE(buffer, nullptr);
   EXPECT_EQ(buffer->TotalEntries(), 0u);
   EXPECT_EQ(buffer->PartitionCount(), 0u);
-  EXPECT_GT(buffer->ColdPartitionCount(), 0u);
-  EXPECT_EQ(buffer->ColdEntries(), warmed);
+  EXPECT_EQ(buffer->ColdEntries(), 0u);
+  EXPECT_EQ(buffer->ColdPartitionCount(), 0u);
+  for (size_t page = 0; page < restored->PageCount(); ++page) {
+    size_t uncovered = 0;
+    ASSERT_TRUE(restored->heap()
+                    .ForEachTupleOnPage(
+                        page,
+                        [&](const Rid&, const Tuple& tuple) {
+                          const Value v =
+                              tuple.IntValue(restored->schema(), 0);
+                          if (v < 1 || v > 50) ++uncovered;
+                        })
+                    .ok());
+    EXPECT_EQ(buffer->counters().Get(page), uncovered) << "page " << page;
+  }
   ASSERT_TRUE(CheckSpaceConsistency(*restored, *loaded->space()).ok());
 
-  // A first miss on the restored catalog already skips the pages the
-  // pre-restart workload had covered — no re-indexing scan of them.
+  // The first miss re-indexes by scanning; the next one skips the pages
+  // it covered.
   Result<StatementResult> first = loaded->ExecuteStatement(
       restored, Statement::Select(Query::Point(0, 200)));
   ASSERT_TRUE(first.ok());
-  EXPECT_GT(first->stats.pages_skipped, 0u);
+  EXPECT_GT(first->stats.pages_scanned, 0u);
+  EXPECT_GT(buffer->TotalEntries(), 0u);
+  Result<StatementResult> second = loaded->ExecuteStatement(
+      restored, Statement::Select(Query::Point(0, 201)));
+  ASSERT_TRUE(second.ok());
+  EXPECT_GT(second->stats.pages_skipped, 0u);
+  ASSERT_TRUE(CheckSpaceConsistency(*restored, *loaded->space()).ok());
 }
 
-// The tentpole's restart acceptance gate: a catalog restored from a
-// snapshot — including demoted partitions and a post-demotion hot sibling
-// — answers every probe with bit-identical rids (values, order, and all)
-// to the never-evicted original it was saved from.
+// A snapshot carries durable state only: warming the Index Buffers —
+// misses that index pages, a demotion into the cold tier — changes no
+// byte of it.
+TEST_F(SnapshotTest, SnapshotCarriesNoAdaptiveState) {
+  auto catalog = MakeCatalog();
+  const auto save = [&] {
+    std::stringstream out(std::ios::in | std::ios::out | std::ios::binary);
+    EXPECT_TRUE(catalog->SaveSnapshotTo(out).ok());
+    return out.str();
+  };
+  const std::string before = save();
+
+  Warm(catalog.get());
+  IndexBuffer* buffer = catalog->GetBuffer(catalog->GetTable("t"), 0);
+  ASSERT_NE(buffer, nullptr);
+  ASSERT_GT(buffer->PartitionCount(), 0u);
+  ASSERT_GT(buffer->DemotePartition(buffer->PartitionSnapshot().front().id),
+            0u);
+  ASSERT_GT(buffer->ColdEntries(), 0u);
+  ASSERT_GT(buffer->TotalEntries(), 0u);
+
+  EXPECT_TRUE(save() == before) << "snapshot bytes changed";
+}
+
+// The restart acceptance gate: a catalog restored from a snapshot of one
+// whose buffer holds a demoted partition and a post-demotion hot sibling
+// answers every probe with exactly that original's rids, although its own
+// buffer starts empty.
 TEST_F(SnapshotTest, WarmRestartAnswersBitIdenticalToNeverEvictedTwin) {
   // Gradual coverage (small I_MAX) so a partition can straddle the covered
   // frontier: some pages indexed, some not.
@@ -161,7 +214,7 @@ TEST_F(SnapshotTest, WarmRestartAnswersBitIdenticalToNeverEvictedTwin) {
   // Find a hot partition with buffered entries and an as-yet-uncovered
   // page in its range, demote it, then cover that page the way an
   // indexing scan would — the same partition id now has a cold run AND a
-  // hot sibling, so the save path must merge both epochs.
+  // hot sibling, and the original answers from both tiers.
   const size_t P = buffer->options().partition_pages;
   size_t victim = SIZE_MAX;
   size_t uncovered_page = SIZE_MAX;
@@ -195,28 +248,40 @@ TEST_F(SnapshotTest, WarmRestartAnswersBitIdenticalToNeverEvictedTwin) {
 
   ASSERT_TRUE(original->SaveSnapshot(path_).ok());
   auto loaded = std::move(Catalog::LoadSnapshot(path_, options)).value();
+  auto reloaded = std::move(Catalog::LoadSnapshot(path_, options)).value();
   Table* restored = loaded->GetTable("t");
+  Table* restored_again = reloaded->GetTable("t");
   ASSERT_TRUE(CheckSpaceConsistency(*restored, *loaded->space()).ok());
 
   // Point probes across covered, buffered, and unbuffered values, plus
-  // ranges spanning tier boundaries. Exact rid vectors, not just counts —
-  // the restored catalog promotes cold runs as it answers, and neither
-  // the promotion nor the cold probes may perturb emission order.
+  // ranges spanning tier boundaries. Exact rids, not just counts. Algorithm
+  // 1 emits buffer matches before scanned ones, so the order within an
+  // answer follows the buffer's state: the original (promoting its cold
+  // run as it answers) and the restored catalog (re-indexing from scans)
+  // must hold the same rids, and two loads of one snapshot must emit them
+  // in the same order.
+  const auto check = [&](const Query& query, const std::string& label) {
+    Result<StatementResult> a =
+        original->ExecuteStatement(table, Statement::Select(query));
+    Result<StatementResult> b =
+        loaded->ExecuteStatement(restored, Statement::Select(query));
+    Result<StatementResult> c = reloaded->ExecuteStatement(
+        restored_again, Statement::Select(query));
+    ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+    EXPECT_EQ(b->rids, c->rids) << label;
+    std::vector<Rid> expected = a->rids;
+    std::vector<Rid> actual = b->rids;
+    std::sort(expected.begin(), expected.end());
+    std::sort(actual.begin(), actual.end());
+    EXPECT_EQ(actual, expected) << label;
+  };
   for (Value v = 1; v <= 500; v += 7) {
-    Result<StatementResult> a = original->ExecuteStatement(
-        table, Statement::Select(Query::Point(0, v)));
-    Result<StatementResult> b = loaded->ExecuteStatement(
-        restored, Statement::Select(Query::Point(0, v)));
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a->rids, b->rids) << "value " << v;
+    check(Query::Point(0, v), "value " + std::to_string(v));
   }
   for (Value lo : {1, 40, 95, 300}) {
-    Result<StatementResult> a = original->ExecuteStatement(
-        table, Statement::Select(Query::Range(0, lo, lo + 60)));
-    Result<StatementResult> b = loaded->ExecuteStatement(
-        restored, Statement::Select(Query::Range(0, lo, lo + 60)));
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(a->rids, b->rids) << "range [" << lo << "," << lo + 60 << "]";
+    check(Query::Range(0, lo, lo + 60),
+          "range [" + std::to_string(lo) + "," + std::to_string(lo + 60) +
+              "]");
   }
 }
 

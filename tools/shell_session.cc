@@ -843,8 +843,7 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
     const Status status = table->RestartShard(shard);
     if (!status.ok()) return Fail(status.ToString());
     out_ << "ok: shard " << shard
-         << " restarted (warm buffer coverage from snapshot, breaker "
-            "reset)\n";
+         << " restarted (empty Index Buffers, breaker reset)\n";
     return true;
   }
 
