@@ -5,10 +5,13 @@
 //
 //   healthy   — point queries on keys owned by the three "survivor"
 //               shards: the baseline QPS.
-//   crashed   — shard 3 crashed and its breaker driven open; the same
-//               survivor-key sequence replayed. Healthy-pruned routing
-//               means the outage must not tax these statements:
-//               gate qps(crashed) >= 0.8 x qps(healthy).
+//   crashed   — shard 3 crashed and its breaker driven open on a second,
+//               identically loaded fleet; the same survivor-key sequence
+//               replayed. Healthy-pruned routing means the outage must not
+//               tax these statements. The two fleets replay the sequence
+//               in kRounds interleaved rounds (alternating which goes
+//               first), so machine load taxes both sides of a round alike:
+//               gate median_r qps_r(crashed) / qps_r(healthy) >= 0.8.
 //   fail-fast — statements routed at the crashed shard after the breaker
 //               opened. Fail-fast means no retry ladder and no sleeps:
 //               gate p99 <= 20 ms (a refusal is a memory read, not a
@@ -54,6 +57,8 @@ constexpr size_t kCrashShard = 3;
 constexpr Value kDomainLo = 1;
 constexpr Value kDomainHi = 5000;
 constexpr size_t kOpsPerPhase = 400;
+/// Interleaved healthy/crashed rounds; each replays all kOpsPerPhase keys.
+constexpr size_t kRounds = 10;
 constexpr size_t kFailFastOps = 200;
 constexpr size_t kScatterOps = 40;
 
@@ -114,38 +119,43 @@ Value VictimKey(const ShardedDatabase& fleet) {
   std::exit(2);
 }
 
+/// Latencies, wall time and failures of one or more replays.
 struct PhaseStats {
-  double qps = 0;
-  double p99_ms = 0;
+  std::vector<double> latencies_ms;
+  double wall_s = 0;
   size_t failures = 0;
+
+  double qps() const {
+    return static_cast<double>(latencies_ms.size()) / std::max(wall_s, 1e-9);
+  }
+  double p99_ms() const {
+    if (latencies_ms.empty()) return 0;
+    std::vector<double> sorted = latencies_ms;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[std::min(sorted.size() - 1, (sorted.size() * 99) / 100)];
+  }
 };
 
-/// Closed-loop replay of one point query per key; failures counted, not
-/// fatal (the fail-fast phase *expects* them).
-PhaseStats ReplayPoints(ShardedDatabase* fleet, const std::vector<Value>& keys) {
-  PhaseStats stats;
-  std::vector<double> latencies;
-  latencies.reserve(keys.size());
+/// Closed-loop replay of one point query per key, added to `stats`;
+/// failures counted, not fatal (the fail-fast phase *expects* them).
+/// Returns this replay's QPS.
+double ReplayPoints(ShardedDatabase* fleet, const std::vector<Value>& keys,
+                    PhaseStats* stats) {
   const auto wall_start = std::chrono::steady_clock::now();
   for (const Value key : keys) {
     const auto start = std::chrono::steady_clock::now();
     Result<ShardResult> result =
         fleet->ExecuteStatement(ShardStatement::Select(Query::Point(0, key)));
     const auto end = std::chrono::steady_clock::now();
-    if (!result.ok()) ++stats.failures;
-    latencies.push_back(
+    if (!result.ok()) ++stats->failures;
+    stats->latencies_ms.push_back(
         std::chrono::duration<double, std::milli>(end - start).count());
   }
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall_start)
                             .count();
-  stats.qps = static_cast<double>(keys.size()) / std::max(wall_s, 1e-9);
-  std::sort(latencies.begin(), latencies.end());
-  stats.p99_ms = latencies.empty()
-                     ? 0
-                     : latencies[std::min(latencies.size() - 1,
-                                          (latencies.size() * 99) / 100)];
-  return stats;
+  stats->wall_s += wall_s;
+  return static_cast<double>(keys.size()) / std::max(wall_s, 1e-9);
 }
 
 /// Opens the crash shard's breaker: crash it, then feed routed failures
@@ -191,23 +201,49 @@ int Run(const bench::BenchArgs& args) {
             << " survivor ops/phase, seed=" << args.seed << "\n\n";
 
   // --- healthy vs crashed QPS on survivor keys ------------------------------
+  // `fleet` is the one crashed here (and restarted below); `healthy_fleet`
+  // holds the same seeded rows and never crashes.
   auto fleet = MakeFleet(args, FleetOptions(args));
+  auto healthy_fleet = MakeFleet(args, FleetOptions(args));
   const std::vector<Value> keys = SurvivorKeys(*fleet, args.seed);
-  // Warmup pass so both measured phases run against adapted buffers.
-  (void)ReplayPoints(fleet.get(), keys);
-  const PhaseStats healthy = ReplayPoints(fleet.get(), keys);
+  // Warmup pass so every measured round runs against adapted buffers.
+  PhaseStats warmup;
+  (void)ReplayPoints(fleet.get(), keys, &warmup);
+  (void)ReplayPoints(healthy_fleet.get(), keys, &warmup);
   CrashAndOpenBreaker(fleet.get());
-  const PhaseStats crashed = ReplayPoints(fleet.get(), keys);
-  std::printf("healthy   qps %8.0f  p99 %7.3f ms  failures %zu\n", healthy.qps,
-              healthy.p99_ms, healthy.failures);
+  PhaseStats healthy;
+  PhaseStats crashed;
+  std::vector<double> round_ratios;
+  for (size_t r = 0; r < kRounds; ++r) {
+    double healthy_qps;
+    double crashed_qps;
+    if (r % 2 == 0) {
+      healthy_qps = ReplayPoints(healthy_fleet.get(), keys, &healthy);
+      crashed_qps = ReplayPoints(fleet.get(), keys, &crashed);
+    } else {
+      crashed_qps = ReplayPoints(fleet.get(), keys, &crashed);
+      healthy_qps = ReplayPoints(healthy_fleet.get(), keys, &healthy);
+    }
+    round_ratios.push_back(crashed_qps / std::max(healthy_qps, 1e-9));
+  }
+  std::sort(round_ratios.begin(), round_ratios.end());
+  const double median_ratio =
+      (round_ratios[(kRounds - 1) / 2] + round_ratios[kRounds / 2]) / 2;
+  std::printf("healthy   qps %8.0f  p99 %7.3f ms  failures %zu\n",
+              healthy.qps(), healthy.p99_ms(), healthy.failures);
   std::printf("crashed   qps %8.0f  p99 %7.3f ms  failures %zu  (1/%zu shards down)\n",
-              crashed.qps, crashed.p99_ms, crashed.failures, kShards);
+              crashed.qps(), crashed.p99_ms(), crashed.failures, kShards);
+  std::printf("rounds    %zu interleaved, crashed/healthy qps ratio "
+              "min %.2f median %.2f max %.2f\n",
+              kRounds, round_ratios.front(), median_ratio,
+              round_ratios.back());
 
   // --- fail-fast p99 on the dead shard --------------------------------------
   const std::vector<Value> doomed(kFailFastOps, VictimKey(*fleet));
-  const PhaseStats fail_fast = ReplayPoints(fleet.get(), doomed);
+  PhaseStats fail_fast;
+  (void)ReplayPoints(fleet.get(), doomed, &fail_fast);
   std::printf("fail-fast qps %8.0f  p99 %7.3f ms  failures %zu/%zu\n",
-              fail_fast.qps, fail_fast.p99_ms, fail_fast.failures,
+              fail_fast.qps(), fail_fast.p99_ms(), fail_fast.failures,
               kFailFastOps);
 
   // --- restart equivalence vs a never-crashed twin --------------------------
@@ -279,19 +315,19 @@ int Run(const bench::BenchArgs& args) {
   };
 
   // --- gates ----------------------------------------------------------------
-  const bool degrade_ok = crashed.qps >= 0.8 * healthy.qps;
+  const bool degrade_ok = median_ratio >= 0.8;
   const bool survivors_clean =
       healthy.failures == 0 && crashed.failures == 0;
   const bool fail_fast_ok =
-      fail_fast.p99_ms <= 20.0 && fail_fast.failures == kFailFastOps;
+      fail_fast.p99_ms() <= 20.0 && fail_fast.failures == kFailFastOps;
   const bool hedge_ok = hedges > 0 && hedged_results_ok;
   const bool replay_ok = trace_a == trace_b;
-  std::cout << "\ngate: qps(crashed)/qps(healthy) "
-            << FormatDouble(crashed.qps / std::max(healthy.qps, 1e-9), 2)
+  std::cout << "\ngate: median round qps(crashed)/qps(healthy) "
+            << FormatDouble(median_ratio, 2)
             << " >= 0.80: " << (degrade_ok ? "OK" : "FAIL") << "\n"
             << "gate: survivor phases clean: "
             << (survivors_clean ? "OK" : "FAIL") << "\n"
-            << "gate: fail-fast p99 " << FormatDouble(fail_fast.p99_ms, 3)
+            << "gate: fail-fast p99 " << FormatDouble(fail_fast.p99_ms(), 3)
             << " ms <= 20: " << (fail_fast_ok ? "OK" : "FAIL") << "\n"
             << "gate: restart bit-identical: "
             << (restart_identical ? "OK" : "FAIL") << "\n"
@@ -306,12 +342,15 @@ int Run(const bench::BenchArgs& args) {
          << "  \"scale\": \"" << args.scale << "\",\n"
          << "  \"rows\": " << rows << ",\n"
          << "  \"shards\": " << kShards << ",\n"
-         << "  \"healthy_qps\": " << FormatDouble(healthy.qps, 1) << ",\n"
-         << "  \"crashed_qps\": " << FormatDouble(crashed.qps, 1) << ",\n"
+         << "  \"rounds\": " << kRounds << ",\n"
+         << "  \"healthy_qps\": " << FormatDouble(healthy.qps(), 1) << ",\n"
+         << "  \"crashed_qps\": " << FormatDouble(crashed.qps(), 1) << ",\n"
          << "  \"crashed_over_healthy\": "
-         << FormatDouble(crashed.qps / std::max(healthy.qps, 1e-9), 3)
+         << FormatDouble(crashed.qps() / std::max(healthy.qps(), 1e-9), 3)
          << ",\n"
-         << "  \"fail_fast_p99_ms\": " << FormatDouble(fail_fast.p99_ms, 3)
+         << "  \"median_round_ratio\": " << FormatDouble(median_ratio, 3)
+         << ",\n"
+         << "  \"fail_fast_p99_ms\": " << FormatDouble(fail_fast.p99_ms(), 3)
          << ",\n"
          << "  \"crash_rejects\": " << counter(kMetricShardCrashRejects)
          << ",\n"

@@ -1,6 +1,7 @@
 #ifndef AIB_EXEC_OPERATOR_H_
 #define AIB_EXEC_OPERATOR_H_
 
+#include <array>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -38,6 +39,30 @@ struct OperatorStats : AccessPathCounters {
   size_t rows_in = 0;
 };
 
+/// The set of pages a statement has fetched, so a page touched by several
+/// operators is charged to pages_fetched once. Inline for the few pages a
+/// point answer touches (no allocation); a hash set past that.
+class FetchedPages {
+ public:
+  /// Adds `page`; true if it was not in the set yet.
+  bool Insert(PageId page) {
+    for (size_t i = 0; i < inline_count_; ++i) {
+      if (inline_[i] == page) return false;
+    }
+    if (inline_count_ < kInline) {
+      inline_[inline_count_++] = page;
+      return true;
+    }
+    return overflow_.insert(page).second;
+  }
+
+ private:
+  static constexpr size_t kInline = 16;
+  std::array<PageId, kInline> inline_{};
+  size_t inline_count_ = 0;
+  std::unordered_set<PageId> overflow_;
+};
+
 /// Shared per-execution state threaded through Open(). Owns the query-wide
 /// fetched-page set, so pages touched by several operators (buffer-match
 /// materialization and the hybrid covered-on-skipped tail of one query)
@@ -50,17 +75,7 @@ struct ExecContext {
   /// Morsel dispatcher for intra-query parallel scans; null = serial.
   MorselDispatcher* dispatcher = nullptr;
   ParallelScanOptions parallel;
-  std::unordered_set<PageId> fetched_pages;
-
-  /// Fetches the tuples behind `rids`; charges each page not yet fetched
-  /// in this query to `stats->pages_fetched`.
-  Status FetchRids(const std::vector<Rid>& rids, OperatorStats* stats) {
-    for (const Rid& rid : rids) {
-      AIB_RETURN_IF_ERROR(table->Get(rid).status());
-      if (fetched_pages.insert(rid.page_id).second) ++stats->pages_fetched;
-    }
-    return Status::Ok();
-  }
+  FetchedPages fetched_pages;
 };
 
 /// The Volcano-style physical operator interface, batch-at-a-time: Open /

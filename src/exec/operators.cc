@@ -534,13 +534,43 @@ Status IndexingTableScan::Close() {
   return status;
 }
 
+// --- Fetch ------------------------------------------------------------------
+
+namespace {
+
+/// Liveness-fetches the selected rids of `batch` through one heap call
+/// (appending `columns`' values to `lanes` when given) and charges each
+/// page not yet fetched in this statement to `stats->pages_fetched`.
+Status FetchSelected(const Table& table, const TupleBatch& batch,
+                     const std::vector<ColumnId>& columns,
+                     std::vector<std::vector<Value>>* lanes,
+                     ExecContext* ctx, OperatorStats* stats) {
+  AIB_RETURN_IF_ERROR(
+      table.heap().FetchLive(batch.rids, batch.sel, columns, lanes));
+  PageId last = kInvalidPageId;
+  for (const uint32_t index : batch.sel) {
+    const PageId page = batch.rids[index].page_id;
+    if (page != last && ctx->fetched_pages.Insert(page)) {
+      ++stats->pages_fetched;
+    }
+    last = page;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 // --- Filter -----------------------------------------------------------------
 
 Filter::Filter(std::unique_ptr<PhysicalOperator> child, const Table* table,
                std::vector<ColumnPredicate> predicates)
     : child_(std::move(child)),
       table_(table),
-      predicates_(std::move(predicates)) {}
+      predicates_(std::move(predicates)),
+      lanes_(predicates_.size()) {
+  columns_.reserve(predicates_.size());
+  for (const ColumnPredicate& p : predicates_) columns_.push_back(p.column);
+}
 
 std::string Filter::Describe() const {
   return PredicatesToString(predicates_);
@@ -557,18 +587,24 @@ Status Filter::Open(ExecContext* ctx) {
 
 Result<bool> Filter::NextBatch(TupleBatch* out) {
   out->Clear();
-  TupleBatch batch;
-  AIB_ASSIGN_OR_RETURN(const bool more, child_->NextBatch(&batch));
+  AIB_ASSIGN_OR_RETURN(const bool more, child_->NextBatch(&input_));
   if (!more) return false;
-  const Schema& schema = table_->schema();
-  stats_.rows_in += batch.ActiveCount();
-  for (const uint32_t index : batch.sel) {
-    const Rid& rid = batch.rids[index];
-    AIB_ASSIGN_OR_RETURN(const Tuple tuple, table_->Get(rid));
-    if (ctx_->fetched_pages.insert(rid.page_id).second) {
-      ++stats_.pages_fetched;
-    }
-    if (MatchesAll(tuple, schema, predicates_)) out->rids.push_back(rid);
+  stats_.rows_in += input_.ActiveCount();
+  // The residual's columns come back as lanes from the liveness fetch,
+  // one entry per selected input rid, and refine a dense selection.
+  for (std::vector<Value>& lane : lanes_) lane.clear();
+  AIB_RETURN_IF_ERROR(
+      FetchSelected(*table_, input_, columns_, &lanes_, ctx_, &stats_));
+  sel_.resize(input_.ActiveCount());
+  for (uint32_t i = 0; i < static_cast<uint32_t>(sel_.size()); ++i) {
+    sel_[i] = i;
+  }
+  for (size_t i = 0; i < predicates_.size() && !sel_.empty(); ++i) {
+    RefineSelectionInRange(lanes_[i], predicates_[i].lo, predicates_[i].hi,
+                           &sel_);
+  }
+  for (const uint32_t k : sel_) {
+    out->rids.push_back(input_.rids[input_.sel[k]]);
   }
   out->SetIdentitySelection();
   stats_.rows_out += out->ActiveCount();
@@ -598,13 +634,8 @@ Result<bool> Materialize::NextBatch(TupleBatch* out) {
   AIB_ASSIGN_OR_RETURN(const bool more, child_->NextBatch(out));
   if (!more) return false;
   if (out->needs_fetch) {
-    for (const uint32_t index : out->sel) {
-      const Rid& rid = out->rids[index];
-      AIB_RETURN_IF_ERROR(ctx_->table->Get(rid).status());
-      if (ctx_->fetched_pages.insert(rid.page_id).second) {
-        ++stats_.pages_fetched;
-      }
-    }
+    AIB_RETURN_IF_ERROR(
+        FetchSelected(*ctx_->table, *out, {}, nullptr, ctx_, &stats_));
     out->needs_fetch = false;
   }
   stats_.rows_out += out->ActiveCount();

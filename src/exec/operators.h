@@ -248,10 +248,11 @@ class IndexingTableScan : public PhysicalOperator {
 };
 
 /// Applies residual conjuncts to rid batches whose tuples are not read
-/// yet (index/buffer probe output): fetches each selected tuple, keeps
-/// matching rids. The fetched pages are charged here (query-wide deduped),
-/// so the emitted batch needs no further fetch. Scans never need a Filter —
-/// the planner pushes residuals into their batch kernel for free.
+/// yet (index/buffer probe output): liveness-fetches the selected rids
+/// with the residual columns as lanes, keeps matching rids. The fetched
+/// pages are charged here (query-wide deduped), so the emitted batch needs
+/// no further fetch. Scans never need a Filter — the planner pushes
+/// residuals into their batch kernel for free.
 class Filter : public PhysicalOperator {
  public:
   Filter(std::unique_ptr<PhysicalOperator> child, const Table* table,
@@ -268,11 +269,19 @@ class Filter : public PhysicalOperator {
   std::unique_ptr<PhysicalOperator> child_;
   const Table* table_;
   std::vector<ColumnPredicate> predicates_;
+  /// predicates_[i].column, the lanes the fetch fills.
+  std::vector<ColumnId> columns_;
   ExecContext* ctx_ = nullptr;
+  /// Reused per batch: the child's batch, the fetched lanes and the
+  /// selection over them.
+  TupleBatch input_;
+  std::vector<std::vector<Value>> lanes_;
+  std::vector<uint32_t> sel_;
 };
 
-/// Root of probe-shaped plans: pulls child batches and fetches the tuples
-/// behind selected rids that need it, charging distinct pages query-wide.
+/// Root of probe-shaped plans: pulls child batches and liveness-fetches
+/// the selected rids that need it (HeapFile::FetchLive, no Tuple built),
+/// charging distinct pages query-wide.
 class Materialize : public PhysicalOperator {
  public:
   explicit Materialize(std::unique_ptr<PhysicalOperator> child);

@@ -31,7 +31,7 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity, Metrics* metrics,
     shard.frames.resize(shard_capacity);
     shard.free_frames.reserve(shard_capacity);
     for (size_t i = shard_capacity; i > 0; --i) {
-      shard.free_frames.push_back(i - 1);
+      shard.free_frames.push_back(static_cast<uint32_t>(i - 1));
     }
     // The protected segment is capped per shard so a fully-promoted hot
     // set still leaves probationary staging room for sweeps.
@@ -46,15 +46,13 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity, Metrics* metrics,
 Result<Page*> BufferPool::FetchPage(PageId page_id) {
   Shard& shard = ShardFor(page_id);
   std::unique_lock<std::mutex> lock(shard.mu);
-  const auto deadline =
-      std::chrono::steady_clock::now() + options_.pin_wait_timeout;
+  std::chrono::steady_clock::time_point deadline;
   bool waited = false;
   for (;;) {
-    if (auto it = shard.table.find(page_id); it != shard.table.end()) {
-      Frame& frame = shard.frames[it->second];
-      if (frame.in_lru) {
-        (frame.protected_seg ? shard.hot : shard.lru).erase(frame.lru_pos);
-        frame.in_lru = false;
+    if (const uint32_t index = FindFrame(shard, page_id); index != kNoFrame) {
+      Frame& frame = shard.frames[index];
+      if (frame.in_list) {
+        Unlink(shard, frame.protected_seg ? shard.hot : shard.lru, index);
       }
       // Re-reference of a probationary frame is the promotion signal: the
       // page has proven it is not a one-touch sweep page.
@@ -67,10 +65,10 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
       if (hits_counter_ != nullptr) {
         hits_counter_->fetch_add(1, std::memory_order_relaxed);
       }
-      return frame.page.get();
+      return &*frame.page;
     }
 
-    Result<size_t> victim = GetVictimFrame(shard);
+    Result<uint32_t> victim = GetVictimFrame(shard);
     if (!victim.ok()) {
       if (!victim.status().IsBusy()) return victim.status();
       // Every frame of this shard is pinned by in-flight queries. Block
@@ -79,6 +77,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
       // timeout.
       if (!waited) {
         waited = true;
+        deadline = std::chrono::steady_clock::now() + options_.pin_wait_timeout;
         ++shard.pin_waits;
         if (pin_waits_counter_ != nullptr) {
           pin_waits_counter_->fetch_add(1, std::memory_order_relaxed);
@@ -91,12 +90,10 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
       continue;  // re-check the table: the page may have been loaded
     }
 
-    const size_t frame_index = victim.value();
+    const uint32_t frame_index = victim.value();
     Frame& frame = shard.frames[frame_index];
-    if (frame.page == nullptr) {
-      frame.page = std::make_unique<Page>(disk_->page_size());
-    }
-    if (Status read = ReadWithRetry(page_id, frame.page.get());
+    if (!frame.page.has_value()) frame.page.emplace(disk_->page_size());
+    if (Status read = ReadWithRetry(page_id, &*frame.page);
         !read.ok()) {
       // The victim frame was already detached from the table/LRU; hand it
       // back to the free list so the failed fetch does not leak capacity.
@@ -107,33 +104,66 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
     frame.pin_count = 1;
     frame.dirty = false;
     frame.protected_seg = false;  // misses enter on probation
-    frame.in_lru = false;
-    shard.table[page_id] = frame_index;
+    frame.in_list = false;
+    const size_t slot = SlotOf(page_id);
+    if (slot >= shard.table.size()) shard.table.resize(slot + 1, kNoFrame);
+    shard.table[slot] = frame_index;
+    ++shard.cached;
     ++shard.misses;
     if (misses_counter_ != nullptr) {
       misses_counter_->fetch_add(1, std::memory_order_relaxed);
     }
-    return frame.page.get();
+    return &*frame.page;
   }
 }
 
-Result<size_t> BufferPool::GetVictimFrame(Shard& shard) {
+void BufferPool::PushBack(Shard& shard, FrameList& list,
+                          uint32_t frame_index) {
+  Frame& frame = shard.frames[frame_index];
+  frame.prev = list.tail;
+  frame.next = kNoFrame;
+  if (list.tail != kNoFrame) {
+    shard.frames[list.tail].next = frame_index;
+  } else {
+    list.head = frame_index;
+  }
+  list.tail = frame_index;
+  frame.in_list = true;
+}
+
+void BufferPool::Unlink(Shard& shard, FrameList& list, uint32_t frame_index) {
+  Frame& frame = shard.frames[frame_index];
+  if (frame.prev != kNoFrame) {
+    shard.frames[frame.prev].next = frame.next;
+  } else {
+    list.head = frame.next;
+  }
+  if (frame.next != kNoFrame) {
+    shard.frames[frame.next].prev = frame.prev;
+  } else {
+    list.tail = frame.prev;
+  }
+  frame.prev = kNoFrame;
+  frame.next = kNoFrame;
+  frame.in_list = false;
+}
+
+Result<uint32_t> BufferPool::GetVictimFrame(Shard& shard) {
   if (!shard.free_frames.empty()) {
-    const size_t index = shard.free_frames.back();
+    const uint32_t index = shard.free_frames.back();
     shard.free_frames.pop_back();
     return index;
   }
   // Probationary frames go first; the protected segment is only eaten
   // into when no single-touch frame is left.
-  std::list<size_t>* source = &shard.lru;
+  FrameList* source = &shard.lru;
   if (source->empty()) source = &shard.hot;
   if (source->empty()) {
     return Status::Busy("all buffer pool frames are pinned");
   }
-  const size_t index = source->front();
-  source->pop_front();
+  const uint32_t index = source->head;
+  Unlink(shard, *source, index);
   Frame& frame = shard.frames[index];
-  frame.in_lru = false;
   if (frame.protected_seg) {
     frame.protected_seg = false;
     --shard.protected_frames;
@@ -142,7 +172,8 @@ Result<size_t> BufferPool::GetVictimFrame(Shard& shard) {
   if (frame.dirty) {
     AIB_RETURN_IF_ERROR(WriteWithRetry(frame.page_id, *frame.page));
   }
-  shard.table.erase(frame.page_id);
+  shard.table[SlotOf(frame.page_id)] = kNoFrame;
+  --shard.cached;
   return index;
 }
 
@@ -156,19 +187,18 @@ void BufferPool::Promote(Shard& shard, Frame& frame) {
   // unpinned frames back to probation (MRU end: they were hot recently).
   while (shard.protected_frames > shard.protected_cap &&
          !shard.hot.empty()) {
-    const size_t demoted = shard.hot.front();
-    shard.hot.pop_front();
-    Frame& cold = shard.frames[demoted];
-    cold.protected_seg = false;
+    const uint32_t demoted = shard.hot.head;
+    Unlink(shard, shard.hot, demoted);
+    shard.frames[demoted].protected_seg = false;
     --shard.protected_frames;
-    cold.lru_pos = shard.lru.insert(shard.lru.end(), demoted);
+    PushBack(shard, shard.lru, demoted);
     if (demotions_counter_ != nullptr) {
       demotions_counter_->fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
 
-void BufferPool::PushUnpinned(Shard& shard, size_t frame_index) {
+void BufferPool::PushUnpinned(Shard& shard, uint32_t frame_index) {
   Frame& frame = shard.frames[frame_index];
   // A pinned-while-over-cap protected frame demotes itself here, which
   // self-corrects the overflow Promote allows when every hot frame is
@@ -181,9 +211,7 @@ void BufferPool::PushUnpinned(Shard& shard, size_t frame_index) {
       demotions_counter_->fetch_add(1, std::memory_order_relaxed);
     }
   }
-  std::list<size_t>& list = frame.protected_seg ? shard.hot : shard.lru;
-  frame.lru_pos = list.insert(list.end(), frame_index);
-  frame.in_lru = true;
+  PushBack(shard, frame.protected_seg ? shard.hot : shard.lru, frame_index);
 }
 
 Status BufferPool::ReadWithRetry(PageId page_id, Page* out) {
@@ -217,17 +245,17 @@ Status BufferPool::WriteWithRetry(PageId page_id, const Page& page) {
 Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
   Shard& shard = ShardFor(page_id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.table.find(page_id);
-  if (it == shard.table.end()) {
+  const uint32_t index = FindFrame(shard, page_id);
+  if (index == kNoFrame) {
     return Status::InvalidArgument("unpin of unbuffered page");
   }
-  Frame& frame = shard.frames[it->second];
+  Frame& frame = shard.frames[index];
   if (frame.pin_count <= 0) {
     return Status::InvalidArgument("unpin of unpinned page");
   }
   frame.dirty = frame.dirty || dirty;
   if (--frame.pin_count == 0) {
-    PushUnpinned(shard, it->second);
+    PushUnpinned(shard, index);
     shard.frame_unpinned.notify_all();
   }
   return Status::Ok();
@@ -236,9 +264,9 @@ Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
 Status BufferPool::FlushPage(PageId page_id) {
   Shard& shard = ShardFor(page_id);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.table.find(page_id);
-  if (it == shard.table.end()) return Status::Ok();
-  Frame& frame = shard.frames[it->second];
+  const uint32_t index = FindFrame(shard, page_id);
+  if (index == kNoFrame) return Status::Ok();
+  Frame& frame = shard.frames[index];
   if (frame.dirty) {
     AIB_RETURN_IF_ERROR(WriteWithRetry(page_id, *frame.page));
     frame.dirty = false;
@@ -247,12 +275,26 @@ Status BufferPool::FlushPage(PageId page_id) {
 }
 
 Status BufferPool::FlushAll() {
+  // Every shard latched (in shard order, the only multi-shard acquisition)
+  // so the walk can interleave the shards' tables into one ascending page
+  // id sequence: slot i of shard s holds page i * shards + s.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  size_t slots = 0;
   for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [page_id, frame_index] : shard.table) {
-      Frame& frame = shard.frames[frame_index];
+    locks.emplace_back(shard.mu);
+    slots = std::max(slots, shard.table.size());
+  }
+  for (size_t slot = 0; slot < slots; ++slot) {
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      Shard& shard = shards_[s];
+      if (slot >= shard.table.size() || shard.table[slot] == kNoFrame) {
+        continue;
+      }
+      Frame& frame = shard.frames[shard.table[slot]];
       if (frame.dirty) {
-        AIB_RETURN_IF_ERROR(WriteWithRetry(page_id, *frame.page));
+        AIB_RETURN_IF_ERROR(WriteWithRetry(
+            static_cast<PageId>(slot * shards_.size() + s), *frame.page));
         frame.dirty = false;
       }
     }
@@ -264,7 +306,7 @@ size_t BufferPool::CachedPages() const {
   size_t cached = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    cached += shard.table.size();
+    cached += shard.cached;
   }
   return cached;
 }

@@ -5,10 +5,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "common/metrics.h"
@@ -72,11 +70,12 @@ struct BufferPoolOptions {
 /// BufferPool provides the page-caching layer underneath the table scans.
 ///
 /// Thread-safe and latch-sharded: frames are partitioned by page id into
-/// independent shards, each with its own latch, frame table, free list,
-/// and LRU list, so concurrent QueryService workers and morsel-parallel
-/// scan workers touching different pages rarely contend. Eviction is
-/// pin-count-aware per shard (only unpinned frames are victims); when
-/// every frame of a page's shard is pinned, FetchPage blocks up to
+/// independent shards, each with its own latch, dense page -> frame table,
+/// free list, and intrusive LRU lists, so concurrent QueryService workers
+/// and morsel-parallel scan workers touching different pages rarely
+/// contend. Eviction is pin-count-aware per shard (only unpinned frames
+/// are victims); when every frame of a page's shard is pinned, FetchPage
+/// blocks up to
 /// `options.pin_wait_timeout` for an unpin in that shard (counted in
 /// kMetricBufferPinWaits) instead of failing outright, and returns a
 /// retriable Busy when the wait times out. Page *contents* are protected
@@ -94,7 +93,8 @@ class BufferPool {
   /// Pins and returns the frame for `page_id`, reading it from disk on a
   /// miss. Blocks up to the configured pin-wait timeout when every frame of
   /// the page's shard is pinned; fails with Busy if none is released in
-  /// time.
+  /// time. A hit costs one table index and an intrusive unlink; the clock
+  /// is read only when the fetch has to wait.
   Result<Page*> FetchPage(PageId page_id);
 
   /// Unpins the page; `dirty` marks the frame for write-back on eviction.
@@ -103,7 +103,8 @@ class BufferPool {
   /// Writes the frame back to disk if dirty; no-op for unbuffered pages.
   Status FlushPage(PageId page_id);
 
-  /// Flushes every dirty frame.
+  /// Flushes every dirty frame, in ascending page id, so the write order
+  /// (and with it a seeded fault stream) does not depend on the sharding.
   Status FlushAll();
 
   size_t capacity() const { return capacity_; }
@@ -114,16 +115,32 @@ class BufferPool {
   int64_t pin_waits() const;
 
  private:
+  /// "No frame" / "no list neighbour" marker for frame indices.
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
   struct Frame {
     PageId page_id = kInvalidPageId;
     int pin_count = 0;
     bool dirty = false;
     /// True when the frame belongs to the protected segment (kSegmented).
     bool protected_seg = false;
-    std::unique_ptr<Page> page;
-    /// Position in the shard's lru/hot list when pin_count == 0.
-    std::list<size_t>::iterator lru_pos;
-    bool in_lru = false;
+    /// True while the frame sits in its segment's list (pin_count == 0).
+    bool in_list = false;
+    /// Intrusive neighbours in the shard's lru/hot list while in_list.
+    uint32_t prev = kNoFrame;
+    uint32_t next = kNoFrame;
+    /// Held inline, one pointer hop less per fetch; constructed on the
+    /// frame's first use, so an idle frame costs no page of memory.
+    std::optional<Page> page;
+  };
+
+  /// Intrusive doubly-linked list of unpinned frames, least recently used
+  /// at the head; links live in Frame::prev/next, so moving a frame costs
+  /// no allocation.
+  struct FrameList {
+    uint32_t head = kNoFrame;
+    uint32_t tail = kNoFrame;
+    bool empty() const { return head == kNoFrame; }
   };
 
   /// One latch domain: a slice of the frames with its own table and LRU.
@@ -132,14 +149,20 @@ class BufferPool {
     /// Signalled whenever a pin count drops to zero.
     std::condition_variable frame_unpinned;
     std::vector<Frame> frames;
-    std::vector<size_t> free_frames;
-    std::unordered_map<PageId, size_t> table;
-    /// Unpinned *probationary* frame indices, least-recently-used first.
-    /// Under kLru this is the only list.
-    std::list<size_t> lru;
-    /// Unpinned *protected* frame indices (kSegmented), LRU first. Victims
-    /// are taken from here only when probation is empty.
-    std::list<size_t> hot;
+    std::vector<uint32_t> free_frames;
+    /// Dense page table: slot page_id / shards -> frame index, kNoFrame if
+    /// the page is not buffered. Page ids are dense per disk, and this
+    /// shard holds exactly the ids congruent to it modulo the shard count.
+    /// Grows on demand to the largest slot loaded.
+    std::vector<uint32_t> table;
+    /// Pages currently mapped in `table`.
+    size_t cached = 0;
+    /// Unpinned *probationary* frames, least-recently-used first. Under
+    /// kLru this is the only list.
+    FrameList lru;
+    /// Unpinned *protected* frames (kSegmented), LRU first. Victims are
+    /// taken from here only when probation is empty.
+    FrameList hot;
     /// Frames currently tagged protected (pinned or not), bounded by
     /// protected_cap.
     size_t protected_frames = 0;
@@ -156,11 +179,21 @@ class BufferPool {
     return shards_[page_id % shards_.size()];
   }
 
+  /// Table slot of `page_id` within its shard.
+  size_t SlotOf(PageId page_id) const { return page_id / shards_.size(); }
+
+  /// Frame buffering `page_id` in `shard`, or kNoFrame. Requires the shard
+  /// latch held.
+  uint32_t FindFrame(const Shard& shard, PageId page_id) const {
+    const size_t slot = SlotOf(page_id);
+    return slot < shard.table.size() ? shard.table[slot] : kNoFrame;
+  }
+
   /// Picks a frame to (re)use in `shard`: a free one, else the coldest
   /// unpinned probationary one, else the coldest unpinned protected one.
-  /// Requires the shard latch held; NoSpace means "every frame currently
+  /// Requires the shard latch held; Busy means "every frame currently
   /// pinned" and is translated into a wait by FetchPage.
-  Result<size_t> GetVictimFrame(Shard& shard);
+  Result<uint32_t> GetVictimFrame(Shard& shard);
 
   /// Moves `frame` into the protected segment, demoting the coldest
   /// unpinned protected frame back to probation when over the cap.
@@ -169,7 +202,11 @@ class BufferPool {
 
   /// Re-inserts an unpinned frame at the MRU end of its segment's list.
   /// Requires the shard latch held.
-  void PushUnpinned(Shard& shard, size_t frame_index);
+  void PushUnpinned(Shard& shard, uint32_t frame_index);
+
+  /// Intrusive list primitives; require the shard latch held.
+  static void PushBack(Shard& shard, FrameList& list, uint32_t frame_index);
+  static void Unlink(Shard& shard, FrameList& list, uint32_t frame_index);
 
   /// Reads `page_id` into `out`, retrying transient failures up to
   /// `options_.max_transient_retries` times.

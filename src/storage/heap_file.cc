@@ -85,6 +85,48 @@ Result<Tuple> HeapFile::Get(const Rid& rid) const {
   return tuple;
 }
 
+Status HeapFile::FetchLive(std::span<const Rid> rids,
+                           std::span<const uint32_t> sel,
+                           const std::vector<ColumnId>& columns,
+                           std::vector<std::vector<Value>>* lanes) const {
+  if (!columns.empty() &&
+      (lanes == nullptr || lanes->size() != columns.size())) {
+    return Status::InvalidArgument("one lane per fetched column required");
+  }
+  for (ColumnId c : columns) {
+    if (c >= schema_->num_columns() ||
+        schema_->column(c).type != ColumnType::kInt32) {
+      return Status::InvalidArgument("fetch of non-int column");
+    }
+  }
+  // Decoded int columns of the current record, indexed by column id; only
+  // needed (and only allocated) when lanes are requested.
+  std::vector<Value> decoded(columns.empty() ? 0 : schema_->num_columns());
+  PageId pinned = kInvalidPageId;
+  const Page* page = nullptr;
+  Status status = Status::Ok();
+  for (const uint32_t index : sel) {
+    const Rid& rid = rids[index];
+    if (rid.page_id != pinned) {
+      if (page != nullptr) {
+        AIB_RETURN_IF_ERROR(pool_->UnpinPage(pinned, false));
+        page = nullptr;
+      }
+      AIB_ASSIGN_OR_RETURN(page, pool_->FetchPage(rid.page_id));
+      pinned = rid.page_id;
+    }
+    std::span<const uint8_t> record;
+    status = page->Read(rid.slot, &record);
+    if (status.ok()) status = Tuple::CheckRecord(*schema_, record, decoded);
+    if (!status.ok()) break;
+    for (size_t j = 0; j < columns.size(); ++j) {
+      (*lanes)[j].push_back(decoded[columns[j]]);
+    }
+  }
+  if (page != nullptr) AIB_RETURN_IF_ERROR(pool_->UnpinPage(pinned, false));
+  return status;
+}
+
 Status HeapFile::Delete(const Rid& rid) {
   AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
   const Status status = page->Delete(rid.slot);

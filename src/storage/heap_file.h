@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <shared_mutex>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -52,6 +53,19 @@ class HeapFile {
 
   /// Reads the tuple at `rid`. NotFound for tombstoned slots.
   Result<Tuple> Get(const Rid& rid) const;
+
+  /// Batch liveness fetch, the read path of index-probe answers: visits
+  /// `rids[i]` for each i of `sel`, in that order, pinning each page once
+  /// per run of consecutive rids on it, and checks that every slot holds a
+  /// live, well-formed record. The first failing rid ends the walk with
+  /// exactly Get's status for it: NotFound for a tombstoned or
+  /// out-of-range slot, Corruption for a malformed record. For each
+  /// kInt32 `columns[j]` the record's value is appended to `(*lanes)[j]`,
+  /// one entry per visited rid (`lanes` may be null when `columns` is
+  /// empty). Builds no Tuple and copies no payload.
+  Status FetchLive(std::span<const Rid> rids, std::span<const uint32_t> sel,
+                   const std::vector<ColumnId>& columns,
+                   std::vector<std::vector<Value>>* lanes) const;
 
   /// Tombstones the tuple at `rid`.
   Status Delete(const Rid& rid);

@@ -55,20 +55,26 @@ std::vector<uint8_t> Tuple::Serialize(const Schema& schema) const {
   return out;
 }
 
-Result<Tuple> Tuple::Deserialize(const Schema& schema,
-                                 std::span<const uint8_t> bytes) {
-  std::vector<Value> ints;
-  std::vector<std::string> strings;
+namespace {
+
+/// Walks `bytes` as a record of `schema`, handing each kInt32 value to
+/// `on_int(column, value)` and each varchar's bytes to `on_varchar`. The
+/// one definition of a well-formed record: Deserialize and CheckRecord
+/// return exactly its statuses.
+template <typename OnInt, typename OnVarchar>
+Status WalkRecord(const Schema& schema, std::span<const uint8_t> bytes,
+                  OnInt&& on_int, OnVarchar&& on_varchar) {
   size_t pos = 0;
-  for (const ColumnDef& col : schema.columns()) {
-    if (col.type == ColumnType::kInt32) {
+  const std::vector<ColumnDef>& columns = schema.columns();
+  for (ColumnId c = 0; c < columns.size(); ++c) {
+    if (columns[c].type == ColumnType::kInt32) {
       if (pos + sizeof(Value) > bytes.size()) {
         return Status::Corruption("tuple truncated in int column");
       }
       Value v;
       std::memcpy(&v, bytes.data() + pos, sizeof(Value));
       pos += sizeof(Value);
-      ints.push_back(v);
+      on_int(c, v);
     } else {
       if (pos + sizeof(uint16_t) > bytes.size()) {
         return Status::Corruption("tuple truncated in varchar length");
@@ -79,15 +85,41 @@ Result<Tuple> Tuple::Deserialize(const Schema& schema,
       if (pos + len > bytes.size()) {
         return Status::Corruption("tuple truncated in varchar data");
       }
-      strings.emplace_back(reinterpret_cast<const char*>(bytes.data() + pos),
-                           len);
+      on_varchar(bytes.subspan(pos, len));
       pos += len;
     }
   }
   if (pos != bytes.size()) {
     return Status::Corruption("trailing bytes after tuple");
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<Tuple> Tuple::Deserialize(const Schema& schema,
+                                 std::span<const uint8_t> bytes) {
+  std::vector<Value> ints;
+  std::vector<std::string> strings;
+  const Status status = WalkRecord(
+      schema, bytes, [&](ColumnId, Value v) { ints.push_back(v); },
+      [&](std::span<const uint8_t> s) {
+        strings.emplace_back(reinterpret_cast<const char*>(s.data()),
+                             s.size());
+      });
+  if (!status.ok()) return status;
   return Tuple(std::move(ints), std::move(strings));
+}
+
+Status Tuple::CheckRecord(const Schema& schema,
+                          std::span<const uint8_t> bytes,
+                          std::span<Value> ints) {
+  return WalkRecord(
+      schema, bytes,
+      [&](ColumnId c, Value v) {
+        if (!ints.empty()) ints[c] = v;
+      },
+      [](std::span<const uint8_t>) {});
 }
 
 }  // namespace aib

@@ -38,6 +38,14 @@ class Tuple {
   static Result<Tuple> Deserialize(const Schema& schema,
                                    std::span<const uint8_t> bytes);
 
+  /// Checks that `bytes` is a record of `schema` without building a Tuple
+  /// or allocating: returns exactly the status Deserialize would. When
+  /// `ints` is non-empty it holds one entry per schema column, and each
+  /// kInt32 column's value is stored at its column id.
+  static Status CheckRecord(const Schema& schema,
+                            std::span<const uint8_t> bytes,
+                            std::span<Value> ints = {});
+
   friend bool operator==(const Tuple&, const Tuple&) = default;
 
  private:

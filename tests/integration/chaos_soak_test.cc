@@ -9,6 +9,7 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -118,9 +119,9 @@ TEST_F(ChaosSoakTest, SoakMatchesFaultFreeOracle) {
 
   // Rates sized to the workload's disk exposure: scan legs touch a few
   // thousand pages across the soak, so a ~0.5% corruption-per-read rate
-  // makes quarantines a statistical certainty while a generous whole-query
-  // retry budget keeps permanent failures out of reach for any worker
-  // interleaving of the fault stream.
+  // makes quarantines likely while a generous whole-query retry budget
+  // keeps permanent failures out of reach for any worker interleaving of
+  // the fault stream.
   FaultInjectorOptions fault_options;
   fault_options.seed = 2026;
   fault_options.read_fault_rate = 0.006;
@@ -128,6 +129,35 @@ TEST_F(ChaosSoakTest, SoakMatchesFaultFreeOracle) {
   fault_options.corruption_fraction = 0.8;
   fault_options.latency_rate = 0.01;
   injector().Arm(fault_options);
+
+  // Which probabilistic draws land in indexing scans depends on the worker
+  // interleaving, so one quarantine is made certain: a corruption on the
+  // next read of a page holding no covered value of either queried
+  // column. Covered probes and hybrid tails never fetch such a page, and
+  // no buffer entry points at it before an indexing scan has read it, so
+  // its first read from disk is an indexing scan's (or the plain fallback
+  // of a scan that already quarantined). It is taken from the front half
+  // of the table, which the oracle pass above swept out of the 16-frame
+  // pool.
+  std::set<PageId> covered_pages;
+  for (ColumnId c = 0; c < 2; ++c) {
+    for (Value v = 1; v <= 30; ++v) {
+      auto it = truth_.find({c, v});
+      if (it == truth_.end()) continue;
+      for (const Rid& rid : it->second) covered_pages.insert(rid.page_id);
+    }
+  }
+  const HeapFile& heap = db_->table().heap();
+  PageId uncovered_page = kInvalidPageId;
+  for (size_t p = 0; p < heap.PageCount() / 2; ++p) {
+    if (!covered_pages.contains(heap.PageIdAt(p))) {
+      uncovered_page = heap.PageIdAt(p);
+      break;
+    }
+  }
+  ASSERT_NE(uncovered_page, kInvalidPageId);
+  injector().InjectPageFault(FaultOp::kRead, uncovered_page,
+                             FaultKind::kCorruption);
 
   QueryServiceOptions service_options;
   service_options.num_workers = 4;

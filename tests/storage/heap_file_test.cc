@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -124,6 +126,96 @@ TEST_F(HeapFileTest, PageIndexOutOfRange) {
   EXPECT_TRUE(heap_
                   .ForEachTupleOnPage(5, [](const Rid&, const Tuple&) {})
                   .IsInvalidArgument());
+}
+
+/// FetchLive of one rid: the status, and the fetched column-0 lane.
+Status FetchOne(const HeapFile& heap, const Rid& rid,
+                std::vector<Value>* values = nullptr) {
+  const uint32_t sel = 0;
+  std::vector<std::vector<Value>> lanes(1);
+  const Status status = heap.FetchLive(std::span<const Rid>(&rid, 1),
+                                       std::span<const uint32_t>(&sel, 1),
+                                       {0}, &lanes);
+  if (values != nullptr) *values = lanes[0];
+  return status;
+}
+
+TEST_F(HeapFileTest, FetchLiveStatusMatchesGet) {
+  Result<Rid> live = heap_.Insert(T(42, "hello"));
+  Result<Rid> deleted = heap_.Insert(T(7));
+  ASSERT_TRUE(live.ok() && deleted.ok());
+  ASSERT_TRUE(heap_.Delete(deleted.value()).ok());
+  const PageId page_id = live->page_id;
+
+  // Malformed records, written straight into the page: an int column cut
+  // short, a varchar length cut short, varchar data cut short, and a
+  // well-formed record with one trailing byte.
+  std::vector<uint8_t> trailing = T(5, "ok").Serialize(schema_);
+  trailing.push_back(0xff);
+  const std::vector<std::vector<uint8_t>> malformed = {
+      {1, 2, 3},
+      {1, 0, 0, 0, 9},
+      {1, 0, 0, 0, 10, 0, 'a', 'b'},
+      trailing,
+  };
+  std::vector<Rid> rids = {live.value(), deleted.value(),
+                           Rid{page_id, 999}};
+  Result<Page*> page = pool_.FetchPage(page_id);
+  ASSERT_TRUE(page.ok());
+  for (const std::vector<uint8_t>& record : malformed) {
+    SlotId slot;
+    ASSERT_TRUE(page.value()->Insert(record, &slot).ok());
+    rids.push_back(Rid{page_id, slot});
+  }
+  ASSERT_TRUE(pool_.UnpinPage(page_id, /*dirty=*/true).ok());
+
+  for (const Rid& rid : rids) {
+    SCOPED_TRACE(::testing::Message() << "slot " << rid.slot);
+    const Status get = heap_.Get(rid).status();
+    std::vector<Value> values;
+    const Status fetch = FetchOne(heap_, rid, &values);
+    EXPECT_EQ(fetch.code(), get.code()) << fetch.ToString();
+    EXPECT_EQ(fetch.message(), get.message());
+    EXPECT_EQ(values.size(), get.ok() ? 1u : 0u);
+  }
+  std::vector<Value> values;
+  ASSERT_TRUE(FetchOne(heap_, live.value(), &values).ok());
+  EXPECT_EQ(values, std::vector<Value>{42});
+  EXPECT_TRUE(FetchOne(heap_, deleted.value()).IsNotFound());
+  EXPECT_TRUE(FetchOne(heap_, rids.back()).IsCorruption());
+}
+
+TEST_F(HeapFileTest, FetchLivePinsEachPageOncePerRun) {
+  std::vector<Rid> rids;
+  for (int i = 0; i < 300; ++i) {
+    Result<Rid> rid = heap_.Insert(T(i, std::string(40, 'x')));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(rid.value());
+  }
+  ASSERT_GT(heap_.PageCount(), 2u);
+  // Emitted order: three rids on the first page, one on the last page,
+  // then the first page again — three runs, three pins.
+  const std::vector<Rid> batch = {rids[0], rids[1], rids[2], rids.back(),
+                                  rids[3]};
+  const std::vector<uint32_t> sel = {0, 1, 2, 3, 4};
+  const int64_t fetches_before = pool_.hits() + pool_.misses();
+  std::vector<std::vector<Value>> lanes(1);
+  ASSERT_TRUE(heap_.FetchLive(batch, sel, {0}, &lanes).ok());
+  EXPECT_EQ(pool_.hits() + pool_.misses() - fetches_before, 3);
+  EXPECT_EQ(lanes[0], (std::vector<Value>{0, 1, 2, 299, 3}));
+  // A selection visits only its entries, in its order.
+  lanes[0].clear();
+  ASSERT_TRUE(heap_.FetchLive(batch, std::vector<uint32_t>{3, 1}, {0},
+                              &lanes).ok());
+  EXPECT_EQ(lanes[0], (std::vector<Value>{299, 1}));
+  // Every pin was released: each page unpins as "not pinned".
+  EXPECT_TRUE(pool_.UnpinPage(rids[0].page_id, false).IsInvalidArgument());
+  EXPECT_TRUE(
+      pool_.UnpinPage(rids.back().page_id, false).IsInvalidArgument());
+  // A failing rid ends the walk with Get's status and still unpins.
+  ASSERT_TRUE(heap_.Delete(rids[1]).ok());
+  EXPECT_TRUE(heap_.FetchLive(batch, sel, {}, nullptr).IsNotFound());
+  EXPECT_TRUE(pool_.UnpinPage(rids[0].page_id, false).IsInvalidArgument());
 }
 
 TEST(HeapFileCapTest, MaxTuplesPerPageHonored) {
