@@ -52,7 +52,7 @@ RunResult RunBatch(Database* db, const std::vector<Query>& queries,
   options.num_workers = workers;
   options.queue_capacity = queries.size();
   options.shared_scans = shared;
-  QueryService service(db->executor(), options, &db->metrics());
+  QueryService service(db->executor(), options);
 
   const int64_t start = NowNs();
   std::vector<std::future<Result<StatementResult>>> futures;

@@ -97,7 +97,7 @@ LegResult RunLeg(const bench::BenchArgs& args, double write_fraction) {
   QueryServiceOptions service_options;
   service_options.num_workers = 1;  // FIFO: results independent of timing
   service_options.queue_capacity = 64;
-  QueryService service((*db)->executor(), service_options, &(*db)->metrics());
+  QueryService service((*db)->executor(), service_options);
 
   MixedWorkloadOptions mixed;
   mixed.num_statements = kStatements;
@@ -183,7 +183,7 @@ LegResult RunLeg(const bench::BenchArgs& args, double write_fraction) {
   leg.mean_read_cost = leg.reads > 0 ? read_cost / leg.reads : 0;
   leg.mean_read_ms = leg.reads > 0 ? read_ms / leg.reads : 0;
   leg.mean_dml_ms = leg.dml > 0 ? dml_ms / leg.dml : 0;
-  leg.dml_executed = service.stats().dml_executed;
+  leg.dml_executed = (*db)->metrics().Get(kMetricDmlStatements);
   leg.trace_hash = hash.state;
   return leg;
 }
@@ -418,7 +418,7 @@ int Run(const bench::BenchArgs& args) {
       determinism_ok = false;
     }
     if (legs[i].dml_executed != static_cast<int64_t>(legs[i].dml)) {
-      std::cout << names[i] << ": service dml_executed "
+      std::cout << names[i] << ": exec.dml_statements "
                 << legs[i].dml_executed << " != driven " << legs[i].dml
                 << "\n";
       determinism_ok = false;

@@ -121,7 +121,7 @@ FanInResult RunFanIn(const bench::BenchArgs& args, const Config& config,
   service_options.num_workers = config.one_worker ? 1 : fanin;
   service_options.queue_capacity = fanin * 4;
   service_options.shared_scans = config.shared_scans;
-  QueryService service(db->executor(), service_options, &db->metrics());
+  QueryService service(db->executor(), service_options);
   // The whole uncovered range: a non-point predicate on a column with no
   // partial index, so it takes the full-scan path (shared when enabled).
   const Query query = Query::Range(0, 5001, kValueMax);

@@ -50,7 +50,7 @@ int main() {
   QueryServiceOptions service_options;
   service_options.num_workers = 4;
   service_options.queue_capacity = 32;
-  QueryService service(db.executor(), service_options, &db.metrics());
+  QueryService service(db.executor(), service_options);
   std::cout << "service up: " << service.num_workers()
             << " workers, queue capacity "
             << service.options().queue_capacity << "\n\n";
@@ -99,11 +99,11 @@ int main() {
             << db.metrics().Get(kMetricSharedScanAttaches)
             << " scans attached to an in-flight cursor)\n\n";
 
-  // 5. Service accounting.
-  const QueryServiceStats stats = service.stats();
-  std::cout << "submitted=" << stats.submitted
-            << " executed=" << stats.executed
-            << " rejected=" << stats.rejected << "\n";
+  // 5. Service accounting, in the database's one metrics registry.
+  const Metrics& metrics = db.metrics();
+  std::cout << "submitted=" << metrics.Get(kMetricServiceSubmitted)
+            << " executed=" << metrics.Get(kMetricServiceExecuted)
+            << " rejected=" << metrics.Get(kMetricServiceRejected) << "\n";
   service.Shutdown();
   return 0;
 }

@@ -135,6 +135,8 @@ inline constexpr char kMetricIbPartitionsDropped[] =
 inline constexpr char kMetricServiceSubmitted[] = "service.queries_submitted";
 inline constexpr char kMetricServiceRejected[] = "service.queries_rejected";
 inline constexpr char kMetricServiceExecuted[] = "service.queries_executed";
+/// Whole-statement re-runs after a transient or corruption failure.
+inline constexpr char kMetricServiceRetried[] = "service.queries_retried";
 inline constexpr char kMetricSharedScanAttaches[] = "sharedscan.attaches";
 inline constexpr char kMetricSharedScanPagesShared[] =
     "sharedscan.pages_shared";
@@ -147,7 +149,6 @@ inline constexpr char kMetricPartitionsQuarantined[] =
     "index_buffer.partitions_quarantined";
 inline constexpr char kMetricDegradedQueries[] = "exec.degraded_queries";
 inline constexpr char kMetricDmlStatements[] = "exec.dml_statements";
-inline constexpr char kMetricServiceDmlExecuted[] = "service.dml_executed";
 // Sharding layer (routing + scatter-gather; live in the router's own
 // registry, rolled into FleetCounters()).
 inline constexpr char kMetricShardStatementsRouted[] =
@@ -187,8 +188,6 @@ inline constexpr char kMetricShardBreakerFastFails[] =
     "shard.breaker_fast_fails";
 inline constexpr char kMetricShardLegsHedged[] = "shard.legs_hedged";
 inline constexpr char kMetricShardHedgeWins[] = "shard.hedge_wins";
-inline constexpr char kMetricShardLegsSkipped[] = "shard.legs_skipped";
-inline constexpr char kMetricShardPartialGathers[] = "shard.partial_gathers";
 inline constexpr char kMetricShardRestarts[] = "shard.restarts";
 // Scan-resistant eviction (segmented buffer pool) and shared scans.
 inline constexpr char kMetricBufferPromotions[] = "bufferpool.promotions";

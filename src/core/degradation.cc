@@ -1,15 +1,11 @@
 #include "core/degradation.h"
 
-#include <utility>
-
 namespace aib {
 
-void DegradationManager::Quarantine(const PartialIndex* index, size_t page,
-                                    size_t partition_id, std::string reason) {
+void DegradationManager::Quarantine(const PartialIndex* index, size_t page) {
   {
     std::lock_guard lock(mu_);
     quarantined_[index].insert(page);
-    events_.push_back({index, page, partition_id, std::move(reason)});
   }
   if (metrics_ != nullptr) metrics_->Increment(kMetricPartitionsQuarantined);
 }
@@ -21,21 +17,9 @@ bool DegradationManager::IsQuarantined(const PartialIndex* index,
   return it != quarantined_.end() && it->second.contains(page);
 }
 
-size_t DegradationManager::QuarantinedPageCount(
-    const PartialIndex* index) const {
-  std::lock_guard lock(mu_);
-  auto it = quarantined_.find(index);
-  return it == quarantined_.end() ? 0 : it->second.size();
-}
-
 void DegradationManager::OnCleanScan(const PartialIndex* index) {
   std::lock_guard lock(mu_);
   quarantined_.erase(index);
-}
-
-std::vector<QuarantineEvent> DegradationManager::events() const {
-  std::lock_guard lock(mu_);
-  return events_;
 }
 
 }  // namespace aib

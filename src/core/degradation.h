@@ -1,13 +1,10 @@
 #ifndef AIB_CORE_DEGRADATION_H_
 #define AIB_CORE_DEGRADATION_H_
 
-#include <atomic>
 #include <cstddef>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "common/metrics.h"
 #include "common/types.h"
@@ -15,15 +12,6 @@
 namespace aib {
 
 class PartialIndex;
-
-/// One quarantine decision: a fault hit `page` while it interacted with the
-/// Index Buffer of `index`, so that page's partition was dropped.
-struct QuarantineEvent {
-  const PartialIndex* index = nullptr;
-  size_t page = 0;
-  size_t partition_id = 0;
-  std::string reason;
-};
 
 /// Book-keeper for graceful degradation (ISSUE 3 / §1 of the paper): because
 /// the Index Buffer is a recovery-free scratch-pad, any partition may be
@@ -36,49 +24,32 @@ struct QuarantineEvent {
 /// the pages readable again, at which point the quarantine is lifted and the
 /// ordinary adaptive machinery rebuilds the dropped partitions on demand.
 ///
-/// Concurrency: self-synchronized leaf object (internal mutex around the
-/// quarantine set and event log, atomic degraded-query counter). With the
-/// space latch demoted to structural duty, quarantine checks from plan
-/// selection and covered probes run concurrently with quarantine/repair
-/// mutations; the mutex is a leaf in the latch hierarchy — no other latch
-/// is acquired while it is held.
+/// Concurrency: self-synchronized leaf object (an internal mutex around the
+/// quarantine set). With the space latch demoted to structural duty,
+/// quarantine checks from plan selection and covered probes run
+/// concurrently with quarantine/repair mutations; the mutex is a leaf in
+/// the latch hierarchy — no other latch is acquired while it is held.
 class DegradationManager {
  public:
   explicit DegradationManager(Metrics* metrics = nullptr)
       : metrics_(metrics) {}
 
-  /// Records one quarantine. Idempotent per (index, page) for the page set;
-  /// every call appends an event.
-  void Quarantine(const PartialIndex* index, size_t page, size_t partition_id,
-                  std::string reason);
+  /// Records one quarantine. Idempotent per (index, page); every call
+  /// counts in index_buffer.partitions_quarantined.
+  void Quarantine(const PartialIndex* index, size_t page);
 
   bool IsQuarantined(const PartialIndex* index, size_t page) const;
-
-  size_t QuarantinedPageCount(const PartialIndex* index) const;
 
   /// Lifts the quarantine for `index`: called after an indexing table scan
   /// covered every C[p] > 0 page without a fault, which demonstrates the
   /// previously failing pages read cleanly again.
   void OnCleanScan(const PartialIndex* index);
 
-  void RecordDegradedQuery() {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Snapshot of the quarantine event log (copied; the log may grow
-  /// concurrently).
-  std::vector<QuarantineEvent> events() const;
-  size_t degraded_queries() const {
-    return degraded_queries_.load(std::memory_order_relaxed);
-  }
-
  private:
   Metrics* metrics_;  // not owned; may be null
   mutable std::mutex mu_;
   std::unordered_map<const PartialIndex*, std::unordered_set<size_t>>
       quarantined_;
-  std::vector<QuarantineEvent> events_;
-  std::atomic<size_t> degraded_queries_{0};
 };
 
 }  // namespace aib

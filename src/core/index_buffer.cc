@@ -11,7 +11,7 @@ IndexBuffer::IndexBuffer(const PartialIndex* index, IndexBufferOptions options,
     : index_(index),
       options_(options),
       metrics_(metrics),
-      history_(options.lru_k, options.initial_interval) {
+      history_(kIndexBufferLruK, options.initial_interval) {
   assert(options_.partition_pages > 0);
   if (metrics_ != nullptr) {
     entries_added_ = metrics_->Counter(kMetricIbEntriesAdded);

@@ -18,13 +18,14 @@
 
 namespace aib {
 
+/// K of every Index Buffer's LRU-K history (§III-B).
+inline constexpr size_t kIndexBufferLruK = 2;
+
 struct IndexBufferOptions {
   /// P: maximum number of table pages one partition covers (paper: 10,000).
   size_t partition_pages = 10000;
   /// Index structure per partition.
   IndexStructureKind structure = IndexStructureKind::kBTree;
-  /// K of the LRU-K history.
-  size_t lru_k = 2;
   /// Seed value for all K history slots of a fresh buffer.
   double initial_interval = 100.0;
 };

@@ -78,11 +78,9 @@ class Executor {
   /// The statement membrane (see class comment). Every statement holds it
   /// shared; exclusive acquisition is reserved for quiesce points — tuner
   /// adaptation (Catalog::ExecuteStatement), snapshots, consistency audits,
-  /// and test/bench samplers that need the engine statement-free. Exposed
-  /// for execution paths that run plans without going through ExecutePlan
-  /// (the service's shared-scan path) — they must hold it shared for the
-  /// duration of the run. First in the latch order, before the space
-  /// structural latch and all partition-granular latches.
+  /// and test/bench samplers that need the engine statement-free. First in
+  /// the latch order, before the space structural latch and all
+  /// partition-granular latches.
   std::shared_mutex& statement_latch() const { return stmt_latch_; }
 
   PartialIndex* GetIndex(ColumnId column) const;
@@ -91,7 +89,9 @@ class Executor {
   /// partial-index miss of a column.
   void SetBufferOptions(IndexBufferOptions options);
 
-  const CostModel& cost_model() const { return cost_model_; }
+  /// The registry every statement outcome is counted in (null when the
+  /// executor was built without one). Not owned.
+  Metrics* metrics() const { return metrics_; }
 
   /// Enables morsel-parallel scans for every execution through this
   /// facade. `dispatcher` is borrowed and must outlive the Executor; null

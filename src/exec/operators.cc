@@ -426,23 +426,20 @@ Status IndexingTableScan::RunScanLeg(IndexBuffer* buffer,
     return scan;
   }
 
-  AIB_RETURN_IF_ERROR(QuarantineAndRepair(buffer, failure, scan));
+  AIB_RETURN_IF_ERROR(QuarantineAndRepair(buffer, failure));
   return PlainScanFallback(ctx);
 }
 
 Status IndexingTableScan::QuarantineAndRepair(
-    IndexBuffer* buffer, const IndexingScanFailure& failure,
-    const Status& cause) {
+    IndexBuffer* buffer, const IndexingScanFailure& failure) {
   // Recovery-free repair: drop the failing page's whole partition (always
   // legal), then restore C[page] to its pre-scan value — the page may have
   // been partially indexed when the fault struck, in which case both the
   // partition's coverage and the per-page entry count DropPartition
   // restores from are wrong for this page.
-  const size_t partition_id = buffer->PartitionIdFor(failure.page);
-  buffer->DropPartition(partition_id);
+  buffer->DropPartition(buffer->PartitionIdFor(failure.page));
   buffer->counters().Set(failure.page, failure.counter_before);
-  space_->degradation().Quarantine(index_, failure.page, partition_id,
-                                   cause.ToString());
+  space_->degradation().Quarantine(index_, failure.page);
   ++stats_.partitions_quarantined;
 
   // Re-validate the repaired buffer. Injection is suspended on this thread:
@@ -460,7 +457,6 @@ Status IndexingTableScan::QuarantineAndRepair(
 }
 
 Status IndexingTableScan::PlainScanFallback(ExecContext* ctx) {
-  space_->degradation().RecordDegradedQuery();
   stats_.degraded = true;
   // The plain scan reads every page and evaluates the whole conjunction, so
   // it subsumes the probe leg (buffer matches), the scan leg, and the

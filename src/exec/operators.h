@@ -217,8 +217,7 @@ class IndexingTableScan : public PhysicalOperator {
   /// quarantine, and re-validates the buffer (clearing it wholesale if the
   /// targeted repair did not restore the invariants).
   Status QuarantineAndRepair(IndexBuffer* buffer,
-                             const IndexingScanFailure& failure,
-                             const Status& cause);
+                             const IndexingScanFailure& failure);
 
   /// Degraded leg: answers the whole conjunction with a plain scan that
   /// never touches the Index Buffer; probe/tail contributions are cleared.

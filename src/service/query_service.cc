@@ -4,35 +4,12 @@
 
 namespace aib {
 
-namespace {
-
-/// Deadline/cancel wiring of one submission.
-QueryControl MakeControl(const SubmitOptions& submit,
-                         const QueryServiceOptions& options) {
-  QueryControl control;
-  const std::chrono::milliseconds budget =
-      submit.deadline.count() > 0 ? submit.deadline : options.default_deadline;
-  if (budget.count() > 0) {
-    control.deadline = std::chrono::steady_clock::now() + budget;
-  }
-  control.cancel = submit.cancel;
-  return control;
-}
-
-}  // namespace
-
-QueryService::QueryService(Executor* executor, QueryServiceOptions options,
-                           Metrics* metrics)
+QueryService::QueryService(Executor* executor, QueryServiceOptions options)
     : executor_(executor),
       options_(options),
-      metrics_(metrics),
-      scans_(metrics),
+      metrics_(executor->metrics()),
+      scans_(metrics_),
       queue_(options.queue_capacity) {
-  if (options_.scan_workers > 1) {
-    dispatcher_ =
-        std::make_unique<MorselDispatcher>(options_.scan_workers - 1);
-    executor_->SetParallelScan(dispatcher_.get(), options_.parallel_scan);
-  }
   size_t workers = options_.num_workers;
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
@@ -52,19 +29,16 @@ void QueryService::Shutdown() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  if (dispatcher_ != nullptr) {
-    // Unwire before tearing down the helper pool so the borrowed pointer
-    // in the Executor never dangles for post-shutdown direct callers.
-    executor_->SetParallelScan(nullptr);
-    dispatcher_.reset();
-  }
 }
 
 Result<std::future<Result<StatementResult>>> QueryService::Submit(
     const Statement& statement, const SubmitOptions& submit) {
   Request request;
   request.statement = statement;
-  request.control = MakeControl(submit, options_);
+  if (submit.deadline.count() > 0) {
+    request.control = QueryControl::WithDeadline(submit.deadline);
+  }
+  request.control.cancel = submit.cancel;
   std::future<Result<StatementResult>> future = request.promise.get_future();
   switch (queue_.TryPush(std::move(request))) {
     case PushResult::kClosed:
@@ -72,13 +46,11 @@ Result<std::future<Result<StatementResult>>> QueryService::Submit(
       // silently dropped or half-admitted.
       return Status::Cancelled("query service is shut down");
     case PushResult::kFull:
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       if (metrics_ != nullptr) metrics_->Increment(kMetricServiceRejected);
       return Status::Busy("admission queue full");
     case PushResult::kOk:
       break;
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ != nullptr) metrics_->Increment(kMetricServiceSubmitted);
   return future;
 }
@@ -105,27 +77,10 @@ void QueryService::WorkerLoop() {
     Result<StatementResult> result =
         admitted.ok() ? Run(request->statement, &request->control)
                       : Result<StatementResult>(admitted);
-    RecordOutcome(result.ok() ? Status::Ok() : result.status(),
-                  result.ok() && result.value().stats.degraded);
-    if (result.ok() && request->statement.IsDml()) {
-      dml_executed_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) metrics_->Increment(kMetricServiceDmlExecuted);
-    }
     // Count before publishing: a caller woken by the future must already
-    // see this request in stats().executed.
-    executed_.fetch_add(1, std::memory_order_relaxed);
+    // see this request in service.queries_executed.
     if (metrics_ != nullptr) metrics_->Increment(kMetricServiceExecuted);
     request->promise.set_value(std::move(result));
-  }
-}
-
-void QueryService::RecordOutcome(const Status& status, bool degraded) {
-  if (status.ok()) {
-    if (degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status.IsTimeout()) {
-    timed_out_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status.IsCancelled()) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -149,13 +104,11 @@ Result<StatementResult> QueryService::Run(const Statement& statement,
     PhysicalPlan plan(std::make_unique<SharedScanOperator>(
                           &scans_, table, statement.query.AllPredicates()),
                       table);
-    // This path bypasses Executor::ExecutePlan, so it must hold the
-    // statement membrane itself (shared, like every statement) to stay
-    // excluded from quiesce points; mutual exclusion against DML comes
-    // from the heap stripes the shared-scan operator latches.
-    std::shared_lock<std::shared_mutex> stmt_latch(
-        executor_->statement_latch());
-    return plan.Run(executor_->cost_model(), control);
+    // The same run as every plan: the statement membrane held shared, and
+    // the outcome counted in the executor's registry. Mutual exclusion
+    // against DML comes from the heap stripes the shared-scan operator
+    // latches.
+    return executor_->ExecutePlan(&plan, control);
   };
   Result<StatementResult> result = attempt();
   for (size_t retry = 0; retry < options_.max_query_retries; ++retry) {
@@ -167,24 +120,11 @@ Result<StatementResult> QueryService::Run(const Statement& statement,
     // mutated nothing (exec/dml_operators.h). Timeout/Cancelled are final.
     if (!status.IsTransient() && !status.IsCorruption()) break;
     if (control != nullptr && !control->Check().ok()) break;
-    retried_.fetch_add(1, std::memory_order_relaxed);
+    if (metrics_ != nullptr) metrics_->Increment(kMetricServiceRetried);
     std::this_thread::yield();
     result = attempt();
   }
   return result;
-}
-
-QueryServiceStats QueryService::stats() const {
-  QueryServiceStats stats;
-  stats.submitted = submitted_.load(std::memory_order_relaxed);
-  stats.rejected = rejected_.load(std::memory_order_relaxed);
-  stats.executed = executed_.load(std::memory_order_relaxed);
-  stats.timed_out = timed_out_.load(std::memory_order_relaxed);
-  stats.cancelled = cancelled_.load(std::memory_order_relaxed);
-  stats.retried = retried_.load(std::memory_order_relaxed);
-  stats.degraded = degraded_.load(std::memory_order_relaxed);
-  stats.dml_executed = dml_executed_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 }  // namespace aib

@@ -6,11 +6,7 @@
 
 namespace aib {
 
-SharedScanManager::SharedScanManager(Metrics* metrics) : metrics_(metrics) {
-  if (metrics_ != nullptr) {
-    served_counter_ = metrics_->Counter(kMetricScanPagesServed);
-  }
-}
+SharedScanManager::SharedScanManager(Metrics* metrics) : metrics_(metrics) {}
 
 /// One caller inside a scan group. Lives on the calling thread's stack for
 /// the duration of Scan and is unlinked before Scan returns.
@@ -121,22 +117,15 @@ Status SharedScanManager::Scan(
             }
           }
         } else {
-          int64_t delivered = 0;
           for (Member* m : group->members) {
             if (m->done) continue;
             ++m->pages_done;
-            ++delivered;
             if (m == &me) {
               ++m->pages_driven;
             } else {
               ++m->pages_shared;
             }
             if (m->pages_done >= group->page_count) m->done = true;
-          }
-          if (served_counter_ != nullptr) {
-            // One page served per member it was delivered to — the
-            // numerator of the page-reuse ratio.
-            served_counter_->fetch_add(delivered, std::memory_order_relaxed);
           }
           group->cursor = (group->cursor + 1) % group->page_count;
         }

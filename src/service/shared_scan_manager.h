@@ -66,8 +66,6 @@ class SharedScanManager {
   struct ScanGroup;
 
   Metrics* metrics_;  // not owned; may be null
-  /// Cached handle of exec.scan_pages_served (null without metrics).
-  std::atomic<int64_t>* served_counter_ = nullptr;
   mutable std::mutex mu_;
   std::map<const Table*, std::shared_ptr<ScanGroup>> groups_;
 };

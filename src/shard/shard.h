@@ -46,8 +46,8 @@ class Shard {
         options_(options),
         db_(std::make_unique<Database>(std::move(schema), options.db,
                                        "shard" + std::to_string(id))),
-        service_(std::make_unique<QueryService>(
-            db_->executor(), options.service, &db_->metrics())) {}
+        service_(std::make_unique<QueryService>(db_->executor(),
+                                                options.service)) {}
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -74,8 +74,8 @@ class Shard {
       // A failed snapshot/reload must not leave the node half-torn-down:
       // the old database is untouched, so stand a fresh service back over
       // it and surface the error with the shard still serving.
-      service_ = std::make_unique<QueryService>(
-          db_->executor(), options_.service, &db_->metrics());
+      service_ =
+          std::make_unique<QueryService>(db_->executor(), options_.service);
       return status;
     };
     std::stringstream snapshot(std::ios::in | std::ios::out |
@@ -88,8 +88,8 @@ class Shard {
     service_.reset();
     db_ = std::make_unique<Database>(std::move(catalog).value(),
                                      "shard" + std::to_string(id_));
-    service_ = std::make_unique<QueryService>(
-        db_->executor(), options_.service, &db_->metrics());
+    service_ =
+        std::make_unique<QueryService>(db_->executor(), options_.service);
     return Status::Ok();
   }
 

@@ -73,7 +73,9 @@ struct ShardStatement {
   bool IsDml() const { return kind != StatementKind::kSelect; }
 };
 
-/// Per-statement submission context at the shard layer.
+/// Per-statement submission context at the shard layer. A select whose
+/// leg reaches an open circuit breaker fails fast with that shard's
+/// Unavailable status; a fleet answer is never missing a shard's rows.
 struct ShardSubmitOptions {
   /// Whole-statement budget; every scatter leg inherits what remains of
   /// it. Zero = unbounded.
@@ -81,12 +83,6 @@ struct ShardSubmitOptions {
   /// Cooperative cancel: flipping the token cancels every in-flight leg at
   /// its next batch/page boundary.
   CancelToken cancel;
-  /// Degraded-gather opt-in for selects: legs refused by an open circuit
-  /// breaker are skipped instead of failing the statement — the result
-  /// carries the healthy legs plus `ShardResult::shards_skipped` and the
-  /// stats-level `degraded` marker. Without it, a select touching an
-  /// open-circuit shard fails fast with a per-shard Unavailable status.
-  bool allow_partial = false;
 };
 
 /// Result of one statement against a shard fleet. For selects, `rids`
@@ -103,10 +99,6 @@ struct ShardResult {
   size_t legs = 0;
   /// Legs re-dispatched after a transient fault or Busy admission.
   size_t legs_retried = 0;
-  /// Shards skipped under allow_partial (open circuit breaker), ascending.
-  /// Non-empty implies stats.degraded — the result is missing those
-  /// shards' rows by the caller's explicit choice.
-  std::vector<size_t> shards_skipped;
   /// Duplicate legs dispatched past the hedge delay, and how many of them
   /// beat their primary.
   size_t legs_hedged = 0;

@@ -40,6 +40,12 @@ std::chrono::milliseconds RemainingBudget(const QueryControl& control) {
 bool WaitLeg(const QueryControl& caller, const CancelToken& legs,
              std::future<Result<StatementResult>>& future,
              std::chrono::nanoseconds limit) {
+  if (limit == std::chrono::nanoseconds::max() && caller.cancel == nullptr) {
+    // Nothing to poll for: block. wait_for(max) would overflow adding the
+    // limit to now() and return at once, spinning this loop.
+    future.wait();
+    return true;
+  }
   const auto start = std::chrono::steady_clock::now();
   while (true) {
     const std::chrono::nanoseconds left =
@@ -191,8 +197,6 @@ struct ShardedDatabase::Leg {
   /// its outcome yet. Every claimed slot must resolve (success or
   /// failure), or the breaker wedges in HalfProbe.
   bool probe_pending = false;
-  /// Skipped under allow_partial (open circuit breaker).
-  bool skipped = false;
 };
 
 /// What the legs of one statement share.
@@ -209,7 +213,6 @@ struct ShardedDatabase::LegRun {
   CancelToken cancel = MakeCancelToken();
   Rng backoff_rng;
   size_t hedge_budget = 0;
-  bool allow_partial = false;
   size_t retried = 0;
   size_t hedged = 0;
   size_t hedge_wins = 0;
@@ -322,16 +325,13 @@ Result<StatementResult> ShardedDatabase::Collect(LegRun& run, Leg& leg) {
   return primary.get();
 }
 
-bool ShardedDatabase::FailsStatement(const LegRun& run, const Leg& leg,
+bool ShardedDatabase::FailsStatement(const Leg& leg,
                                      const Status& status) const {
-  // Degraded gather: the caller opted into missing an unavailable shard's
-  // rows rather than failing.
-  if (status.IsUnavailable() && run.allow_partial) return false;
   // Transient shortages and corruption are retriable per the recovery-free
   // argument (the shard quarantines and heals between attempts); Timeout,
   // Cancelled and an open breaker are final.
   const bool retriable = status.IsTransient() || status.IsCorruption();
-  return !retriable || leg.attempts > options_.max_leg_retries;
+  return !retriable || leg.attempts > kMaxLegRetries;
 }
 
 Result<StatementResult> ShardedDatabase::Await(LegRun& run, Leg& leg) {
@@ -356,13 +356,8 @@ Result<StatementResult> ShardedDatabase::Await(LegRun& run, Leg& leg) {
       }
       leg.probe_pending = false;
     }
-    if (FailsStatement(run, leg, status)) {
+    if (FailsStatement(leg, status)) {
       return AnnotateShardStatus(status, leg.shard, leg.attempts, health_);
-    }
-    if (status.IsUnavailable()) {
-      leg.skipped = true;
-      router_metrics_.Increment(kMetricShardLegsSkipped);
-      return StatementResult{};
     }
     // Only this leg re-runs.
     AIB_RETURN_IF_ERROR(run.control.Check());
@@ -373,8 +368,7 @@ Result<StatementResult> ShardedDatabase::Await(LegRun& run, Leg& leg) {
 
 Result<ShardResult> ShardedDatabase::RunLegs(const Statement& statement,
                                              const std::vector<size_t>& shards,
-                                             const QueryControl& control,
-                                             bool allow_partial) {
+                                             const QueryControl& control) {
   AIB_RETURN_IF_ERROR(control.Check());
   const bool select = statement.kind == StatementKind::kSelect;
   LegRun run(statement, control,
@@ -382,7 +376,6 @@ Result<ShardResult> ShardedDatabase::RunLegs(const Statement& statement,
                  options_.tolerance.seed,
                  statement_seq_.fetch_add(1, std::memory_order_relaxed)));
   run.hedge_budget = select ? options_.tolerance.hedge_budget : 0;
-  run.allow_partial = select && allow_partial;
 
   std::vector<Leg> legs;
   legs.reserve(shards.size());
@@ -395,7 +388,7 @@ Result<ShardResult> ShardedDatabase::RunLegs(const Statement& statement,
   // breakers for time the failed leg used up).
   for (Leg& leg : legs) {
     leg.dispatched = Dispatch(run, leg);
-    if (!leg.dispatched.ok() && FailsStatement(run, leg, leg.dispatched)) {
+    if (!leg.dispatched.ok() && FailsStatement(leg, leg.dispatched)) {
       status = AnnotateShardStatus(leg.dispatched, leg.shard, leg.attempts,
                                    health_);
       break;
@@ -412,11 +405,6 @@ Result<ShardResult> ShardedDatabase::RunLegs(const Statement& statement,
     if (!result.ok()) {
       status = result.status();
       break;
-    }
-    if (leg.skipped) {
-      out.shards_skipped.push_back(leg.shard);
-      out.stats.degraded = true;
-      continue;
     }
     for (const Rid& rid : result->rids) {
       out.rids.push_back(GlobalRid{static_cast<uint32_t>(leg.shard), rid});
@@ -450,22 +438,18 @@ Result<ShardResult> ShardedDatabase::RunLegs(const Statement& statement,
   out.legs_retried = run.retried;
   out.legs_hedged = run.hedged;
   out.hedge_wins = run.hedge_wins;
-  if (!out.shards_skipped.empty()) {
-    router_metrics_.Increment(kMetricShardPartialGathers);
-  }
   return out;
 }
 
 Result<ShardResult> ShardedDatabase::RunSelect(const Query& query,
-                                               const QueryControl& control,
-                                               bool allow_partial) {
+                                               const QueryControl& control) {
   const std::vector<size_t> targets = router_.ShardsForQuery(query);
   router_metrics_.Increment(targets.size() == 1
                                 ? kMetricShardStatementsRouted
                                 : kMetricShardScatterStatements);
   router_metrics_.Increment(kMetricShardLegsDispatched,
                             static_cast<int64_t>(targets.size()));
-  return RunLegs(Statement::Select(query), targets, control, allow_partial);
+  return RunLegs(Statement::Select(query), targets, control);
 }
 
 Result<ShardResult> ShardedDatabase::RunDml(const ShardStatement& statement,
@@ -475,7 +459,7 @@ Result<ShardResult> ShardedDatabase::RunDml(const ShardStatement& statement,
     case StatementKind::kInsert: {
       const size_t shard = router_.ShardForTuple(schema(), statement.tuple);
       AIB_ASSIGN_OR_RETURN(out, RunLegs(Statement::Insert(statement.tuple),
-                                        {shard}, control, false));
+                                        {shard}, control));
       break;
     }
     case StatementKind::kUpdate: {
@@ -488,7 +472,7 @@ Result<ShardResult> ShardedDatabase::RunDml(const ShardStatement& statement,
         AIB_ASSIGN_OR_RETURN(
             out, RunLegs(Statement::Update(statement.target.rid,
                                            statement.tuple),
-                         {current}, control, false));
+                         {current}, control));
         break;
       }
       // The new routing value moves the row: delete on the old owner,
@@ -501,9 +485,9 @@ Result<ShardResult> ShardedDatabase::RunDml(const ShardStatement& statement,
       AIB_ASSIGN_OR_RETURN(
           const ShardResult deleted,
           RunLegs(Statement::Delete(statement.target.rid), {current},
-                  control, false));
+                  control));
       AIB_ASSIGN_OR_RETURN(out, RunLegs(Statement::Insert(statement.tuple),
-                                        {owner}, QueryControl{}, false));
+                                        {owner}, QueryControl{}));
       out.rows_affected = 1;
       out.legs = 2;
       out.legs_retried += deleted.legs_retried;
@@ -517,7 +501,7 @@ Result<ShardResult> ShardedDatabase::RunDml(const ShardStatement& statement,
       }
       AIB_ASSIGN_OR_RETURN(out,
                            RunLegs(Statement::Delete(statement.target.rid),
-                                   {shard}, control, false));
+                                   {shard}, control));
       break;
     }
     case StatementKind::kSelect:
@@ -539,7 +523,7 @@ Result<ShardResult> ShardedDatabase::ExecuteStatement(
   }
   control.cancel = submit.cancel;
   if (statement.kind == StatementKind::kSelect) {
-    return RunSelect(statement.query, control, submit.allow_partial);
+    return RunSelect(statement.query, control);
   }
   return RunDml(statement, control);
 }

@@ -33,6 +33,11 @@ struct FleetToleranceOptions {
   BackoffPolicy busy_backoff;
 };
 
+/// Re-dispatches of a failed leg (transient/corruption) before the whole
+/// statement fails. Rides on top of each shard service's internal
+/// whole-statement retries.
+inline constexpr size_t kMaxLegRetries = 3;
+
 struct ShardedDatabaseOptions {
   ShardRouterOptions router;
   /// Applied to every shard node. Note the per-shard nature: N shards get
@@ -40,10 +45,6 @@ struct ShardedDatabaseOptions {
   /// Spaces of `db.space.max_entries` entries each — scale the per-shard
   /// budgets down when comparing fleet totals against a single node.
   ShardOptions shard;
-  /// Re-dispatches of a failed leg (transient/corruption) before the
-  /// whole statement fails. Rides on top of each shard service's internal
-  /// whole-statement retries.
-  size_t max_leg_retries = 3;
   FleetToleranceOptions tolerance;
 };
 
@@ -60,7 +61,7 @@ struct ShardedDatabaseOptions {
 /// (circuit-breaker gate, outage gate, jittered Busy backoff, Submit with
 /// what remains of the statement's deadline) and Await (wait, hedge a slow
 /// select leg, record the outcome in the breaker, re-dispatch a
-/// transient/corruption failure up to `max_leg_retries` — the
+/// transient/corruption failure up to `kMaxLegRetries` — the
 /// recovery-free property of §VII makes a failed leg safe to re-run).
 ///
 /// Fleet fault tolerance: a ShardFaultInjector can crash/hang/brownout
@@ -143,8 +144,7 @@ class ShardedDatabase {
   struct LegRun;
 
   Result<ShardResult> RunSelect(const Query& query,
-                                const QueryControl& control,
-                                bool allow_partial);
+                                const QueryControl& control);
   Result<ShardResult> RunDml(const ShardStatement& statement,
                              const QueryControl& control);
 
@@ -152,25 +152,22 @@ class ShardedDatabase {
   /// restart, dispatches every leg (stopping at the first refusal
   /// that fails the statement), then awaits the legs in shard order,
   /// checking `control` before each, and gathers their rids (tagged with
-  /// the shard) and merged stats. Hedging and `allow_partial` apply to
-  /// selects only.
+  /// the shard) and merged stats. Hedging applies to selects only.
   Result<ShardResult> RunLegs(const Statement& statement,
                               const std::vector<size_t>& shards,
-                              const QueryControl& control,
-                              bool allow_partial);
+                              const QueryControl& control);
 
   /// One dispatch attempt of `leg`: breaker gate, outage gate, then Submit
   /// with the remaining budget and jittered backoff while Busy.
   Status Dispatch(LegRun& run, Leg& leg);
 
   /// True when `status`, the failure of `leg`'s latest attempt, fails the
-  /// statement: neither skipped under allow_partial nor retriable.
-  bool FailsStatement(const LegRun& run, const Leg& leg,
-                      const Status& status) const;
+  /// statement: not retriable, or out of retries.
+  bool FailsStatement(const Leg& leg, const Status& status) const;
 
   /// The leg's result: waits (hedging when allowed), records the outcome
   /// in the breaker, and re-dispatches transient/corruption failures up
-  /// to `max_leg_retries`.
+  /// to `kMaxLegRetries`.
   Result<StatementResult> Await(LegRun& run, Leg& leg);
 
   /// Waits for the leg's future; past the shard's hedge delay, dispatches

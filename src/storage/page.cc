@@ -42,7 +42,11 @@ Status Page::Insert(std::span<const uint8_t> record, SlotId* slot_out) {
   const uint16_t data_start = GetU16(2);
   const uint16_t new_start =
       static_cast<uint16_t>(data_start - record.size());
-  std::memcpy(data_.data() + new_start, record.data(), record.size());
+  // An empty record's data() may be null, and memcpy from null is
+  // undefined even for zero bytes.
+  if (!record.empty()) {
+    std::memcpy(data_.data() + new_start, record.data(), record.size());
+  }
 
   const SlotId slot = slot_count();
   SetU16(SlotOffsetPos(slot), new_start);
@@ -82,7 +86,9 @@ Status Page::UpdateInPlace(SlotId slot, std::span<const uint8_t> record) {
   if (record.size() > old_length) {
     return Status::NoSpace("record grew beyond its slot");
   }
-  std::memcpy(data_.data() + offset, record.data(), record.size());
+  if (!record.empty()) {
+    std::memcpy(data_.data() + offset, record.data(), record.size());
+  }
   SetU16(SlotOffsetPos(slot) + 2, static_cast<uint16_t>(record.size()));
   return Status::Ok();
 }

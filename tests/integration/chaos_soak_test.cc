@@ -163,7 +163,7 @@ TEST_F(ChaosSoakTest, SoakMatchesFaultFreeOracle) {
   service_options.num_workers = 4;
   service_options.queue_capacity = 128;
   service_options.max_query_retries = 6;
-  QueryService service(db_->executor(), service_options, &db_->metrics());
+  QueryService service(db_->executor(), service_options);
 
   std::vector<std::pair<size_t, std::future<Result<StatementResult>>>> futures;
   futures.reserve(kQueries);
@@ -189,14 +189,18 @@ TEST_F(ChaosSoakTest, SoakMatchesFaultFreeOracle) {
   }
   service.Shutdown();
 
-  const QueryServiceStats stats = service.stats();
-  EXPECT_EQ(stats.submitted, static_cast<int64_t>(kQueries));
-  EXPECT_EQ(stats.executed, static_cast<int64_t>(kQueries));  // no hangs
+  const Metrics& metrics = db_->metrics();
+  EXPECT_EQ(metrics.Get(kMetricServiceSubmitted),
+            static_cast<int64_t>(kQueries));
+  EXPECT_EQ(metrics.Get(kMetricServiceExecuted),
+            static_cast<int64_t>(kQueries));  // no hangs
   // The run was an actual chaos run, not a silently disarmed one.
-  EXPECT_GT(db_->metrics().Get(kMetricFaultsInjected), 0);
-  EXPECT_GT(db_->metrics().Get(kMetricFaultLatencyTicks), 0);
-  EXPECT_GT(db_->metrics().Get(kMetricPartitionsQuarantined), 0);
-  EXPECT_GT(stats.degraded + stats.retried, 0);
+  EXPECT_GT(metrics.Get(kMetricFaultsInjected), 0);
+  EXPECT_GT(metrics.Get(kMetricFaultLatencyTicks), 0);
+  EXPECT_GT(metrics.Get(kMetricPartitionsQuarantined), 0);
+  EXPECT_GT(metrics.Get(kMetricDegradedQueries) +
+                metrics.Get(kMetricServiceRetried),
+            0);
 
   injector().Disarm();
   EXPECT_TRUE(CheckSpace().ok());
@@ -250,7 +254,7 @@ TEST_F(ChaosSoakTest, ExpiredDeadlineTimesOutWithoutDisturbingOthers) {
   QueryServiceOptions service_options;
   service_options.num_workers = 1;  // FIFO: the deadlined query waits
   service_options.queue_capacity = 512;
-  QueryService service(db_->executor(), service_options, &db_->metrics());
+  QueryService service(db_->executor(), service_options);
 
   // 200 cold uncovered queries in front: the single worker needs well over
   // a millisecond to drain them.
@@ -272,14 +276,13 @@ TEST_F(ChaosSoakTest, ExpiredDeadlineTimesOutWithoutDisturbingOthers) {
   }
   const Result<StatementResult> result = deadlined->get();
   EXPECT_TRUE(result.status().IsTimeout()) << result.status().ToString();
-  EXPECT_GE(service.stats().timed_out, 1);
   EXPECT_GE(db_->metrics().Get(kMetricQueriesTimedOut), 1);
 }
 
 TEST_F(ChaosSoakTest, CancelTokenResolvesFutureAsCancelled) {
   QueryServiceOptions service_options;
   service_options.num_workers = 2;
-  QueryService service(db_->executor(), service_options, &db_->metrics());
+  QueryService service(db_->executor(), service_options);
 
   SubmitOptions cancel_options;
   cancel_options.cancel = MakeCancelToken();
@@ -298,7 +301,7 @@ TEST_F(ChaosSoakTest, CancelTokenResolvesFutureAsCancelled) {
   Result<StatementResult> result = live->get();
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Sorted(result->rids), ExpectedFor(Query::Point(0, 10)));
-  EXPECT_GE(service.stats().cancelled, 1);
+  EXPECT_GE(db_->metrics().Get(kMetricQueriesCancelled), 1);
 }
 
 // Executor-level determinism: a pre-expired control aborts before any page

@@ -59,7 +59,7 @@ std::vector<std::vector<Rid>> RunLeg(Database* db,
   options.num_workers = num_workers;
   options.queue_capacity = 64;
   options.max_query_retries = 6;  // absorbs the injected corruption
-  QueryService service(db->executor(), options, &db->metrics());
+  QueryService service(db->executor(), options);
   std::vector<std::pair<size_t, std::future<Result<StatementResult>>>> futures;
   futures.reserve(workload.size());
   for (size_t i = 0; i < workload.size(); ++i) {

@@ -120,7 +120,7 @@ TEST(ColdDmlTest, MixedReadWriteStressWithTierChurn) {
   QueryServiceOptions service_options;
   service_options.num_workers = 4;
   service_options.queue_capacity = 64;
-  QueryService service(db->executor(), service_options, &db->metrics());
+  QueryService service(db->executor(), service_options);
 
   auto execute_statement = [&](const Statement& statement) {
     while (true) {
@@ -204,7 +204,7 @@ TEST(ColdDmlTest, MixedReadWriteStressWithTierChurn) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, column, v, v)));
   }
-  EXPECT_GT(service.stats().dml_executed, 0);
+  EXPECT_GT(db->metrics().Get(kMetricDmlStatements), 0);
 }
 
 }  // namespace

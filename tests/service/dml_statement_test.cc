@@ -17,6 +17,7 @@
 #include "../test_util.h"
 #include "common/rng.h"
 #include "core/consistency.h"
+#include "exec/morsel.h"
 #include "service/query_service.h"
 #include "workload/workload_gen.h"
 
@@ -333,14 +334,13 @@ TEST(DmlStatementTest, FacadeAndServiceShareOneMaintenancePath) {
   ASSERT_TRUE(
       CheckSpaceConsistency(service_db->table(), *service_db->space()).ok());
   EXPECT_EQ(SpaceFingerprint(*facade_db), SpaceFingerprint(*service_db));
-  const QueryServiceStats stats = service.stats();
-  EXPECT_GT(stats.dml_executed, 0);
+  EXPECT_GT(service_db->metrics().Get(kMetricDmlStatements), 0);
 }
 
 /// Serial-vs-parallel scan bit-identity with writers in the stream: the
 /// same mixed workload through two one-worker services, one with serial
-/// scans and one fanning morsels out to 4 scan workers, must produce
-/// identical rids, stats, and final adaptive state.
+/// scans and one whose executor fans morsels out to 4 scan workers, must
+/// produce identical rids, stats, and final adaptive state.
 TEST(DmlStatementTest, SerialVsParallelScansIdenticalWithDml) {
   MixedWorkloadOptions mixed;
   mixed.num_statements = 300;
@@ -356,16 +356,17 @@ TEST(DmlStatementTest, SerialVsParallelScansIdenticalWithDml) {
                               .covered_lo = 1, .covered_hi = 30,
                               .uncovered_lo = 31, .uncovered_hi = 300}};
 
-  auto run = [&](size_t scan_workers) {
+  auto run = [&](bool parallel) {
+    MorselDispatcher four_way(3);  // outlives the executor that borrows it
     DatabaseOptions options;
     options.max_tuples_per_page = 10;
     options.space.max_entries = 2000;
     options.space.max_pages_per_scan = 30;
     auto db = MakeSmallPaperDb(800, 300, 30, options);
     EXPECT_NE(db, nullptr);
+    if (parallel) db->executor()->SetParallelScan(&four_way);
     QueryServiceOptions service_options;
     service_options.num_workers = 1;
-    service_options.scan_workers = scan_workers;
     QueryService service(db->executor(), service_options);
 
     std::ostringstream trace;
@@ -412,8 +413,8 @@ TEST(DmlStatementTest, SerialVsParallelScansIdenticalWithDml) {
     return trace.str();
   };
 
-  const std::string serial = run(0);
-  const std::string parallel = run(4);
+  const std::string serial = run(false);
+  const std::string parallel = run(true);
   EXPECT_EQ(serial, parallel);
 }
 
@@ -432,7 +433,7 @@ TEST(DmlStatementTest, MixedReadWriteStress) {
   QueryServiceOptions service_options;
   service_options.num_workers = 4;
   service_options.queue_capacity = 64;
-  QueryService service(db->executor(), service_options, &db->metrics());
+  QueryService service(db->executor(), service_options);
 
   auto execute_statement = [&](const Statement& statement) {
     // Busy means admission backpressure — retry like a real client.
@@ -513,7 +514,7 @@ TEST(DmlStatementTest, MixedReadWriteStress) {
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(Sorted(result->rids), Sorted(GroundTruth(*db, column, v, v)));
   }
-  EXPECT_GT(service.stats().dml_executed, 0);
+  EXPECT_GT(db->metrics().Get(kMetricDmlStatements), 0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Morsel-dispatcher stress through the full service stack: QueryService
-// workers executing concurrently, each query's scan fanned out over the
-// service-owned MorselDispatcher (scan_workers > 1). Lives in the
+// workers executing concurrently, each query's scan fanned out over a
+// MorselDispatcher set on the executor. Lives in the
 // `concurrency` label so CI runs it under ThreadSanitizer.
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "../test_util.h"
 #include "core/consistency.h"
+#include "exec/morsel.h"
 #include "service/query_service.h"
 #include "storage/fault_injector.h"
 
@@ -56,6 +57,10 @@ class MorselStressTest : public ::testing::Test {
     options.buffer_pool_pages = 16;
     db_ = MakeSmallPaperDb(1000, 300, 30, options);
     ASSERT_NE(db_, nullptr);
+    ParallelScanOptions parallel;
+    parallel.min_pages_for_parallel = 1;
+    parallel.morsel_pages = 4;
+    db_->executor()->SetParallelScan(&dispatcher_, parallel);
     const Schema& schema = db_->table().schema();
     ASSERT_TRUE(db_->table()
                     .heap()
@@ -81,9 +86,6 @@ class MorselStressTest : public ::testing::Test {
     QueryServiceOptions options;
     options.num_workers = 4;
     options.queue_capacity = 64;
-    options.scan_workers = 4;  // service-owned MorselDispatcher
-    options.parallel_scan.min_pages_for_parallel = 1;
-    options.parallel_scan.morsel_pages = 4;
     return options;
   }
 
@@ -140,19 +142,21 @@ class MorselStressTest : public ::testing::Test {
     return CheckSpaceConsistency(db_->table(), *db_->space());
   }
 
+  /// 3 helpers + the calling worker; declared first so it outlives the
+  /// executor that borrows it.
+  MorselDispatcher dispatcher_{3};
   std::unique_ptr<Database> db_;
   std::map<std::pair<ColumnId, Value>, std::vector<Rid>> truth_;
 };
 
 TEST_F(MorselStressTest, ConcurrentQueriesWithParallelScansMatchOracle) {
   const std::vector<Query> workload = MakeWorkload(400);
-  QueryService service(db_->executor(), MorselServiceOptions(),
-                       &db_->metrics());
+  QueryService service(db_->executor(), MorselServiceOptions());
   RunWorkload(&service, workload);
   service.Shutdown();
 
-  const QueryServiceStats stats = service.stats();
-  EXPECT_EQ(stats.executed, static_cast<int64_t>(workload.size()));
+  EXPECT_EQ(db_->metrics().Get(kMetricServiceExecuted),
+            static_cast<int64_t>(workload.size()));
   EXPECT_TRUE(CheckSpace().ok());
 }
 
@@ -169,11 +173,12 @@ TEST_F(MorselStressTest, ParallelScansSurviveRateBasedChaos) {
   const std::vector<Query> workload = MakeWorkload(400);
   QueryServiceOptions options = MorselServiceOptions();
   options.max_query_retries = 6;
-  QueryService service(db_->executor(), options, &db_->metrics());
+  QueryService service(db_->executor(), options);
   RunWorkload(&service, workload);
   service.Shutdown();
 
-  EXPECT_EQ(service.stats().executed, static_cast<int64_t>(workload.size()));
+  EXPECT_EQ(db_->metrics().Get(kMetricServiceExecuted),
+            static_cast<int64_t>(workload.size()));
   EXPECT_GT(db_->metrics().Get(kMetricFaultsInjected), 0);
   db_->catalog().disk().fault_injector().Disarm();
   EXPECT_TRUE(CheckSpace().ok());

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <map>
+#include <mutex>
+#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -70,7 +73,7 @@ TEST_F(QueryServiceTest, SingleWorkerMatchesSequentialExecutor) {
   QueryServiceOptions service_options;
   service_options.num_workers = 1;
   service_options.queue_capacity = workload.size();
-  QueryService service(db_->executor(), service_options, &db_->metrics());
+  QueryService service(db_->executor(), service_options);
 
   std::vector<std::future<Result<StatementResult>>> futures;
   for (const Query& query : workload) {
@@ -97,10 +100,12 @@ TEST_F(QueryServiceTest, SingleWorkerMatchesSequentialExecutor) {
               sequential->stats.used_index_buffer);
     EXPECT_DOUBLE_EQ(concurrent->stats.cost, sequential->stats.cost);
   }
-  const QueryServiceStats stats = service.stats();
-  EXPECT_EQ(stats.submitted, static_cast<int64_t>(workload.size()));
-  EXPECT_EQ(stats.executed, static_cast<int64_t>(workload.size()));
-  EXPECT_EQ(stats.rejected, 0);
+  const Metrics& metrics = db_->metrics();
+  EXPECT_EQ(metrics.Get(kMetricServiceSubmitted),
+            static_cast<int64_t>(workload.size()));
+  EXPECT_EQ(metrics.Get(kMetricServiceExecuted),
+            static_cast<int64_t>(workload.size()));
+  EXPECT_EQ(metrics.Get(kMetricServiceRejected), 0);
 }
 
 TEST_F(QueryServiceTest, MultiWorkerStressKeepsResultsAndCountersSane) {
@@ -132,7 +137,7 @@ TEST_F(QueryServiceTest, MultiWorkerStressKeepsResultsAndCountersSane) {
   QueryServiceOptions service_options;
   service_options.num_workers = kWorkers;
   service_options.queue_capacity = 64;  // small enough to see backpressure
-  QueryService service(db_->executor(), service_options, &db_->metrics());
+  QueryService service(db_->executor(), service_options);
   ASSERT_EQ(service.num_workers(), kWorkers);
 
   // Submit from several producer threads, retrying on Busy, so admission
@@ -182,12 +187,10 @@ TEST_F(QueryServiceTest, MultiWorkerStressKeepsResultsAndCountersSane) {
   }
   EXPECT_GT(buffer_queries, 0u);
 
-  const QueryServiceStats stats = service.stats();
-  EXPECT_EQ(stats.executed, static_cast<int64_t>(kQueries));
-  EXPECT_EQ(stats.submitted, static_cast<int64_t>(kQueries));
   EXPECT_EQ(db_->metrics().Get(kMetricServiceExecuted),
             static_cast<int64_t>(kQueries));
-  EXPECT_EQ(db_->metrics().Get(kMetricServiceRejected), stats.rejected);
+  EXPECT_EQ(db_->metrics().Get(kMetricServiceSubmitted),
+            static_cast<int64_t>(kQueries));
 
   // The adaptive state survived 4-way concurrency structurally intact.
   ASSERT_NE(db_->space(), nullptr);
@@ -214,7 +217,7 @@ TEST_F(QueryServiceTest, SharedScanServiceAnswersUnindexedColumnQueries) {
 
   QueryServiceOptions service_options;
   service_options.num_workers = 4;
-  QueryService service((*db)->executor(), service_options, &(*db)->metrics());
+  QueryService service((*db)->executor(), service_options);
 
   std::vector<std::future<Result<StatementResult>>> futures;
   for (int i = 0; i < 16; ++i) {
@@ -231,6 +234,89 @@ TEST_F(QueryServiceTest, SharedScanServiceAnswersUnindexedColumnQueries) {
     EXPECT_EQ(Sorted(result->rids), expected);
     EXPECT_EQ(result->stats.pages_scanned, (*db)->table().PageCount());
   }
+}
+
+TEST_F(QueryServiceTest, CountsEachOutcomeOnceInMetrics) {
+  // An index-free table four times its pool: every select is a full scan
+  // on the shared-scan path, and page 0 is read from disk each time.
+  PaperSetupOptions options;
+  options.num_tuples = 1000;
+  options.value_min = 1;
+  options.value_max = 300;
+  options.payload_min = 1;
+  options.payload_max = 64;
+  options.seed = 5;
+  options.create_indexes = false;
+  options.db.max_tuples_per_page = 10;
+  options.db.buffer_pool_pages = 16;
+  auto built = BuildPaperDatabase(options);
+  ASSERT_TRUE(built.ok());
+  Database& db = **built;
+  const Metrics& metrics = db.metrics();
+  const Statement select = Statement::Select(Query::Point(0, 42));
+
+  QueryServiceOptions service_options;
+  service_options.num_workers = 1;
+  service_options.queue_capacity = 4;
+  QueryService service(db.executor(), service_options);
+
+  // Ok.
+  ASSERT_TRUE(service.ExecuteStatement(select).ok());
+  // Retried: a corrupt read of page 0 fails the first run, the re-run
+  // reads it cleanly.
+  FaultInjector& injector = db.catalog().disk().fault_injector();
+  injector.InjectPageFault(FaultOp::kRead, db.table().heap().PageIdAt(0),
+                           FaultKind::kCorruption);
+  ASSERT_TRUE(service.ExecuteStatement(select).ok());
+  EXPECT_EQ(injector.faults_injected(), 1u);
+
+  // Quiesce the engine: the worker stops at the membrane of the next
+  // statement it takes, and everything submitted after it queues.
+  std::unique_lock<std::shared_mutex> quiesce(
+      db.executor()->statement_latch());
+  SubmitOptions mid_run;
+  mid_run.deadline = std::chrono::milliseconds(100);
+  auto timed_out_mid_run = service.Submit(select, mid_run);
+  ASSERT_TRUE(timed_out_mid_run.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  SubmitOptions in_queue;
+  in_queue.deadline = std::chrono::milliseconds(1);
+  auto timed_out_in_queue = service.Submit(select, in_queue);
+  ASSERT_TRUE(timed_out_in_queue.ok());
+  SubmitOptions cancel;
+  cancel.cancel = MakeCancelToken();
+  auto cancelled = service.Submit(select, cancel);
+  ASSERT_TRUE(cancelled.ok());
+  // Fill the queue until it refuses one statement.
+  std::vector<std::future<Result<StatementResult>>> fill;
+  for (;;) {
+    Result<std::future<Result<StatementResult>>> submitted =
+        service.Submit(select);
+    if (!submitted.ok()) {
+      ASSERT_TRUE(submitted.status().IsBusy());
+      break;
+    }
+    fill.push_back(std::move(submitted).value());
+  }
+  cancel.cancel->store(true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  quiesce.unlock();
+
+  // The first expires while the worker holds it, the second in the queue.
+  EXPECT_TRUE(timed_out_mid_run->get().status().IsTimeout());
+  EXPECT_TRUE(timed_out_in_queue->get().status().IsTimeout());
+  EXPECT_TRUE(cancelled->get().status().IsCancelled());
+  for (auto& future : fill) EXPECT_TRUE(future.get().ok());
+
+  const int64_t accepted = 5 + static_cast<int64_t>(fill.size());
+  EXPECT_EQ(metrics.Get(kMetricServiceSubmitted), accepted);
+  EXPECT_EQ(metrics.Get(kMetricServiceExecuted), accepted);
+  EXPECT_EQ(metrics.Get(kMetricServiceRejected), 1);
+  EXPECT_EQ(metrics.Get(kMetricServiceRetried), 1);
+  EXPECT_EQ(metrics.Get(kMetricQueriesTimedOut), 2);
+  EXPECT_EQ(metrics.Get(kMetricQueriesCancelled), 1);
+  EXPECT_EQ(metrics.Get(kMetricDegradedQueries), 0);
+  EXPECT_EQ(metrics.Get(kMetricDmlStatements), 0);
 }
 
 TEST_F(QueryServiceTest, SubmitAfterShutdownIsCancelled) {
@@ -254,7 +340,7 @@ TEST_F(QueryServiceTest, SubmitAfterShutdownIsCancelled) {
       service.ExecuteStatement(Statement::Delete(Rid{0, 0}));
   EXPECT_TRUE(execute_after.status().IsCancelled());
   // A closed queue is not a full one: nothing counts as a Busy rejection.
-  EXPECT_EQ(service.stats().rejected, 0);
+  EXPECT_EQ(db_->metrics().Get(kMetricServiceRejected), 0);
 }
 
 TEST_F(QueryServiceTest, DestructorDrainsAcceptedRequests) {

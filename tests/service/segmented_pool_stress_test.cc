@@ -13,6 +13,7 @@
 
 #include "../test_util.h"
 #include "common/rng.h"
+#include "exec/morsel.h"
 #include "service/query_service.h"
 #include "workload/database.h"
 
@@ -104,31 +105,35 @@ TEST(SegmentedPoolStressTest, SharedScanFanInMatchesOracle) {
   QueryServiceOptions options;
   options.num_workers = 4;
   options.queue_capacity = 64;
-  QueryService service(db->executor(), options, &db->metrics());
+  QueryService service(db->executor(), options);
   RunWorkload(db.get(), &service, workload);
   service.Shutdown();
 
-  EXPECT_EQ(service.stats().executed, static_cast<int64_t>(workload.size()));
+  EXPECT_EQ(db->metrics().Get(kMetricServiceExecuted),
+            static_cast<int64_t>(workload.size()));
   EXPECT_GT(db->metrics().Get(kMetricScanPagesServed), 0);
 }
 
 TEST(SegmentedPoolStressTest, MorselFanInMatchesOracle) {
   // The other scan path: shared scans off, so every query fans out over
   // the morsel dispatcher, whose workers fetch from the same small pool.
+  MorselDispatcher dispatcher(3);  // outlives the executor that borrows it
   auto db = MakeSmallPoolDb(1000);
+  ParallelScanOptions parallel;
+  parallel.min_pages_for_parallel = 1;
+  parallel.morsel_pages = 4;
+  db->executor()->SetParallelScan(&dispatcher, parallel);
   const std::vector<Query> workload = MakeWorkload(48);
   QueryServiceOptions options;
   options.num_workers = 4;
   options.queue_capacity = 64;
   options.shared_scans = false;
-  options.scan_workers = 4;
-  options.parallel_scan.min_pages_for_parallel = 1;
-  options.parallel_scan.morsel_pages = 4;
-  QueryService service(db->executor(), options, &db->metrics());
+  QueryService service(db->executor(), options);
   RunWorkload(db.get(), &service, workload);
   service.Shutdown();
 
-  EXPECT_EQ(service.stats().executed, static_cast<int64_t>(workload.size()));
+  EXPECT_EQ(db->metrics().Get(kMetricServiceExecuted),
+            static_cast<int64_t>(workload.size()));
   // The pool is far too small for the table, so the concurrent scans kept
   // evicting each other's pages and reading them again.
   EXPECT_GT(db->metrics().Get(kMetricBufferMisses),

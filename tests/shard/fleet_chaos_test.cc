@@ -16,7 +16,7 @@ namespace aib {
 namespace {
 
 // Fleet fault tolerance acceptance: whole-shard outages (crash, hang,
-// brownout), the per-shard circuit breakers they trip, degraded gathers,
+// brownout), the per-shard circuit breakers they trip and fail fast on,
 // hedged legs, and shard restarts that stay bit-identical to a
 // never-crashed twin.
 
@@ -134,50 +134,22 @@ TEST(FleetChaosTest, CrashedShardFailsFastWithAnnotatedStatus) {
   EXPECT_GT(fleet->FleetCounters().at(kMetricShardBreakerFastFails), 0);
 }
 
-TEST(FleetChaosTest, AllowPartialGatherSkipsOpenCircuitShard) {
+TEST(FleetChaosTest, OpenCircuitScatterFailsFast) {
   ShardedDatabaseOptions options = FleetOptions();
   // A probe window long enough that the breaker stays open for the whole
   // test.
   options.tolerance.breaker.probe_backoff.base = microseconds{10000000};
   auto fleet = MakeFleet(options);
-
-  // Baseline scatter before any outage: count rows per shard.
-  Result<ShardResult> baseline =
-      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
-  ASSERT_TRUE(baseline.ok());
-  size_t rows_on_crashed = 0;
   const size_t crashed = 1;
-  for (const GlobalRid& grid : baseline->rids) {
-    if (grid.shard == crashed) ++rows_on_crashed;
-  }
-  ASSERT_GT(rows_on_crashed, 0u);
-
   OpenBreakerViaCrash(fleet.get(), crashed);
 
-  // Without the opt-in, a scatter touching the open-circuit shard fails
-  // fast with the per-shard status.
+  // A scatter touching the open-circuit shard fails fast with the
+  // per-shard status; a fleet answer never silently misses a shard.
   Result<ShardResult> refused =
       fleet->ExecuteStatement(ShardStatement::Select(kScatterAll));
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(refused.status().IsUnavailable())
       << refused.status().ToString();
-
-  // With it, the gather returns every healthy leg plus the degraded
-  // marker and the skipped-shard report.
-  ShardSubmitOptions partial;
-  partial.allow_partial = true;
-  Result<ShardResult> degraded =
-      fleet->ExecuteStatement(ShardStatement::Select(kScatterAll), partial);
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_TRUE(degraded->stats.degraded);
-  ASSERT_EQ(degraded->shards_skipped.size(), 1u);
-  EXPECT_EQ(degraded->shards_skipped[0], crashed);
-  EXPECT_EQ(degraded->rids.size(), baseline->rids.size() - rows_on_crashed);
-  for (const GlobalRid& grid : degraded->rids) {
-    EXPECT_NE(grid.shard, crashed);
-  }
-  EXPECT_GT(fleet->FleetCounters().at(kMetricShardPartialGathers), 0);
-  EXPECT_GT(fleet->FleetCounters().at(kMetricShardLegsSkipped), 0);
 
   // Healthy-pruned statements never consult the crashed shard at all.
   Result<ShardResult> routed =
@@ -407,11 +379,11 @@ TEST(FleetChaosTest, CallerCancelReachesRunningLegs) {
     Result<ShardResult> result = Status::Internal("not run");
     std::unique_lock<std::shared_mutex> quiesce(
         node.db().executor()->statement_latch());
-    const int64_t submitted = node.service().stats().submitted;
+    const int64_t submitted = node.metrics().Get(kMetricServiceSubmitted);
     std::thread caller(
         [&] { result = fleet->ExecuteStatement(statement, submit); });
     const auto give_up = std::chrono::steady_clock::now() + milliseconds{5000};
-    while (node.service().stats().submitted == submitted &&
+    while (node.metrics().Get(kMetricServiceSubmitted) == submitted &&
            std::chrono::steady_clock::now() < give_up) {
       std::this_thread::sleep_for(milliseconds{1});
     }
@@ -639,7 +611,6 @@ TEST(FleetChaosTest, ConcurrentOutagesAndRestartsStayCoherent) {
       for (size_t i = 0; i < kStatementsPerThread; ++i) {
         ShardSubmitOptions submit;
         submit.deadline = milliseconds{2000};
-        submit.allow_partial = (i % 2) == 0;
         const Value v =
             static_cast<Value>(rng.UniformInt(kLoadLo, kLoadHi));
         Result<ShardResult> result =

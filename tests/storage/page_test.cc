@@ -126,6 +126,22 @@ TEST(PageTest, UpdateInPlaceRejectsGrowth) {
   EXPECT_EQ(AsString(record), "tiny");  // unchanged on failure
 }
 
+TEST(PageTest, EmptyRecordsInsertAndUpdate) {
+  Page page(512);
+  const std::vector<uint8_t> empty;  // data() may be null
+  SlotId empty_slot;
+  ASSERT_TRUE(page.Insert(empty, &empty_slot).ok());
+  SlotId slot;
+  ASSERT_TRUE(page.Insert(Bytes("abc"), &slot).ok());
+  ASSERT_TRUE(page.UpdateInPlace(slot, empty).ok());
+  std::span<const uint8_t> record;
+  ASSERT_TRUE(page.Read(empty_slot, &record).ok());
+  EXPECT_TRUE(record.empty());
+  ASSERT_TRUE(page.Read(slot, &record).ok());
+  EXPECT_TRUE(record.empty());
+  EXPECT_EQ(page.live_count(), 2);
+}
+
 TEST(PageTest, UpdateDeletedSlotFails) {
   Page page(512);
   SlotId slot;

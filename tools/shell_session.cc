@@ -879,7 +879,7 @@ bool ShellSession::ExecuteShardedLine(const std::vector<std::string>& tokens) {
         out_ << "  shard " << s << ": pages_read="
              << metrics.Get(kMetricPagesRead)
              << " executed=" << metrics.Get(kMetricServiceExecuted)
-             << " dml=" << metrics.Get(kMetricServiceDmlExecuted)
+             << " dml=" << metrics.Get(kMetricDmlStatements)
              << " faults=" << metrics.Get(kMetricFaultsInjected)
              << " retries=" << metrics.Get(kMetricTransientRetries)
              << " latch_waits=" << metrics.Get(kMetricLatchWaits)
