@@ -4,7 +4,7 @@
 
 namespace aib {
 
-std::atomic<int64_t>* Metrics::FindOrCreate(const std::string& name) {
+std::atomic<int64_t>* Metrics::FindOrCreate(std::string_view name) {
   Shard& shard = ShardFor(name);
   {
     std::shared_lock lock(shard.mu);
@@ -13,7 +13,7 @@ std::atomic<int64_t>* Metrics::FindOrCreate(const std::string& name) {
     }
   }
   std::unique_lock lock(shard.mu);
-  auto [it, inserted] = shard.counters.try_emplace(name);
+  auto [it, inserted] = shard.counters.try_emplace(std::string(name));
   if (inserted) it->second = std::make_unique<std::atomic<int64_t>>(0);
   return it->second.get();
 }

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/histogram.h"
@@ -29,7 +30,7 @@ class Metrics {
   Metrics(const Metrics&) = delete;
   Metrics& operator=(const Metrics&) = delete;
 
-  void Increment(const std::string& name, int64_t delta = 1) {
+  void Increment(std::string_view name, int64_t delta = 1) {
     FindOrCreate(name)->fetch_add(delta, std::memory_order_relaxed);
   }
 
@@ -39,11 +40,11 @@ class Metrics {
   /// are heap-allocated and never move — EXCEPT across Reset(), which
   /// drops the counters a handle points into; re-resolve after Reset()
   /// (engine components never Reset a live registry; only tests do).
-  std::atomic<int64_t>* Counter(const std::string& name) {
+  std::atomic<int64_t>* Counter(std::string_view name) {
     return FindOrCreate(name);
   }
 
-  int64_t Get(const std::string& name) const {
+  int64_t Get(std::string_view name) const {
     const Shard& shard = ShardFor(name);
     std::shared_lock lock(shard.mu);
     auto it = shard.counters.find(name);
@@ -92,21 +93,30 @@ class Metrics {
  private:
   static constexpr size_t kShards = 16;
 
+  /// Transparent: a lookup by a kMetric* constant builds no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   struct Shard {
     mutable std::shared_mutex mu;
     /// Values are heap-allocated so rehashing never moves a live atomic.
-    std::unordered_map<std::string, std::unique_ptr<std::atomic<int64_t>>>
+    std::unordered_map<std::string, std::unique_ptr<std::atomic<int64_t>>,
+                       NameHash, std::equal_to<>>
         counters;
   };
 
-  const Shard& ShardFor(const std::string& name) const {
-    return shards_[std::hash<std::string>{}(name) % kShards];
+  const Shard& ShardFor(std::string_view name) const {
+    return shards_[NameHash{}(name) % kShards];
   }
-  Shard& ShardFor(const std::string& name) {
-    return shards_[std::hash<std::string>{}(name) % kShards];
+  Shard& ShardFor(std::string_view name) {
+    return shards_[NameHash{}(name) % kShards];
   }
 
-  std::atomic<int64_t>* FindOrCreate(const std::string& name);
+  std::atomic<int64_t>* FindOrCreate(std::string_view name);
 
   std::array<Shard, kShards> shards_;
 

@@ -1,6 +1,7 @@
 #include "common/partition_latch.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 namespace aib {
@@ -29,8 +30,9 @@ Lock LockTimed(Mutex& mu, std::atomic<int64_t>* waits, Metrics* metrics) {
 
 PartitionLatchTable::PartitionLatchTable(Metrics* metrics, size_t stripes)
     : metrics_(metrics) {
-  stripes_.reserve(stripes == 0 ? 1 : stripes);
-  for (size_t i = 0; i < (stripes == 0 ? 1 : stripes); ++i) {
+  stripes = std::clamp<size_t>(stripes, 1, 64);
+  stripes_.reserve(stripes);
+  for (size_t i = 0; i < stripes; ++i) {
     stripes_.push_back(std::make_unique<std::shared_mutex>());
   }
   if (metrics_ != nullptr) {
@@ -40,102 +42,71 @@ PartitionLatchTable::PartitionLatchTable(Metrics* metrics, size_t stripes)
   }
 }
 
-void PartitionLatchTable::LockStripe(uint32_t stripe, bool exclusive) {
-  std::shared_mutex& mu = *stripes_[stripe];
-  if (exclusive) {
-    auto lock = LockTimed<std::unique_lock<std::shared_mutex>>(mu, waits_,
-                                                               metrics_);
-    lock.release();  // ownership tracked by the LatchSet
-  } else {
-    auto lock =
-        LockTimed<std::shared_lock<std::shared_mutex>>(mu, waits_, metrics_);
-    lock.release();
-  }
-}
-
-void PartitionLatchTable::UnlockStripe(uint32_t stripe, bool exclusive) {
-  if (exclusive) {
-    stripes_[stripe]->unlock();
-  } else {
-    stripes_[stripe]->unlock_shared();
-  }
-}
-
 PartitionLatchTable::LatchSet PartitionLatchTable::AcquireStripes(
-    std::vector<uint32_t> stripes, bool exclusive) {
-  std::sort(stripes.begin(), stripes.end());
-  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
+    StripeMask stripes, bool exclusive) {
   LatchSet set;
   set.table_ = this;
-  set.held_.reserve(stripes.size());
-  for (uint32_t stripe : stripes) {
-    LockStripe(stripe, exclusive);
-    set.held_.emplace_back(stripe, exclusive);
+  set.held_ = stripes;
+  set.exclusive_ = exclusive;
+  // Ascending stripe order: lowest set bit first.
+  for (StripeMask rest = stripes; rest != 0; rest &= rest - 1) {
+    std::shared_mutex& mu = *stripes_[std::countr_zero(rest)];
+    if (exclusive) {
+      LockTimed<std::unique_lock<std::shared_mutex>>(mu, waits_, metrics_)
+          .release();  // ownership tracked by the LatchSet
+    } else {
+      LockTimed<std::shared_lock<std::shared_mutex>>(mu, waits_, metrics_)
+          .release();
+    }
   }
   std::atomic<int64_t>* counter =
       exclusive ? exclusive_acquires_ : shared_acquires_;
-  if (counter != nullptr && !stripes.empty()) {
-    counter->fetch_add(static_cast<int64_t>(stripes.size()),
-                       std::memory_order_relaxed);
+  if (counter != nullptr && stripes != 0) {
+    counter->fetch_add(std::popcount(stripes), std::memory_order_relaxed);
   }
   return set;
 }
 
 PartitionLatchTable::LatchSet PartitionLatchTable::AcquireAllShared() {
-  std::vector<uint32_t> stripes(stripes_.size());
-  for (size_t i = 0; i < stripes.size(); ++i) {
-    stripes[i] = static_cast<uint32_t>(i);
-  }
-  return AcquireStripes(std::move(stripes), /*exclusive=*/false);
-}
-
-PartitionLatchTable::LatchSet PartitionLatchTable::AcquireShared(
-    const std::vector<size_t>& keys) {
-  std::vector<uint32_t> stripes;
-  stripes.reserve(keys.size());
-  for (size_t key : keys) {
-    stripes.push_back(static_cast<uint32_t>(StripeOf(key)));
-  }
-  return AcquireStripes(std::move(stripes), /*exclusive=*/false);
+  return AcquireStripes(~StripeMask{0} >> (64 - stripes_.size()),
+                        /*exclusive=*/false);
 }
 
 PartitionLatchTable::LatchSet PartitionLatchTable::AcquireExclusive(
     const std::vector<size_t>& keys) {
-  std::vector<uint32_t> stripes;
-  stripes.reserve(keys.size());
-  for (size_t key : keys) {
-    stripes.push_back(static_cast<uint32_t>(StripeOf(key)));
-  }
-  return AcquireStripes(std::move(stripes), /*exclusive=*/true);
+  StripeMask stripes = 0;
+  for (size_t key : keys) stripes |= MaskOf(key);
+  return AcquireStripes(stripes, /*exclusive=*/true);
 }
 
 void PartitionLatchTable::LatchSet::Release() {
   if (table_ == nullptr) return;
-  // Reverse acquisition order, symmetric with the ascending lock loop.
-  for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
-    table_->UnlockStripe(it->first, it->second);
+  // Release order does not matter for deadlock freedom; ascending is
+  // cheapest to walk.
+  for (; held_ != 0; held_ &= held_ - 1) {
+    std::shared_mutex& mu = *table_->stripes_[std::countr_zero(held_)];
+    exclusive_ ? mu.unlock() : mu.unlock_shared();
   }
-  held_.clear();
   table_ = nullptr;
 }
 
-std::unique_lock<std::shared_mutex> AcquireExclusiveTimed(
-    std::shared_mutex& mu, Metrics* metrics) {
-  std::atomic<int64_t>* waits =
-      metrics != nullptr ? metrics->Counter(kMetricLatchWaits) : nullptr;
+std::unique_lock<std::shared_mutex> PartitionLatchTable::AcquireExclusiveTimed(
+    std::shared_mutex& mu) const {
   auto lock =
-      LockTimed<std::unique_lock<std::shared_mutex>>(mu, waits, metrics);
-  if (metrics != nullptr) metrics->Increment(kMetricLatchExclusiveAcquires);
+      LockTimed<std::unique_lock<std::shared_mutex>>(mu, waits_, metrics_);
+  if (exclusive_acquires_ != nullptr) {
+    exclusive_acquires_->fetch_add(1, std::memory_order_relaxed);
+  }
   return lock;
 }
 
-std::shared_lock<std::shared_mutex> AcquireSharedTimed(std::shared_mutex& mu,
-                                                       Metrics* metrics) {
-  std::atomic<int64_t>* waits =
-      metrics != nullptr ? metrics->Counter(kMetricLatchWaits) : nullptr;
+std::shared_lock<std::shared_mutex> PartitionLatchTable::AcquireSharedTimed(
+    std::shared_mutex& mu) const {
   auto lock =
-      LockTimed<std::shared_lock<std::shared_mutex>>(mu, waits, metrics);
-  if (metrics != nullptr) metrics->Increment(kMetricLatchSharedAcquires);
+      LockTimed<std::shared_lock<std::shared_mutex>>(mu, waits_, metrics_);
+  if (shared_acquires_ != nullptr) {
+    shared_acquires_->fetch_add(1, std::memory_order_relaxed);
+  }
   return lock;
 }
 

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -41,6 +40,10 @@ class PartitionLatchTable {
   // keeping page-collision probability low.
   static constexpr size_t kDefaultStripes = 32;
 
+  /// A set of stripes, bit s for stripe s: `stripes` is clamped to
+  /// [1, 64], so a set is one word and building one allocates nothing.
+  using StripeMask = uint64_t;
+
   explicit PartitionLatchTable(Metrics* metrics = nullptr,
                                size_t stripes = kDefaultStripes);
 
@@ -49,6 +52,7 @@ class PartitionLatchTable {
 
   size_t stripe_count() const { return stripes_.size(); }
   size_t StripeOf(size_t key) const { return key % stripes_.size(); }
+  StripeMask MaskOf(size_t key) const { return StripeMask{1} << StripeOf(key); }
   Metrics* metrics() const { return metrics_; }
 
   /// Mixes a (domain, id) pair into one key, for tables whose keys span
@@ -68,9 +72,10 @@ class PartitionLatchTable {
       if (this != &other) {
         Release();
         table_ = other.table_;
-        held_ = std::move(other.held_);
+        held_ = other.held_;
+        exclusive_ = other.exclusive_;
         other.table_ = nullptr;
-        other.held_.clear();
+        other.held_ = 0;
       }
       return *this;
     }
@@ -79,13 +84,13 @@ class PartitionLatchTable {
     ~LatchSet() { Release(); }
 
     void Release();
-    bool empty() const { return held_.empty(); }
+    bool empty() const { return held_ == 0; }
 
    private:
     friend class PartitionLatchTable;
     PartitionLatchTable* table_ = nullptr;
-    /// (stripe, exclusive), ascending by stripe.
-    std::vector<std::pair<uint32_t, bool>> held_;
+    StripeMask held_ = 0;
+    bool exclusive_ = false;
   };
 
   /// Every stripe, shared: the whole-object reader acquisition scans use
@@ -93,18 +98,26 @@ class PartitionLatchTable {
   /// band for its duration).
   LatchSet AcquireAllShared();
 
-  /// The stripes of `keys` (deduplicated, ascending), shared. Used by the
-  /// optimistic probe path to pin just the probed pages' bands.
-  LatchSet AcquireShared(const std::vector<size_t>& keys);
+  /// `stripes` (ascending), shared. Used by the optimistic probe path to
+  /// pin just the probed pages' bands (a mask of MaskOf(page)).
+  LatchSet AcquireShared(StripeMask stripes) {
+    return AcquireStripes(stripes, /*exclusive=*/false);
+  }
 
   /// The stripes of `keys` (deduplicated, ascending), exclusive. The DML
   /// writer acquisition: only readers of the mutated bands wait.
   LatchSet AcquireExclusive(const std::vector<size_t>& keys);
 
+  /// Contention-accounted acquisition of a standalone latch (the demoted
+  /// space structural latch, per-buffer scan sentinels), counted in this
+  /// table's counters: same fast path and metrics contract as a stripe.
+  std::unique_lock<std::shared_mutex> AcquireExclusiveTimed(
+      std::shared_mutex& mu) const;
+  std::shared_lock<std::shared_mutex> AcquireSharedTimed(
+      std::shared_mutex& mu) const;
+
  private:
-  LatchSet AcquireStripes(std::vector<uint32_t> stripes, bool exclusive);
-  void LockStripe(uint32_t stripe, bool exclusive);
-  void UnlockStripe(uint32_t stripe, bool exclusive);
+  LatchSet AcquireStripes(StripeMask stripes, bool exclusive);
 
   Metrics* metrics_;
   /// Heap-allocated so the table is movable-free and stripes never move.
@@ -113,14 +126,6 @@ class PartitionLatchTable {
   std::atomic<int64_t>* exclusive_acquires_ = nullptr;
   std::atomic<int64_t>* waits_ = nullptr;
 };
-
-/// Contention-accounted acquisition of a standalone latch (the demoted
-/// space structural latch, per-buffer scan sentinels): same fast
-/// path/metrics contract as the striped table.
-std::unique_lock<std::shared_mutex> AcquireExclusiveTimed(
-    std::shared_mutex& mu, Metrics* metrics);
-std::shared_lock<std::shared_mutex> AcquireSharedTimed(std::shared_mutex& mu,
-                                                       Metrics* metrics);
 
 /// Optimistic-read accounting (see PartialIndexProbe): one retry = a
 /// version validation failed and the probe re-ran; one fallback = the retry

@@ -275,7 +275,8 @@ PageSelection IndexBufferSpace::SelectPagesForBuffer(IndexBuffer* target) {
   std::vector<std::unique_lock<std::shared_mutex>> sentinels;
   sentinels.reserve(victim_buffers.size());
   for (IndexBuffer* buffer : victim_buffers) {
-    sentinels.push_back(AcquireExclusiveTimed(buffer->scan_latch(), metrics_));
+    sentinels.push_back(
+        partition_latches_.AcquireExclusiveTimed(buffer->scan_latch()));
   }
   for (size_t i = 0; i < committed_victims; ++i) {
     if (options_.eviction_mode == EvictionMode::kDemote) {

@@ -12,10 +12,9 @@ Status PageCounters::InitFromTable(const Table& table,
   std::vector<uint32_t> fresh(table.PageCount(), 0);
   for (size_t page = 0; page < table.PageCount(); ++page) {
     uint32_t unindexed = 0;
-    AIB_RETURN_IF_ERROR(table.heap().ForEachTupleOnPage(
-        page, [&](const Rid&, const Tuple& tuple) {
-          const Value v = tuple.IntValue(table.schema(), index.column());
-          if (!index.Covers(v)) ++unindexed;
+    AIB_RETURN_IF_ERROR(table.heap().ForEachRecordOnPage(
+        page, [&](const Rid&, std::span<const Value> ints) {
+          if (!index.Covers(ints[index.column()])) ++unindexed;
         }));
     fresh[page] = unindexed;
   }

@@ -31,8 +31,8 @@ DmlOperator::WriteLatches DmlOperator::AcquireWriteLatches(
   for (const auto& [column, index] : *indexes_) {
     IndexBuffer* buffer = space_->GetBuffer(index);
     if (buffer == nullptr) continue;
-    latches.sentinels.push_back(AcquireSharedTimed(
-        buffer->scan_latch(), space_->partition_latches().metrics()));
+    latches.sentinels.push_back(
+        space_->partition_latches().AcquireSharedTimed(buffer->scan_latch()));
     for (const size_t page : pages) {
       partition_keys.push_back(static_cast<size_t>(PartitionLatchTable::MixKey(
           column, buffer->PartitionIdFor(page))));

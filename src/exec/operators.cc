@@ -121,12 +121,12 @@ Status PartialIndexProbe::ProbeOptimistically() {
     const uint64_t v0 = index_->version();
     probe();
     if (auto& hook = ProbeConflictHook(); hook) hook();
-    // Translate the probed rids to dense page numbers — pure directory
-    // lookups — and latch exactly those pages shared. A rid whose page
-    // cannot be resolved is a conflict in another guise (the directory
-    // changed under the probe) and retries like a version mismatch.
-    std::vector<size_t> pages;
-    pages.reserve(pending_.size());
+    // Translate the probed rids to dense page numbers — lock-free O(1)
+    // directory reads — and latch exactly those pages' stripes shared. A
+    // rid whose page cannot be resolved is a conflict in another guise
+    // (the directory changed under the probe) and retries like a version
+    // mismatch.
+    PartitionLatchTable::StripeMask stripes = 0;
     bool translated = true;
     for (const Rid& rid : pending_) {
       const Result<size_t> page = table.PageNumberOf(rid);
@@ -134,10 +134,10 @@ Status PartialIndexProbe::ProbeOptimistically() {
         translated = false;
         break;
       }
-      pages.push_back(page.value());
+      stripes |= latches.MaskOf(page.value());
     }
     if (translated) {
-      page_latch_ = latches.AcquireShared(pages);
+      page_latch_ = latches.AcquireShared(stripes);
       if (index_->version() == v0) return Status::Ok();
       page_latch_.Release();
     }
@@ -330,8 +330,8 @@ Status IndexingTableScan::Open(ExecContext* ctx) {
   probe_->BindBuffer(buffer);
 
   heap_latch_ = table_->page_latches().AcquireAllShared();
-  sentinel_ = AcquireExclusiveTimed(buffer->scan_latch(),
-                                    table_->page_latches().metrics());
+  sentinel_ =
+      table_->page_latches().AcquireExclusiveTimed(buffer->scan_latch());
 
   // Promote the cold partitions this query's driving range will probe back
   // into the hot tier (demote mode; no-op under kDrop) *before* Algorithm 2

@@ -13,7 +13,9 @@ PartialIndex::PartialIndex(const Table* table, ColumnId column,
       coverage_(std::move(coverage)),
       kind_(kind),
       structure_(CreateIndexStructure(kind)),
-      metrics_(metrics) {
+      metrics_(metrics),
+      probes_(metrics != nullptr ? metrics->Counter(kMetricIndexProbes)
+                                 : nullptr) {
   assert(table_->schema().column(column_).type == ColumnType::kInt32);
 }
 
@@ -21,17 +23,26 @@ Status PartialIndex::Build() {
   std::unique_lock lock(mu_);
   structure_->Clear();
   version_.fetch_add(1, std::memory_order_release);
-  return table_->heap().ForEachTuple([&](const Rid& rid, const Tuple& tuple) {
-    const Value v = tuple.IntValue(table_->schema(), column_);
-    if (coverage_.Covers(v)) {
-      structure_->Insert(v, rid);
-      if (metrics_ != nullptr) metrics_->Increment(kMetricIndexInserts);
-    }
-  });
+  int64_t inserted = 0;
+  Status status = Status::Ok();
+  const HeapFile& heap = table_->heap();
+  for (size_t page = 0; page < heap.PageCount() && status.ok(); ++page) {
+    status = heap.ForEachRecordOnPage(
+        page, [&](const Rid& rid, std::span<const Value> ints) {
+          if (coverage_.Covers(ints[column_])) {
+            structure_->Insert(ints[column_], rid);
+            ++inserted;
+          }
+        });
+  }
+  if (metrics_ != nullptr && inserted > 0) {
+    metrics_->Increment(kMetricIndexInserts, inserted);
+  }
+  return status;
 }
 
 void PartialIndex::Lookup(Value v, std::vector<Rid>* out) const {
-  if (metrics_ != nullptr) metrics_->Increment(kMetricIndexProbes);
+  if (probes_ != nullptr) probes_->fetch_add(1, std::memory_order_relaxed);
   std::shared_lock lock(mu_);
   structure_->Lookup(v, out);
 }
@@ -39,7 +50,7 @@ void PartialIndex::Lookup(Value v, std::vector<Rid>* out) const {
 void PartialIndex::Scan(Value lo, Value hi,
                         const std::function<void(Value, const Rid&)>& fn)
     const {
-  if (metrics_ != nullptr) metrics_->Increment(kMetricIndexProbes);
+  if (probes_ != nullptr) probes_->fetch_add(1, std::memory_order_relaxed);
   std::shared_lock lock(mu_);
   structure_->Scan(lo, hi, fn);
 }

@@ -100,6 +100,8 @@ class PartialIndex {
   IndexStructureKind kind_;
   std::unique_ptr<IndexStructure> structure_;
   Metrics* metrics_;
+  /// Cached index.probes handle (null when metrics_ is null).
+  std::atomic<int64_t>* probes_;
 
   mutable std::shared_mutex mu_;
   std::atomic<uint64_t> version_{0};

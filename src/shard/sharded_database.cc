@@ -164,7 +164,7 @@ Result<Tuple> ShardedDatabase::FetchRow(const GlobalRid& grid) const {
   // concurrent statement may be mutating that page.
   AIB_ASSIGN_OR_RETURN(const size_t page, table.PageNumberOf(grid.rid));
   const PartitionLatchTable::LatchSet latch =
-      table.page_latches().AcquireShared({page});
+      table.page_latches().AcquireShared(table.page_latches().MaskOf(page));
   return table.Get(grid.rid);
 }
 

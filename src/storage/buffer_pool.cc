@@ -28,7 +28,7 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity, Metrics* metrics,
     const size_t shard_capacity =
         capacity_ / num_shards + (s < capacity_ % num_shards ? 1 : 0);
     Shard& shard = shards_[s];
-    shard.frames.resize(shard_capacity);
+    shard.frames = std::vector<Frame>(shard_capacity);
     shard.free_frames.reserve(shard_capacity);
     for (size_t i = shard_capacity; i > 0; --i) {
       shard.free_frames.push_back(static_cast<uint32_t>(i - 1));
@@ -46,6 +46,37 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity, Metrics* metrics,
 Result<Page*> BufferPool::FetchPage(PageId page_id) {
   Shard& shard = ShardFor(page_id);
   std::unique_lock<std::mutex> lock(shard.mu);
+  AIB_ASSIGN_OR_RETURN(const uint32_t index, PinLocked(shard, page_id, lock));
+  return &*shard.frames[index].page;
+}
+
+void BufferPool::Prefetch(std::span<const Rid> rids,
+                          std::span<const uint32_t> sel) const {
+  // Each stage reads only what the stage before brought in.
+  for (const uint32_t i : sel) {
+    const Shard& shard = ShardFor(rids[i].page_id);
+    __builtin_prefetch(shard.table.Slot(SlotOf(rids[i].page_id)));
+    __builtin_prefetch(&shard.mu, /*rw=*/1);
+  }
+  for (const uint32_t i : sel) {
+    const Shard& shard = ShardFor(rids[i].page_id);
+    const uint32_t index = FindFrame(shard, rids[i].page_id);
+    if (index != kNoFrame) __builtin_prefetch(&shard.frames[index], 1);
+  }
+  for (const uint32_t i : sel) {
+    const Shard& shard = ShardFor(rids[i].page_id);
+    const uint32_t index = FindFrame(shard, rids[i].page_id);
+    if (index == kNoFrame) continue;
+    const uint8_t* bytes =
+        shard.frames[index].bytes.load(std::memory_order_relaxed);
+    if (bytes == nullptr) continue;
+    __builtin_prefetch(bytes);
+    __builtin_prefetch(bytes + Page::SlotOffsetPos(rids[i].slot));
+  }
+}
+
+Result<uint32_t> BufferPool::PinLocked(Shard& shard, PageId page_id,
+                                       std::unique_lock<std::mutex>& lock) {
   std::chrono::steady_clock::time_point deadline;
   bool waited = false;
   for (;;) {
@@ -65,7 +96,7 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
       if (hits_counter_ != nullptr) {
         hits_counter_->fetch_add(1, std::memory_order_relaxed);
       }
-      return &*frame.page;
+      return index;
     }
 
     Result<uint32_t> victim = GetVictimFrame(shard);
@@ -92,7 +123,10 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
 
     const uint32_t frame_index = victim.value();
     Frame& frame = shard.frames[frame_index];
-    if (!frame.page.has_value()) frame.page.emplace(disk_->page_size());
+    if (!frame.page.has_value()) {
+      frame.page.emplace(disk_->page_size());
+      frame.bytes.store(frame.page->raw().data(), std::memory_order_relaxed);
+    }
     if (Status read = ReadWithRetry(page_id, &*frame.page);
         !read.ok()) {
       // The victim frame was already detached from the table/LRU; hand it
@@ -105,15 +139,13 @@ Result<Page*> BufferPool::FetchPage(PageId page_id) {
     frame.dirty = false;
     frame.protected_seg = false;  // misses enter on probation
     frame.in_list = false;
-    const size_t slot = SlotOf(page_id);
-    if (slot >= shard.table.size()) shard.table.resize(slot + 1, kNoFrame);
-    shard.table[slot] = frame_index;
+    shard.table.Store(SlotOf(page_id), frame_index + 1);
     ++shard.cached;
     ++shard.misses;
     if (misses_counter_ != nullptr) {
       misses_counter_->fetch_add(1, std::memory_order_relaxed);
     }
-    return &*frame.page;
+    return frame_index;
   }
 }
 
@@ -172,7 +204,7 @@ Result<uint32_t> BufferPool::GetVictimFrame(Shard& shard) {
   if (frame.dirty) {
     AIB_RETURN_IF_ERROR(WriteWithRetry(frame.page_id, *frame.page));
   }
-  shard.table[SlotOf(frame.page_id)] = kNoFrame;
+  shard.table.Store(SlotOf(frame.page_id), 0);
   --shard.cached;
   return index;
 }
@@ -249,16 +281,20 @@ Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
   if (index == kNoFrame) {
     return Status::InvalidArgument("unpin of unbuffered page");
   }
-  Frame& frame = shard.frames[index];
-  if (frame.pin_count <= 0) {
+  if (shard.frames[index].pin_count <= 0) {
     return Status::InvalidArgument("unpin of unpinned page");
   }
+  UnpinLocked(shard, index, dirty);
+  return Status::Ok();
+}
+
+void BufferPool::UnpinLocked(Shard& shard, uint32_t frame_index, bool dirty) {
+  Frame& frame = shard.frames[frame_index];
   frame.dirty = frame.dirty || dirty;
   if (--frame.pin_count == 0) {
-    PushUnpinned(shard, index);
+    PushUnpinned(shard, frame_index);
     shard.frame_unpinned.notify_all();
   }
-  return Status::Ok();
 }
 
 Status BufferPool::FlushPage(PageId page_id) {
@@ -276,28 +312,19 @@ Status BufferPool::FlushPage(PageId page_id) {
 
 Status BufferPool::FlushAll() {
   // Every shard latched (in shard order, the only multi-shard acquisition)
-  // so the walk can interleave the shards' tables into one ascending page
-  // id sequence: slot i of shard s holds page i * shards + s.
+  // so the walk can visit the shards' tables in one ascending page id
+  // sequence.
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
-  size_t slots = 0;
-  for (Shard& shard : shards_) {
-    locks.emplace_back(shard.mu);
-    slots = std::max(slots, shard.table.size());
-  }
-  for (size_t slot = 0; slot < slots; ++slot) {
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      Shard& shard = shards_[s];
-      if (slot >= shard.table.size() || shard.table[slot] == kNoFrame) {
-        continue;
-      }
-      Frame& frame = shard.frames[shard.table[slot]];
-      if (frame.dirty) {
-        AIB_RETURN_IF_ERROR(WriteWithRetry(
-            static_cast<PageId>(slot * shards_.size() + s), *frame.page));
-        frame.dirty = false;
-      }
-    }
+  for (Shard& shard : shards_) locks.emplace_back(shard.mu);
+  const size_t pages = disk_->PageCount();
+  for (size_t page = 0; page < pages; ++page) {
+    const PageId page_id = static_cast<PageId>(page);
+    Shard& shard = ShardFor(page_id);
+    const uint32_t index = FindFrame(shard, page_id);
+    if (index == kNoFrame || !shard.frames[index].dirty) continue;
+    AIB_RETURN_IF_ERROR(WriteWithRetry(page_id, *shard.frames[index].page));
+    shard.frames[index].dirty = false;
   }
   return Status::Ok();
 }

@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "common/grow_only_array.h"
 #include "common/metrics.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -100,6 +102,28 @@ class BufferPool {
   /// Unpins the page; `dirty` marks the frame for write-back on eviction.
   Status UnpinPage(PageId page_id, bool dirty);
 
+  /// A short read-only visit: runs `read(const Page&)` on `page_id` under
+  /// its shard latch, one latch hold for FetchPage + UnpinPage's two, with
+  /// exactly their LRU/segment moves and counters. A latched frame cannot
+  /// be evicted, so no pin outlives the call. `read` must not call back
+  /// into the pool.
+  template <typename Read>
+  Status VisitPage(PageId page_id, Read&& read) {
+    Shard& shard = ShardFor(page_id);
+    std::unique_lock<std::mutex> lock(shard.mu);
+    AIB_ASSIGN_OR_RETURN(const uint32_t index, PinLocked(shard, page_id, lock));
+    read(static_cast<const Page&>(*shard.frames[index].page));
+    UnpinLocked(shard, index, /*dirty=*/false);
+    return Status::Ok();
+  }
+
+  /// Cache hints for visits to `rids[i]`, i in `sel` (an index answer),
+  /// stage by stage across all their pages so one stage's misses overlap:
+  /// page-table slot and shard latch, frame, page header and slot entry.
+  /// Takes no latch, reads only atomics, moves nothing.
+  void Prefetch(std::span<const Rid> rids,
+                std::span<const uint32_t> sel) const;
+
   /// Writes the frame back to disk if dirty; no-op for unbuffered pages.
   Status FlushPage(PageId page_id);
 
@@ -132,6 +156,8 @@ class BufferPool {
     /// Held inline, one pointer hop less per fetch; constructed on the
     /// frame's first use, so an idle frame costs no page of memory.
     std::optional<Page> page;
+    /// page's bytes, set when it is built (they never move), for Prefetch.
+    std::atomic<const uint8_t*> bytes{nullptr};
   };
 
   /// Intrusive doubly-linked list of unpinned frames, least recently used
@@ -150,11 +176,11 @@ class BufferPool {
     std::condition_variable frame_unpinned;
     std::vector<Frame> frames;
     std::vector<uint32_t> free_frames;
-    /// Dense page table: slot page_id / shards -> frame index, kNoFrame if
+    /// Dense page table: slot page_id / shards -> frame index + 1, 0 if
     /// the page is not buffered. Page ids are dense per disk, and this
     /// shard holds exactly the ids congruent to it modulo the shard count.
-    /// Grows on demand to the largest slot loaded.
-    std::vector<uint32_t> table;
+    /// Written under the latch; Prefetch reads it without.
+    GrowOnlyArray table;
     /// Pages currently mapped in `table`.
     size_t cached = 0;
     /// Unpinned *probationary* frames, least-recently-used first. Under
@@ -182,12 +208,17 @@ class BufferPool {
   /// Table slot of `page_id` within its shard.
   size_t SlotOf(PageId page_id) const { return page_id / shards_.size(); }
 
-  /// Frame buffering `page_id` in `shard`, or kNoFrame. Requires the shard
-  /// latch held.
+  /// Frame buffering `page_id` in `shard`, or kNoFrame. Exact under the
+  /// shard latch; without it (Prefetch) the answer may already be stale.
   uint32_t FindFrame(const Shard& shard, PageId page_id) const {
-    const size_t slot = SlotOf(page_id);
-    return slot < shard.table.size() ? shard.table[slot] : kNoFrame;
+    const uint32_t entry = shard.table.Load(SlotOf(page_id));
+    return entry == 0 ? kNoFrame : entry - 1;
   }
+
+  /// FetchPage's and UnpinPage's work under the held shard latch.
+  Result<uint32_t> PinLocked(Shard& shard, PageId page_id,
+                             std::unique_lock<std::mutex>& lock);
+  void UnpinLocked(Shard& shard, uint32_t frame_index, bool dirty);
 
   /// Picks a frame to (re)use in `shard`: a free one, else the coldest
   /// unpinned probationary one, else the coldest unpinned protected one.

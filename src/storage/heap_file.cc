@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <mutex>
 
 namespace aib {
 
@@ -16,21 +15,27 @@ bool HeapFile::UnderTupleCap(const Page& page) const {
          page.live_count() < options_.max_tuples_per_page;
 }
 
-PageId HeapFile::PageIdAt(size_t page_index) const {
-  std::shared_lock lock(dir_mu_);
-  return page_index < page_ids_.size() ? page_ids_[page_index]
-                                       : kInvalidPageId;
-}
-
 Result<size_t> HeapFile::PageIndexOf(PageId page_id) const {
-  // Page ids are allocated densely per disk manager; within one heap file
-  // they are also contiguous in allocation order, so binary search suffices.
-  std::shared_lock lock(dir_mu_);
-  auto it = std::lower_bound(page_ids_.begin(), page_ids_.end(), page_id);
-  if (it == page_ids_.end() || *it != page_id) {
+  const uint32_t entry = page_numbers_.Load(page_id);
+  if (entry == 0) {
     return Status::InvalidArgument("rid does not belong to this table");
   }
-  return static_cast<size_t>(it - page_ids_.begin());
+  return static_cast<size_t>(entry - 1);
+}
+
+void HeapFile::AppendPage(PageId page_id) {
+  // Both entries before the count: a reader that sees the count, or the
+  // PageId -> number entry, also sees the number -> PageId entry.
+  const size_t index = page_count_.load(std::memory_order_relaxed);
+  page_ids_.Store(index, page_id);
+  page_numbers_.Store(page_id, static_cast<uint32_t>(index + 1));
+  page_count_.store(index + 1, std::memory_order_release);
+}
+
+std::vector<PageId> HeapFile::page_ids() const {
+  std::vector<PageId> ids(PageCount());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = PageIdAt(i);
+  return ids;
 }
 
 Result<Rid> HeapFile::Insert(const Tuple& tuple) {
@@ -39,11 +44,7 @@ Result<Rid> HeapFile::Insert(const Tuple& tuple) {
   // Try the tail page first; heap order is append order. Only one insert
   // runs at a time (Table::append_mutex()), so the tail cannot change
   // between the read and the append below.
-  PageId tail = kInvalidPageId;
-  {
-    std::shared_lock lock(dir_mu_);
-    if (!page_ids_.empty()) tail = page_ids_.back();
-  }
+  const PageId tail = PageIdAt(PageCount() - 1);
   if (tail != kInvalidPageId) {
     AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(tail));
     if (UnderTupleCap(*page) && record.size() <= page->FreeSpace()) {
@@ -58,11 +59,7 @@ Result<Rid> HeapFile::Insert(const Tuple& tuple) {
   }
 
   const PageId page_id = disk_->AllocatePage();
-  {
-    std::unique_lock lock(dir_mu_);
-    page_ids_.push_back(page_id);
-    page_count_.store(page_ids_.size(), std::memory_order_release);
-  }
+  AppendPage(page_id);
   AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
   SlotId slot;
   const Status status = page->Insert(record, &slot);
@@ -73,15 +70,13 @@ Result<Rid> HeapFile::Insert(const Tuple& tuple) {
 }
 
 Result<Tuple> HeapFile::Get(const Rid& rid) const {
-  AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
-  std::span<const uint8_t> record;
-  const Status read_status = page->Read(rid.slot, &record);
-  if (!read_status.ok()) {
-    AIB_RETURN_IF_ERROR(pool_->UnpinPage(rid.page_id, false));
-    return read_status;
-  }
-  Result<Tuple> tuple = Tuple::Deserialize(*schema_, record);
-  AIB_RETURN_IF_ERROR(pool_->UnpinPage(rid.page_id, false));
+  Result<Tuple> tuple = Status::Ok();
+  AIB_RETURN_IF_ERROR(pool_->VisitPage(rid.page_id, [&](const Page& page) {
+    std::span<const uint8_t> record;
+    const Status read = page.Read(rid.slot, &record);
+    tuple = read.ok() ? Tuple::Deserialize(*schema_, record)
+                      : Result<Tuple>(read);
+  }));
   return tuple;
 }
 
@@ -102,28 +97,34 @@ Status HeapFile::FetchLive(std::span<const Rid> rids,
   // Decoded int columns of the current record, indexed by column id; only
   // needed (and only allocated) when lanes are requested.
   std::vector<Value> decoded(columns.empty() ? 0 : schema_->num_columns());
-  PageId pinned = kInvalidPageId;
-  const Page* page = nullptr;
+  // Rids are hinted a window ahead of the visits, so the misses of a small
+  // answer's pages overlap (BufferPool::Prefetch).
+  constexpr size_t kHintWindow = 16;
+  size_t hinted = 0;
+  size_t next = 0;
   Status status = Status::Ok();
-  for (const uint32_t index : sel) {
-    const Rid& rid = rids[index];
-    if (rid.page_id != pinned) {
-      if (page != nullptr) {
-        AIB_RETURN_IF_ERROR(pool_->UnpinPage(pinned, false));
-        page = nullptr;
+  while (next < sel.size() && status.ok()) {
+    if (next >= hinted) {
+      hinted = std::min(sel.size(), next + kHintWindow);
+      pool_->Prefetch(rids, sel.subspan(next, hinted - next));
+    }
+    // One visit per run of consecutive rids on a page.
+    const PageId page_id = rids[sel[next]].page_id;
+    AIB_RETURN_IF_ERROR(pool_->VisitPage(page_id, [&](const Page& page) {
+      for (; next < sel.size() && rids[sel[next]].page_id == page_id;
+           ++next) {
+        std::span<const uint8_t> record;
+        status = page.Read(rids[sel[next]].slot, &record);
+        if (status.ok()) {
+          status = Tuple::CheckRecord(*schema_, record, decoded);
+        }
+        if (!status.ok()) return;
+        for (size_t j = 0; j < columns.size(); ++j) {
+          (*lanes)[j].push_back(decoded[columns[j]]);
+        }
       }
-      AIB_ASSIGN_OR_RETURN(page, pool_->FetchPage(rid.page_id));
-      pinned = rid.page_id;
-    }
-    std::span<const uint8_t> record;
-    status = page->Read(rid.slot, &record);
-    if (status.ok()) status = Tuple::CheckRecord(*schema_, record, decoded);
-    if (!status.ok()) break;
-    for (size_t j = 0; j < columns.size(); ++j) {
-      (*lanes)[j].push_back(decoded[columns[j]]);
-    }
+    }));
   }
-  if (page != nullptr) AIB_RETURN_IF_ERROR(pool_->UnpinPage(pinned, false));
   return status;
 }
 
@@ -157,19 +158,37 @@ Result<uint16_t> HeapFile::LiveTuplesOnPage(size_t page_index) const {
   if (page_id == kInvalidPageId) {
     return Status::InvalidArgument("page index out of range");
   }
-  AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
-  const uint16_t live = page->live_count();
-  AIB_RETURN_IF_ERROR(pool_->UnpinPage(page_id, false));
+  uint16_t live = 0;
+  AIB_RETURN_IF_ERROR(pool_->VisitPage(
+      page_id, [&](const Page& page) { live = page.live_count(); }));
   return live;
 }
+
+namespace {
+
+/// Calls `on_record(rid, record)` for each live record of `page_id`, in
+/// slot order, until it returns a non-OK status; pins the page meanwhile.
+template <typename OnRecord>
+Status WalkPage(BufferPool* pool, PageId page_id, OnRecord&& on_record) {
+  if (page_id == kInvalidPageId) {
+    return Status::InvalidArgument("page index out of range");
+  }
+  AIB_ASSIGN_OR_RETURN(Page * page, pool->FetchPage(page_id));
+  Status status = Status::Ok();
+  for (SlotId slot = 0; slot < page->slot_count() && status.ok(); ++slot) {
+    std::span<const uint8_t> record;
+    if (!page->Read(slot, &record).ok()) continue;  // tombstone
+    status = on_record(Rid{page_id, slot}, record);
+  }
+  AIB_RETURN_IF_ERROR(pool->UnpinPage(page_id, false));
+  return status;
+}
+
+}  // namespace
 
 Status HeapFile::GatherColumnsOnPage(
     size_t page_index, const std::vector<ColumnId>& columns,
     std::vector<Rid>* rids, std::vector<std::vector<Value>>* lanes) const {
-  const PageId page_id = PageIdAt(page_index);
-  if (page_id == kInvalidPageId) {
-    return Status::InvalidArgument("page index out of range");
-  }
   if (lanes->size() != columns.size()) {
     return Status::InvalidArgument("one lane per gathered column required");
   }
@@ -181,70 +200,59 @@ Status HeapFile::GatherColumnsOnPage(
     }
     max_col = std::max(max_col, c);
   }
-  AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
-  Status status = Status::Ok();
   // Per-tuple decode of the record prefix [0, max_col]; values land in a
   // reused scratch slot per schema column, then fan out to the lanes (a
   // column may back several lanes when a conjunction repeats it).
   std::vector<Value> decoded(static_cast<size_t>(max_col) + 1, 0);
-  for (SlotId slot = 0; slot < page->slot_count(); ++slot) {
-    std::span<const uint8_t> record;
-    if (!page->Read(slot, &record).ok()) continue;  // tombstone
+  const auto gather = [&](const Rid& rid, std::span<const uint8_t> record) {
     size_t pos = 0;
-    bool truncated = false;
-    for (ColumnId c = 0; c <= max_col && !truncated; ++c) {
+    for (ColumnId c = 0; c <= max_col; ++c) {
       if (schema_->column(c).type == ColumnType::kInt32) {
-        if (pos + sizeof(Value) > record.size()) {
-          truncated = true;
-          break;
-        }
+        if (pos + sizeof(Value) > record.size()) break;
         std::memcpy(&decoded[c], record.data() + pos, sizeof(Value));
         pos += sizeof(Value);
       } else {
-        if (pos + sizeof(uint16_t) > record.size()) {
-          truncated = true;
-          break;
-        }
+        if (pos + sizeof(uint16_t) > record.size()) break;
         uint16_t len;
         std::memcpy(&len, record.data() + pos, sizeof(len));
         pos += sizeof(len) + len;
-        if (pos > record.size()) truncated = true;
+        if (pos > record.size()) break;
+      }
+      if (c == max_col) {
+        rids->push_back(rid);
+        for (size_t i = 0; i < columns.size(); ++i) {
+          (*lanes)[i].push_back(decoded[columns[i]]);
+        }
+        return Status::Ok();
       }
     }
-    if (truncated) {
-      status = Status::Corruption("tuple truncated in column gather");
-      break;
-    }
-    rids->push_back(Rid{page_id, slot});
-    for (size_t i = 0; i < columns.size(); ++i) {
-      (*lanes)[i].push_back(decoded[columns[i]]);
-    }
-  }
-  AIB_RETURN_IF_ERROR(pool_->UnpinPage(page_id, false));
-  return status;
+    return Status::Corruption("tuple truncated in column gather");
+  };
+  return WalkPage(pool_, PageIdAt(page_index), gather);
 }
 
 Status HeapFile::ForEachTupleOnPage(
     size_t page_index,
     const std::function<void(const Rid&, const Tuple&)>& fn) const {
-  const PageId page_id = PageIdAt(page_index);
-  if (page_id == kInvalidPageId) {
-    return Status::InvalidArgument("page index out of range");
-  }
-  AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
-  Status status = Status::Ok();
-  for (SlotId slot = 0; slot < page->slot_count(); ++slot) {
-    std::span<const uint8_t> record;
-    if (!page->Read(slot, &record).ok()) continue;  // tombstone
-    Result<Tuple> tuple = Tuple::Deserialize(*schema_, record);
-    if (!tuple.ok()) {
-      status = tuple.status();
-      break;
-    }
-    fn(Rid{page_id, slot}, tuple.value());
-  }
-  AIB_RETURN_IF_ERROR(pool_->UnpinPage(page_id, false));
-  return status;
+  return WalkPage(pool_, PageIdAt(page_index),
+                  [&](const Rid& rid, std::span<const uint8_t> record) {
+                    Result<Tuple> tuple = Tuple::Deserialize(*schema_, record);
+                    if (tuple.ok()) fn(rid, tuple.value());
+                    return tuple.status();
+                  });
+}
+
+Status HeapFile::ForEachRecordOnPage(
+    size_t page_index,
+    const std::function<void(const Rid&, std::span<const Value>)>& fn) const {
+  std::vector<Value> ints(schema_->num_columns(), 0);
+  return WalkPage(pool_, PageIdAt(page_index),
+                  [&](const Rid& rid, std::span<const uint8_t> record) {
+                    const Status status =
+                        Tuple::CheckRecord(*schema_, record, ints);
+                    if (status.ok()) fn(rid, ints);
+                    return status;
+                  });
 }
 
 Status HeapFile::ForEachTuple(
@@ -256,11 +264,12 @@ Status HeapFile::ForEachTuple(
   return Status::Ok();
 }
 
-void HeapFile::RestoreState(std::vector<PageId> page_ids,
+void HeapFile::RestoreState(const std::vector<PageId>& page_ids,
                             size_t tuple_count) {
-  std::unique_lock lock(dir_mu_);
-  page_ids_ = std::move(page_ids);
-  page_count_.store(page_ids_.size(), std::memory_order_release);
+  page_ids_.Clear();
+  page_numbers_.Clear();
+  page_count_.store(0, std::memory_order_relaxed);
+  for (const PageId page_id : page_ids) AppendPage(page_id);
   tuple_count_.store(tuple_count, std::memory_order_relaxed);
 }
 

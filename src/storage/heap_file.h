@@ -3,10 +3,10 @@
 
 #include <atomic>
 #include <functional>
-#include <shared_mutex>
 #include <span>
 #include <vector>
 
+#include "common/grow_only_array.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -29,11 +29,11 @@ struct HeapFileOptions {
 /// no longer fit relocate the tuple and return the new Rid.
 ///
 /// Latch discipline (partition-granular concurrency): the page *directory*
-/// (`page_ids_`) is guarded by an internal reader-writer lock — Insert's
-/// grow path appends under it exclusively, every page-number-to-PageId
-/// translation reads under it shared — and the tuple count is a relaxed
-/// atomic, so the directory stays consistent while readers and writers of
-/// *different* pages run concurrently. Page *contents* are not protected
+/// only grows, and it is read without a lock in both directions — page
+/// number to PageId and PageId to page number, each O(1) — while Insert
+/// appends to it (see GrowOnlyArray: a page's two entries are published
+/// before the page count that covers it). The tuple count is a relaxed
+/// atomic. Page *contents* are not protected
 /// here: callers serialize per-page access through the owning Table's heap
 /// stripe latches (Table::page_latches(), stripe = page number % stripes) —
 /// scans hold every stripe shared, DML holds the stripes of the pages it
@@ -55,9 +55,10 @@ class HeapFile {
   Result<Tuple> Get(const Rid& rid) const;
 
   /// Batch liveness fetch, the read path of index-probe answers: visits
-  /// `rids[i]` for each i of `sel`, in that order, pinning each page once
-  /// per run of consecutive rids on it, and checks that every slot holds a
-  /// live, well-formed record. The first failing rid ends the walk with
+  /// `rids[i]` for each i of `sel`, in that order, with one pool visit
+  /// (BufferPool::VisitPage) per run of consecutive rids on a page, the
+  /// pages prefetched as a group first, and checks that every slot holds
+  /// a live, well-formed record. The first failing rid ends the walk with
   /// exactly Get's status for it: NotFound for a tombstoned or
   /// out-of-range slot, Corruption for a malformed record. For each
   /// kInt32 `columns[j]` the record's value is appended to `(*lanes)[j]`,
@@ -80,13 +81,11 @@ class HeapFile {
     return page_count_.load(std::memory_order_acquire);
   }
 
-  /// Page ids of this file, in physical order. Quiesced contexts only
-  /// (snapshots, single-threaded test setup): the reference is not
-  /// protected against a concurrent Insert growing the directory.
-  const std::vector<PageId>& page_ids() const { return page_ids_; }
+  /// Page ids of this file, in physical order (a copy of the directory).
+  std::vector<PageId> page_ids() const;
 
   /// Dense page number of `page_id` within this file; InvalidArgument if
-  /// the page does not belong to it. Pure directory binary search — no
+  /// the page does not belong to it. One lock-free directory read — no
   /// page fetch, no fault-injector draws.
   Result<size_t> PageIndexOf(PageId page_id) const;
 
@@ -104,6 +103,14 @@ class HeapFile {
       size_t page_index,
       const std::function<void(const Rid&, const Tuple&)>& fn) const;
 
+  /// ForEachTupleOnPage without building Tuples: `ints` holds each kInt32
+  /// column's value at its column id. Each whole record is checked, so a
+  /// malformed one fails with Tuple::Deserialize's status.
+  Status ForEachRecordOnPage(
+      size_t page_index,
+      const std::function<void(const Rid&, std::span<const Value>)>& fn)
+      const;
+
   /// Columnar gather: appends the rid and the requested kInt32 column
   /// values of every live tuple on the idx-th page to `rids` and
   /// `(*lanes)[i]` (parallel vectors, slot order). Decodes only the record
@@ -120,28 +127,37 @@ class HeapFile {
   Status ForEachTuple(
       const std::function<void(const Rid&, const Tuple&)>& fn) const;
 
-  /// PageId of the idx-th page, or kInvalidPageId when out of range. Pure
-  /// directory lookup (no page fetch); ids are ascending in physical
-  /// order.
-  PageId PageIdAt(size_t page_index) const;
+  /// PageId of the idx-th page, or kInvalidPageId when out of range. One
+  /// lock-free directory read (no page fetch); ids are ascending in
+  /// physical order.
+  PageId PageIdAt(size_t page_index) const {
+    return page_index < PageCount()
+               ? static_cast<PageId>(page_ids_.Load(page_index))
+               : kInvalidPageId;
+  }
 
   /// Restores the file's bookkeeping after a snapshot load: the page ids
   /// (ascending physical order) and the live tuple count. The pages
-  /// themselves must already be present in the disk manager.
-  void RestoreState(std::vector<PageId> page_ids, size_t tuple_count);
+  /// themselves must already be present in the disk manager. Quiesced
+  /// callers only.
+  void RestoreState(const std::vector<PageId>& page_ids, size_t tuple_count);
 
  private:
   /// True if `page` can take one more tuple under max_tuples_per_page.
   bool UnderTupleCap(const Page& page) const;
+
+  /// Appends `page_id` to the directory. Single writer (see class comment).
+  void AppendPage(PageId page_id);
 
   DiskManager* disk_;
   BufferPool* pool_;
   const Schema* schema_;
   HeapFileOptions options_;
 
-  /// Guards page_ids_ (the directory), not page contents.
-  mutable std::shared_mutex dir_mu_;
-  std::vector<PageId> page_ids_;
+  /// The directory: page number -> PageId, and PageId -> page number + 1
+  /// (0 for pages of other files). page_count_ covers published entries.
+  GrowOnlyArray page_ids_;
+  GrowOnlyArray page_numbers_;
   std::atomic<size_t> page_count_{0};
   std::atomic<size_t> tuple_count_{0};
 };

@@ -63,6 +63,11 @@ class Page {
   /// True if `slot` holds a live tuple.
   bool IsLive(SlotId slot) const;
 
+  /// Byte offset of `slot`'s entry in the slot array.
+  static constexpr uint32_t SlotOffsetPos(SlotId slot) {
+    return kHeaderSize + slot * kSlotSize;
+  }
+
   /// Raw bytes, used by the disk manager to persist/copy pages.
   std::span<const uint8_t> raw() const { return data_; }
   std::span<uint8_t> mutable_raw() { return data_; }
@@ -75,9 +80,6 @@ class Page {
   void SetU16(uint32_t offset, uint16_t value);
 
   uint32_t SlotArrayEnd() const { return kHeaderSize + slot_count() * kSlotSize; }
-  uint32_t SlotOffsetPos(SlotId slot) const {
-    return kHeaderSize + slot * kSlotSize;
-  }
 
   std::vector<uint8_t> data_;
 };

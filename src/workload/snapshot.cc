@@ -84,7 +84,7 @@ Status Catalog::SaveSnapshotTo(std::ostream& out) {
       WritePod<uint8_t>(out, static_cast<uint8_t>(column.type));
       WritePod<uint16_t>(out, column.max_length);
     }
-    const std::vector<PageId>& page_ids = state->table->heap().page_ids();
+    const std::vector<PageId> page_ids = state->table->heap().page_ids();
     WritePod<uint64_t>(out, page_ids.size());
     for (PageId id : page_ids) WritePod<uint32_t>(out, id);
     WritePod<uint64_t>(out, state->table->TupleCount());
@@ -184,8 +184,7 @@ Result<std::unique_ptr<Catalog>> Catalog::LoadSnapshotFrom(
     if (!ReadPod(in, &tuple_count)) {
       return Status::Corruption("bad tuple count");
     }
-    table->heap().RestoreState(std::move(page_ids),
-                               static_cast<size_t>(tuple_count));
+    table->heap().RestoreState(page_ids, static_cast<size_t>(tuple_count));
 
     uint32_t index_count;
     if (!ReadPod(in, &index_count) || index_count > 4096) {

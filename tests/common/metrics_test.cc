@@ -2,12 +2,62 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <shared_mutex>
+#include <string>
+#include <string_view>
+
+#include "common/partition_latch.h"
+
 namespace aib {
 namespace {
 
 TEST(MetricsTest, UnsetCounterIsZero) {
   Metrics m;
   EXPECT_EQ(m.Get("nope"), 0);
+}
+
+TEST(MetricsTest, EverySpellingOfANameReachesOneCounter) {
+  Metrics m;
+  const std::string owned = kMetricLatchExclusiveAcquires;
+  const std::string padded = owned + ".suffix";
+  const std::string_view view(padded.data(), owned.size());
+  m.Increment(kMetricLatchExclusiveAcquires);
+  m.Increment(owned, 2);
+  m.Increment(view, 3);
+  m.Counter(view)->fetch_add(4);
+  EXPECT_EQ(m.Counter(owned), m.Counter(kMetricLatchExclusiveAcquires));
+  EXPECT_EQ(m.Get(kMetricLatchExclusiveAcquires), 10);
+  EXPECT_EQ(m.Get(view), 10);
+  EXPECT_EQ(m.counters(), (std::map<std::string, int64_t>{{owned, 10}}));
+}
+
+TEST(MetricsTest, LatchAcquisitionsCountEachStripeAndLatchOnce) {
+  Metrics m;
+  PartitionLatchTable latches(&m);  // 32 stripes
+  std::shared_mutex mu;
+  { auto lock = latches.AcquireExclusiveTimed(mu); }
+  {
+    auto a = latches.AcquireSharedTimed(mu);
+    auto b = latches.AcquireSharedTimed(mu);
+  }
+  EXPECT_EQ(m.Get(kMetricLatchExclusiveAcquires), 1);
+  EXPECT_EQ(m.Get(kMetricLatchSharedAcquires), 2);
+  // Keys 1 and 33 share a stripe: three keys, two stripes.
+  {
+    auto set = latches.AcquireShared(latches.MaskOf(1) | latches.MaskOf(33) |
+                                     latches.MaskOf(2));
+    EXPECT_FALSE(set.empty());
+  }
+  EXPECT_EQ(m.Get(kMetricLatchSharedAcquires), 4);
+  { auto set = latches.AcquireExclusive({5, 37, 6}); }
+  EXPECT_EQ(m.Get(kMetricLatchExclusiveAcquires), 3);
+  { auto set = latches.AcquireAllShared(); }
+  EXPECT_EQ(m.Get(kMetricLatchSharedAcquires), 4 + 32);
+  EXPECT_EQ(m.Get(kMetricLatchWaits), 0);
+  // Every stripe was released: an exclusive holder gets all of them.
+  { auto all = latches.AcquireExclusive({0, 1, 2, 3, 4, 5, 6, 31}); }
+  EXPECT_EQ(m.Get(kMetricLatchWaits), 0);
 }
 
 TEST(MetricsTest, IncrementAccumulates) {

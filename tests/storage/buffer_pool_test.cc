@@ -372,8 +372,9 @@ class ReferencePool {
   size_t protected_cap_ = 0;
 };
 
-/// Replays one seeded trace of fetches, unpins (clean and dirty), stray
-/// unpins and flushes on a one-shard pool and on the reference model, and
+/// Replays one seeded trace of fetches, short visits, unpins (clean and
+/// dirty), stray unpins and flushes on a one-shard pool and on the
+/// reference model (where a visit is a fetch plus a clean unpin), and
 /// compares them after every operation: the frame each fetched page lands
 /// in (Page* identity), Busy verdicts, cached page count, hits, misses,
 /// pages read and written, pin waits, promotions and demotions.
@@ -409,7 +410,26 @@ void ReplayAgainstReference(EvictionPolicy policy, size_t capacity,
         rng.Bernoulli(0.5)
             ? rng.UniformInt(0, static_cast<int64_t>(capacity / 2))
             : rng.UniformInt(0, static_cast<int64_t>(num_pages) - 1));
-    if (roll < 50 && pinned.size() <= capacity + 2) {
+    if (roll < 15) {
+      // A short visit must be exactly FetchPage + UnpinPage: same frame,
+      // same Busy verdict, same segment moves and counters.
+      const Page* visited = nullptr;
+      const Status status =
+          pool.VisitPage(page, [&](const Page& p) { visited = &p; });
+      const std::optional<size_t> frame = model.Fetch(page);
+      ASSERT_EQ(status.ok(), frame.has_value()) << status.ToString();
+      if (frame.has_value()) {
+        auto [it, fresh] = frame_page.emplace(*frame, visited);
+        ASSERT_EQ(it->second, visited) << "page " << page
+                                       << " visited in another frame";
+        if (fresh) {
+          ASSERT_TRUE(page_frame.emplace(visited, *frame).second);
+        }
+        ASSERT_TRUE(model.Unpin(page, false));
+      } else {
+        ASSERT_TRUE(status.IsBusy());
+      }
+    } else if (roll < 50 && pinned.size() <= capacity + 2) {
       Result<Page*> fetched = pool.FetchPage(page);
       const std::optional<size_t> frame = model.Fetch(page);
       ASSERT_EQ(fetched.ok(), frame.has_value())

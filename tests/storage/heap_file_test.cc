@@ -218,6 +218,49 @@ TEST_F(HeapFileTest, FetchLivePinsEachPageOncePerRun) {
   EXPECT_TRUE(pool_.UnpinPage(rids[0].page_id, false).IsInvalidArgument());
 }
 
+/// Every page of `heap` round-trips PageIdAt <-> PageIndexOf, and no page
+/// of `other` translates in `heap`.
+void ExpectOwnDirectory(const HeapFile& heap, const HeapFile& other) {
+  for (size_t i = 0; i < heap.PageCount(); ++i) {
+    const PageId page_id = heap.PageIdAt(i);
+    ASSERT_NE(page_id, kInvalidPageId);
+    Result<size_t> index = heap.PageIndexOf(page_id);
+    ASSERT_TRUE(index.ok()) << "page " << page_id;
+    EXPECT_EQ(index.value(), i);
+    EXPECT_TRUE(other.PageIndexOf(page_id).status().IsInvalidArgument());
+  }
+  EXPECT_EQ(heap.PageIdAt(heap.PageCount()), kInvalidPageId);
+  EXPECT_TRUE(heap.PageIndexOf(kInvalidPageId).status().IsInvalidArgument());
+}
+
+TEST_F(HeapFileTest, InterleavedHeapsOnOneDiskTranslateOnlyTheirOwnPages) {
+  HeapFile other(&disk_, &pool_, &schema_);
+  // Alternating inserts fill both tails at the same pace, so the two
+  // files allocate their pages interleaved from the one disk.
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(heap_.Insert(T(i, std::string(60, 'a'))).ok());
+    ASSERT_TRUE(other.Insert(T(i, std::string(60, 'b'))).ok());
+  }
+  ASSERT_GT(heap_.PageCount(), 20u);
+  ASSERT_EQ(heap_.PageCount() + other.PageCount(), disk_.PageCount());
+  EXPECT_GT(heap_.PageIdAt(1), heap_.PageIdAt(0) + 1);  // interleaved
+  ExpectOwnDirectory(heap_, other);
+  ExpectOwnDirectory(other, heap_);
+
+  // A restored file translates exactly its restored list; a file restored
+  // empty forgets the pages it had.
+  HeapFile restored(&disk_, &pool_, &schema_);
+  restored.RestoreState(heap_.page_ids(), heap_.TupleCount());
+  EXPECT_EQ(restored.page_ids(), heap_.page_ids());
+  ExpectOwnDirectory(restored, other);
+  ExpectOwnDirectory(other, restored);
+  const PageId first = other.PageIdAt(0);
+  other.RestoreState({}, 0);
+  EXPECT_EQ(other.PageCount(), 0u);
+  EXPECT_TRUE(other.PageIndexOf(first).status().IsInvalidArgument());
+  EXPECT_EQ(other.PageIdAt(0), kInvalidPageId);
+}
+
 TEST(HeapFileCapTest, MaxTuplesPerPageHonored) {
   Schema schema = Schema::PaperSchema(1, 16);
   DiskManager disk(4096);

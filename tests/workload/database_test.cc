@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "core/page_counters.h"
 #include "workload/experiment.h"
 
 namespace aib {
@@ -31,6 +32,38 @@ TEST(DatabaseTest, CreatePartialIndexTwiceFails) {
   ASSERT_NE(db, nullptr);
   EXPECT_TRUE(db->CreatePartialIndex(0, ValueCoverage::Range(1, 5))
                   .IsAlreadyExists());
+}
+
+TEST(DatabaseTest, MalformedRecordFailsCreatePartialIndexAsDeserializeDoes) {
+  Database db(Schema::PaperSchema(2, 32));
+  for (Value v = 0; v < 50; ++v) {
+    ASSERT_TRUE(db.LoadTuple(Tuple({v, v}, {"p"})).ok());
+  }
+  // A live record with one trailing byte, written straight into the last
+  // page: every column decodes, only the whole-record check rejects it.
+  std::vector<uint8_t> record =
+      Tuple({7, 7}, {"x"}).Serialize(db.table().schema());
+  record.push_back(0xff);
+  const PageId page_id =
+      db.table().heap().PageIdAt(db.table().PageCount() - 1);
+  Result<Page*> page = db.buffer_pool().FetchPage(page_id);
+  ASSERT_TRUE(page.ok());
+  SlotId slot;
+  ASSERT_TRUE(page.value()->Insert(record, &slot).ok());
+  ASSERT_TRUE(db.buffer_pool().UnpinPage(page_id, /*dirty=*/true).ok());
+  const Status expected =
+      Tuple::Deserialize(db.table().schema(), record).status();
+  ASSERT_TRUE(expected.IsCorruption());
+
+  const Status created = db.CreatePartialIndex(0, ValueCoverage::Range(0, 9));
+  EXPECT_EQ(created.code(), expected.code());
+  EXPECT_EQ(created.message(), expected.message());
+  // The C[p] set-up pass reads records the same way.
+  PartialIndex index(&db.table(), 1, ValueCoverage::Range(0, 9));
+  PageCounters counters;
+  const Status init = counters.InitFromTable(db.table(), index);
+  EXPECT_EQ(init.code(), expected.code());
+  EXPECT_EQ(init.message(), expected.message());
 }
 
 TEST(DatabaseTest, InsertMaintainsIndexes) {
