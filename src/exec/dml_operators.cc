@@ -43,10 +43,10 @@ DmlOperator::WriteLatches DmlOperator::AcquireWriteLatches(
   return latches;
 }
 
-std::vector<size_t> DmlOperator::TailPages() const {
-  const size_t page_count = table_->PageCount();
-  if (page_count == 0) return {0};
-  return {page_count - 1, page_count};
+std::vector<size_t> DmlOperator::InsertPages(const Tuple& tuple,
+                                              size_t* target) const {
+  *target = table_->heap().InsertTarget(tuple.SerializedSize());
+  return {*target, table_->PageCount()};
 }
 
 Status DmlOperator::Maintain(const Tuple* old_tuple, const Rid& old_rid,
@@ -103,10 +103,11 @@ Result<bool> InsertOp::NextBatch(TupleBatch* out) {
   out->Clear();
   if (done_) return false;
   done_ = true;
-  // The append mutex pins the heap tail, so the tail stripes latched next
-  // are the pages the insert actually lands on.
+  // The append mutex fixes the page the heap chose and the tail, so the
+  // stripes latched next cover the page the insert actually lands on.
   std::unique_lock<std::mutex> append(table_->append_mutex());
-  WriteLatches latches = AcquireWriteLatches(TailPages());
+  size_t target = 0;
+  WriteLatches latches = AcquireWriteLatches(InsertPages(tuple_, &target));
   Rid rid;
   size_t page = 0;
   {
@@ -114,7 +115,7 @@ Result<bool> InsertOp::NextBatch(TupleBatch* out) {
     // modeled WAL-protected atomic commit), so a statement that returns an
     // error has mutated nothing and is safe to retry whole.
     FaultInjector::ScopedSuspend suspend;
-    AIB_ASSIGN_OR_RETURN(rid, table_->Insert(tuple_));
+    AIB_ASSIGN_OR_RETURN(rid, table_->heap().Insert(tuple_, target));
     AIB_ASSIGN_OR_RETURN(page, table_->PageNumberOf(rid));
     AIB_RETURN_IF_ERROR(Maintain(nullptr, Rid{}, 0, &tuple_, rid, page));
   }
@@ -145,10 +146,11 @@ Result<bool> UpdateOp::NextBatch(TupleBatch* out) {
   // unchanged by running it first.
   size_t old_page = 0;
   AIB_ASSIGN_OR_RETURN(old_page, table_->PageNumberOf(target_));
-  // The new image may not fit its slot, relocating the tuple to the tail:
-  // latch the old page plus the (append-mutex-pinned) tail pages.
+  // The new image may not fit its slot, relocating the tuple as an insert
+  // does: latch the old page plus the (append-mutex-pinned) insert pages.
   std::unique_lock<std::mutex> append(table_->append_mutex());
-  std::vector<size_t> pages = TailPages();
+  size_t dest = 0;  // where a relocated image goes
+  std::vector<size_t> pages = InsertPages(tuple_, &dest);
   pages.push_back(old_page);
   WriteLatches latches = AcquireWriteLatches(pages);
   // Read phase, fault-exposed: a transient or corruption here fails the
@@ -159,7 +161,7 @@ Result<bool> UpdateOp::NextBatch(TupleBatch* out) {
   size_t new_page = 0;
   {
     FaultInjector::ScopedSuspend suspend;
-    AIB_ASSIGN_OR_RETURN(new_rid, table_->Update(target_, tuple_));
+    AIB_ASSIGN_OR_RETURN(new_rid, table_->heap().Update(target_, tuple_, dest));
     AIB_ASSIGN_OR_RETURN(new_page, table_->PageNumberOf(new_rid));
     AIB_RETURN_IF_ERROR(
         Maintain(&old_tuple, target_, old_page, &tuple_, new_rid, new_page));
@@ -184,7 +186,8 @@ Result<bool> DeleteOp::NextBatch(TupleBatch* out) {
   out->Clear();
   if (done_) return false;
   done_ = true;
-  // A delete never appends: no append mutex, just the target's stripe.
+  // A delete only gives room back: no append mutex, just the target's
+  // stripe (the heap's free-space list has its own mutex).
   size_t page = 0;
   AIB_ASSIGN_OR_RETURN(page, table_->PageNumberOf(target_));
   WriteLatches latches = AcquireWriteLatches({page});

@@ -28,12 +28,12 @@ namespace aib {
 /// with each other and with covered probes. NextBatch acquires, in the
 /// global latch order, exactly what the statement mutates:
 ///
-///   1. the table's append mutex — Insert/Update only (they may extend the
-///      heap; it pins the tail so the stripe set latched next is the set
-///      the write actually touches). Delete never appends and skips it;
+///   1. the table's append mutex — Insert/Update only (they take room; it
+///      fixes the page the heap chooses, so the stripe set latched next is
+///      the set the write actually touches). Delete skips it;
 ///   2. the heap page stripes of the mutated pages, exclusive, ascending
-///      (insert: the tail page and its successor; update: the old page
-///      plus the tail pair; delete: the old page);
+///      (insert: the chosen page and the next fresh page; update: the old
+///      page plus those two; delete: the old page);
 ///   3. the scan sentinel of every registered Index Buffer, shared,
 ///      ascending column order — excludes indexing scans of those buffers
 ///      and Algorithm 2 partition drops for the commit's duration. This
@@ -76,13 +76,13 @@ class DmlOperator : public PhysicalOperator {
   /// Acquires stripes (exclusive), buffer sentinels (shared), and the
   /// mutated partitions' latches (exclusive) for a statement touching
   /// `pages`. The caller already holds the append mutex when the statement
-  /// might extend the heap.
+  /// might insert.
   WriteLatches AcquireWriteLatches(const std::vector<size_t>& pages);
 
-  /// The dense pages an append-capable statement may touch at the tail:
-  /// the current tail page (it may have room) and its successor (a fresh
-  /// page may be created). Caller holds the append mutex.
-  std::vector<size_t> TailPages() const;
+  /// The dense pages an insert of `tuple` may touch: `*target`, the page
+  /// the heap chooses for it (the tail when no listed page fits), and the
+  /// fresh page that follows the tail. Caller holds the append mutex.
+  std::vector<size_t> InsertPages(const Tuple& tuple, size_t* target) const;
 
   /// Runs the Table I matrix against every registered index (an index's
   /// buffer may be absent — partial-index upkeep still runs). `old_tuple`

@@ -60,8 +60,8 @@ class DiskManager {
   Status RestorePage(PageId page_id, std::span<const uint8_t> bytes);
 
   /// Direct const view of the authoritative page, charging nothing. Used by
-  /// tests and integrity checks only — the engine goes through the buffer
-  /// pool.
+  /// tests, integrity checks and the quiesced snapshot restore only — the
+  /// engine goes through the buffer pool.
   const Page& PeekPage(PageId page_id) const { return *pages_[page_id]; }
 
   // --- Fault injection ------------------------------------------------------

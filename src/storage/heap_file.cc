@@ -1,8 +1,10 @@
 #include "storage/heap_file.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace aib {
 
@@ -38,24 +40,76 @@ std::vector<PageId> HeapFile::page_ids() const {
   return ids;
 }
 
-Result<Rid> HeapFile::Insert(const Tuple& tuple) {
-  const std::vector<uint8_t> record = tuple.Serialize(*schema_);
+uint32_t HeapFile::ListedRoom(const Page& page) const {
+  const bool reclaimed =
+      page.live_count() < page.slot_count() || page.DeadBytes() > 0;
+  return reclaimed && UnderTupleCap(page) ? page.FreeSpace() : 0;
+}
 
-  // Try the tail page first; heap order is append order. Only one insert
-  // runs at a time (Table::append_mutex()), so the tail cannot change
-  // between the read and the append below.
-  const PageId tail = PageIdAt(PageCount() - 1);
-  if (tail != kInvalidPageId) {
-    AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(tail));
-    if (UnderTupleCap(*page) && record.size() <= page->FreeSpace()) {
-      SlotId slot;
-      const Status status = page->Insert(record, &slot);
-      AIB_RETURN_IF_ERROR(pool_->UnpinPage(tail, status.ok()));
-      AIB_RETURN_IF_ERROR(status);
-      tuple_count_.fetch_add(1, std::memory_order_relaxed);
-      return Rid{tail, slot};
+void HeapFile::SetRoom(size_t page_index, uint32_t room) {
+  const size_t leaves = room_tree_.size() / 2;
+  if (page_index >= leaves) {  // grow to a power of two, refill the leaves
+    if (room == 0) return;
+    const std::vector<uint32_t> old = std::exchange(
+        room_tree_, std::vector<uint32_t>(2 * std::bit_ceil(page_index + 64)));
+    listed_.store(true, std::memory_order_release);
+    for (size_t i = 0; i < leaves; ++i) SetRoom(i, old[leaves + i]);
+  }
+  size_t i = room_tree_.size() / 2 + page_index;
+  for (room_tree_[i] = room; i > 1; i /= 2) {
+    room_tree_[i / 2] = std::max(room_tree_[i], room_tree_[i ^ 1]);
+  }
+}
+
+void HeapFile::NoteRoom(size_t page_index, const Page& page) {
+  const uint32_t room = ListedRoom(page);
+  std::lock_guard<std::mutex> lock(free_mu_);
+  SetRoom(page_index, room);
+}
+
+size_t HeapFile::InsertTarget(size_t record_bytes) const {
+  const size_t need = std::max<size_t>(record_bytes, 1);  // listed pages
+  if (listed_.load(std::memory_order_acquire)) {  // a load skips the lock
+    std::lock_guard<std::mutex> lock(free_mu_);
+    if (room_tree_[1] >= need) {
+      const size_t leaves = room_tree_.size() / 2;
+      size_t i = 1;
+      while (i < leaves) i = room_tree_[2 * i] >= need ? 2 * i : 2 * i + 1;
+      return i - leaves;
     }
-    AIB_RETURN_IF_ERROR(pool_->UnpinPage(tail, false));
+  }
+  const size_t pages = PageCount();
+  return pages == 0 ? 0 : pages - 1;
+}
+
+Result<Rid> HeapFile::Insert(const Tuple& tuple, size_t target) {
+  return InsertRecord(tuple.Serialize(*schema_), target);
+}
+
+Result<Rid> HeapFile::InsertRecord(std::span<const uint8_t> record,
+                                   size_t target) {
+  if (target == kAnyPage) target = InsertTarget(record.size());
+  if (target < PageCount()) {
+    const PageId page_id = PageIdAt(target);
+    AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(page_id));
+    SlotId slot;
+    const Status status = UnderTupleCap(*page)
+                              ? page->Insert(record, &slot)
+                              : Status::NoSpace("page at its tuple cap");
+    // An insert never lists a page: only a listed one needs its room set.
+    if (status.ok() && listed_.load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lock(free_mu_);
+      if (target < room_tree_.size() / 2 &&
+          room_tree_[room_tree_.size() / 2 + target] > 0) {
+        SetRoom(target, ListedRoom(*page));
+      }
+    }
+    AIB_RETURN_IF_ERROR(pool_->UnpinPage(page_id, status.ok()));
+    if (status.ok()) {
+      tuple_count_.fetch_add(1, std::memory_order_relaxed);
+      return Rid{page_id, slot};
+    }
+    if (!status.IsNoSpace()) return status;
   }
 
   const PageId page_id = disk_->AllocatePage();
@@ -129,28 +183,35 @@ Status HeapFile::FetchLive(std::span<const Rid> rids,
 }
 
 Status HeapFile::Delete(const Rid& rid) {
+  AIB_ASSIGN_OR_RETURN(const size_t page_index, PageIndexOf(rid.page_id));
   AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
   const Status status = page->Delete(rid.slot);
+  if (status.ok()) NoteRoom(page_index, *page);
   AIB_RETURN_IF_ERROR(pool_->UnpinPage(rid.page_id, status.ok()));
   AIB_RETURN_IF_ERROR(status);
   tuple_count_.fetch_sub(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
-Result<Rid> HeapFile::Update(const Rid& rid, const Tuple& tuple) {
+Result<Rid> HeapFile::Update(const Rid& rid, const Tuple& tuple,
+                             size_t target) {
   const std::vector<uint8_t> record = tuple.Serialize(*schema_);
+  AIB_ASSIGN_OR_RETURN(const size_t page_index, PageIndexOf(rid.page_id));
   AIB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
   const Status in_place = page->UpdateInPlace(rid.slot, record);
   if (in_place.ok()) {
+    NoteRoom(page_index, *page);
     AIB_RETURN_IF_ERROR(pool_->UnpinPage(rid.page_id, true));
     return rid;
   }
   AIB_RETURN_IF_ERROR(pool_->UnpinPage(rid.page_id, false));
   if (!in_place.IsNoSpace()) return in_place;
 
-  // Record grew beyond its slot: relocate.
+  // Record grew beyond its slot: relocate, new image first, so it lands on
+  // `target` and a failed insert leaves the tuple in place.
+  AIB_ASSIGN_OR_RETURN(const Rid new_rid, InsertRecord(record, target));
   AIB_RETURN_IF_ERROR(Delete(rid));
-  return Insert(tuple);
+  return new_rid;
 }
 
 Result<uint16_t> HeapFile::LiveTuplesOnPage(size_t page_index) const {
@@ -192,41 +253,23 @@ Status HeapFile::GatherColumnsOnPage(
   if (lanes->size() != columns.size()) {
     return Status::InvalidArgument("one lane per gathered column required");
   }
-  ColumnId max_col = 0;
   for (ColumnId c : columns) {
     if (c >= schema_->num_columns() ||
         schema_->column(c).type != ColumnType::kInt32) {
       return Status::InvalidArgument("gather of non-int column");
     }
-    max_col = std::max(max_col, c);
   }
-  // Per-tuple decode of the record prefix [0, max_col]; values land in a
-  // reused scratch slot per schema column, then fan out to the lanes (a
-  // column may back several lanes when a conjunction repeats it).
-  std::vector<Value> decoded(static_cast<size_t>(max_col) + 1, 0);
+  // Each whole record is checked, so a scan fails a malformed one as Get
+  // does. Values land in a reused scratch slot per schema column, then fan
+  // out to the lanes (a conjunction may repeat a column).
+  std::vector<Value> decoded(schema_->num_columns(), 0);
   const auto gather = [&](const Rid& rid, std::span<const uint8_t> record) {
-    size_t pos = 0;
-    for (ColumnId c = 0; c <= max_col; ++c) {
-      if (schema_->column(c).type == ColumnType::kInt32) {
-        if (pos + sizeof(Value) > record.size()) break;
-        std::memcpy(&decoded[c], record.data() + pos, sizeof(Value));
-        pos += sizeof(Value);
-      } else {
-        if (pos + sizeof(uint16_t) > record.size()) break;
-        uint16_t len;
-        std::memcpy(&len, record.data() + pos, sizeof(len));
-        pos += sizeof(len) + len;
-        if (pos > record.size()) break;
-      }
-      if (c == max_col) {
-        rids->push_back(rid);
-        for (size_t i = 0; i < columns.size(); ++i) {
-          (*lanes)[i].push_back(decoded[columns[i]]);
-        }
-        return Status::Ok();
-      }
+    AIB_RETURN_IF_ERROR(Tuple::CheckRecord(*schema_, record, decoded));
+    rids->push_back(rid);
+    for (size_t i = 0; i < columns.size(); ++i) {
+      (*lanes)[i].push_back(decoded[columns[i]]);
     }
-    return Status::Corruption("tuple truncated in column gather");
+    return Status::Ok();
   };
   return WalkPage(pool_, PageIdAt(page_index), gather);
 }
@@ -269,7 +312,13 @@ void HeapFile::RestoreState(const std::vector<PageId>& page_ids,
   page_ids_.Clear();
   page_numbers_.Clear();
   page_count_.store(0, std::memory_order_relaxed);
-  for (const PageId page_id : page_ids) AppendPage(page_id);
+  room_tree_.clear();
+  listed_.store(false, std::memory_order_relaxed);
+  for (const PageId page_id : page_ids) {
+    const size_t page_index = page_count_.load(std::memory_order_relaxed);
+    AppendPage(page_id);
+    NoteRoom(page_index, disk_->PeekPage(page_id));  // derived; no I/O
+  }
   tuple_count_.store(tuple_count, std::memory_order_relaxed);
 }
 

@@ -2,7 +2,9 @@
 #define AIB_STORAGE_HEAP_FILE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -23,10 +25,13 @@ struct HeapFileOptions {
   uint16_t max_tuples_per_page = 0;
 };
 
-/// Unordered tuple file over slotted pages. Inserts append in arrival order
-/// (physical order == insertion order), which the correlation experiment
-/// (Fig. 3) relies on. Slot ids are stable: deletes tombstone, updates that
-/// no longer fit relocate the tuple and return the new Rid.
+/// Unordered tuple file over slotted pages. Slot ids are stable: deletes
+/// tombstone, updates that no longer fit relocate the tuple and return the
+/// new Rid. An insert takes the lowest page of the free-space list with
+/// room for it (the pages a delete or a shrink left room on), else the
+/// tail. A bulk load lists no page, so it appends in arrival order (physical
+/// order == insertion order), which the correlation experiment (Fig. 3)
+/// relies on.
 ///
 /// Latch discipline (partition-granular concurrency): the page *directory*
 /// only grows, and it is read without a lock in both directions — page
@@ -37,8 +42,9 @@ struct HeapFileOptions {
 /// here: callers serialize per-page access through the owning Table's heap
 /// stripe latches (Table::page_latches(), stripe = page number % stripes) —
 /// scans hold every stripe shared, DML holds the stripes of the pages it
-/// mutates exclusively, and Insert additionally serializes on
-/// Table::append_mutex() so only one statement grows the tail at a time.
+/// mutates exclusively, and Insert/Update additionally serialize on
+/// Table::append_mutex() so only one statement takes room at a time. The
+/// free-space list has its own leaf mutex, so a Delete needs no other.
 /// Callers bypassing the executor (loads, tests, tools) must be
 /// single-threaded, as before.
 class HeapFile {
@@ -48,8 +54,17 @@ class HeapFile {
 
   const Schema& schema() const { return *schema_; }
 
-  /// Appends `tuple`; allocates a new page when the tail page is full.
-  Result<Rid> Insert(const Tuple& tuple);
+  static constexpr size_t kAnyPage = SIZE_MAX;  // ask InsertTarget now
+
+  /// Inserts `tuple` on the `target`-th page (an InsertTarget answer), or
+  /// on a fresh tail page when that page cannot take it.
+  Result<Rid> Insert(const Tuple& tuple, size_t target = kAnyPage);
+
+  /// The page number an insert of a `record_bytes` record goes to: the
+  /// lowest listed page with room for it, else the tail. O(log pages). Only
+  /// inserts and updates take room, so the answer stays valid while the
+  /// caller holds Table::append_mutex().
+  size_t InsertTarget(size_t record_bytes) const;
 
   /// Reads the tuple at `rid`. NotFound for tombstoned slots.
   Result<Tuple> Get(const Rid& rid) const;
@@ -72,9 +87,10 @@ class HeapFile {
   Status Delete(const Rid& rid);
 
   /// Replaces the tuple at `rid`. Rewrites in place when the new record
-  /// fits the old slot; otherwise deletes and re-inserts, returning the
-  /// (possibly different) new Rid.
-  Result<Rid> Update(const Rid& rid, const Tuple& tuple);
+  /// fits the old slot; otherwise inserts the new image as Insert does (on
+  /// `target`), then tombstones the old slot, returning the new Rid.
+  Result<Rid> Update(const Rid& rid, const Tuple& tuple,
+                     size_t target = kAnyPage);
 
   /// Number of allocated data pages.
   size_t PageCount() const {
@@ -113,11 +129,11 @@ class HeapFile {
 
   /// Columnar gather: appends the rid and the requested kInt32 column
   /// values of every live tuple on the idx-th page to `rids` and
-  /// `(*lanes)[i]` (parallel vectors, slot order). Decodes only the record
-  /// prefix up to the last requested column — no Tuple materialization, no
-  /// per-tuple allocation — which is what makes the batch scan path cheaper
-  /// than the per-tuple iteration. `lanes` must have one entry per
-  /// requested column.
+  /// `(*lanes)[i]` (parallel vectors, slot order). Checks each whole record
+  /// as ForEachRecordOnPage does, so a malformed record fails with Get's
+  /// status, but builds no Tuple and allocates nothing per tuple, which is
+  /// what makes the batch scan path cheaper than the per-tuple iteration.
+  /// `lanes` must have one entry per requested column.
   Status GatherColumnsOnPage(size_t page_index,
                              const std::vector<ColumnId>& columns,
                              std::vector<Rid>* rids,
@@ -138,8 +154,8 @@ class HeapFile {
 
   /// Restores the file's bookkeeping after a snapshot load: the page ids
   /// (ascending physical order) and the live tuple count. The pages
-  /// themselves must already be present in the disk manager. Quiesced
-  /// callers only.
+  /// themselves must already be present in the disk manager; the
+  /// free-space list is rebuilt from them. Quiesced callers only.
   void RestoreState(const std::vector<PageId>& page_ids, size_t tuple_count);
 
  private:
@@ -148,6 +164,15 @@ class HeapFile {
 
   /// Appends `page_id` to the directory. Single writer (see class comment).
   void AppendPage(PageId page_id);
+
+  Result<Rid> InsertRecord(std::span<const uint8_t> record, size_t target);
+
+  /// The room the free-space list holds for `page`: Page::FreeSpace if the
+  /// page has a tombstone or dead bytes and is under its tuple cap, else 0.
+  /// A function of the page alone, so a restored heap lists what it did.
+  uint32_t ListedRoom(const Page& page) const;
+  void NoteRoom(size_t page_index, const Page& page);
+  void SetRoom(size_t page_index, uint32_t room);  // free_mu_ held
 
   DiskManager* disk_;
   BufferPool* pool_;
@@ -160,6 +185,12 @@ class HeapFile {
   GrowOnlyArray page_numbers_;
   std::atomic<size_t> page_count_{0};
   std::atomic<size_t> tuple_count_{0};
+
+  /// The free-space list: a max tree whose leaves (the second half) hold
+  /// each page's ListedRoom; empty until a page is listed (listed_).
+  mutable std::mutex free_mu_;
+  std::vector<uint32_t> room_tree_;
+  std::atomic<bool> listed_{false};
 };
 
 }  // namespace aib

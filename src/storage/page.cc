@@ -1,5 +1,6 @@
 #include "storage/page.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace aib {
@@ -25,34 +26,71 @@ SlotId Page::slot_count() const { return GetU16(0); }
 
 uint16_t Page::live_count() const { return GetU16(4); }
 
+uint32_t Page::LiveBytes() const {
+  uint32_t bytes = 0;
+  const uint8_t* slot = data_.data() + kHeaderSize;
+  const uint8_t* const end = slot + slot_count() * kSlotSize;
+  for (uint16_t entry[2] = {}; slot < end; slot += kSlotSize) {  // off, len
+    std::memcpy(entry, slot, sizeof(entry));
+    if (entry[0] != 0) bytes += entry[1];
+  }
+  return bytes;
+}
+
 uint32_t Page::FreeSpace() const {
-  const uint32_t data_start = GetU16(2) == 0 ? page_size() : GetU16(2);
-  const uint32_t slots_end = SlotArrayEnd();
-  const uint32_t gap = data_start > slots_end ? data_start - slots_end : 0;
-  return gap > kSlotSize ? gap - kSlotSize : 0;
+  const uint32_t used = SlotArrayEnd() + kSlotSize + LiveBytes();
+  return used < page_size() ? page_size() - used : 0;
+}
+
+uint32_t Page::DeadBytes() const {
+  return page_size() - DataStart() - LiveBytes();
+}
+
+void Page::SetSlot(SlotId slot, uint32_t start, uint32_t length) {
+  SetU16(SlotOffsetPos(slot),
+         static_cast<uint16_t>(std::min<uint32_t>(start, UINT16_MAX)));
+  SetU16(SlotOffsetPos(slot) + 2, static_cast<uint16_t>(length));
+}
+
+void Page::Compact() {
+  const uint32_t data_start = DataStart();
+  const std::vector<uint8_t> old(data_.begin() + data_start, data_.end());
+  uint32_t end = page_size();
+  for (SlotId slot = 0; slot < slot_count(); ++slot) {
+    const uint16_t offset = GetU16(SlotOffsetPos(slot));
+    if (offset == 0) continue;  // tombstone
+    const uint16_t length = GetU16(SlotOffsetPos(slot) + 2);
+    end -= length;
+    if (length > 0) {
+      std::memcpy(data_.data() + end, old.data() + (offset - data_start),
+                  length);
+    }
+    SetSlot(slot, end, length);
+  }
+  SetU16(2, static_cast<uint16_t>(end));
 }
 
 Status Page::Insert(std::span<const uint8_t> record, SlotId* slot_out) {
   if (record.size() > UINT16_MAX) {
     return Status::InvalidArgument("record too large for a page slot");
   }
-  if (record.size() > FreeSpace()) {
-    return Status::NoSpace("page full");
+  const uint32_t needed = SlotArrayEnd() + kSlotSize +
+                          static_cast<uint32_t>(record.size());
+  if (needed > DataStart()) {
+    if (needed + LiveBytes() > page_size()) return Status::NoSpace("page full");
+    Compact();
   }
-  const uint16_t data_start = GetU16(2);
-  const uint16_t new_start =
-      static_cast<uint16_t>(data_start - record.size());
+  const uint32_t start = DataStart() - static_cast<uint32_t>(record.size());
   // An empty record's data() may be null, and memcpy from null is
   // undefined even for zero bytes.
   if (!record.empty()) {
-    std::memcpy(data_.data() + new_start, record.data(), record.size());
+    std::memcpy(data_.data() + start, record.data(), record.size());
   }
 
   const SlotId slot = slot_count();
-  SetU16(SlotOffsetPos(slot), new_start);
-  SetU16(SlotOffsetPos(slot) + 2, static_cast<uint16_t>(record.size()));
+  SetSlot(slot, start, static_cast<uint32_t>(record.size()));
   SetU16(0, static_cast<uint16_t>(slot + 1));
-  SetU16(2, new_start);
+  SetU16(2, static_cast<uint16_t>(start));
   SetU16(4, static_cast<uint16_t>(live_count() + 1));
   if (slot_out != nullptr) *slot_out = slot;
   return Status::Ok();

@@ -28,8 +28,12 @@ inline constexpr uint32_t kDefaultPageSize = 8192;
 /// offset == 0 is a tombstone (no tuple can legally start at offset 0, which
 /// is inside the header).
 ///
-/// Deleted slots are never reused for new inserts — slot ids stay stable so
-/// Rids held by indexes remain valid, which the Index Buffer relies on.
+/// Slots are never reused; bytes are. Deletes tombstone and shrinking
+/// updates keep their slots, so slot ids stay stable and the Rids held by
+/// indexes remain valid, which the Index Buffer relies on. The bytes they
+/// give up stay put until an insert needs them: it then compacts the live
+/// records to the page end in place, rewriting their offsets. Live bytes are
+/// the sum of live slot lengths, so the on-disk format has no extra field.
 class Page {
  public:
   explicit Page(uint32_t page_size = kDefaultPageSize);
@@ -42,10 +46,19 @@ class Page {
   /// Number of live (non-deleted) tuples.
   uint16_t live_count() const;
 
-  /// Free bytes available for one more tuple (accounting for its slot).
+  /// The largest record one more insert can take: the page minus its
+  /// header, its slot array with one more slot, and its live bytes. Counts
+  /// the bytes of deleted and shrunk records, which Insert reclaims.
   uint32_t FreeSpace() const;
 
-  /// Appends a tuple record; returns its slot id, or NoSpace.
+  /// Bytes of deleted and shrunk records not yet reclaimed: the room that
+  /// FreeSpace() counts beyond the contiguous gap.
+  uint32_t DeadBytes() const;
+
+  /// Appends a tuple record under a new slot id; returns the id, or NoSpace
+  /// when the live bytes, the slot array with one more slot and the record
+  /// exceed the page. Compacts the record area first when the contiguous
+  /// gap is too small.
   Status Insert(std::span<const uint8_t> record, SlotId* slot_out);
 
   /// Reads the record at `slot`. NotFound if the slot is a tombstone or out
@@ -80,6 +93,16 @@ class Page {
   void SetU16(uint32_t offset, uint16_t value);
 
   uint32_t SlotArrayEnd() const { return kHeaderSize + slot_count() * kSlotSize; }
+  /// Start of the record area (a 64 KiB page stores its end as 0).
+  uint32_t DataStart() const { return GetU16(2) == 0 ? page_size() : GetU16(2); }
+  uint32_t LiveBytes() const;
+  /// Stores `slot` as (start, length). An empty record at the end of a
+  /// 64 KiB page would store 65536 as 0, the tombstone marker, so it points
+  /// one byte earlier; it reads no bytes either way.
+  void SetSlot(SlotId slot, uint32_t start, uint32_t length);
+  /// Moves every live record to the page end in slot order, dropping the
+  /// bytes of deleted and shrunk ones.
+  void Compact();
 
   std::vector<uint8_t> data_;
 };

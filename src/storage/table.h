@@ -26,8 +26,8 @@ namespace aib {
 /// DML acquires the stripes of the pages it mutates exclusively (ascending,
 /// one batch); covered probes acquire the stripes of the pages they fetch
 /// shared. Insert/relocating-Update additionally hold append_mutex() so
-/// only one statement grows the tail page at a time. See
-/// docs/ALGORITHMS.md for the full latch order.
+/// only one statement fills a reclaimed page or grows the tail at a time.
+/// See docs/ALGORITHMS.md for the full latch order.
 class Table {
  public:
   /// `metrics` (may be null) feeds the page-stripe latch contention
@@ -46,9 +46,6 @@ class Table {
   Result<Rid> Insert(const Tuple& tuple) { return heap_.Insert(tuple); }
   Result<Tuple> Get(const Rid& rid) const { return heap_.Get(rid); }
   Status Delete(const Rid& rid) { return heap_.Delete(rid); }
-  Result<Rid> Update(const Rid& rid, const Tuple& tuple) {
-    return heap_.Update(rid, tuple);
-  }
 
   /// Dense page number of the page holding `rid`; InvalidArgument if the
   /// page does not belong to this table. Pure directory lookup — no page
@@ -62,8 +59,8 @@ class Table {
   /// synchronization, not table mutation.
   PartitionLatchTable& page_latches() const { return page_latches_; }
 
-  /// Serializes heap growth: held (before any page stripes) by every
-  /// statement that may append to the tail page.
+  /// Serializes inserts: held (before any page stripes) by every statement
+  /// that may insert, so the page it latches is where the insert lands.
   std::mutex& append_mutex() const { return append_mu_; }
 
  private:

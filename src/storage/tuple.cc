@@ -30,6 +30,12 @@ void Tuple::SetIntValue(const Schema& schema, ColumnId id, Value value) {
   ints_[TypedIndex(schema, id)] = value;
 }
 
+size_t Tuple::SerializedSize() const {
+  size_t bytes = sizeof(Value) * ints_.size();
+  for (const std::string& s : strings_) bytes += sizeof(uint16_t) + s.size();
+  return bytes;
+}
+
 std::vector<uint8_t> Tuple::Serialize(const Schema& schema) const {
   std::vector<uint8_t> out;
   size_t int_i = 0;

@@ -35,6 +35,9 @@ class Tuple {
   /// column as u16 length + bytes, interleaved in schema order.
   std::vector<uint8_t> Serialize(const Schema& schema) const;
 
+  /// Size of Serialize's record (for the tuple's schema), without it.
+  size_t SerializedSize() const;
+
   static Result<Tuple> Deserialize(const Schema& schema,
                                    std::span<const uint8_t> bytes);
 

@@ -14,6 +14,7 @@
 
 #include "../test_util.h"
 #include "common/rng.h"
+#include "core/consistency.h"
 
 namespace aib {
 namespace {
@@ -156,6 +157,88 @@ TEST(DmlInvariantsSingleTest, UpdatesAcrossPageBoundaries) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Sorted(result->rids),
             Sorted(GroundTruth(*db, 0, moved_value, moved_value)));
+}
+
+// A table whose deletes balance its inserts stays its size: deleted and
+// shrunk records give their bytes back (page compaction and the heap's
+// free-space list), and an insert into an older page keeps C[p] and the
+// Index Buffer exact through Table I, whichever way the space evicts.
+TEST(HeapReuseTest, BalancedDmlKeepsTheTableNearItsLoadedSize) {
+  for (const EvictionMode mode : {EvictionMode::kDemote, EvictionMode::kDrop}) {
+    SCOPED_TRACE(mode == EvictionMode::kDemote ? "demote" : "drop");
+    DatabaseOptions options;
+    options.space.eviction_mode = mode;
+    options.space.max_entries = 2000;  // below demand: partitions evict
+    options.space.max_pages_per_scan = 8;
+    options.buffer.partition_pages = 4;
+    auto db = MakeSmallPaperDb(16000, 2000, 200, options, 17);
+    ASSERT_NE(db, nullptr);
+    const size_t loaded = db->table().PageCount();
+    std::vector<Rid> live;
+    (void)db->table().heap().ForEachTuple(
+        [&](const Rid& rid, const Tuple&) { live.push_back(rid); });
+
+    Rng rng(4242);
+    const auto random_tuple = [&] {
+      const auto value = [&] {
+        return static_cast<Value>(rng.UniformInt(1, 2000));
+      };
+      const Value a = value(), b = value(), c = value();
+      return MakeTuple(a, b, c,
+                       std::string(static_cast<size_t>(rng.UniformInt(1, 64)),
+                                   'p'));
+    };
+    const auto pick = [&] {
+      return static_cast<size_t>(rng.UniformInt(0, live.size() - 1));
+    };
+    size_t relocated = 0;
+    size_t older_page_inserts = 0;
+    for (int round = 0; round < 2000; ++round) {
+      // One delete, one insert, and one update to a fresh random payload
+      // size (about half outgrow their slot and relocate) per round.
+      const size_t victim = pick();
+      ASSERT_TRUE(db->ExecuteStatement(Statement::Delete(live[victim])).ok());
+      live[victim] = live.back();
+      live.pop_back();
+      Result<Rid> inserted = AffectedRid(
+          db->ExecuteStatement(Statement::Insert(random_tuple())));
+      ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+      live.push_back(inserted.value());
+      if (db->table().PageNumberOf(inserted.value()).value() + 1 <
+          db->table().PageCount()) {
+        ++older_page_inserts;
+      }
+      const size_t target = pick();
+      Result<Rid> updated = AffectedRid(db->ExecuteStatement(
+          Statement::Update(live[target], random_tuple())));
+      ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+      if (updated.value() != live[target]) ++relocated;
+      live[target] = updated.value();
+
+      // An uncovered read adapts the buffers, so inserts land on buffered
+      // pages as well as on counted ones.
+      const ColumnId column = static_cast<ColumnId>(round % 3);
+      const Value v = static_cast<Value>(rng.UniformInt(201, 2000));
+      Result<StatementResult> read =
+          db->ExecuteStatement(Statement::Select(Query::Point(column, v)));
+      ASSERT_TRUE(read.ok());
+      if (round % 100 == 0) {
+        ASSERT_EQ(Sorted(read->rids), Sorted(GroundTruth(*db, column, v, v)))
+            << "round " << round;
+      }
+      if (round % 250 == 249) {
+        CheckCounterInvariants(*db);
+        ASSERT_TRUE(CheckSpaceConsistency(db->table(), *db->space()).ok())
+            << "round " << round;
+      }
+    }
+    EXPECT_EQ(db->table().TupleCount(), 16000u);
+    EXPECT_GT(relocated, 500u);
+    EXPECT_GT(older_page_inserts, 1000u);
+    EXPECT_LE(static_cast<double>(db->table().PageCount()),
+              1.03 * static_cast<double>(loaded))
+        << "loaded " << loaded << " pages";
+  }
 }
 
 }  // namespace

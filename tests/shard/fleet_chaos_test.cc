@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/consistency.h"
 #include "shard/sharded_database.h"
 
 namespace aib {
@@ -477,8 +478,27 @@ TEST(FleetChaosTest, WarmRestartMatchesNeverCrashedTwin) {
   mutate(subject.get());
   mutate(twin.get());
 
-  // Outage on the subject only: crash, a few doomed statements, restart.
+  // Holes on the shard about to crash, a high page's before a low page's:
+  // the inserts after the restart must fill them exactly as the twin does.
   const size_t crashed = 2;
+  const auto punch_holes = [crashed](ShardedDatabase* fleet) {
+    const Table& table = fleet->shard(crashed).db().table();
+    const size_t pages = table.PageCount();
+    ASSERT_GE(pages, 4u);
+    for (const size_t page : {pages - 2, size_t{1}}) {
+      const PageId page_id = table.heap().PageIdAt(page);
+      SlotId slot = 0;
+      while (!table.Get(Rid{page_id, slot}).ok()) ++slot;
+      ASSERT_TRUE(fleet
+                      ->ExecuteStatement(ShardStatement::Delete(GlobalRid{
+                          static_cast<uint32_t>(crashed), Rid{page_id, slot}}))
+                      .ok());
+    }
+  };
+  punch_holes(subject.get());
+  punch_holes(twin.get());
+
+  // Outage on the subject only: crash, a few doomed statements, restart.
   subject->fault_injector().Crash(crashed);
   const Value victim = ValueOwnedBy(*subject, crashed);
   for (int i = 0; i < 3; ++i) {
@@ -496,6 +516,24 @@ TEST(FleetChaosTest, WarmRestartMatchesNeverCrashedTwin) {
   if (subject->shard(crashed).db().space() != nullptr) {
     EXPECT_EQ(subject->shard(crashed).db().space()->TotalEntries(), 0u);
     EXPECT_EQ(subject->shard(crashed).db().space()->ColdEntries(), 0u);
+  }
+
+  // Inserts routed at the restarted shard land where the twin's do: its
+  // free-space list is rebuilt from the pages, as the twin's follows them.
+  std::vector<Value> owned;
+  for (Value v = kLoadLo; v <= kLoadHi && owned.size() < 4; ++v) {
+    if (subject->router().ShardForValue(v) == crashed) owned.push_back(v);
+  }
+  ASSERT_EQ(owned.size(), 4u);
+  for (const Value v : owned) {
+    const Tuple tuple({v, 1700}, {"refill"});
+    Result<ShardResult> mine =
+        subject->ExecuteStatement(ShardStatement::Insert(tuple));
+    Result<ShardResult> theirs =
+        twin->ExecuteStatement(ShardStatement::Insert(tuple));
+    ASSERT_TRUE(mine.ok()) << mine.status().ToString();
+    ASSERT_TRUE(theirs.ok()) << theirs.status().ToString();
+    EXPECT_EQ(mine->rids, theirs->rids);
   }
 
   // Bit-identical equivalence: heap placement is durable, so not just row
@@ -531,6 +569,38 @@ TEST(FleetChaosTest, WarmRestartMatchesNeverCrashedTwin) {
     EXPECT_EQ(mine->IntValue(subject->schema(), 1),
               theirs->IntValue(twin->schema(), 1));
   }
+}
+
+// The heap's free-space list is derived state: a restarted shard rebuilds
+// it from its pages, so its next inserts land in the holes the deletes
+// before the restart left.
+TEST(FleetChaosTest, RestartedShardReusesTheHolesOfDeletes) {
+  ShardOptions options;
+  options.db.max_tuples_per_page = 8;
+  Shard shard(0, TestSchema(), options);
+  for (Value v = 0; v < 80; ++v) {
+    ASSERT_TRUE(shard.db().LoadTuple(Tuple({v, v}, {"row"})).ok());
+  }
+  ASSERT_TRUE(shard.db().CreatePartialIndex(0, ValueCoverage::Range(0, 20))
+                  .ok());
+  const std::vector<size_t> holes = {2, 6};
+  for (const size_t page : holes) {
+    const Rid victim{shard.db().table().heap().PageIdAt(page), 3};
+    ASSERT_TRUE(shard.db().ExecuteStatement(Statement::Delete(victim)).ok());
+  }
+  const size_t pages = shard.db().table().PageCount();
+
+  ASSERT_TRUE(shard.Restart().ok());
+  Database& db = shard.db();
+  for (const size_t page : holes) {
+    Result<StatementResult> inserted = db.ExecuteStatement(Statement::Insert(
+        Tuple({static_cast<Value>(1000 + page), 1}, {"new"})));
+    ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+    EXPECT_EQ(db.table().PageNumberOf(inserted->rids.front()).value(), page);
+  }
+  EXPECT_EQ(db.table().PageCount(), pages);
+  ASSERT_NE(db.space(), nullptr);
+  EXPECT_TRUE(CheckSpaceConsistency(db.table(), *db.space()).ok());
 }
 
 TEST(FleetChaosTest, RestartWhileHungRevivesInsteadOfDeadlocking) {

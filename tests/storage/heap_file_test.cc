@@ -9,6 +9,7 @@
 
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "workload/database.h"
 
 namespace aib {
 namespace {
@@ -126,6 +127,128 @@ TEST_F(HeapFileTest, PageIndexOutOfRange) {
   EXPECT_TRUE(heap_
                   .ForEachTupleOnPage(5, [](const Rid&, const Tuple&) {})
                   .IsInvalidArgument());
+}
+
+/// Dense page number of `rid` in `heap`.
+size_t PageOf(const HeapFile& heap, const Rid& rid) {
+  return heap.PageIndexOf(rid.page_id).value();
+}
+
+TEST_F(HeapFileTest, InsertsReuseTheRoomOfDeletesBeforeTheTail) {
+  std::vector<Rid> rids;
+  while (heap_.PageCount() < 3) {
+    Result<Rid> rid = heap_.Insert(T(static_cast<Value>(rids.size()),
+                                     std::string(40, 'x')));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(rid.value());
+  }
+  const size_t pages = heap_.PageCount();
+  EXPECT_EQ(heap_.InsertTarget(46), pages - 1);  // nothing freed: the tail
+  // Deletes on page 0 list it; the next inserts land there, under new slot
+  // ids, and leave every surviving rid of the page readable.
+  ASSERT_EQ(PageOf(heap_, rids[3]), 0u);
+  ASSERT_TRUE(heap_.Delete(rids[1]).ok());
+  ASSERT_TRUE(heap_.Delete(rids[3]).ok());
+  EXPECT_EQ(heap_.InsertTarget(46), 0u);
+  Result<Rid> first = heap_.Insert(T(1000, std::string(40, 'y')));
+  Result<Rid> second = heap_.Insert(T(1001, std::string(40, 'y')));
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(PageOf(heap_, first.value()), 0u);
+  EXPECT_EQ(PageOf(heap_, second.value()), 0u);
+  EXPECT_GT(first->slot, rids[3].slot);
+  EXPECT_TRUE(heap_.Get(rids[1]).status().IsNotFound());
+  EXPECT_TRUE(heap_.Get(rids[3]).status().IsNotFound());
+  for (size_t i = 0; i < rids.size(); ++i) {
+    if (i == 1 || i == 3) continue;
+    EXPECT_EQ(heap_.Get(rids[i])->IntValue(schema_, 0), static_cast<Value>(i));
+  }
+  EXPECT_EQ(heap_.Get(second.value())->IntValue(schema_, 0), 1001);
+  // Page 0 is full again: a third insert that does not fit goes to the
+  // tail.
+  EXPECT_EQ(heap_.InsertTarget(46), pages - 1);
+  EXPECT_EQ(heap_.PageCount(), pages);
+  EXPECT_EQ(heap_.TupleCount(), rids.size());
+}
+
+TEST_F(HeapFileTest, ShrinkingUpdateListsItsPage) {
+  std::vector<Rid> rids;
+  while (heap_.PageCount() < 2) {
+    Result<Rid> rid = heap_.Insert(T(0, std::string(60, 'x')));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(rid.value());
+  }
+  ASSERT_EQ(heap_.InsertTarget(66), 1u);
+  // Shrinking one record of page 0 by 60 bytes lists the page.
+  ASSERT_TRUE(heap_.Update(rids[0], T(1, "")).ok());
+  EXPECT_EQ(heap_.InsertTarget(10), 0u);
+  Result<Rid> rid = heap_.Insert(T(2, "short"));
+  ASSERT_TRUE(rid.ok());
+  EXPECT_EQ(PageOf(heap_, rid.value()), 0u);
+  EXPECT_EQ(heap_.Get(rids[0])->IntValue(schema_, 0), 1);
+}
+
+// The free-space list is a function of the page contents: the lowest page
+// that can take a record gets it, whatever order the deletes came in, and a
+// page that was filled and then given room again is listed once, in place.
+TEST_F(HeapFileTest, InsertsFillTheLowestListedPageFirst) {
+  std::vector<Rid> rids;
+  while (heap_.PageCount() < 4) {
+    Result<Rid> rid = heap_.Insert(T(static_cast<Value>(rids.size()),
+                                     std::string(40, 'x')));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(rid.value());
+  }
+  const size_t tail = heap_.PageCount() - 1;
+  // The next live rid on `page` after those already deleted there.
+  size_t cursor[4] = {0, 0, 0, 0};
+  const auto delete_on = [&](size_t page) {
+    while (PageOf(heap_, rids[cursor[page]]) != page) ++cursor[page];
+    ASSERT_TRUE(heap_.Delete(rids[cursor[page]++]).ok());
+  };
+  const auto insert_lands_on = [&](size_t page) {
+    Result<Rid> rid = heap_.Insert(T(-1, std::string(40, 'y')));
+    ASSERT_TRUE(rid.ok());
+    EXPECT_EQ(PageOf(heap_, rid.value()), page);
+  };
+  delete_on(2);
+  delete_on(0);
+  EXPECT_EQ(heap_.InsertTarget(46), 0u);
+  insert_lands_on(0);  // fills page 0; it keeps too little room for 46
+  EXPECT_EQ(heap_.InsertTarget(46), 2u);
+  delete_on(1);
+  delete_on(0);
+  insert_lands_on(0);
+  insert_lands_on(1);
+  insert_lands_on(2);
+  insert_lands_on(tail);
+  // A target chosen earlier holds: a later delete on a lower page does not
+  // redirect the insert that was given it.
+  const size_t target = heap_.InsertTarget(46);
+  delete_on(0);
+  Result<Rid> rid = heap_.Insert(T(-2, std::string(40, 'z')), target);
+  ASSERT_TRUE(rid.ok());
+  EXPECT_EQ(PageOf(heap_, rid.value()), target);
+  EXPECT_EQ(heap_.InsertTarget(46), 0u);
+}
+
+TEST_F(HeapFileTest, RestoreStateRebuildsTheFreeSpaceList) {
+  std::vector<Rid> rids;
+  while (heap_.PageCount() < 4) {
+    Result<Rid> rid = heap_.Insert(T(0, std::string(40, 'x')));
+    ASSERT_TRUE(rid.ok());
+    rids.push_back(rid.value());
+  }
+  ASSERT_TRUE(heap_.Delete(rids[2]).ok());  // page 0 gets a tombstone
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  HeapFile restored(&disk_, &pool_, &schema_);
+  restored.RestoreState(heap_.page_ids(), heap_.TupleCount());
+  EXPECT_EQ(restored.InsertTarget(46), 0u);
+  EXPECT_EQ(restored.InsertTarget(46), heap_.InsertTarget(46));
+  HeapFile untouched(&disk_, &pool_, &schema_);
+  std::vector<PageId> ids = heap_.page_ids();
+  ids.erase(ids.begin());  // without page 0 no page was given room
+  untouched.RestoreState(ids, 0);
+  EXPECT_EQ(untouched.InsertTarget(46), ids.size() - 1);
 }
 
 /// FetchLive of one rid: the status, and the fetched column-0 lane.
@@ -261,6 +384,45 @@ TEST_F(HeapFileTest, InterleavedHeapsOnOneDiskTranslateOnlyTheirOwnPages) {
   EXPECT_EQ(other.PageIdAt(0), kInvalidPageId);
 }
 
+// A scan gathers columns from each whole record, so a record malformed
+// after the gathered column fails a Select with the status Table::Get
+// reports for it, instead of being answered.
+TEST(HeapFileScanTest, SelectReportsMalformedRecordsAsGetDoes) {
+  Database db(Schema::PaperSchema(2, 16));
+  ASSERT_TRUE(db.LoadTuple(Tuple({1, 2}, {"a"})).ok());
+  Result<Rid> good = db.LoadTuple(Tuple({7777, 3}, {"b"}));
+  ASSERT_TRUE(good.ok());
+  std::vector<uint8_t> trailing =
+      Tuple({7777, 4}, {"c"}).Serialize(db.table().schema());
+  trailing.push_back(0xff);
+  std::vector<uint8_t> cut_varchar =
+      Tuple({7777, 5}, {"dddd"}).Serialize(db.table().schema());
+  cut_varchar.resize(cut_varchar.size() - 2);
+  for (const std::vector<uint8_t>& record : {trailing, cut_varchar}) {
+    Database copy(Schema::PaperSchema(2, 16));
+    ASSERT_TRUE(copy.LoadTuple(Tuple({1, 2}, {"a"})).ok());
+    const PageId page_id = copy.table().heap().PageIdAt(0);
+    Result<Page*> page = copy.buffer_pool().FetchPage(page_id);
+    ASSERT_TRUE(page.ok());
+    SlotId slot;
+    ASSERT_TRUE(page.value()->Insert(record, &slot).ok());
+    ASSERT_TRUE(copy.buffer_pool().UnpinPage(page_id, true).ok());
+
+    const Status get = copy.table().Get(Rid{page_id, slot}).status();
+    const Status select =
+        copy.ExecuteStatement(Statement::Select(Query::Point(0, 7777)))
+            .status();
+    EXPECT_TRUE(get.IsCorruption()) << get.ToString();
+    EXPECT_EQ(select.code(), get.code()) << select.ToString();
+    EXPECT_EQ(select.message(), get.message());
+  }
+  // The well-formed table still answers.
+  Result<StatementResult> answer =
+      db.ExecuteStatement(Statement::Select(Query::Point(0, 7777)));
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer->rids, std::vector<Rid>{good.value()});
+}
+
 TEST(HeapFileCapTest, MaxTuplesPerPageHonored) {
   Schema schema = Schema::PaperSchema(1, 16);
   DiskManager disk(4096);
@@ -276,6 +438,18 @@ TEST(HeapFileCapTest, MaxTuplesPerPageHonored) {
     EXPECT_EQ(heap.LiveTuplesOnPage(page).value(), 5);
   }
   EXPECT_EQ(heap.LiveTuplesOnPage(heap.PageCount() - 1).value(), 3);
+  // A delete frees a place under the cap; the page is full again after one
+  // insert, so the next one goes to the tail.
+  ASSERT_TRUE(heap.Delete(Rid{heap.PageIdAt(1), 2}).ok());
+  Result<Rid> refill = heap.Insert(Tuple({100}, {"x"}));
+  ASSERT_TRUE(refill.ok());
+  EXPECT_EQ(refill->page_id, heap.PageIdAt(1));
+  Result<Rid> next = heap.Insert(Tuple({101}, {"x"}));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->page_id, heap.PageIdAt(4));
+  for (size_t page = 0; page < heap.PageCount(); ++page) {
+    EXPECT_LE(heap.LiveTuplesOnPage(page).value(), 5);
+  }
 }
 
 TEST(HeapFileLargeTest, ThousandsOfTuplesAcrossPages) {

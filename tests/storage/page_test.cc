@@ -174,5 +174,57 @@ TEST(PageTest, ManySmallRecordsFillExactly) {
   }
 }
 
+TEST(PageTest, InsertCompactsToReuseDeletedAndShrunkBytes) {
+  Page page(256);
+  const std::vector<uint8_t> record(40, 0xab);
+  std::vector<SlotId> slots;
+  SlotId slot;
+  while (page.Insert(record, &slot).ok()) slots.push_back(slot);
+  ASSERT_GE(slots.size(), 4u);
+  const uint32_t full = page.FreeSpace();
+  ASSERT_LT(full, record.size());
+  // A delete and a shrink free 40 + 30 bytes in the middle of the record
+  // area; the next 40-byte insert needs them and compacts.
+  ASSERT_TRUE(page.Delete(slots[1]).ok());
+  ASSERT_TRUE(page.UpdateInPlace(slots[2], Bytes("0123456789")).ok());
+  EXPECT_EQ(page.DeadBytes(), 70u);
+  EXPECT_EQ(page.FreeSpace(), full + 70);
+  SlotId reused;
+  ASSERT_TRUE(page.Insert(record, &reused).ok());
+  EXPECT_EQ(reused, slots.back() + 1);  // a fresh slot id, never slots[1]
+  EXPECT_EQ(page.DeadBytes(), 0u);
+  EXPECT_FALSE(page.IsLive(slots[1]));
+  std::span<const uint8_t> read;
+  ASSERT_TRUE(page.Read(slots[2], &read).ok());
+  EXPECT_EQ(AsString(read), "0123456789");
+  for (const SlotId s : {slots[0], slots[3], reused}) {
+    ASSERT_TRUE(page.Read(s, &read).ok());
+    EXPECT_TRUE(std::equal(read.begin(), read.end(), record.begin(),
+                           record.end()));
+  }
+}
+
+TEST(PageTest, EmptyRecordAtTheEndOfA64KiBPageStaysLive) {
+  // The page end, 65536, does not fit the u16 offset field; an empty record
+  // stored there must not read back as the tombstone offset 0.
+  Page page(65536);
+  const std::vector<uint8_t> empty;
+  SlotId slot;
+  ASSERT_TRUE(page.Insert(empty, &slot).ok());
+  EXPECT_TRUE(page.IsLive(slot));
+  std::span<const uint8_t> record;
+  ASSERT_TRUE(page.Read(slot, &record).ok());
+  EXPECT_TRUE(record.empty());
+  SlotId other;
+  ASSERT_TRUE(page.Insert(Bytes("abc"), &other).ok());
+  ASSERT_TRUE(page.Delete(other).ok());
+  // A compacting insert moves the empty record back to the page end.
+  const std::vector<uint8_t> big(page.FreeSpace(), 0x11);
+  ASSERT_TRUE(page.Insert(big, &other).ok());
+  EXPECT_TRUE(page.IsLive(slot));
+  ASSERT_TRUE(page.Read(slot, &record).ok());
+  EXPECT_TRUE(record.empty());
+}
+
 }  // namespace
 }  // namespace aib

@@ -332,6 +332,40 @@ TEST_F(SnapshotTest, DmlAfterLoadStaysConsistent) {
   ASSERT_TRUE(CheckSpaceConsistency(*table, *loaded->space()).ok());
 }
 
+// The heap's free-space list is derived state, not saved: a loaded table
+// rebuilds it from its pages, so its next inserts land in the holes the
+// deletes before the save left, on the same pages the original's do.
+TEST_F(SnapshotTest, LoadedTableReusesTheHolesOfDeletes) {
+  auto original = MakeWarmCatalog();
+  Table* table = original->GetTable("t");
+  const std::vector<size_t> holes = {3, 10, 42};  // 10 tuples per page
+  for (const size_t page : holes) {
+    const Rid victim{table->heap().PageIdAt(page), 4};
+    ASSERT_TRUE(
+        original->ExecuteStatement(table, Statement::Delete(victim)).ok());
+  }
+  const size_t pages = table->PageCount();
+  ASSERT_TRUE(original->SaveSnapshot(path_).ok());
+  auto loaded = std::move(Catalog::LoadSnapshot(path_, Options())).value();
+  Table* restored = loaded->GetTable("t");
+
+  for (size_t i = 0; i <= holes.size(); ++i) {
+    const Tuple tuple({static_cast<Value>(200 + i)}, {"refill"});
+    Result<Rid> mine =
+        AffectedRid(loaded->ExecuteStatement(restored, Statement::Insert(tuple)));
+    Result<Rid> theirs =
+        AffectedRid(original->ExecuteStatement(table, Statement::Insert(tuple)));
+    ASSERT_TRUE(mine.ok() && theirs.ok());
+    EXPECT_EQ(mine.value(), theirs.value());
+    // The holes first, in page order; then, with every page at its tuple
+    // cap, a fresh tail page.
+    EXPECT_EQ(restored->PageNumberOf(mine.value()).value(),
+              i < holes.size() ? holes[i] : pages);
+  }
+  EXPECT_EQ(restored->PageCount(), pages + 1);
+  EXPECT_TRUE(CheckSpaceConsistency(*restored, *loaded->space()).ok());
+}
+
 TEST_F(SnapshotTest, LoadMissingFileFails) {
   EXPECT_TRUE(Catalog::LoadSnapshot("/nonexistent/aib.bin", Options())
                   .status()
