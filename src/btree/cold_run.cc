@@ -87,11 +87,4 @@ size_t ColdRun::ApproxBytes() const {
   return sizeof(*this) + entries_.capacity() * sizeof(Entry);
 }
 
-bool ColdRun::Overlaps(Value lo, Value hi) const {
-  if (entries_.empty()) return false;
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), lo,
-                             [](const Entry& e, Value k) { return e.key < k; });
-  return it != entries_.end() && it->key <= hi;
-}
-
 }  // namespace aib

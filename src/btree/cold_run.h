@@ -11,9 +11,10 @@ namespace aib {
 /// Read-optimized cold-tier run: a sorted, densely packed vector of
 /// (key, rid) entries behind the IndexStructure interface.
 ///
-/// Demotion compacts a hot BufferPartition's B+-tree into one of these
-/// (2-Tree style, Yao et al.): probes stay answerable at binary-search
-/// cost while the partition no longer charges the hot-tier entry budget,
+/// Demotion compacts a hot BufferPartition's B+-tree into one of these,
+/// which the demoted partition then holds as its structure (2-Tree style,
+/// Yao et al.): probes stay answerable at binary-search cost while the
+/// partition no longer charges the hot-tier entry budget,
 /// and promotion back into the hot tree is a linear replay of the packed
 /// entries — memcpy-class work instead of a full indexing re-scan.
 ///
@@ -57,9 +58,6 @@ class ColdRun final : public IndexStructure {
   /// `older` is an earlier-epoch sibling of the same partition, so its
   /// postings precede. Both runs stay sorted; the merge is linear.
   void MergeOlder(const ColdRun& older);
-
-  /// True if any entry's key lies in [lo, hi].
-  bool Overlaps(Value lo, Value hi) const;
 
   /// Smallest/largest key present. Only valid when EntryCount() > 0.
   Value MinKey() const { return entries_.front().key; }

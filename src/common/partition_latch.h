@@ -14,11 +14,11 @@
 namespace aib {
 
 /// A striped reader-writer latch table: a fixed array of shared_mutex
-/// stripes that an unbounded key space (heap page numbers, Index Buffer
-/// partition ids) maps onto with `StripeOf`. This is the partition-granular
-/// latching primitive of the concurrency refactor — statements latch only
-/// the stripes of the partitions they touch, so work on disjoint partitions
-/// overlaps while collisions degrade gracefully into short waits.
+/// stripes that an unbounded key space (heap page numbers) maps onto with
+/// `StripeOf`. This is the partition-granular latching primitive of the
+/// concurrency refactor — statements latch only the stripes of the pages
+/// they touch, so work on disjoint pages overlaps while collisions degrade
+/// gracefully into short waits.
 ///
 /// Acquisition discipline (deadlock freedom): every multi-stripe
 /// acquisition locks its stripes in ascending stripe order, in one batch,
@@ -54,13 +54,6 @@ class PartitionLatchTable {
   size_t StripeOf(size_t key) const { return key % stripes_.size(); }
   StripeMask MaskOf(size_t key) const { return StripeMask{1} << StripeOf(key); }
   Metrics* metrics() const { return metrics_; }
-
-  /// Mixes a (domain, id) pair into one key, for tables whose keys span
-  /// two dimensions (e.g. (indexed column, partition id)). Collisions are
-  /// harmless — they only coarsen the striping.
-  static size_t MixKey(size_t domain, size_t id) {
-    return domain * 0x9E3779B97F4A7C15ull + id;
-  }
 
   /// RAII over a set of held stripes; releases on destruction, movable so
   /// operators can hold their latches across Open/NextBatch/Close.

@@ -19,11 +19,24 @@ class ColdRun;
 ///
 /// Each partition owns its own index structure — this is the "partitioned
 /// B*-tree" of the paper: dropping a partition discards its tree wholesale.
+/// The structure is the partition's storage format, and so its tier: a hot
+/// partition holds a mutable structure of the buffer's kind, a demoted one
+/// (see Demoted) a compacted, read-optimized ColdRun. Everything else —
+/// the page → entry-count map, probes, DML patches — is the same for both.
 class BufferPartition {
  public:
+  /// A hot partition over an empty structure of `kind`.
   BufferPartition(size_t id, IndexStructureKind kind);
 
+  /// Demotion: a cold copy of `hot` — its entries compacted into a ColdRun
+  /// (stable by key, so probes keep the hot tree's order), its page map
+  /// unchanged.
+  static std::unique_ptr<BufferPartition> Demoted(const BufferPartition& hot);
+
   size_t id() const { return id_; }
+
+  /// The run of a demoted partition; null for a hot one.
+  const ColdRun* cold_run() const { return cold_run_; }
 
   /// Adds an entry for a tuple on `page`. Registers the page as covered.
   void AddEntry(size_t page, Value value, const Rid& rid);
@@ -75,38 +88,26 @@ class BufferPartition {
     return page_entries_;
   }
 
-  /// Read view of the underlying structure (cold-run compaction walks it).
+  /// Read view of the underlying structure.
   const IndexStructure& structure() const { return *structure_; }
 
-  /// Promotion-only raw restore: inserts an entry without touching the
-  /// page bookkeeping — the page map is restored wholesale by
-  /// MergePageEntries from the demoted partition's saved copy.
-  void InsertEntryRaw(Value value, const Rid& rid) {
-    structure_->Insert(value, rid);
-  }
-
-  /// Restores a demoted (older-epoch) run into a sibling that has already
-  /// accumulated newer entries: rebuilds the structure key-sorted with the
-  /// older epoch's postings first at shared keys — the order one
-  /// never-demoted partition would hold. Appending (InsertEntryRaw) would
-  /// instead put the older postings last. Page bookkeeping is untouched;
-  /// callers follow up with MergePageEntries.
-  void MergeOlderEntries(const ColdRun& older);
-
-  /// Merges a demoted partition's page → entry-count map back in. Counts
-  /// add (the tiers cover disjoint pages, so in practice each key lands
-  /// fresh or merges with a zero-count tombstone).
-  void MergePageEntries(const std::map<size_t, size_t>& page_entries) {
-    for (const auto& [page, count] : page_entries) {
-      page_entries_[page] += count;
-    }
-  }
+  /// Merges `older`, a demoted sibling of the same id, into this partition
+  /// (promotion into a hot sibling, or demotion onto a cold one). `older`
+  /// holds the earlier epoch, so its postings precede this partition's at
+  /// equal keys — the order one never-demoted partition would hold — and
+  /// its page → entry-count map adds in (the siblings cover disjoint
+  /// pages).
+  void AbsorbOlder(const BufferPartition& older);
 
   size_t ApproxBytes() const { return structure_->ApproxBytes(); }
 
  private:
+  BufferPartition(size_t id, std::unique_ptr<ColdRun> run);
+
   size_t id_;
   std::unique_ptr<IndexStructure> structure_;
+  /// structure_ seen as a run when the partition is demoted; else null.
+  ColdRun* cold_run_ = nullptr;
   std::map<size_t, size_t> page_entries_;
 };
 

@@ -21,7 +21,6 @@ IndexBufferSpace::IndexBufferSpace(BufferSpaceOptions options,
                                    Metrics* metrics)
     : options_(options),
       metrics_(metrics),
-      partition_latches_(metrics),
       rng_(options.seed),
       degradation_(metrics) {}
 
@@ -272,11 +271,13 @@ PageSelection IndexBufferSpace::SelectPagesForBuffer(IndexBuffer* target) {
               if (a->column() != b->column()) return a->column() < b->column();
               return a < b;
             });
+  // Counted like every standalone latch, in the table's latch counters.
+  const PartitionLatchTable& latches =
+      target->partial_index().table().page_latches();
   std::vector<std::unique_lock<std::shared_mutex>> sentinels;
   sentinels.reserve(victim_buffers.size());
   for (IndexBuffer* buffer : victim_buffers) {
-    sentinels.push_back(
-        partition_latches_.AcquireExclusiveTimed(buffer->scan_latch()));
+    sentinels.push_back(latches.AcquireExclusiveTimed(buffer->scan_latch()));
   }
   for (size_t i = 0; i < committed_victims; ++i) {
     if (options_.eviction_mode == EvictionMode::kDemote) {
@@ -299,7 +300,7 @@ PromotionResult IndexBufferSpace::PromoteForQuery(IndexBuffer* target,
                                                   Value lo, Value hi) {
   PromotionResult result;
   if (options_.eviction_mode != EvictionMode::kDemote) return result;
-  for (const IndexBuffer::ColdStats& cold : target->ColdSnapshot()) {
+  for (const IndexBuffer::PartitionStats& cold : target->ColdSnapshot()) {
     if (cold.entries == 0) continue;
     if (cold.min_key > hi || cold.max_key < lo) continue;
     // A promotion re-charges the hot budget; stop before overrunning it —

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/partition_latch.h"
 #include "common/rng.h"
 #include "core/degradation.h"
 #include "core/index_buffer.h"
@@ -86,17 +85,16 @@ struct PromotionResult {
 ///    IndexBuffer), and carries a per-buffer scan sentinel so indexing
 ///    scans of *different* buffers overlap while DML excludes Algorithm 2
 ///    drops from the buffers it is maintaining.
-///  - `partition_latches()` is the striped per-(column, partition-id)
-///    writer latch table DML uses to serialize mutations of the same
-///    buffer partition (keys via PartitionLatchTable::MixKey(column, id),
-///    acquired ascending in one batch).
 ///  - The buffer map itself is guarded by an internal reader-writer lock
 ///    (lookups shared, CreateBuffer exclusive), so probes can resolve
 ///    buffers without any global latch.
+/// No latch orders two writers on different pages of one partition: every
+/// structure they share synchronizes itself, and coverage changes only
+/// under a buffer's sentinel held exclusively.
 /// Full latch order: executor membrane → structural latch → heap page
-/// stripes → buffer scan sentinels → partition latches → leaf locks
-/// (docs/ALGORITHMS.md has the complete table). Single-threaded callers
-/// may ignore all latches, as the seed tests and benches do.
+/// stripes → buffer scan sentinels → leaf locks (docs/ALGORITHMS.md has
+/// the complete table). Single-threaded callers may ignore all latches, as
+/// the seed tests and benches do.
 class IndexBufferSpace {
  public:
   /// Buffers are kept ordered by indexed column, not by pointer value:
@@ -150,12 +148,6 @@ class IndexBufferSpace {
   /// decisions); ordinary statements never take it. Mutable so read-side
   /// callers can take shared locks through a const space.
   std::shared_mutex& latch() const { return latch_; }
-
-  /// Striped per-(column, partition-id) latch table for DML partition
-  /// mutations (see class comment).
-  PartitionLatchTable& partition_latches() const {
-    return partition_latches_;
-  }
 
   /// Algorithm 2 (SelectPagesForBuffer): chooses the pages the upcoming
   /// table scan should index into `target`, dropping just enough low-benefit
@@ -212,7 +204,6 @@ class IndexBufferSpace {
   BufferSpaceOptions options_;
   Metrics* metrics_;
   mutable std::shared_mutex latch_;
-  mutable PartitionLatchTable partition_latches_;
   mutable Rng rng_;
   /// Guards the buffer map itself (not the buffers' contents).
   mutable std::shared_mutex buffers_mu_;

@@ -73,111 +73,67 @@ Status CheckBufferConsistency(const Table& table, const IndexBuffer& buffer) {
         }));
   }
 
-  // (3) + (4): walk every partition's entries.
+  // (3) + (4): walk every partition's entries, both tiers alike — a
+  // demoted partition's run must hold exactly the truth entries of its
+  // covered pages, like a hot partition's tree.
   std::vector<size_t> buffered_entries_per_page(table.PageCount(), 0);
-  for (const auto& [partition_id, partition] : buffer.partitions()) {
-    std::map<size_t, size_t> counted;
-    Status status = Status::Ok();
-    partition->ForEachEntry([&](Value value, const Rid& rid) {
-      if (!status.ok()) return;
-      const Result<size_t> page_or = table.PageNumberOf(rid);
-      if (!page_or.ok()) {
-        status = Status::Corruption("buffer entry with foreign rid " +
-                                    RidToString(rid));
-        return;
-      }
-      const size_t page = page_or.value();
-      if (buffer.PartitionIdFor(page) != partition_id) {
-        status = Status::Corruption(
-            Msg("buffer entry in wrong partition", page));
-        return;
-      }
-      auto it = truth[page].uncovered.find(rid);
-      if (it == truth[page].uncovered.end()) {
-        status = Status::Corruption(
-            Msg("buffer entry references no uncovered live tuple", page));
-        return;
-      }
-      if (it->second != value) {
-        status = Status::Corruption(Msg("buffer entry value mismatch", page));
-        return;
-      }
-      ++counted[page];
-      if (page < buffered_entries_per_page.size()) {
+  for (const IndexBuffer::PartitionMap* partitions :
+       {&buffer.partitions(), &buffer.cold_partitions()}) {
+    for (const auto& [partition_id, partition] : *partitions) {
+      const std::string tier =
+          partition->cold_run() != nullptr ? "cold " : "hot ";
+      std::map<size_t, size_t> counted;
+      Status status = Status::Ok();
+      partition->ForEachEntry([&](Value value, const Rid& rid) {
+        if (!status.ok()) return;
+        const Result<size_t> page_or = table.PageNumberOf(rid);
+        if (!page_or.ok()) {
+          status = Status::Corruption(tier + "entry with foreign rid " +
+                                      RidToString(rid));
+          return;
+        }
+        const size_t page = page_or.value();
+        if (buffer.PartitionIdFor(page) != partition_id) {
+          status = Status::Corruption(
+              Msg(tier + "entry in wrong partition", page));
+          return;
+        }
+        auto it = truth[page].uncovered.find(rid);
+        if (it == truth[page].uncovered.end()) {
+          status = Status::Corruption(
+              Msg(tier + "entry references no uncovered live tuple", page));
+          return;
+        }
+        if (it->second != value) {
+          status = Status::Corruption(Msg(tier + "entry value mismatch", page));
+          return;
+        }
+        ++counted[page];
         ++buffered_entries_per_page[page];
+      });
+      AIB_RETURN_IF_ERROR(status);
+      // (4) page_entries bookkeeping: every counted page matches; registered
+      // pages without entries are legal (all their uncovered tuples were
+      // deleted or absorbed by the partial index).
+      size_t bookkept = 0;
+      for (const auto& [page, entries] : partition->page_entries()) {
+        bookkept += entries;
+        if (page >= table.PageCount() && entries != 0) {
+          return Status::Corruption(Msg(tier + "entries beyond table", page));
+        }
+        const size_t actual = counted.contains(page) ? counted.at(page) : 0;
+        if (entries != actual) {
+          return Status::Corruption(Msg(tier + "page_entries drift", page));
+        }
       }
-    });
-    AIB_RETURN_IF_ERROR(status);
-    // (4) page_entries bookkeeping: every counted page matches; registered
-    // pages without entries are legal (all their uncovered tuples were
-    // deleted or absorbed by the partial index).
-    for (const auto& [page, entries] : partition->page_entries()) {
-      const size_t actual =
-          counted.contains(page) ? counted.at(page) : 0;
-      if (entries != actual) {
-        return Status::Corruption(Msg("partition page_entries drift", page));
+      if (bookkept != partition->EntryCount()) {
+        return Status::Corruption(tier + "partition entry accounting drift");
       }
-    }
-    for (const auto& [page, count] : counted) {
-      if (!partition->page_entries().contains(page)) {
-        return Status::Corruption(
-            Msg("partition entry on unregistered page", page));
-      }
-    }
-  }
-
-  // Cold tier: a demoted partition's run must hold exactly the truth
-  // entries of its covered pages, like a hot partition.
-  for (const auto& [partition_id, cold] : buffer.cold_partitions()) {
-    size_t bookkept = 0;
-    for (const auto& [page, entries] : cold.page_entries) {
-      bookkept += entries;
-      if (page < buffered_entries_per_page.size()) {
-        buffered_entries_per_page[page] += entries;
-      } else if (entries != 0) {
-        return Status::Corruption(Msg("cold entries beyond table", page));
-      }
-    }
-    if (bookkept != cold.entries) {
-      return Status::Corruption("cold partition entry accounting drift");
-    }
-    std::map<size_t, size_t> counted;
-    Status status = Status::Ok();
-    cold.run.ForEachEntry([&](Value value, const Rid& rid) {
-      if (!status.ok()) return;
-      const Result<size_t> page_or = table.PageNumberOf(rid);
-      if (!page_or.ok()) {
-        status = Status::Corruption("cold entry with foreign rid " +
-                                    RidToString(rid));
-        return;
-      }
-      const size_t page = page_or.value();
-      if (buffer.PartitionIdFor(page) != partition_id) {
-        status = Status::Corruption(Msg("cold entry in wrong partition", page));
-        return;
-      }
-      auto it = truth[page].uncovered.find(rid);
-      if (it == truth[page].uncovered.end()) {
-        status = Status::Corruption(
-            Msg("cold entry references no uncovered live tuple", page));
-        return;
-      }
-      if (it->second != value) {
-        status = Status::Corruption(Msg("cold entry value mismatch", page));
-        return;
-      }
-      ++counted[page];
-    });
-    AIB_RETURN_IF_ERROR(status);
-    for (const auto& [page, entries] : cold.page_entries) {
-      const size_t actual = counted.contains(page) ? counted.at(page) : 0;
-      if (entries != actual) {
-        return Status::Corruption(Msg("cold page_entries drift", page));
-      }
-    }
-    for (const auto& [page, count] : counted) {
-      if (!cold.page_entries.contains(page)) {
-        return Status::Corruption(Msg("cold entry on unregistered page", page));
+      for (const auto& [page, count] : counted) {
+        if (!partition->page_entries().contains(page)) {
+          return Status::Corruption(
+              Msg(tier + "entry on unregistered page", page));
+        }
       }
     }
   }

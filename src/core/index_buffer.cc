@@ -4,6 +4,8 @@
 #include <chrono>
 #include <mutex>
 
+#include "btree/cold_run.h"
+
 namespace aib {
 
 IndexBuffer::IndexBuffer(const PartialIndex* index, IndexBufferOptions options,
@@ -54,34 +56,30 @@ void IndexBuffer::SetReserveHints(const std::vector<size_t>& selected_pages) {
   }
 }
 
-const BufferPartition* IndexBuffer::FindPartitionForPageLocked(
-    size_t page) const {
-  auto it = partitions_.find(PartitionIdFor(page));
-  return it == partitions_.end() ? nullptr : it->second.get();
+BufferPartition* IndexBuffer::CoveringPartitionLocked(const PartitionMap& tier,
+                                                      size_t page) const {
+  auto it = tier.find(PartitionIdFor(page));
+  if (it == tier.end() || !it->second->CoversPage(page)) return nullptr;
+  return it->second.get();
 }
 
 bool IndexBuffer::PageInBuffer(size_t page) const {
   std::shared_lock lock(partitions_mu_);
-  const BufferPartition* partition = FindPartitionForPageLocked(page);
-  if (partition != nullptr && partition->CoversPage(page)) return true;
-  auto it = cold_.find(PartitionIdFor(page));
-  return it != cold_.end() && it->second.page_entries.contains(page);
+  return CoveringPartitionLocked(partitions_, page) != nullptr ||
+         CoveringPartitionLocked(cold_, page) != nullptr;
 }
 
 void IndexBuffer::AddTuple(size_t page, Value value, const Rid& rid) {
   bool patched_cold = false;
   {
     std::unique_lock lock(partitions_mu_);
-    auto cold_it = cold_.find(PartitionIdFor(page));
-    if (cold_it != cold_.end() &&
-        cold_it->second.page_entries.contains(page)) {
-      // Table I patch of a cold-covered page: the run absorbs the entry in
-      // place so coverage never goes stale.
-      ColdPartition& cold = cold_it->second;
-      cold.run.Insert(value, rid);
-      cold.page_entries[page] += 1;
-      cold.entries += 1;
-      RefreshColdRunStats(&cold);
+    // A cold-covered page is patched in place (Table I), so coverage never
+    // goes stale; any other page goes to its hot partition.
+    if (BufferPartition* cold = CoveringPartitionLocked(cold_, page)) {
+      const size_t bytes = cold->ApproxBytes();
+      cold->AddEntry(page, value, rid);
+      CountColdBytes(static_cast<int64_t>(cold->ApproxBytes()) -
+                     static_cast<int64_t>(bytes));
       patched_cold = true;
     } else {
       GetOrCreatePartitionLocked(page)->AddEntry(page, value, rid);
@@ -100,24 +98,15 @@ bool IndexBuffer::RemoveTuple(size_t page, Value value, const Rid& rid) {
   bool patched_cold = false;
   {
     std::unique_lock lock(partitions_mu_);
-    auto cold_it = cold_.find(PartitionIdFor(page));
-    if (cold_it != cold_.end() &&
-        cold_it->second.page_entries.contains(page)) {
-      ColdPartition& cold = cold_it->second;
-      removed = cold.run.Remove(value, rid);
-      if (removed) {
-        // The page stays covered even at zero entries, mirroring the hot
-        // tier's RemoveEntry semantics.
-        cold.page_entries[page] -= 1;
-        cold.entries -= 1;
-        RefreshColdRunStats(&cold);
-        patched_cold = true;
-      }
-    } else {
+    BufferPartition* partition = CoveringPartitionLocked(cold_, page);
+    patched_cold = partition != nullptr;
+    if (!patched_cold) {
       auto it = partitions_.find(PartitionIdFor(page));
       if (it == partitions_.end()) return false;
-      removed = it->second->RemoveEntry(page, value, rid);
+      partition = it->second.get();
     }
+    // A cold run never shrinks its storage on removal: no gauge change.
+    removed = partition->RemoveEntry(page, value, rid);
   }
   if (removed && metrics_ != nullptr) {
     metrics_->Increment(kMetricIbEntriesDropped);
@@ -140,38 +129,43 @@ void IndexBuffer::MarkPageIndexed(size_t page) {
   GetOrCreatePartitionLocked(page)->CoverPage(page);
 }
 
+namespace {
+
+/// One Lookup's or Scan's probe tallies.
+struct ProbeTally {
+  IndexBuffer::ProbeTierStats* tier;
+  int64_t probes = 0;
+  int64_t cold_hits = 0;
+
+  /// One probed partition of the `cold` or hot tier, `matches` rids found.
+  void Add(bool cold, size_t matches) {
+    ++probes;
+    if (cold && matches > 0) ++cold_hits;
+    if (tier == nullptr) return;
+    ++(cold ? tier->cold_partitions : tier->hot_partitions);
+    (cold ? tier->cold_matches : tier->hot_matches) += matches;
+  }
+};
+
+}  // namespace
+
 void IndexBuffer::Lookup(Value value, std::vector<Rid>* out,
                          ProbeTierStats* tier) const {
   std::shared_lock lock(partitions_mu_);
-  int64_t probes = 0;
-  int64_t cold_hits = 0;
+  ProbeTally tally{tier};
   auto hot_it = partitions_.begin();
   auto cold_it = cold_.begin();
   while (hot_it != partitions_.end() || cold_it != cold_.end()) {
-    const bool take_cold =
+    const bool cold =
         cold_it != cold_.end() &&
         (hot_it == partitions_.end() || cold_it->first <= hot_it->first);
+    const BufferPartition& partition =
+        cold ? *(cold_it++)->second : *(hot_it++)->second;
     const size_t before = out->size();
-    ++probes;
-    if (take_cold) {
-      cold_it->second.run.Lookup(value, out);
-      const size_t matches = out->size() - before;
-      if (matches > 0) ++cold_hits;
-      if (tier != nullptr) {
-        ++tier->cold_partitions;
-        tier->cold_matches += matches;
-      }
-      ++cold_it;
-    } else {
-      hot_it->second->Lookup(value, out);
-      if (tier != nullptr) {
-        ++tier->hot_partitions;
-        tier->hot_matches += out->size() - before;
-      }
-      ++hot_it;
-    }
+    partition.Lookup(value, out);
+    tally.Add(cold, out->size() - before);
   }
-  CountProbes(probes, cold_hits);
+  CountProbes(tally.probes, tally.cold_hits);
 }
 
 void IndexBuffer::Scan(Value lo, Value hi,
@@ -183,15 +177,9 @@ void IndexBuffer::Scan(Value lo, Value hi,
   // interleave by key with the cold entries first at equal keys — they are
   // the older epoch, so this is exactly the order one never-split partition
   // BTree would emit.
+  ProbeTally tally{tier};
   auto hot_it = partitions_.begin();
   auto cold_it = cold_.begin();
-  int64_t probes = 0;
-  int64_t cold_hits = 0;
-  size_t matches = 0;
-  auto counting_fn = [&](Value v, const Rid& rid) {
-    ++matches;
-    fn(v, rid);
-  };
   while (hot_it != partitions_.end() || cold_it != cold_.end()) {
     const bool has_cold =
         cold_it != cold_.end() &&
@@ -199,14 +187,13 @@ void IndexBuffer::Scan(Value lo, Value hi,
     const bool has_hot =
         hot_it != partitions_.end() &&
         (cold_it == cold_.end() || hot_it->first <= cold_it->first);
-    matches = 0;
     if (has_cold && has_hot) {
       std::vector<std::pair<Value, Rid>> older;
       std::vector<std::pair<Value, Rid>> newer;
-      cold_it->second.run.Scan(lo, hi, [&](Value v, const Rid& rid) {
+      (cold_it++)->second->Scan(lo, hi, [&](Value v, const Rid& rid) {
         older.emplace_back(v, rid);
       });
-      hot_it->second->Scan(lo, hi, [&](Value v, const Rid& rid) {
+      (hot_it++)->second->Scan(lo, hi, [&](Value v, const Rid& rid) {
         newer.emplace_back(v, rid);
       });
       size_t c = 0;
@@ -218,36 +205,20 @@ void IndexBuffer::Scan(Value lo, Value hi,
         const auto& entry = take_cold ? older[c++] : newer[h++];
         fn(entry.first, entry.second);
       }
-      probes += 2;
-      if (!older.empty()) ++cold_hits;
-      if (tier != nullptr) {
-        ++tier->cold_partitions;
-        tier->cold_matches += older.size();
-        ++tier->hot_partitions;
-        tier->hot_matches += newer.size();
-      }
-      ++cold_it;
-      ++hot_it;
-    } else if (has_cold) {
-      cold_it->second.run.Scan(lo, hi, counting_fn);
-      ++probes;
-      if (matches > 0) ++cold_hits;
-      if (tier != nullptr) {
-        ++tier->cold_partitions;
-        tier->cold_matches += matches;
-      }
-      ++cold_it;
-    } else {
-      hot_it->second->Scan(lo, hi, counting_fn);
-      ++probes;
-      if (tier != nullptr) {
-        ++tier->hot_partitions;
-        tier->hot_matches += matches;
-      }
-      ++hot_it;
+      tally.Add(true, older.size());
+      tally.Add(false, newer.size());
+      continue;
     }
+    const BufferPartition& partition =
+        has_cold ? *(cold_it++)->second : *(hot_it++)->second;
+    size_t matches = 0;
+    partition.Scan(lo, hi, [&](Value v, const Rid& rid) {
+      ++matches;
+      fn(v, rid);
+    });
+    tally.Add(has_cold, matches);
   }
-  CountProbes(probes, cold_hits);
+  CountProbes(tally.probes, tally.cold_hits);
 }
 
 void IndexBuffer::CountProbes(int64_t probes, int64_t cold_hits) const {
@@ -295,23 +266,51 @@ size_t IndexBuffer::PartitionCount() const {
   return partitions_.size();
 }
 
-std::vector<IndexBuffer::PartitionStats> IndexBuffer::PartitionSnapshot()
-    const {
-  const double mean_interval = MeanInterval();
-  std::shared_lock lock(partitions_mu_);
-  std::vector<PartitionStats> stats;
-  stats.reserve(partitions_.size());
-  for (const auto& [id, partition] : partitions_) {
-    stats.push_back({id, partition->EntryCount(),
-                     partition->CoveredPageCount(),
-                     partition->Benefit(mean_interval)});
+namespace {
+
+std::vector<IndexBuffer::PartitionStats> Snapshot(
+    const IndexBuffer::PartitionMap& tier, double mean_interval) {
+  std::vector<IndexBuffer::PartitionStats> stats;
+  stats.reserve(tier.size());
+  for (const auto& [id, partition] : tier) {
+    IndexBuffer::PartitionStats s;
+    s.id = id;
+    s.entries = partition->EntryCount();
+    s.covered_pages = partition->CoveredPageCount();
+    if (const ColdRun* run = partition->cold_run(); run == nullptr) {
+      s.benefit = partition->Benefit(mean_interval);
+    } else if (s.entries > 0) {
+      s.min_key = run->MinKey();
+      s.max_key = run->MaxKey();
+    }
+    stats.push_back(s);
   }
   return stats;
 }
 
-size_t IndexBuffer::DropPartitionLocked(size_t partition_id) {
-  auto it = partitions_.find(partition_id);
-  if (it == partitions_.end()) return 0;
+}  // namespace
+
+std::vector<IndexBuffer::PartitionStats> IndexBuffer::PartitionSnapshot()
+    const {
+  const double mean_interval = MeanInterval();
+  std::shared_lock lock(partitions_mu_);
+  return Snapshot(partitions_, mean_interval);
+}
+
+std::vector<IndexBuffer::PartitionStats> IndexBuffer::ColdSnapshot() const {
+  std::shared_lock lock(partitions_mu_);
+  return Snapshot(cold_, 0);
+}
+
+void IndexBuffer::CountColdBytes(int64_t delta) const {
+  if (metrics_ != nullptr && delta != 0) {
+    metrics_->Increment(kMetricColdBytes, delta);
+  }
+}
+
+size_t IndexBuffer::DropLocked(PartitionMap& tier, size_t partition_id) {
+  auto it = tier.find(partition_id);
+  if (it == tier.end()) return 0;
   const BufferPartition& partition = *it->second;
   const size_t freed = partition.EntryCount();
   // Every page the partition covered regains its unindexed tuples: C[p]
@@ -320,46 +319,37 @@ size_t IndexBuffer::DropPartitionLocked(size_t partition_id) {
     counters_.EnsureSize(page + 1);
     counters_.Set(page, static_cast<uint32_t>(entry_count));
   }
-  partitions_.erase(it);
   if (metrics_ != nullptr) {
+    if (partition.cold_run() != nullptr) {
+      metrics_->Increment(kMetricColdRunsInvalidated);
+      CountColdBytes(-static_cast<int64_t>(partition.ApproxBytes()));
+    }
     metrics_->Increment(kMetricIbPartitionsDropped);
     metrics_->Increment(kMetricIbEntriesDropped,
                         static_cast<int64_t>(freed));
   }
+  tier.erase(it);
   return freed;
 }
 
 size_t IndexBuffer::DropPartition(size_t partition_id) {
   std::unique_lock lock(partitions_mu_);
-  return DropPartitionLocked(partition_id);
+  return DropLocked(partitions_, partition_id);
+}
+
+size_t IndexBuffer::DropColdRun(size_t partition_id) {
+  std::unique_lock lock(partitions_mu_);
+  return DropLocked(cold_, partition_id);
 }
 
 void IndexBuffer::Clear() {
   std::unique_lock lock(partitions_mu_);
-  // Collect ids first; the drop helpers mutate the maps.
-  std::vector<size_t> ids;
-  ids.reserve(partitions_.size());
-  for (const auto& [id, partition] : partitions_) ids.push_back(id);
-  for (size_t id : ids) DropPartitionLocked(id);
-  ids.clear();
-  for (const auto& [id, cold] : cold_) ids.push_back(id);
-  for (size_t id : ids) DropColdRunLocked(id);
+  for (PartitionMap* tier : {&partitions_, &cold_}) {
+    while (!tier->empty()) DropLocked(*tier, tier->begin()->first);
+  }
 }
 
 // --- Cold tier ---------------------------------------------------------------
-
-void IndexBuffer::RefreshColdRunStats(ColdPartition* cold) const {
-  const size_t old_bytes = cold->bytes;
-  cold->bytes = cold->run.ApproxBytes();
-  if (cold->run.EntryCount() > 0) {
-    cold->min_key = cold->run.MinKey();
-    cold->max_key = cold->run.MaxKey();
-  }
-  if (metrics_ != nullptr && cold->bytes != old_bytes) {
-    metrics_->Increment(kMetricColdBytes, static_cast<int64_t>(cold->bytes) -
-                                              static_cast<int64_t>(old_bytes));
-  }
-}
 
 size_t IndexBuffer::DemotePartition(size_t partition_id) {
   size_t moved = 0;
@@ -367,25 +357,20 @@ size_t IndexBuffer::DemotePartition(size_t partition_id) {
     std::unique_lock lock(partitions_mu_);
     auto it = partitions_.find(partition_id);
     if (it == partitions_.end()) return 0;
-    const BufferPartition& partition = *it->second;
-    moved = partition.EntryCount();
-
-    ColdRun run;
-    run.Build(partition.structure());
-
-    ColdPartition& cold = cold_[partition_id];
-    if (cold.entries > 0 || !cold.page_entries.empty()) {
+    moved = it->second->EntryCount();
+    std::unique_ptr<BufferPartition> demoted =
+        BufferPartition::Demoted(*it->second);
+    std::unique_ptr<BufferPartition>& slot = cold_[partition_id];
+    int64_t bytes = 0;
+    if (slot != nullptr) {
       // A cold sibling already exists (demoted earlier; an indexing scan
       // then covered new pages hot). Merge: the sibling's entries are the
       // older epoch and precede this run's at equal keys.
-      run.MergeOlder(cold.run);
+      bytes = static_cast<int64_t>(slot->ApproxBytes());
+      demoted->AbsorbOlder(*slot);
     }
-    for (const auto& [page, count] : partition.page_entries()) {
-      cold.page_entries[page] += count;
-    }
-    cold.run = std::move(run);
-    cold.entries = cold.run.EntryCount();
-    RefreshColdRunStats(&cold);
+    CountColdBytes(static_cast<int64_t>(demoted->ApproxBytes()) - bytes);
+    slot = std::move(demoted);
     partitions_.erase(it);
   }
   if (metrics_ != nullptr) {
@@ -400,33 +385,18 @@ Status IndexBuffer::PromotePartition(size_t partition_id) {
   if (it == cold_.end()) {
     return Status::NotFound("no cold partition with this id");
   }
-  ColdPartition& cold = it->second;
+  const BufferPartition& cold = *it->second;
   const auto start = std::chrono::steady_clock::now();
-  auto hot_it = partitions_.find(partition_id);
-  if (hot_it == partitions_.end()) {
-    hot_it = partitions_
-                 .emplace(partition_id, std::make_unique<BufferPartition>(
-                                            partition_id, options_.structure))
-                 .first;
-    hot_it->second->Reserve(cold.entries);
+  std::unique_ptr<BufferPartition>& hot = partitions_[partition_id];
+  if (hot == nullptr) {
+    hot = std::make_unique<BufferPartition>(partition_id, options_.structure);
+    hot->Reserve(cold.EntryCount());
   }
-  BufferPartition* partition = hot_it->second.get();
-  if (partition->EntryCount() == 0) {
-    cold.run.ForEachEntry([partition](Value value, const Rid& rid) {
-      partition->InsertEntryRaw(value, rid);
-    });
-  } else {
-    // The sibling accumulated newer entries after the demotion; appending
-    // would order the older epoch's postings last at shared keys. Merge
-    // instead, older epoch first.
-    partition->MergeOlderEntries(cold.run);
-  }
-  partition->MergePageEntries(cold.page_entries);
+  hot->AbsorbOlder(cold);
 
+  CountColdBytes(-static_cast<int64_t>(cold.ApproxBytes()));
   if (metrics_ != nullptr) {
     metrics_->Increment(kMetricColdPartitionsPromoted);
-    metrics_->Increment(kMetricColdBytes,
-                        -static_cast<int64_t>(cold.bytes));
     metrics_->Observe(
         kMetricPromotionLatencyMicros,
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -437,35 +407,6 @@ Status IndexBuffer::PromotePartition(size_t partition_id) {
   return Status::Ok();
 }
 
-size_t IndexBuffer::DropColdRunLocked(size_t partition_id) {
-  auto it = cold_.find(partition_id);
-  if (it == cold_.end()) return 0;
-  ColdPartition& cold = it->second;
-  const size_t discarded = cold.entries;
-  // Covered pages regain their unindexed tuples, exactly as a hot drop.
-  for (const auto& [page, entry_count] : cold.page_entries) {
-    counters_.EnsureSize(page + 1);
-    counters_.Set(page, static_cast<uint32_t>(entry_count));
-  }
-  if (metrics_ != nullptr) {
-    metrics_->Increment(kMetricColdRunsInvalidated);
-    metrics_->Increment(kMetricIbPartitionsDropped);
-    metrics_->Increment(kMetricIbEntriesDropped,
-                        static_cast<int64_t>(discarded));
-    if (cold.bytes > 0) {
-      metrics_->Increment(kMetricColdBytes,
-                          -static_cast<int64_t>(cold.bytes));
-    }
-  }
-  cold_.erase(it);
-  return discarded;
-}
-
-size_t IndexBuffer::DropColdRun(size_t partition_id) {
-  std::unique_lock lock(partitions_mu_);
-  return DropColdRunLocked(partition_id);
-}
-
 size_t IndexBuffer::ColdPartitionCount() const {
   std::shared_lock lock(partitions_mu_);
   return cold_.size();
@@ -474,31 +415,15 @@ size_t IndexBuffer::ColdPartitionCount() const {
 size_t IndexBuffer::ColdEntries() const {
   std::shared_lock lock(partitions_mu_);
   size_t entries = 0;
-  for (const auto& [id, cold] : cold_) entries += cold.entries;
+  for (const auto& [id, cold] : cold_) entries += cold->EntryCount();
   return entries;
 }
 
 size_t IndexBuffer::ColdBytes() const {
   std::shared_lock lock(partitions_mu_);
   size_t bytes = 0;
-  for (const auto& [id, cold] : cold_) bytes += cold.bytes;
+  for (const auto& [id, cold] : cold_) bytes += cold->ApproxBytes();
   return bytes;
-}
-
-std::vector<IndexBuffer::ColdStats> IndexBuffer::ColdSnapshot() const {
-  std::shared_lock lock(partitions_mu_);
-  std::vector<ColdStats> stats;
-  stats.reserve(cold_.size());
-  for (const auto& [id, cold] : cold_) {
-    ColdStats s;
-    s.id = id;
-    s.entries = cold.entries;
-    s.covered_pages = cold.page_entries.size();
-    s.min_key = cold.min_key;
-    s.max_key = cold.max_key;
-    stats.push_back(std::move(s));
-  }
-  return stats;
 }
 
 }  // namespace aib

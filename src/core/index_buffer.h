@@ -8,7 +8,6 @@
 #include <shared_mutex>
 #include <vector>
 
-#include "btree/cold_run.h"
 #include "btree/index_structure.h"
 #include "common/metrics.h"
 #include "core/buffer_partition.h"
@@ -38,11 +37,14 @@ struct IndexBufferOptions {
 /// Owns the page counters C, the partitioned index structure, and the LRU-K
 /// access history that drives the benefit model.
 ///
-/// Two tiers (2-Tree refactor): partitions live either *hot* — a mutable
-/// B+-tree charging the space's entry budget — or *cold* — a read-only
-/// compacted run (ColdRun) that keeps the partition's coverage and C[p]
+/// Two tiers (2-Tree refactor): every partition is a BufferPartition, and
+/// its structure is its storage format. A *hot* partition holds a mutable
+/// B+-tree charging the space's entry budget; a *cold* (demoted) one holds
+/// a compacted run (ColdRun) that keeps the partition's coverage and C[p]
 /// state valid at a fraction of the footprint, outside the entry budget.
-/// Both tiers live in memory: the buffer is a recovery-free scratch pad.
+/// The tiers are two maps of the same type, so DML, drops and probes treat
+/// both alike. Both live in memory: the buffer is a recovery-free scratch
+/// pad.
 /// Eviction demotes hot → cold instead of dropping; re-access promotes
 /// cold → hot at memcpy cost. The LRU-K history is per-buffer and
 /// untouched by tier moves, so a promoted partition's benefit b_p
@@ -169,24 +171,31 @@ class IndexBuffer {
 
   size_t PartitionCount() const;
 
-  /// Consistent per-partition snapshot (ascending partition id — the same
-  /// order iterating the live map would yield, which Algorithm 2's seeded
-  /// victim selection depends on). `benefit` is evaluated against
-  /// MeanInterval() at snapshot time.
+  /// One partition's figures in a consistent snapshot.
   struct PartitionStats {
     size_t id = 0;
     size_t entries = 0;
     size_t covered_pages = 0;
+    /// b_p against MeanInterval() at snapshot time; hot tier only (cold
+    /// partitions are not eviction candidates).
     double benefit = 0;
+    /// Key range, valid when entries > 0; cold tier only (promotion tests
+    /// a query's range against it).
+    Value min_key = 0;
+    Value max_key = 0;
   };
+  /// Consistent hot-tier snapshot (ascending partition id — the same
+  /// order iterating the live map would yield, which Algorithm 2's seeded
+  /// victim selection depends on).
   std::vector<PartitionStats> PartitionSnapshot() const;
 
-  /// Unsynchronized partition map view for quiesced contexts only
-  /// (consistency checks, single-threaded tests).
-  const std::map<size_t, std::unique_ptr<BufferPartition>>& partitions()
-      const {
-    return partitions_;
-  }
+  /// partition id -> partition; one map per tier.
+  using PartitionMap = std::map<size_t, std::unique_ptr<BufferPartition>>;
+
+  /// Unsynchronized views of the hot and cold tiers for quiesced contexts
+  /// only (consistency checks, single-threaded tests).
+  const PartitionMap& partitions() const { return partitions_; }
+  const PartitionMap& cold_partitions() const { return cold_; }
 
   /// The buffer's scan sentinel (see class comment). Mutable-through-const
   /// so read-side callers can latch through a const buffer.
@@ -202,21 +211,6 @@ class IndexBuffer {
   void Clear();
 
   // --- Cold tier (demote / promote) -----------------------------------------
-
-  /// One demoted partition. `page_entries` is the hot partition's page →
-  /// entry-count map at demotion time, kept current by DML patches so
-  /// DropColdRun can restore C[p] exactly.
-  struct ColdPartition {
-    ColdRun run;
-    std::map<size_t, size_t> page_entries;
-    size_t entries = 0;
-    /// ApproxBytes of the run.
-    size_t bytes = 0;
-    /// Key range summary, valid when entries > 0, so promotion can test
-    /// overlap from a snapshot.
-    Value min_key = 0;
-    Value max_key = 0;
-  };
 
   /// Demotes a hot partition into a compacted cold run. Coverage and C[p]
   /// are untouched — covered pages stay skippable. Merges with an existing
@@ -239,31 +233,22 @@ class IndexBuffer {
   /// Cold-run bytes (ApproxBytes summed over runs).
   size_t ColdBytes() const;
 
-  struct ColdStats {
-    size_t id = 0;
-    size_t entries = 0;
-    size_t covered_pages = 0;
-    Value min_key = 0;
-    Value max_key = 0;
-  };
   /// Consistent cold-tier snapshot, ascending partition id.
-  std::vector<ColdStats> ColdSnapshot() const;
-
-  /// Unsynchronized cold-tier view for quiesced contexts only (consistency
-  /// checks).
-  const std::map<size_t, ColdPartition>& cold_partitions() const {
-    return cold_;
-  }
+  std::vector<PartitionStats> ColdSnapshot() const;
 
  private:
   /// Callers hold partitions_mu_ exclusively.
   BufferPartition* GetOrCreatePartitionLocked(size_t page);
-  size_t DropPartitionLocked(size_t partition_id);
-  const BufferPartition* FindPartitionForPageLocked(size_t page) const;
-
-  // Cold-tier internals; callers hold partitions_mu_ exclusively.
-  size_t DropColdRunLocked(size_t partition_id);
-  void RefreshColdRunStats(ColdPartition* cold) const;
+  /// The partition of `tier` that covers `page`, or null. Callers hold
+  /// partitions_mu_.
+  BufferPartition* CoveringPartitionLocked(const PartitionMap& tier,
+                                           size_t page) const;
+  /// Drops partition `partition_id` of `tier`, restoring C[p] for each
+  /// page it covered to that page's entry count. Returns the entries
+  /// freed.
+  size_t DropLocked(PartitionMap& tier, size_t partition_id);
+  /// Applies `delta` to the `core.cold_bytes` gauge.
+  void CountColdBytes(int64_t delta) const;
 
   /// Adds one Lookup's or Scan's tallies to `index.probes` and
   /// `core.cold_hits` in one registry call each; a zero tally names no
@@ -288,11 +273,10 @@ class IndexBuffer {
   mutable std::shared_mutex partitions_mu_;
   /// partition id -> expected further entries; see SetReserveHints.
   std::map<size_t, size_t> reserve_hints_;
-  /// partition id -> partition (the hot tier).
-  std::map<size_t, std::unique_ptr<BufferPartition>> partitions_;
-
-  /// partition id -> demoted partition (the cold tier).
-  std::map<size_t, ColdPartition> cold_;
+  /// The hot tier.
+  PartitionMap partitions_;
+  /// The cold tier: demoted partitions, each over a ColdRun.
+  PartitionMap cold_;
 };
 
 }  // namespace aib

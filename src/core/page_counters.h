@@ -25,10 +25,10 @@ namespace aib {
 /// Concurrency: self-synchronized leaf object. An internal reader-writer
 /// lock guards the counter array — Set/Increment/Decrement/EnsureSize take
 /// it exclusively, reads take it shared — so C[p] can be read by covered
-/// probes and mutated by partition-latched DML concurrently without the
-/// whole-space latch the pre-refactor design required. The lock is a leaf
-/// in the latch hierarchy: no other latch is ever acquired while holding
-/// it. A torn C[p] would silently un-skip (or worse, wrongly skip) pages
+/// probes and mutated by concurrent DML writers (each on its own pages)
+/// without the whole-space latch the pre-refactor design required. The
+/// lock is a leaf in the latch hierarchy: no other latch is ever acquired
+/// while holding it. A torn C[p] would silently un-skip (or worse, wrongly skip) pages
 /// for every later scan, so every mutation goes through this lock.
 class PageCounters {
  public:

@@ -24,22 +24,14 @@ DmlOperator::WriteLatches DmlOperator::AcquireWriteLatches(
   WriteLatches latches;
   latches.stripes = table_->page_latches().AcquireExclusive(pages);
   if (space_ == nullptr) return latches;
-  // Sentinels shared in ascending column order (the map's order), then the
-  // mutated partitions exclusive in one sorted batch. See the class
-  // comment for why the sentinel waits are always empty.
-  std::vector<size_t> partition_keys;
+  // Sentinels shared in ascending column order (the map's order). See the
+  // class comment for why the sentinel waits are always empty.
   for (const auto& [column, index] : *indexes_) {
     IndexBuffer* buffer = space_->GetBuffer(index);
     if (buffer == nullptr) continue;
     latches.sentinels.push_back(
-        space_->partition_latches().AcquireSharedTimed(buffer->scan_latch()));
-    for (const size_t page : pages) {
-      partition_keys.push_back(static_cast<size_t>(PartitionLatchTable::MixKey(
-          column, buffer->PartitionIdFor(page))));
-    }
+        table_->page_latches().AcquireSharedTimed(buffer->scan_latch()));
   }
-  latches.partitions =
-      space_->partition_latches().AcquireExclusive(partition_keys);
   return latches;
 }
 

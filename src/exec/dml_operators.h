@@ -39,13 +39,17 @@ namespace aib {
 ///      and Algorithm 2 partition drops for the commit's duration. This
 ///      acquisition never blocks: a sentinel is only held exclusively by a
 ///      scan that also holds every heap stripe shared, which the
-///      stripe-exclusive acquisition in step 2 already excludes;
-///   4. the per-(column, partition) latches of the buffer partitions the
-///      mutated pages map to, exclusive, ascending key order.
+///      stripe-exclusive acquisition in step 2 already excludes.
 ///
-/// All mutated leaf structures (counters, partitions, histories, the heap
-/// directory) are additionally self-synchronized, so reads that latch
-/// nothing (Table II updates, probes of other partitions) stay safe.
+/// Nothing orders two writers on different pages of one buffer partition:
+/// every structure they share synchronizes itself (the buffer's partition
+/// maps, the page counters, the partial index with its version counter),
+/// and coverage changes — MarkPageIndexed, drops, demotion, promotion,
+/// quarantine — happen only under a sentinel held exclusively, which step
+/// 3 excludes. Each writer's Table I decisions read only its own pages'
+/// coverage and C[p], and the order of two such writers was never more
+/// than timing. Reads that latch nothing (Table II updates, probes of other
+/// partitions) stay safe for the same reason.
 ///
 /// Fault atomicity: only the pre-mutation read phase (fetching the old
 /// tuple image) is exposed to the fault injector. The commit section —
@@ -65,18 +69,16 @@ class DmlOperator : public PhysicalOperator {
   Status Close() override;
 
  protected:
-  /// The write-side latch bundle of one statement (levels 2–4 of the class
+  /// The write-side latch bundle of one statement (levels 2–3 of the class
   /// comment); released bottom-up by destruction order at end of scope.
   struct WriteLatches {
     PartitionLatchTable::LatchSet stripes;
     std::vector<std::shared_lock<std::shared_mutex>> sentinels;
-    PartitionLatchTable::LatchSet partitions;
   };
 
-  /// Acquires stripes (exclusive), buffer sentinels (shared), and the
-  /// mutated partitions' latches (exclusive) for a statement touching
-  /// `pages`. The caller already holds the append mutex when the statement
-  /// might insert.
+  /// Acquires stripes (exclusive) and buffer sentinels (shared) for a
+  /// statement touching `pages`. The caller already holds the append mutex
+  /// when the statement might insert.
   WriteLatches AcquireWriteLatches(const std::vector<size_t>& pages);
 
   /// The dense pages an insert of `tuple` may touch: `*target`, the page

@@ -54,10 +54,11 @@ namespace aib {
 ///      for covered probes;
 ///   4. per-buffer scan sentinels (IndexBuffer::scan_latch()) — exclusive
 ///      for the buffer an indexing scan fills, shared for the buffers a
-///      DML statement maintains;
-///   5. per-(column, partition) latches
-///      (IndexBufferSpace::partition_latches()) — exclusive for the
-///      partitions DML mutates, ascending key order.
+///      DML statement maintains.
+///
+/// Writers on different pages of one buffer partition take no common
+/// latch: the structures they share synchronize themselves (see
+/// DmlOperator).
 ///
 /// Table II history updates are self-synchronized per buffer and need no
 /// space latch. See docs/ALGORITHMS.md for the full discipline and the

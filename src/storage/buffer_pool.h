@@ -83,9 +83,11 @@ struct BufferPoolOptions {
 /// retriable Busy when the wait times out. Page *contents* are protected
 /// by the pin protocol: a pinned page may be read concurrently; writers
 /// must hold the only pin. The statement pipeline realizes that contract
-/// at a higher level: DML operators run under the executor's exclusive
-/// statement latch, so no reader holds a pin on any page while a write
-/// plan mutates the heap (see exec/executor.h).
+/// at a higher level: the executor's statement latch is a shared-only
+/// membrane, and a DML operator holds the heap page stripes of the pages
+/// it mutates exclusively, while every reader holds the stripes of the
+/// pages it reads shared. So no reader holds a pin on a page while a write
+/// plan mutates it (see exec/executor.h and exec/dml_operators.h).
 class BufferPool {
  public:
   /// `capacity` is the number of frames. The pool does not own `disk`.

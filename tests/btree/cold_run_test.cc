@@ -112,19 +112,6 @@ TEST(ColdRunTest, MergeOlderPutsOlderEpochFirstAtEqualKeys) {
   EXPECT_EQ(out, (std::vector<Rid>{MakeRid(5, 0), MakeRid(50, 0)}));
 }
 
-TEST(ColdRunTest, OverlapsChecksKeyRange) {
-  ColdRun run;
-  EXPECT_FALSE(run.Overlaps(0, 100));  // empty run overlaps nothing
-  run.Insert(10, MakeRid(1, 0));
-  run.Insert(20, MakeRid(2, 0));
-  EXPECT_TRUE(run.Overlaps(15, 25));
-  EXPECT_TRUE(run.Overlaps(10, 10));
-  EXPECT_FALSE(run.Overlaps(0, 9));
-  EXPECT_FALSE(run.Overlaps(21, 100));
-  // Entry presence, not key-range intersection: [11,19] holds no entry.
-  EXPECT_FALSE(run.Overlaps(11, 19));
-}
-
 TEST(ColdRunTest, ClearReleasesEntries) {
   ColdRun run;
   for (Value v = 0; v < 1000; ++v) run.Insert(v, MakeRid(v, 0));

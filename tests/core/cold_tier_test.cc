@@ -173,7 +173,7 @@ TEST_F(ColdTierTest, DemoteMergesWithExistingColdSibling) {
 
   EXPECT_EQ(buffer->ColdPartitionCount(), 1u);
   EXPECT_EQ(buffer->ColdEntries(), 30u);
-  const std::vector<IndexBuffer::ColdStats> stats = buffer->ColdSnapshot();
+  const std::vector<IndexBuffer::PartitionStats> stats = buffer->ColdSnapshot();
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].covered_pages, 3u);
   for (Value v : {55, 65, 75}) {
