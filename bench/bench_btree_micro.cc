@@ -3,7 +3,8 @@
 // The paper's Index Buffer is structure-agnostic (§III); this bench
 // quantifies the raw point/range operation costs of the two structures the
 // library ships (kind 0 = B+-tree, 1 = hash), informing
-// the structure ablation (bench_ablation_structure).
+// the structure ablation (bench_ablation_structure). BM_Insert also reports
+// each structure's `bytes_per_entry` by ApproxBytes.
 
 #include <benchmark/benchmark.h>
 
@@ -39,6 +40,10 @@ void BM_Insert(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
+  auto filled = Make(static_cast<int>(state.range(0)));
+  FillRandom(filled.get(), n, 7);
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(filled->ApproxBytes()) / static_cast<double>(n);
 }
 BENCHMARK(BM_Insert)
     ->ArgNames({"kind", "n"})

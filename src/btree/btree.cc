@@ -2,27 +2,29 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace aib {
 
 struct BTree::Node {
-  explicit Node(bool leaf) : is_leaf(leaf) {}
+  Node(bool leaf, int fanout) : is_leaf(leaf) {
+    if (leaf) entries.reserve(static_cast<size_t>(fanout));
+  }
 
   bool is_leaf;
+  /// Internal nodes: distinct separators, children.size() == keys.size() + 1.
+  /// Child i holds keys < keys[i]; child i+1 holds keys >= keys[i].
   std::vector<Value> keys;
-  /// Internal nodes: children.size() == keys.size() + 1. Child i holds keys
-  /// < keys[i]; child i+1 holds keys >= keys[i].
   std::vector<std::unique_ptr<Node>> children;
-  /// Leaves: postings[i] are the rids of keys[i]. Distinct keys only;
-  /// duplicates extend the postings list.
-  std::vector<std::vector<Rid>> postings;
+  /// Leaves: entries sorted by key, insertion order within a key.
+  std::vector<IndexEntry> entries;
   /// Leaf chain, ascending key order.
   Node* next = nullptr;
 };
 
 BTree::BTree(int fanout) : fanout_(fanout) {
   assert(fanout_ >= 4);
-  root_ = std::make_unique<Node>(/*leaf=*/true);
+  root_ = std::make_unique<Node>(/*leaf=*/true, fanout_);
 }
 
 BTree::~BTree() = default;
@@ -38,20 +40,26 @@ BTree::Node* BTree::FindLeaf(Value key) const {
   return node;
 }
 
+bool BTree::Full(const Node* node) const {
+  const size_t fanout = static_cast<size_t>(fanout_);
+  if (!node->is_leaf) return node->keys.size() >= fanout;
+  return node->entries.size() >= fanout &&
+         node->entries.front().key != node->entries.back().key;
+}
+
 void BTree::SplitChild(Node* parent, int index) {
   Node* child = parent->children[index].get();
-  auto right = std::make_unique<Node>(child->is_leaf);
+  auto right = std::make_unique<Node>(child->is_leaf, fanout_);
   Value separator;
 
   if (child->is_leaf) {
-    const size_t mid = child->keys.size() / 2;
-    separator = child->keys[mid];
-    right->keys.assign(child->keys.begin() + mid, child->keys.end());
-    right->postings.assign(
-        std::make_move_iterator(child->postings.begin() + mid),
-        std::make_move_iterator(child->postings.end()));
-    child->keys.resize(mid);
-    child->postings.resize(mid);
+    // Cut before the middle entry's key, else after it (Full(): two keys).
+    std::vector<IndexEntry>& entries = child->entries;
+    const auto [lo, hi] = EntriesOf(entries, entries[entries.size() / 2].key);
+    const auto cut = lo != entries.begin() ? lo : hi;
+    separator = cut->key;
+    right->entries.assign(cut, entries.cend());
+    entries.erase(cut, entries.end());
     right->next = child->next;
     child->next = right.get();
   } else {
@@ -68,7 +76,6 @@ void BTree::SplitChild(Node* parent, int index) {
   parent->keys.insert(parent->keys.begin() + index, separator);
   parent->children.insert(parent->children.begin() + index + 1,
                           std::move(right));
-  ++node_count_;
 }
 
 void BTree::InsertNonFull(Node* node, Value key, const Rid& rid) {
@@ -76,33 +83,27 @@ void BTree::InsertNonFull(Node* node, Value key, const Rid& rid) {
     size_t index =
         std::upper_bound(node->keys.begin(), node->keys.end(), key) -
         node->keys.begin();
-    if (node->children[index]->keys.size() >=
-        static_cast<size_t>(fanout_)) {
+    if (Full(node->children[index].get())) {
       SplitChild(node, static_cast<int>(index));
       if (key >= node->keys[index]) ++index;
     }
     node = node->children[index].get();
   }
 
-  auto it = std::lower_bound(node->keys.begin(), node->keys.end(), key);
-  const size_t pos = it - node->keys.begin();
-  if (it != node->keys.end() && *it == key) {
-    node->postings[pos].push_back(rid);
-  } else {
-    node->keys.insert(it, key);
-    node->postings.insert(node->postings.begin() + pos,
-                          std::vector<Rid>{rid});
-    ++key_count_;
-  }
+  // After the key's existing entries: postings keep insertion order.
+  std::vector<IndexEntry>& entries = node->entries;
+  const auto pos =
+      std::upper_bound(entries.begin(), entries.end(), key, EntryKeyLess{});
+  if (pos == entries.begin() || std::prev(pos)->key != key) ++key_count_;
+  entries.insert(pos, IndexEntry{key, rid});
   ++entry_count_;
 }
 
 void BTree::Insert(Value key, const Rid& rid) {
-  if (root_->keys.size() >= static_cast<size_t>(fanout_)) {
-    auto new_root = std::make_unique<Node>(/*leaf=*/false);
+  if (Full(root_.get())) {
+    auto new_root = std::make_unique<Node>(/*leaf=*/false, fanout_);
     new_root->children.push_back(std::move(root_));
     root_ = std::move(new_root);
-    ++node_count_;
     SplitChild(root_.get(), 0);
   }
   InsertNonFull(root_.get(), key, rid);
@@ -110,55 +111,40 @@ void BTree::Insert(Value key, const Rid& rid) {
 
 bool BTree::Remove(Value key, const Rid& rid) {
   Node* leaf = FindLeaf(key);
-  auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
-  if (it == leaf->keys.end() || *it != key) return false;
-  const size_t pos = it - leaf->keys.begin();
-  std::vector<Rid>& postings = leaf->postings[pos];
-  auto rid_it = std::find(postings.begin(), postings.end(), rid);
-  if (rid_it == postings.end()) return false;
-  postings.erase(rid_it);
+  const auto [lo, hi] = EntriesOf(leaf->entries, key);
+  const auto it = std::find_if(
+      lo, hi, [&rid](const IndexEntry& entry) { return entry.rid == rid; });
+  if (it == hi) return false;
+  if (hi - lo == 1) --key_count_;
+  leaf->entries.erase(it);
   --entry_count_;
-  if (postings.empty()) {
-    leaf->keys.erase(it);
-    leaf->postings.erase(leaf->postings.begin() + pos);
-    --key_count_;
-  }
   return true;
 }
 
 size_t BTree::RemoveKey(Value key) {
   Node* leaf = FindLeaf(key);
-  auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
-  if (it == leaf->keys.end() || *it != key) return 0;
-  const size_t pos = it - leaf->keys.begin();
-  const size_t removed = leaf->postings[pos].size();
-  leaf->keys.erase(it);
-  leaf->postings.erase(leaf->postings.begin() + pos);
+  const auto [lo, hi] = EntriesOf(leaf->entries, key);
+  const size_t removed = static_cast<size_t>(hi - lo);
+  if (removed == 0) return 0;
+  leaf->entries.erase(lo, hi);
   entry_count_ -= removed;
   --key_count_;
   return removed;
 }
 
 void BTree::Lookup(Value key, std::vector<Rid>* out) const {
-  const Node* leaf = FindLeaf(key);
-  auto it = std::lower_bound(leaf->keys.begin(), leaf->keys.end(), key);
-  if (it == leaf->keys.end() || *it != key) return;
-  const size_t pos = it - leaf->keys.begin();
-  out->insert(out->end(), leaf->postings[pos].begin(),
-              leaf->postings[pos].end());
+  const auto [lo, hi] = EntriesOf(FindLeaf(key)->entries, key);
+  for (auto it = lo; it != hi; ++it) out->push_back(it->rid);
 }
 
 void BTree::Scan(Value lo, Value hi,
                  const std::function<void(Value, const Rid&)>& fn) const {
-  const Node* leaf = FindLeaf(lo);
-  while (leaf != nullptr) {
-    for (size_t i = 0; i < leaf->keys.size(); ++i) {
-      const Value key = leaf->keys[i];
-      if (key < lo) continue;
-      if (key > hi) return;
-      for (const Rid& rid : leaf->postings[i]) fn(key, rid);
+  for (const Node* leaf = FindLeaf(lo); leaf != nullptr; leaf = leaf->next) {
+    for (auto it = EntriesFrom(leaf->entries, lo); it != leaf->entries.end();
+         ++it) {
+      if (it->key > hi) return;
+      fn(it->key, it->rid);
     }
-    leaf = leaf->next;
   }
 }
 
@@ -167,25 +153,30 @@ void BTree::ForEachEntry(
   const Node* node = root_.get();
   while (!node->is_leaf) node = node->children[0].get();
   for (const Node* leaf = node; leaf != nullptr; leaf = leaf->next) {
-    for (size_t i = 0; i < leaf->keys.size(); ++i) {
-      for (const Rid& rid : leaf->postings[i]) fn(leaf->keys[i], rid);
-    }
+    for (const IndexEntry& entry : leaf->entries) fn(entry.key, entry.rid);
   }
 }
 
 size_t BTree::ApproxBytes() const {
-  // Rough but monotone in contents: per-node fixed overhead, per-key slot,
-  // per-entry rid. Good enough for byte budgets and the benches.
-  return node_count_ * (sizeof(Node) + 32) +
-         key_count_ * (sizeof(Value) + sizeof(std::vector<Rid>)) +
-         entry_count_ * sizeof(Rid);
+  // Every node plus the capacity of its arrays: the tree's heap footprint
+  // short of the allocator's per-block overhead.
+  size_t bytes = sizeof(*this);
+  std::vector<const Node*> stack = {root_.get()};
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    bytes += sizeof(Node) + node->keys.capacity() * sizeof(Value) +
+             node->children.capacity() * sizeof(node->children[0]) +
+             node->entries.capacity() * sizeof(IndexEntry);
+    for (const auto& child : node->children) stack.push_back(child.get());
+  }
+  return bytes;
 }
 
 void BTree::Clear() {
-  root_ = std::make_unique<Node>(/*leaf=*/true);
+  root_ = std::make_unique<Node>(/*leaf=*/true, fanout_);
   entry_count_ = 0;
   key_count_ = 0;
-  node_count_ = 1;
 }
 
 int BTree::Height() const {
@@ -201,40 +192,40 @@ int BTree::Height() const {
 Status BTree::CheckNode(const Node* node, bool is_root, Value lo, bool has_lo,
                         Value hi, bool has_hi, int depth,
                         int leaf_depth) const {
+  const auto outside = [&](Value key) {
+    return (has_lo && key < lo) || (has_hi && key >= hi);
+  };
   if (node->is_leaf) {
     if (depth != leaf_depth) return Status::Corruption("uneven leaf depth");
-    if (node->keys.size() != node->postings.size()) {
-      return Status::Corruption("leaf keys/postings size mismatch");
+    for (size_t i = 0; i < node->entries.size(); ++i) {
+      const Value key = node->entries[i].key;
+      if (i > 0 && node->entries[i - 1].key > key) {
+        return Status::Corruption("leaf entries out of key order");
+      }
+      if (outside(key)) return Status::Corruption("leaf key out of range");
     }
-  } else {
-    if (node->children.size() != node->keys.size() + 1) {
-      return Status::Corruption("internal children/keys size mismatch");
-    }
-    if (!is_root && node->keys.empty()) {
-      return Status::Corruption("empty internal node");
-    }
+    return Status::Ok();
+  }
+  if (node->children.size() != node->keys.size() + 1) {
+    return Status::Corruption("internal children/keys size mismatch");
+  }
+  if (!is_root && node->keys.empty()) {
+    return Status::Corruption("empty internal node");
   }
   for (size_t i = 0; i < node->keys.size(); ++i) {
     if (i > 0 && node->keys[i - 1] >= node->keys[i]) {
       return Status::Corruption("keys out of order");
     }
-    if (has_lo && node->keys[i] < lo) {
-      return Status::Corruption("key below subtree lower bound");
-    }
-    if (has_hi && node->keys[i] >= hi) {
-      return Status::Corruption("key above subtree upper bound");
-    }
+    if (outside(node->keys[i])) return Status::Corruption("key out of range");
   }
-  if (!node->is_leaf) {
-    for (size_t i = 0; i < node->children.size(); ++i) {
-      const bool child_has_lo = i > 0 || has_lo;
-      const Value child_lo = i > 0 ? node->keys[i - 1] : lo;
-      const bool child_has_hi = i < node->keys.size() || has_hi;
-      const Value child_hi = i < node->keys.size() ? node->keys[i] : hi;
-      AIB_RETURN_IF_ERROR(CheckNode(node->children[i].get(), false,
-                                    child_lo, child_has_lo, child_hi,
-                                    child_has_hi, depth + 1, leaf_depth));
-    }
+  for (size_t i = 0; i < node->children.size(); ++i) {
+    const bool child_has_lo = i > 0 || has_lo;
+    const Value child_lo = i > 0 ? node->keys[i - 1] : lo;
+    const bool child_has_hi = i < node->keys.size() || has_hi;
+    const Value child_hi = i < node->keys.size() ? node->keys[i] : hi;
+    AIB_RETURN_IF_ERROR(CheckNode(node->children[i].get(), false, child_lo,
+                                  child_has_lo, child_hi, child_has_hi,
+                                  depth + 1, leaf_depth));
   }
   return Status::Ok();
 }
@@ -249,23 +240,24 @@ Status BTree::CheckInvariants() const {
   AIB_RETURN_IF_ERROR(CheckNode(root_.get(), /*is_root=*/true, 0, false, 0,
                                 false, 0, leaf_depth));
 
-  // The leaf chain must visit every key exactly once, in ascending order.
+  // The leaf chain visits keys in ascending order, and each key's entries
+  // in one leaf.
   size_t keys_seen = 0;
   size_t entries_seen = 0;
-  bool first = true;
   Value prev = 0;
   for (const Node* leaf = node; leaf != nullptr; leaf = leaf->next) {
-    for (size_t i = 0; i < leaf->keys.size(); ++i) {
-      if (!first && leaf->keys[i] <= prev) {
+    for (size_t i = 0; i < leaf->entries.size(); ++i) {
+      const Value key = leaf->entries[i].key;
+      ++entries_seen;
+      if (keys_seen > 0 && key < prev) {
         return Status::Corruption("leaf chain out of order");
       }
-      prev = leaf->keys[i];
-      first = false;
-      ++keys_seen;
-      if (leaf->postings[i].empty()) {
-        return Status::Corruption("key with empty postings");
+      if (keys_seen > 0 && key == prev) {
+        if (i == 0) return Status::Corruption("key split across two leaves");
+        continue;
       }
-      entries_seen += leaf->postings[i].size();
+      prev = key;
+      ++keys_seen;
     }
   }
   if (keys_seen != key_count_) {

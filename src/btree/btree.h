@@ -10,15 +10,17 @@
 
 namespace aib {
 
-/// In-memory B+-tree from Value to Rid postings lists.
+/// In-memory B+-tree from Value to Rids.
 ///
-/// Structure: classic B+-tree with configurable fanout. Leaves hold
-/// (key, postings) pairs and are singly linked for range scans. Inserts
-/// split full nodes top-down; deletes remove keys from leaves without
-/// structural rebalancing (the standard "lazy deletion" used by several
-/// production B-trees): the tree stays correct but may carry sparse leaves
-/// after heavy deletion. `CheckInvariants()` verifies ordering, linkage and
-/// the entry count, and is exercised by the property tests.
+/// Structure: classic B+-tree with configurable fanout. Each leaf is one
+/// packed IndexEntry array, sorted by key and in insertion order within a
+/// key, reserved at the fanout and linked to the next for range scans. A
+/// leaf splits only between keys, so a key's entries share one leaf, which
+/// may grow past the fanout; random keys at fanout 64 cost ~20 bytes per
+/// entry, nodes included. Inserts split full nodes top-down; deletes remove
+/// entries without rebalancing (the "lazy deletion" of several production
+/// B-trees), so heavy deletion may leave sparse leaves. `CheckInvariants()`
+/// verifies ordering, linkage and the entry and key counts.
 class BTree final : public IndexStructure {
  public:
   /// `fanout` is the maximum number of keys per node (>= 4).
@@ -47,8 +49,8 @@ class BTree final : public IndexStructure {
   int Height() const;
 
   /// Verifies B+-tree invariants: key ordering within and across nodes,
-  /// child separator consistency, leaf chain completeness, and that the
-  /// maintained entry/key counters match the actual contents.
+  /// child separator consistency, that no key's entries span two leaves,
+  /// and that the maintained entry/key counters match the leaf chain.
   Status CheckInvariants() const;
 
  private:
@@ -57,7 +59,10 @@ class BTree final : public IndexStructure {
   /// Finds the leaf that should hold `key`.
   Node* FindLeaf(Value key) const;
 
-  /// Splits `child` (the idx-th child of `parent`), both full.
+  /// Whether `node` must split first; a leaf holding one key never must.
+  bool Full(const Node* node) const;
+
+  /// Splits the full `index`-th child of the non-full `parent`.
   void SplitChild(Node* parent, int index);
 
   /// Inserts into the subtree at `node`, which is guaranteed non-full.
@@ -70,7 +75,6 @@ class BTree final : public IndexStructure {
   std::unique_ptr<Node> root_;
   size_t entry_count_ = 0;
   size_t key_count_ = 0;
-  size_t node_count_ = 1;
 };
 
 }  // namespace aib

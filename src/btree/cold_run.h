@@ -8,8 +8,8 @@
 
 namespace aib {
 
-/// Read-optimized cold-tier run: a sorted, densely packed vector of
-/// (key, rid) entries behind the IndexStructure interface.
+/// Read-optimized cold-tier run: one sorted, densely packed vector of
+/// IndexEntry (12 bytes each) behind the IndexStructure interface.
 ///
 /// Demotion compacts a hot BufferPartition's B+-tree into one of these,
 /// which the demoted partition then holds as its structure (2-Tree style,
@@ -18,9 +18,9 @@ namespace aib {
 /// and promotion back into the hot tree is a linear replay of the packed
 /// entries — memcpy-class work instead of a full indexing re-scan.
 ///
-/// Ordering contract: `Build` uses a *stable* sort by key, so rids with
-/// equal keys keep the order the source structure emitted them in
-/// (BTree::ForEachEntry is key-ordered with insertion-ordered postings).
+/// Ordering contract: `Build` keeps the order the source structure emitted
+/// rids with equal keys in: BTree::ForEachEntry is already key-ordered with
+/// insertion-ordered postings, and any other source is *stable*-sorted.
 /// Lookup/Scan therefore emit rids in exactly the sequence the hot tree
 /// would have — the property the demotion and serial/parallel
 /// bit-identity suites pin.
@@ -31,15 +31,10 @@ namespace aib {
 /// promote first; the maintenance path only patches single tuples.
 class ColdRun final : public IndexStructure {
  public:
-  struct Entry {
-    Value key;
-    Rid rid;
-  };
-
   ColdRun() = default;
 
-  /// Replaces the contents with a compacted copy of `source` (stable-sorted
-  /// by key, emission order preserved within a key).
+  /// Replaces the contents with a compacted copy of `source` (sorted by key,
+  /// emission order preserved within a key).
   void Build(const IndexStructure& source);
 
   void Insert(Value key, const Rid& rid) override;
@@ -63,10 +58,10 @@ class ColdRun final : public IndexStructure {
   Value MinKey() const { return entries_.front().key; }
   Value MaxKey() const { return entries_.back().key; }
 
-  const std::vector<Entry>& entries() const { return entries_; }
+  const std::vector<IndexEntry>& entries() const { return entries_; }
 
  private:
-  std::vector<Entry> entries_;
+  std::vector<IndexEntry> entries_;
 };
 
 }  // namespace aib

@@ -1,13 +1,49 @@
 #ifndef AIB_BTREE_INDEX_STRUCTURE_H_
 #define AIB_BTREE_INDEX_STRUCTURE_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
 
 namespace aib {
+
+/// One (key, rid) index entry, 12 bytes. BTree leaves and ColdRun hold
+/// these in packed arrays sorted by key, insertion order within a key.
+struct IndexEntry {
+  Value key;
+  Rid rid;
+};
+static_assert(sizeof(IndexEntry) == 12);
+
+/// Orders entries, and entries against keys, by key alone.
+struct EntryKeyLess {
+  bool operator()(IndexEntry a, IndexEntry b) const { return a.key < b.key; }
+  bool operator()(IndexEntry e, Value key) const { return e.key < key; }
+  bool operator()(Value key, IndexEntry e) const { return key < e.key; }
+};
+
+/// The first entry of key-sorted `entries` whose key is >= `key`. It halves
+/// without branching, which beats std::lower_bound on a leaf's short array.
+inline auto EntriesFrom(const std::vector<IndexEntry>& entries, Value key) {
+  auto first = entries.begin();
+  if (entries.empty()) return first;
+  for (size_t n = entries.size(); n > 1; n -= n / 2) {
+    first = first[n / 2].key < key ? first + n / 2 : first;
+  }
+  return first->key < key ? first + 1 : first;
+}
+
+/// The [first, last) range of `key`'s entries in key-sorted `entries`.
+inline auto EntriesOf(const std::vector<IndexEntry>& entries, Value key) {
+  const auto first = EntriesFrom(entries, key);
+  auto last = first;
+  while (last != entries.end() && last->key == key) ++last;
+  return std::pair(first, last);
+}
 
 /// Abstract key → Rid-postings index. The paper notes that "which particular
 /// index structure is used is not essential for the general idea of the

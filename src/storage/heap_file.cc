@@ -41,9 +41,7 @@ std::vector<PageId> HeapFile::page_ids() const {
 }
 
 uint32_t HeapFile::ListedRoom(const Page& page) const {
-  const bool reclaimed =
-      page.live_count() < page.slot_count() || page.DeadBytes() > 0;
-  return reclaimed && UnderTupleCap(page) ? page.FreeSpace() : 0;
+  return UnderTupleCap(page) ? page.ReclaimedSpace() : 0;
 }
 
 void HeapFile::SetRoom(size_t page_index, uint32_t room) {
@@ -98,10 +96,11 @@ Result<Rid> HeapFile::InsertRecord(std::span<const uint8_t> record,
                               : Status::NoSpace("page at its tuple cap");
     // An insert never lists a page: only a listed one needs its room set.
     if (status.ok() && listed_.load(std::memory_order_acquire)) {
+      const uint32_t room = ListedRoom(*page);
       std::lock_guard<std::mutex> lock(free_mu_);
       if (target < room_tree_.size() / 2 &&
           room_tree_[room_tree_.size() / 2 + target] > 0) {
-        SetRoom(target, ListedRoom(*page));
+        SetRoom(target, room);
       }
     }
     AIB_RETURN_IF_ERROR(pool_->UnpinPage(page_id, status.ok()));

@@ -46,6 +46,14 @@ uint32_t Page::DeadBytes() const {
   return page_size() - DataStart() - LiveBytes();
 }
 
+uint32_t Page::ReclaimedSpace() const {
+  const uint32_t live = LiveBytes();
+  const bool reclaimed =
+      live_count() < slot_count() || DataStart() + live < page_size();
+  const uint32_t used = SlotArrayEnd() + kSlotSize + live;
+  return reclaimed && used < page_size() ? page_size() - used : 0;
+}
+
 void Page::SetSlot(SlotId slot, uint32_t start, uint32_t length) {
   SetU16(SlotOffsetPos(slot),
          static_cast<uint16_t>(std::min<uint32_t>(start, UINT16_MAX)));
@@ -54,7 +62,9 @@ void Page::SetSlot(SlotId slot, uint32_t start, uint32_t length) {
 
 void Page::Compact() {
   const uint32_t data_start = DataStart();
-  const std::vector<uint8_t> old(data_.begin() + data_start, data_.end());
+  // Compacting inserts are frequent under churn; reuse one copy buffer.
+  thread_local std::vector<uint8_t> old;
+  old.assign(data_.begin() + data_start, data_.end());
   uint32_t end = page_size();
   for (SlotId slot = 0; slot < slot_count(); ++slot) {
     const uint16_t offset = GetU16(SlotOffsetPos(slot));

@@ -55,6 +55,9 @@ class Page {
   /// FreeSpace() counts beyond the contiguous gap.
   uint32_t DeadBytes() const;
 
+  /// FreeSpace() if the page has a tombstone or dead bytes, else 0.
+  uint32_t ReclaimedSpace() const;
+
   /// Appends a tuple record under a new slot id; returns the id, or NoSpace
   /// when the live bytes, the slot array with one more slot and the record
   /// exceed the page. Compacts the record area first when the contiguous

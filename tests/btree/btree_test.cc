@@ -182,68 +182,121 @@ TEST(BTreeTest, NegativeKeys) {
   EXPECT_EQ(keys.front(), -10);
 }
 
+TEST(BTreeTest, DistinctKeysTakeAtMost24BytesPerEntry) {
+  // Keys arrive in random order, as an indexing scan meets them.
+  std::vector<Value> keys(100000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<Value>(i);
+  Rng rng(42);
+  rng.Shuffle(keys);
+  BTree tree(64);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    tree.Insert(keys[i], R(static_cast<uint32_t>(i / 64),
+                           static_cast<uint16_t>(i % 64)));
+  }
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  const double bytes_per_entry =
+      static_cast<double>(tree.ApproxBytes()) / tree.EntryCount();
+  EXPECT_LE(bytes_per_entry, 24.0);
+  EXPECT_GE(bytes_per_entry, 12.0);  // an entry's key and rid alone
+}
+
 // ---------------------------------------------------------------------------
 // Property tests: random operation sequences checked against a reference
-// model (std::multimap) across fanouts.
+// model (key -> rids in insertion order) across fanouts. Probes must return
+// the model's exact rid sequence, not just the same set.
 // ---------------------------------------------------------------------------
 
-class BTreePropertyTest : public ::testing::TestWithParam<int> {};
+// Runs 4,000 random inserts and removes on keys 0..200; `hot_share` of the
+// operations target key 100, so its run can outgrow the fanout. Returns the
+// longest run key 100 reached.
+size_t Pick(Rng* rng, size_t n) {
+  return static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+}
 
-TEST_P(BTreePropertyTest, MatchesReferenceModelUnderRandomOps) {
-  const int fanout = GetParam();
+size_t RunAgainstModel(int fanout, double hot_share) {
   BTree tree(fanout);
-  std::multimap<Value, Rid> model;
+  std::map<Value, std::vector<Rid>> model;
+  size_t entries = 0;
+  size_t longest_hot_run = 0;
   Rng rng(static_cast<uint64_t>(fanout) * 1000 + 17);
   uint32_t next_rid = 0;
 
   for (int op = 0; op < 4000; ++op) {
-    const int kind = static_cast<int>(rng.UniformInt(0, 9));
-    const Value key = static_cast<Value>(rng.UniformInt(0, 200));
-    if (kind < 6) {  // insert
-      const Rid rid = R(next_rid++);
+    int kind = static_cast<int>(rng.UniformInt(0, 9));
+    const bool hot = rng.Bernoulli(hot_share);
+    const Value key = hot ? 100 : static_cast<Value>(rng.UniformInt(0, 200));
+    std::vector<Rid>& rids = model[key];
+    // The hot key's run is removed whole only once it spans 4 fanouts.
+    if (hot && kind == 9 && rids.size() <= 4 * static_cast<size_t>(fanout)) {
+      kind = 0;
+    }
+    if (kind < 6) {  // insert; now and then a duplicate (key, rid) pair
+      const Rid rid = !rids.empty() && kind == 0
+                          ? rids[Pick(&rng, rids.size())]
+                          : R(next_rid++);
       tree.Insert(key, rid);
-      model.emplace(key, rid);
-    } else if (kind < 9) {  // remove one posting of the key, if any
-      auto it = model.find(key);
-      if (it != model.end()) {
-        EXPECT_TRUE(tree.Remove(key, it->second));
-        model.erase(it);
+      rids.push_back(rid);
+      ++entries;
+    } else if (kind < 9) {  // remove one rid of the key: its first copy
+      if (!rids.empty()) {
+        const Rid rid = rids[Pick(&rng, rids.size())];
+        EXPECT_TRUE(tree.Remove(key, rid));
+        rids.erase(std::find(rids.begin(), rids.end(), rid));
+        --entries;
       } else {
         EXPECT_FALSE(tree.Remove(key, R(12345678)));
       }
     } else {  // remove whole key
-      const size_t expected = model.count(key);
-      EXPECT_EQ(tree.RemoveKey(key), expected);
-      model.erase(key);
+      EXPECT_EQ(tree.RemoveKey(key), rids.size());
+      entries -= rids.size();
+      rids.clear();
+    }
+    if (rids.empty()) model.erase(key);
+    if (model.contains(100)) {
+      longest_hot_run = std::max(longest_hot_run, model[100].size());
+    }
+    if (op % 200 == 199) {
+      const Status status = tree.CheckInvariants();
+      if (!status.ok()) {
+        ADD_FAILURE() << status.ToString() << " after op " << op;
+        return longest_hot_run;
+      }
     }
   }
 
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  EXPECT_EQ(tree.EntryCount(), model.size());
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_EQ(tree.EntryCount(), entries);
+  EXPECT_EQ(tree.KeyCount(), model.size());
 
-  // Every key agrees with the model.
+  // Every key returns the model's rids in insertion order.
   for (Value key = 0; key <= 200; ++key) {
     std::vector<Rid> out;
     tree.Lookup(key, &out);
-    auto [lo, hi] = model.equal_range(key);
-    std::vector<Rid> expected;
-    for (auto it = lo; it != hi; ++it) expected.push_back(it->second);
-    std::sort(out.begin(), out.end());
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(out, expected) << "key " << key << " fanout " << fanout;
+    const auto it = model.find(key);
+    EXPECT_EQ(out, it == model.end() ? std::vector<Rid>{} : it->second)
+        << "key " << key << " fanout " << fanout;
   }
 
-  // Range scan agrees with the model.
-  std::vector<std::pair<Value, Rid>> scanned;
-  tree.Scan(50, 150,
-            [&](Value key, const Rid& rid) { scanned.emplace_back(key, rid); });
-  std::vector<std::pair<Value, Rid>> expected_scan;
-  for (auto it = model.lower_bound(50); it != model.upper_bound(150); ++it) {
-    expected_scan.emplace_back(it->first, it->second);
+  // Range scans visit keys ascending, each key's rids in insertion order.
+  for (const auto& [lo, hi] :
+       {std::pair<Value, Value>{50, 150}, {0, 200}}) {
+    std::vector<std::pair<Value, Rid>> scanned;
+    tree.Scan(lo, hi, [&](Value key, const Rid& rid) {
+      scanned.emplace_back(key, rid);
+    });
+    std::vector<std::pair<Value, Rid>> expected;
+    for (auto it = model.lower_bound(lo); it != model.upper_bound(hi); ++it) {
+      for (const Rid& rid : it->second) expected.emplace_back(it->first, rid);
+    }
+    EXPECT_EQ(scanned, expected) << "[" << lo << ", " << hi << "]";
   }
-  std::sort(scanned.begin(), scanned.end());
-  std::sort(expected_scan.begin(), expected_scan.end());
-  EXPECT_EQ(scanned, expected_scan);
+  return longest_hot_run;
+}
+
+class BTreePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BTreePropertyTest, MatchesReferenceModelUnderRandomOps) {
+  RunAgainstModel(GetParam(), /*hot_share=*/0.0);
 }
 
 TEST_P(BTreePropertyTest, InvariantsHoldDuringGrowth) {
@@ -263,6 +316,19 @@ TEST_P(BTreePropertyTest, InvariantsHoldDuringGrowth) {
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, BTreePropertyTest,
                          ::testing::Values(4, 8, 16, 64, 128));
+
+class BTreeLongRunTest : public ::testing::TestWithParam<int> {};
+
+// One key takes half the operations, so its run spans many fanouts' worth
+// of entries beside its neighbours: leaves may split only between keys.
+TEST_P(BTreeLongRunTest, OneKeysRunOutgrowsTheFanoutAndStaysOrdered) {
+  const int fanout = GetParam();
+  EXPECT_GT(RunAgainstModel(fanout, /*hot_share=*/0.5),
+            4 * static_cast<size_t>(fanout));
+}
+
+INSTANTIATE_TEST_SUITE_P(Fanouts, BTreeLongRunTest,
+                         ::testing::Values(4, 8, 64));
 
 }  // namespace
 }  // namespace aib

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "btree/btree.h"
+#include "btree/hash_index.h"
 
 namespace aib {
 namespace {
@@ -44,6 +45,27 @@ TEST(ColdRunTest, LookupMatchesSourceIncludingPostingOrder) {
   from_run.clear();
   run.Lookup(999, &from_run);
   EXPECT_TRUE(from_run.empty());
+}
+
+TEST(ColdRunTest, BuildSortsAHashSourceKeepingPostingOrder) {
+  // A hash index emits keys in bucket order, so Build must sort, stably.
+  HashIndex hash;
+  for (Value v = 100; v > 0; --v) {
+    hash.Insert(v % 10, MakeRid(static_cast<PageId>(v), 0));
+  }
+  ColdRun run;
+  run.Build(hash);
+  ASSERT_EQ(run.EntryCount(), 100u);
+  for (size_t i = 1; i < run.entries().size(); ++i) {
+    EXPECT_LE(run.entries()[i - 1].key, run.entries()[i].key);
+  }
+  for (Value key = 0; key < 10; ++key) {
+    std::vector<Rid> from_hash;
+    hash.Lookup(key, &from_hash);
+    std::vector<Rid> from_run;
+    run.Lookup(key, &from_run);
+    EXPECT_EQ(from_run, from_hash) << "key " << key;
+  }
 }
 
 TEST(ColdRunTest, ScanVisitsRangeInKeyOrder) {
