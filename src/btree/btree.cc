@@ -109,6 +109,57 @@ void BTree::Insert(Value key, const Rid& rid) {
   InsertNonFull(root_.get(), key, rid);
 }
 
+void BTree::Load(std::vector<IndexEntry> entries) {
+  std::stable_sort(entries.begin(), entries.end(), EntryKeyLess{});
+  Clear();
+  if (entries.empty()) return;
+  entry_count_ = entries.size();
+  key_count_ = 1;
+  for (size_t i = 1; i < entries.size(); ++i) {
+    key_count_ += entries[i].key != entries[i - 1].key;
+  }
+  // Leaves, left to right. A cut that would split a key's run moves back
+  // to the run's start, or past its end when the run starts the leaf.
+  std::vector<std::unique_ptr<Node>> level;
+  std::vector<Value> lows;  // the smallest key under each node of `level`
+  for (auto first = entries.begin(); first != entries.end();) {
+    auto last = first + std::min<ptrdiff_t>(fanout_, entries.end() - first);
+    if (last != entries.end() && last->key == std::prev(last)->key) {
+      const auto run = std::lower_bound(first, last, *last, EntryKeyLess{});
+      last = run != first ? run
+                          : std::upper_bound(last, entries.end(), *last,
+                                             EntryKeyLess{});
+    }
+    auto leaf = std::make_unique<Node>(/*leaf=*/true, fanout_);
+    leaf->entries.assign(first, last);
+    if (!level.empty()) level.back()->next = leaf.get();
+    lows.push_back(first->key);
+    level.push_back(std::move(leaf));
+    first = last;
+  }
+  // Each level above takes up to fanout + 1 children per node, spread
+  // evenly, so no node gets fewer than two.
+  const size_t max_children = static_cast<size_t>(fanout_) + 1;
+  while (level.size() > 1) {
+    const size_t nodes = (level.size() + max_children - 1) / max_children;
+    std::vector<std::unique_ptr<Node>> parents;
+    std::vector<Value> parent_lows;
+    for (size_t k = 0; k < nodes; ++k) {
+      const size_t begin = k * level.size() / nodes;
+      const size_t end = (k + 1) * level.size() / nodes;
+      auto parent = std::make_unique<Node>(/*leaf=*/false, fanout_);
+      parent->keys.assign(lows.begin() + begin + 1, lows.begin() + end);
+      parent->children.assign(std::make_move_iterator(level.begin() + begin),
+                              std::make_move_iterator(level.begin() + end));
+      parent_lows.push_back(lows[begin]);
+      parents.push_back(std::move(parent));
+    }
+    level = std::move(parents);
+    lows = std::move(parent_lows);
+  }
+  root_ = std::move(level.front());
+}
+
 bool BTree::Remove(Value key, const Rid& rid) {
   Node* leaf = FindLeaf(key);
   const auto [lo, hi] = EntriesOf(leaf->entries, key);

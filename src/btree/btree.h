@@ -31,6 +31,9 @@ class BTree final : public IndexStructure {
   BTree& operator=(const BTree&) = delete;
 
   void Insert(Value key, const Rid& rid) override;
+  /// Bulk build: stable-sorts `entries` by key, fills leaves to the fanout
+  /// (cutting only between keys), then builds the levels above bottom-up.
+  void Load(std::vector<IndexEntry> entries) override;
   bool Remove(Value key, const Rid& rid) override;
   size_t RemoveKey(Value key) override;
   void Lookup(Value key, std::vector<Rid>* out) const override;

@@ -65,6 +65,15 @@ class IndexStructure {
   /// node-at-a-time trees.
   virtual void Reserve(size_t expected_entries) { (void)expected_entries; }
 
+  /// Replaces the contents with `entries`, keeping their order within each
+  /// key: what Clear() and one Insert per entry give, which is the default.
+  /// BTree overrides it with a bottom-up bulk build.
+  virtual void Load(std::vector<IndexEntry> entries) {
+    Clear();
+    Reserve(entries.size());
+    for (const IndexEntry& entry : entries) Insert(entry.key, entry.rid);
+  }
+
   /// Removes one (key, rid) entry. Returns false if absent.
   virtual bool Remove(Value key, const Rid& rid) = 0;
 

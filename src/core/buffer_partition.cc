@@ -44,22 +44,14 @@ void BufferPartition::AbsorbOlder(const BufferPartition& older) {
   assert(older.cold_run_ != nullptr);
   if (cold_run_ != nullptr) {
     cold_run_->MergeOlder(*older.cold_run_);
-  } else if (EntryCount() == 0) {
-    older.ForEachEntry([this](Value value, const Rid& rid) {
-      structure_->Insert(value, rid);
-    });
   } else {
-    // The hot sibling accumulated newer entries after the demotion;
-    // appending would order the older epoch's postings last at shared
-    // keys. Rebuild key-sorted instead, older epoch first.
+    // The hot sibling may have accumulated newer entries after the
+    // demotion; appending would order the older epoch's postings last at
+    // shared keys. Rebuild key-sorted instead, older epoch first.
     ColdRun merged;
     merged.Build(*structure_);  // key-sorted, stable over current postings
     merged.MergeOlder(*older.cold_run_);
-    structure_->Clear();
-    structure_->Reserve(merged.EntryCount());
-    merged.ForEachEntry([this](Value value, const Rid& rid) {
-      structure_->Insert(value, rid);
-    });
+    structure_->Load(merged.entries());
   }
   for (const auto& [page, count] : older.page_entries_) {
     page_entries_[page] += count;

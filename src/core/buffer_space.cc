@@ -25,14 +25,19 @@ IndexBufferSpace::IndexBufferSpace(BufferSpaceOptions options,
       degradation_(metrics) {}
 
 Result<IndexBuffer*> IndexBufferSpace::CreateBuffer(
-    const PartialIndex* index, IndexBufferOptions buffer_options) {
+    const PartialIndex* index, IndexBufferOptions buffer_options,
+    std::optional<std::vector<uint32_t>> counters) {
   {
     std::shared_lock lock(buffers_mu_);
     auto it = buffers_.find(index);
     if (it != buffers_.end()) return it->second.get();
   }
   auto buffer = std::make_unique<IndexBuffer>(index, buffer_options, metrics_);
-  AIB_RETURN_IF_ERROR(buffer->InitCounters());
+  if (counters.has_value()) {
+    buffer->counters().Reset(std::move(*counters));
+  } else {
+    AIB_RETURN_IF_ERROR(buffer->InitCounters());
+  }
   std::unique_lock lock(buffers_mu_);
   auto [it, inserted] = buffers_.try_emplace(index, std::move(buffer));
   return it->second.get();

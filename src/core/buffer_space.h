@@ -117,9 +117,12 @@ class IndexBufferSpace {
   const BufferSpaceOptions& options() const { return options_; }
 
   /// Creates (or returns) the Index Buffer backing `index` and initializes
-  /// its page counters. The space keeps ownership.
-  Result<IndexBuffer*> CreateBuffer(const PartialIndex* index,
-                                    IndexBufferOptions buffer_options = {});
+  /// its page counters: to `counters` when given (the C[p] that
+  /// PartialIndex::Build returned), else from a walk of the table. The
+  /// space keeps ownership.
+  Result<IndexBuffer*> CreateBuffer(
+      const PartialIndex* index, IndexBufferOptions buffer_options = {},
+      std::optional<std::vector<uint32_t>> counters = std::nullopt);
 
   /// Null if no buffer exists for `index`.
   IndexBuffer* GetBuffer(const PartialIndex* index) const;

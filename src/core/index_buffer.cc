@@ -21,7 +21,11 @@ IndexBuffer::IndexBuffer(const PartialIndex* index, IndexBufferOptions options,
 }
 
 Status IndexBuffer::InitCounters() {
-  return counters_.InitFromTable(index_->table(), *index_);
+  // The (possibly slow, fault-exposed) walk runs without the counters' lock.
+  AIB_ASSIGN_OR_RETURN(std::vector<uint32_t> fresh,
+                       index_->WalkTable(nullptr));
+  counters_.Reset(std::move(fresh));
+  return Status::Ok();
 }
 
 BufferPartition* IndexBuffer::GetOrCreatePartitionLocked(size_t page) {
@@ -390,7 +394,6 @@ Status IndexBuffer::PromotePartition(size_t partition_id) {
   std::unique_ptr<BufferPartition>& hot = partitions_[partition_id];
   if (hot == nullptr) {
     hot = std::make_unique<BufferPartition>(partition_id, options_.structure);
-    hot->Reserve(cold.EntryCount());
   }
   hot->AbsorbOlder(cold);
 

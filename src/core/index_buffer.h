@@ -85,8 +85,8 @@ class IndexBuffer {
 
   // --- Page counters -------------------------------------------------------
 
-  /// Initializes C[p] from the table and partial index ("during the
-  /// creation of the partial index", §III).
+  /// Initializes C[p] from PartialIndex::WalkTable (the repair fallback;
+  /// index creation hands the counts of its own walk to CreateBuffer).
   Status InitCounters();
 
   PageCounters& counters() { return counters_; }

@@ -4,11 +4,8 @@
 #include <cstdint>
 #include <mutex>
 #include <shared_mutex>
+#include <utility>
 #include <vector>
-
-#include "common/status.h"
-#include "index/partial_index.h"
-#include "storage/table.h"
 
 namespace aib {
 
@@ -34,9 +31,12 @@ class PageCounters {
  public:
   PageCounters() = default;
 
-  /// C[p] = live tuples in p  -  tuples covered by `index`. One full pass
-  /// over the table; the fresh array is swapped in under the lock.
-  Status InitFromTable(const Table& table, const PartialIndex& index);
+  /// Replaces the whole array under the lock: C[p] = live tuples in p -
+  /// tuples covered by the partial index, as PartialIndex::WalkTable counts.
+  void Reset(std::vector<uint32_t> counters) {
+    std::unique_lock lock(mu_);
+    counters_ = std::move(counters);
+  }
 
   /// Grows the array to `page_count`; new pages start at 0 (they are empty
   /// when allocated; inserts increment incrementally).

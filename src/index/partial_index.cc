@@ -19,26 +19,41 @@ PartialIndex::PartialIndex(const Table* table, ColumnId column,
   assert(table_->schema().column(column_).type == ColumnType::kInt32);
 }
 
-Status PartialIndex::Build() {
-  std::unique_lock lock(mu_);
-  structure_->Clear();
-  version_.fetch_add(1, std::memory_order_release);
-  int64_t inserted = 0;
-  Status status = Status::Ok();
-  const HeapFile& heap = table_->heap();
-  for (size_t page = 0; page < heap.PageCount() && status.ok(); ++page) {
-    status = heap.ForEachRecordOnPage(
-        page, [&](const Rid& rid, std::span<const Value> ints) {
-          if (coverage_.Covers(ints[column_])) {
-            structure_->Insert(ints[column_], rid);
-            ++inserted;
-          }
-        });
+Result<std::vector<uint32_t>> PartialIndex::Build() {
+  std::vector<IndexEntry> entries;
+  AIB_ASSIGN_OR_RETURN(std::vector<uint32_t> uncovered, WalkTable(&entries));
+  const int64_t inserted = static_cast<int64_t>(entries.size());
+  {
+    std::unique_lock lock(mu_);
+    structure_->Load(std::move(entries));
+    version_.fetch_add(1, std::memory_order_release);
   }
   if (metrics_ != nullptr && inserted > 0) {
     metrics_->Increment(kMetricIndexInserts, inserted);
   }
-  return status;
+  return uncovered;
+}
+
+Result<std::vector<uint32_t>> PartialIndex::WalkTable(
+    std::vector<IndexEntry>* covered) const {
+  std::vector<uint32_t> uncovered(table_->PageCount(), 0);
+  const std::vector<ColumnId> columns = {column_};
+  std::vector<Rid> rids;
+  std::vector<std::vector<Value>> lanes(1);
+  for (size_t page = 0; page < uncovered.size(); ++page) {
+    rids.clear();
+    lanes[0].clear();
+    AIB_RETURN_IF_ERROR(
+        table_->heap().GatherColumnsOnPage(page, columns, &rids, &lanes));
+    for (size_t i = 0; i < rids.size(); ++i) {
+      if (!coverage_.Covers(lanes[0][i])) {
+        ++uncovered[page];
+      } else if (covered != nullptr) {
+        covered->push_back(IndexEntry{lanes[0][i], rids[i]});
+      }
+    }
+  }
+  return uncovered;
 }
 
 void PartialIndex::Lookup(Value v, std::vector<Rid>* out) const {

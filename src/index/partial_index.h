@@ -9,6 +9,7 @@
 
 #include "btree/index_structure.h"
 #include "common/metrics.h"
+#include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "index/value_coverage.h"
@@ -46,9 +47,17 @@ class PartialIndex {
   const ValueCoverage& coverage() const { return coverage_; }
   const Table& table() const { return *table_; }
 
-  /// Scans the table and indexes every covered tuple. Called once after
+  /// Indexes every covered tuple in one WalkTable pass and returns that
+  /// pass's counts, the C[p] its Index Buffer starts from. Called once after
   /// loading; DML afterwards goes through maintenance (Table I).
-  Status Build();
+  Result<std::vector<uint32_t>> Build();
+
+  /// The set-up walk: one pass of the scan kernels' gather over the index
+  /// column. Appends each covered tuple's entry to `covered` (unless null)
+  /// in physical order, and returns per page the count of the others: C[p]
+  /// of an empty Index Buffer.
+  Result<std::vector<uint32_t>> WalkTable(
+      std::vector<IndexEntry>* covered) const;
 
   /// True iff a tuple with key `v` would be covered ("t ∈ IX" in the
   /// paper's notation is value-based).

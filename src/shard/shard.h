@@ -32,8 +32,9 @@ struct ShardOptions {
 /// durable state (pages + schema + index definitions via the catalog
 /// snapshot machinery, round-tripped through memory). The Index Buffer
 /// Space comes back *empty* — the buffer is recovery-free (§VII), so every
-/// buffer starts with C[p] from InitFromTable and re-adapts from the first
-/// indexing scans; LRU-K history and tuner state restart from zero too.
+/// buffer starts with C[p] from its index build's walk and re-adapts from
+/// the first indexing scans; LRU-K history and tuner state restart from
+/// zero too.
 /// Answers keep exactly their rids because heap placement is durable; only
 /// their order, which puts buffer matches first, follows the buffer.
 /// Callers coordinate in-flight traffic through restart_latch(): request

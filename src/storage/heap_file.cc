@@ -284,19 +284,6 @@ Status HeapFile::ForEachTupleOnPage(
                   });
 }
 
-Status HeapFile::ForEachRecordOnPage(
-    size_t page_index,
-    const std::function<void(const Rid&, std::span<const Value>)>& fn) const {
-  std::vector<Value> ints(schema_->num_columns(), 0);
-  return WalkPage(pool_, PageIdAt(page_index),
-                  [&](const Rid& rid, std::span<const uint8_t> record) {
-                    const Status status =
-                        Tuple::CheckRecord(*schema_, record, ints);
-                    if (status.ok()) fn(rid, ints);
-                    return status;
-                  });
-}
-
 Status HeapFile::ForEachTuple(
     const std::function<void(const Rid&, const Tuple&)>& fn) const {
   const size_t pages = PageCount();

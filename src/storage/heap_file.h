@@ -119,19 +119,11 @@ class HeapFile {
       size_t page_index,
       const std::function<void(const Rid&, const Tuple&)>& fn) const;
 
-  /// ForEachTupleOnPage without building Tuples: `ints` holds each kInt32
-  /// column's value at its column id. Each whole record is checked, so a
-  /// malformed one fails with Tuple::Deserialize's status.
-  Status ForEachRecordOnPage(
-      size_t page_index,
-      const std::function<void(const Rid&, std::span<const Value>)>& fn)
-      const;
-
   /// Columnar gather: appends the rid and the requested kInt32 column
   /// values of every live tuple on the idx-th page to `rids` and
-  /// `(*lanes)[i]` (parallel vectors, slot order). Checks each whole record
-  /// as ForEachRecordOnPage does, so a malformed record fails with Get's
-  /// status, but builds no Tuple and allocates nothing per tuple, which is
+  /// `(*lanes)[i]` (parallel vectors, slot order). Checks each whole record,
+  /// so a malformed record fails with Get's (Tuple::Deserialize's) status,
+  /// but builds no Tuple and allocates nothing per tuple, which is
   /// what makes the batch scan path cheaper than the per-tuple iteration.
   /// `lanes` must have one entry per requested column.
   Status GatherColumnsOnPage(size_t page_index,

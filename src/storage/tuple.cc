@@ -37,27 +37,27 @@ size_t Tuple::SerializedSize() const {
 }
 
 std::vector<uint8_t> Tuple::Serialize(const Schema& schema) const {
-  std::vector<uint8_t> out;
+  std::vector<uint8_t> out(SerializedSize());
+  uint8_t* pos = out.data();
   size_t int_i = 0;
   size_t str_i = 0;
   for (const ColumnDef& col : schema.columns()) {
     if (col.type == ColumnType::kInt32) {
       assert(int_i < ints_.size());
       const Value v = ints_[int_i++];
-      const size_t pos = out.size();
-      out.resize(pos + sizeof(Value));
-      std::memcpy(out.data() + pos, &v, sizeof(Value));
+      std::memcpy(pos, &v, sizeof(Value));
+      pos += sizeof(Value);
     } else {
       assert(str_i < strings_.size());
       const std::string& s = strings_[str_i++];
       assert(s.size() <= UINT16_MAX);
       const uint16_t len = static_cast<uint16_t>(s.size());
-      const size_t pos = out.size();
-      out.resize(pos + sizeof(len) + s.size());
-      std::memcpy(out.data() + pos, &len, sizeof(len));
-      std::memcpy(out.data() + pos + sizeof(len), s.data(), s.size());
+      std::memcpy(pos, &len, sizeof(len));
+      std::memcpy(pos + sizeof(len), s.data(), s.size());
+      pos += sizeof(len) + s.size();
     }
   }
+  assert(pos == out.data() + out.size());
   return out;
 }
 

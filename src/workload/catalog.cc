@@ -73,12 +73,14 @@ Status Catalog::CreatePartialIndex(Table* table, ColumnId column,
   auto index = std::make_unique<PartialIndex>(table, column,
                                               std::move(coverage), structure,
                                               &metrics_);
-  AIB_RETURN_IF_ERROR(index->Build());
-  state->executor->RegisterIndex(index.get());
+  // One walk of the table builds the index and counts its buffer's C[p].
+  AIB_ASSIGN_OR_RETURN(std::vector<uint32_t> counters, index->Build());
   if (space_ != nullptr) {
     AIB_RETURN_IF_ERROR(
-        space_->CreateBuffer(index.get(), options_.buffer).status());
+        space_->CreateBuffer(index.get(), options_.buffer, std::move(counters))
+            .status());
   }
+  state->executor->RegisterIndex(index.get());
   state->indexes.emplace(column, std::move(index));
   return Status::Ok();
 }

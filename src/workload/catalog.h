@@ -110,10 +110,10 @@ class Catalog {
   // A snapshot persists the durable state only: raw pages, table/schema
   // metadata, heap page lists and partial-index definitions. The Index
   // Buffers are not saved: after LoadSnapshot each one starts empty with
-  // C[p] from InitFromTable, exactly as a freshly created index does, and
-  // re-adapts from the first indexing scans — the buffer is "memory-based
-  // and without expenses for crash recovery" (§VII). LRU-K history and
-  // tuner state are ephemeral too.
+  // C[p] from the index build's walk, exactly as a freshly created index
+  // does, and re-adapts from the first indexing scans — the buffer is
+  // "memory-based and without expenses for crash recovery" (§VII). LRU-K
+  // history and tuner state are ephemeral too.
 
   /// Writes the catalog's durable state to `path`. Flushes the buffer
   /// pool first.

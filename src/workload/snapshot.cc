@@ -209,7 +209,7 @@ Result<std::unique_ptr<Catalog>> Catalog::LoadSnapshotFrom(
         coverage.AddRange(lo, hi);
       }
       // Rebuilds the index from the restored pages and starts its Index
-      // Buffer empty, with C[p] from InitFromTable.
+      // Buffer empty, with C[p] from the same walk.
       AIB_RETURN_IF_ERROR(catalog->CreatePartialIndex(
           table, column, std::move(coverage),
           static_cast<IndexStructureKind>(kind)));

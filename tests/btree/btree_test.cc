@@ -330,5 +330,88 @@ TEST_P(BTreeLongRunTest, OneKeysRunOutgrowsTheFanoutAndStaysOrdered) {
 INSTANTIATE_TEST_SUITE_P(Fanouts, BTreeLongRunTest,
                          ::testing::Values(4, 8, 64));
 
+// ---------------------------------------------------------------------------
+// Bulk build: Load must give what Clear() and one Insert per entry give.
+// ---------------------------------------------------------------------------
+
+std::vector<std::pair<Value, Rid>> EntriesOf(const BTree& tree) {
+  std::vector<std::pair<Value, Rid>> out;
+  tree.ForEachEntry(
+      [&](Value key, const Rid& rid) { out.emplace_back(key, rid); });
+  return out;
+}
+
+class BTreeLoadTest : public ::testing::TestWithParam<int> {};
+
+// Shuffled keys with duplicates; one key's run spans several fanouts. The
+// loaded tree then takes random inserts and removes beside an inserted twin.
+TEST_P(BTreeLoadTest, MatchesOneInsertPerEntryAndStaysMutable) {
+  const int fanout = GetParam();
+  Rng rng(static_cast<uint64_t>(fanout) + 7);
+  for (const int n : {0, 1, fanout, fanout + 1, 3000}) {
+    std::vector<IndexEntry> entries;
+    for (int i = 0; i < n; ++i) {
+      const Value key = rng.Bernoulli(0.3)
+                            ? 500
+                            : static_cast<Value>(rng.UniformInt(0, 1000));
+      entries.push_back(IndexEntry{key, R(static_cast<uint32_t>(i))});
+    }
+    BTree inserted(fanout);
+    for (const IndexEntry& entry : entries) {
+      inserted.Insert(entry.key, entry.rid);
+    }
+    BTree loaded(fanout);
+    loaded.Insert(-1, R(99999));  // Load replaces what was there
+    loaded.Load(entries);
+    ASSERT_TRUE(loaded.CheckInvariants().ok()) << "n " << n;
+    EXPECT_EQ(loaded.EntryCount(), inserted.EntryCount());
+    EXPECT_EQ(loaded.KeyCount(), inserted.KeyCount());
+    EXPECT_EQ(EntriesOf(loaded), EntriesOf(inserted)) << "n " << n;
+
+    for (int op = 0; op < 2000; ++op) {
+      const Value key = static_cast<Value>(rng.UniformInt(0, 1000));
+      if (rng.Bernoulli(0.6)) {
+        const Rid rid = R(static_cast<uint32_t>(100000 + op));
+        loaded.Insert(key, rid);
+        inserted.Insert(key, rid);
+      } else {
+        std::vector<Rid> rids;
+        inserted.Lookup(key, &rids);
+        if (rids.empty()) continue;
+        const Rid rid = rids[Pick(&rng, rids.size())];
+        EXPECT_TRUE(loaded.Remove(key, rid));
+        EXPECT_TRUE(inserted.Remove(key, rid));
+      }
+    }
+    ASSERT_TRUE(loaded.CheckInvariants().ok()) << "n " << n;
+    EXPECT_EQ(EntriesOf(loaded), EntriesOf(inserted)) << "n " << n;
+    for (Value key = 0; key <= 1000; key += 7) {
+      std::vector<Rid> a;
+      std::vector<Rid> b;
+      loaded.Lookup(key, &a);
+      inserted.Lookup(key, &b);
+      EXPECT_EQ(a, b) << "key " << key;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fanouts, BTreeLoadTest,
+                         ::testing::Values(4, 8, 64));
+
+TEST(BTreeTest, LoadedDistinctKeysTakeAtMost14BytesPerEntry) {
+  std::vector<IndexEntry> entries(100000);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    entries[i] = IndexEntry{static_cast<Value>(i), R(static_cast<uint32_t>(i))};
+  }
+  Rng rng(42);
+  rng.Shuffle(entries);
+  BTree tree(64);
+  tree.Load(entries);
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  // Full leaves: 12 bytes of entry plus a share of one node per 64.
+  EXPECT_LE(static_cast<double>(tree.ApproxBytes()) / tree.EntryCount(),
+            14.0);
+}
+
 }  // namespace
 }  // namespace aib

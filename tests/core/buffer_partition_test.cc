@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "btree/cold_run.h"
+#include "common/rng.h"
+
 namespace aib {
 namespace {
 
@@ -98,6 +104,35 @@ TEST(BufferPartitionTest, HashStructureVariant) {
   p.Lookup(100, &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], R(5, 1));
+}
+
+std::vector<std::pair<Value, Rid>> EntriesOf(const BufferPartition& p) {
+  std::vector<std::pair<Value, Rid>> out;
+  p.ForEachEntry(
+      [&](Value key, const Rid& rid) { out.emplace_back(key, rid); });
+  return out;
+}
+
+// A cold run comes back in key order: one insert per entry would leave every
+// leaf of the empty hot B+-tree half full (~29 B/entry); the bulk build
+// fills them, and keeps each key's rids in order.
+TEST(BufferPartitionTest, PromotionIntoAnEmptyPartitionPacksLeaves) {
+  BufferPartition hot(2, IndexStructureKind::kBTree);
+  Rng rng(29);
+  for (uint32_t i = 0; i < 100000; ++i) {
+    const Value key = static_cast<Value>(rng.UniformInt(0, 49999));
+    hot.AddEntry(i / 30, key, R(i / 30, static_cast<uint16_t>(i % 30)));
+  }
+  const std::unique_ptr<BufferPartition> cold = BufferPartition::Demoted(hot);
+  ASSERT_NE(cold->cold_run(), nullptr);
+
+  BufferPartition promoted(2, IndexStructureKind::kBTree);
+  promoted.AbsorbOlder(*cold);
+  EXPECT_EQ(EntriesOf(promoted), EntriesOf(hot));
+  EXPECT_EQ(promoted.page_entries(), hot.page_entries());
+  EXPECT_LE(static_cast<double>(promoted.ApproxBytes()) /
+                promoted.EntryCount(),
+            24.0);
 }
 
 }  // namespace

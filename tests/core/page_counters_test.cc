@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "index/partial_index.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/table.h"
 
 namespace aib {
 namespace {
@@ -31,7 +33,7 @@ TEST_F(PageCountersTest, InitCountsUncoveredTuples) {
   PartialIndex index(&table_, 0, ValueCoverage::Range(0, 9));
   ASSERT_TRUE(index.Build().ok());
   PageCounters counters;
-  ASSERT_TRUE(counters.InitFromTable(table_, index).ok());
+  counters.Reset(index.WalkTable(nullptr).value());
   ASSERT_EQ(counters.size(), 4u);
   EXPECT_EQ(counters.Get(0), 0u);
   EXPECT_EQ(counters.Get(1), 10u);
@@ -46,7 +48,7 @@ TEST_F(PageCountersTest, InitWithPartialPageCoverage) {
   PartialIndex index(&table_, 0, ValueCoverage::Range(0, 4));
   ASSERT_TRUE(index.Build().ok());
   PageCounters counters;
-  ASSERT_TRUE(counters.InitFromTable(table_, index).ok());
+  counters.Reset(index.WalkTable(nullptr).value());
   EXPECT_EQ(counters.Get(0), 5u);
   EXPECT_EQ(counters.FullyIndexedPages(), 0u);
 }
@@ -55,7 +57,7 @@ TEST_F(PageCountersTest, EmptyCoverageCountsEverything) {
   PartialIndex index(&table_, 0, ValueCoverage());
   ASSERT_TRUE(index.Build().ok());
   PageCounters counters;
-  ASSERT_TRUE(counters.InitFromTable(table_, index).ok());
+  counters.Reset(index.WalkTable(nullptr).value());
   EXPECT_EQ(counters.TotalUnindexed(), 35u);
   EXPECT_EQ(counters.FullyIndexedPages(), 0u);
 }

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
-#include "core/page_counters.h"
+#include "index/partial_index.h"
 #include "workload/experiment.h"
 
 namespace aib {
@@ -58,10 +58,9 @@ TEST(DatabaseTest, MalformedRecordFailsCreatePartialIndexAsDeserializeDoes) {
   const Status created = db.CreatePartialIndex(0, ValueCoverage::Range(0, 9));
   EXPECT_EQ(created.code(), expected.code());
   EXPECT_EQ(created.message(), expected.message());
-  // The C[p] set-up pass reads records the same way.
+  // The repair fallback's C[p] walk reads records the same way.
   PartialIndex index(&db.table(), 1, ValueCoverage::Range(0, 9));
-  PageCounters counters;
-  const Status init = counters.InitFromTable(db.table(), index);
+  const Status init = index.WalkTable(nullptr).status();
   EXPECT_EQ(init.code(), expected.code());
   EXPECT_EQ(init.message(), expected.message());
 }

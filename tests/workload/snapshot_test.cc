@@ -10,6 +10,7 @@
 #include "../test_util.h"
 #include "common/rng.h"
 #include "core/consistency.h"
+#include "shard/sharded_database.h"
 #include "workload/catalog.h"
 
 namespace aib {
@@ -21,6 +22,59 @@ std::string TempPath(const std::string& tag) {
   return (std::filesystem::temp_directory_path() /
           ("aib_snapshot_" + tag + ".bin"))
       .string();
+}
+
+/// What a restart rebuilds and must bring back exactly: a partial index's
+/// (key, rid) entries and its Index Buffer's C[p]. Entries are sorted: the
+/// rebuild lists a key's rids in physical order, DML in arrival order.
+struct IndexImage {
+  std::vector<std::pair<Value, Rid>> entries;
+  std::vector<uint32_t> counters;
+  friend bool operator==(const IndexImage&, const IndexImage&) = default;
+};
+
+IndexImage ImageOf(const PartialIndex* index, const IndexBuffer* buffer) {
+  IndexImage image;
+  EXPECT_NE(index, nullptr);
+  EXPECT_NE(buffer, nullptr);
+  if (index == nullptr || buffer == nullptr) return image;
+  index->structure().ForEachEntry([&](Value key, const Rid& rid) {
+    image.entries.emplace_back(key, rid);
+  });
+  std::sort(image.entries.begin(), image.entries.end());
+  for (size_t page = 0; page < buffer->counters().size(); ++page) {
+    image.counters.push_back(buffer->counters().Get(page));
+  }
+  return image;
+}
+
+/// Seeded inserts, growing updates and deletes on `run`, a statement
+/// runner: DML maintains the index and C[p] incrementally (Table I).
+template <typename Run>
+void ChurnDml(Run&& run, std::vector<Rid>* live, uint64_t seed) {
+  Rng rng(seed);
+  for (int i = 0; i < 300; ++i) {
+    const size_t victim =
+        static_cast<size_t>(rng.UniformInt(0, live->size() - 1));
+    const Tuple tuple({static_cast<Value>(rng.UniformInt(1, 500))},
+                      {std::string(rng.UniformInt(1, 32), 'u')});
+    const int64_t kind = rng.UniformInt(0, 2);
+    if (kind == 2) {
+      ASSERT_TRUE(run(Statement::Delete((*live)[victim])).ok());
+      (*live)[victim] = live->back();
+      live->pop_back();
+      continue;
+    }
+    const Result<Rid> rid =
+        AffectedRid(run(kind == 0 ? Statement::Insert(tuple)
+                                  : Statement::Update((*live)[victim], tuple)));
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    if (kind == 0) {
+      live->push_back(rid.value());
+    } else {
+      (*live)[victim] = rid.value();
+    }
+  }
 }
 
 class SnapshotTest : public ::testing::Test {
@@ -112,6 +166,69 @@ TEST_F(SnapshotTest, RoundTripPreservesDataAndIndexes) {
     ASSERT_TRUE(a.ok() && b.ok());
     EXPECT_EQ(a->rids.size(), b->rids.size()) << "value " << v;
   }
+}
+
+// After DML has reshaped the table, a reload's one set-up walk rebuilds
+// the same index entries and the same C[p] that DML maintained.
+TEST_F(SnapshotTest, RoundTripRebuildsTheIndexAndCountersDmlMaintained) {
+  auto original = MakeCatalog();
+  Table* table = original->GetTable("t");
+  std::vector<Rid> live;
+  ASSERT_TRUE(table->heap()
+                  .ForEachTuple([&](const Rid& rid, const Tuple&) {
+                    live.push_back(rid);
+                  })
+                  .ok());
+  ChurnDml(
+      [&](const Statement& statement) {
+        return original->ExecuteStatement(table, statement);
+      },
+      &live, 91);
+  const IndexImage before =
+      ImageOf(original->GetIndex(table, 0), original->GetBuffer(table, 0));
+  ASSERT_EQ(before.counters.size(), table->PageCount());
+
+  ASSERT_TRUE(original->SaveSnapshot(path_).ok());
+  auto loaded = std::move(Catalog::LoadSnapshot(path_, Options())).value();
+  Table* restored = loaded->GetTable("t");
+  EXPECT_EQ(ImageOf(loaded->GetIndex(restored, 0),
+                    loaded->GetBuffer(restored, 0)),
+            before);
+}
+
+TEST_F(SnapshotTest, RestartShardRebuildsTheIndexAndCountersDmlMaintained) {
+  ShardedDatabaseOptions options;
+  options.router.num_shards = 2;
+  options.shard.db.max_tuples_per_page = 10;
+  options.shard.service.num_workers = 1;
+  ShardedDatabase fleet(Schema::PaperSchema(1, 32), options);
+  Rng rng(55);
+  for (int i = 0; i < 1000; ++i) {
+    const Value v = static_cast<Value>(rng.UniformInt(1, 500));
+    ASSERT_TRUE(
+        fleet.LoadTuple(Tuple({v}, {"payload-" + std::to_string(i)})).ok());
+  }
+  ASSERT_TRUE(fleet.CreatePartialIndex(0, ValueCoverage::Range(1, 50)).ok());
+
+  const size_t restarted = 1;
+  Database& db = fleet.shard(restarted).db();
+  std::vector<Rid> live;
+  ASSERT_TRUE(db.table()
+                  .heap()
+                  .ForEachTuple([&](const Rid& rid, const Tuple&) {
+                    live.push_back(rid);
+                  })
+                  .ok());
+  // Straight to the shard's own database: the churn stays on this node.
+  ChurnDml([&](const Statement& statement) {
+    return db.ExecuteStatement(statement);
+  }, &live, 92);
+  const IndexImage before = ImageOf(db.GetIndex(0), db.GetBuffer(0));
+  ASSERT_EQ(before.counters.size(), db.table().PageCount());
+
+  ASSERT_TRUE(fleet.RestartShard(restarted).ok());
+  Database& revived = fleet.shard(restarted).db();
+  EXPECT_EQ(ImageOf(revived.GetIndex(0), revived.GetBuffer(0)), before);
 }
 
 TEST_F(SnapshotTest, IndexBufferComesBackEmptyAndReAdapts) {
